@@ -1,132 +1,63 @@
-"""Exact arithmetic for greedy and weak greedy unit-fraction approximation."""
+"""Exact arithmetic for greedy and weak greedy unit-fraction approximation.
 
-from .rational import (
-    ExactRational,
-    RationalInterval,
-    count_integers_in,
-    format_rational,
-    greedy_denominator,
-    largest_integer_in,
-    parse_rational,
-    reciprocal,
-)
+The package namespace holds the names the README and the demos use; every
+other public name is imported from its own module.
+"""
+
+from .rational import format_rational
 from .greedy import (
-    IndexSet,
     ReplayOverrunError,
-    ShadowReplay,
-    WeakGreedyRun,
     WgaaPolicy,
-    admissible_interval,
     greedy_expand,
-    max_terms,
     recover_shadow,
     telescoping_interval,
     wgaa_expand,
 )
 from .families import (
     ArithmeticFamily,
-    ExplicitFamily,
     FibonacciFamily,
     GeometricFamily,
-    SequenceFamily,
-    bracket_failures,
-    fibonacci_number,
-    parse_family_spec,
     theta_partial,
     verify_bracket,
 )
-from .construct import (
-    ConstructionError,
-    ConstructionResult,
-    DepthExhausted,
-    InvalidSequence,
-    StepCertificate,
-    TargetSequence,
-    choose_b_jump,
-    choose_filler,
-    choose_theta,
-    construct,
-    jump_set,
-    jump_tail_enclosure,
-)
+from .construct import TargetSequence, construct
 from .uniqueness import (
-    UniquenessVerdict,
     necessary_uniqueness,
     pair_necessary_closed,
     pair_uniqueness,
-    sample_pairs,
     sufficient_uniqueness,
     sweep,
-    uniqueness_consequences,
 )
 from .diagnostics import (
     DEFAULT_T_GRID,
-    ClassificationReport,
-    GreedyGrowthCheck,
-    RatioCheck,
     classify,
-    greedy_ratio_checks,
     scaled_run_ratio_checks,
     shadow_bound_from_gap,
 )
 
 
 __all__ = [
-    "ExactRational",
-    "RationalInterval",
-    "count_integers_in",
     "format_rational",
-    "greedy_denominator",
-    "largest_integer_in",
-    "parse_rational",
-    "reciprocal",
-    "IndexSet",
     "ReplayOverrunError",
-    "ShadowReplay",
-    "WeakGreedyRun",
     "WgaaPolicy",
-    "admissible_interval",
     "greedy_expand",
-    "max_terms",
     "recover_shadow",
     "telescoping_interval",
     "wgaa_expand",
     "ArithmeticFamily",
-    "ExplicitFamily",
     "FibonacciFamily",
     "GeometricFamily",
-    "SequenceFamily",
-    "bracket_failures",
-    "fibonacci_number",
-    "parse_family_spec",
     "theta_partial",
     "verify_bracket",
-    "ConstructionError",
-    "ConstructionResult",
-    "DepthExhausted",
-    "InvalidSequence",
-    "StepCertificate",
     "TargetSequence",
-    "choose_b_jump",
-    "choose_filler",
-    "choose_theta",
     "construct",
-    "jump_set",
-    "jump_tail_enclosure",
-    "UniquenessVerdict",
     "necessary_uniqueness",
     "pair_necessary_closed",
     "pair_uniqueness",
-    "sample_pairs",
     "sufficient_uniqueness",
     "sweep",
-    "uniqueness_consequences",
     "DEFAULT_T_GRID",
-    "ClassificationReport",
-    "GreedyGrowthCheck",
-    "RatioCheck",
     "classify",
-    "greedy_ratio_checks",
     "scaled_run_ratio_checks",
     "shadow_bound_from_gap",
 ]

@@ -1,28 +1,32 @@
 """Command line front end.
 
 Exit codes: 0 on success, 1 when a verification or cross-check fails on
-well-formed input, 2 for malformed input or internal errors.  Output is
-deterministic: the same invocation produces identical bytes.
+well-formed input, 2 for malformed input or internal errors, 141 when the
+reader closes the output pipe early.  Output is deterministic: the same
+invocation produces identical bytes.  It is written whole once the command
+has finished, so stdout stays empty when the exit code is 2.
 """
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
+import io
 import json
+import os
 import sys
 from collections import Counter
-from fractions import Fraction
-from typing import Optional
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
 from .construct import TargetSequence, construct
 from .diagnostics import DEFAULT_T_GRID, classify
-from .families import parse_family_spec, theta_partial, verify_bracket
+from .families import parse_family_spec, theta_partial
 from .greedy import (
     IndexSet,
     ReplayOverrunError,
     WgaaPolicy,
+    bracket_misses,
     recover_shadow,
-    telescoping_interval,
     wgaa_expand,
 )
 from .rational import format_rational, parse_rational
@@ -39,6 +43,8 @@ from .uniqueness import (
 EXIT_OK = 0
 EXIT_VERIFY = 1
 EXIT_USAGE = 2
+# 128 + SIGPIPE, what a shell reports for a tool killed by a closed pipe
+EXIT_PIPE_CLOSED = 141
 
 
 def _read_sequence_file(path: str) -> list[int]:
@@ -62,22 +68,58 @@ def _read_sequence_file(path: str) -> list[int]:
     return values
 
 
-def _print_json(doc) -> None:
-    print(json.dumps(doc, indent=2))
-
-
-def _print_csv(header, rows) -> None:
-    writer = csv.writer(sys.stdout, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-
-
-def _print_table(header, rows) -> None:
-    cells = [header] + [[str(c) for c in row] for row in rows]
+def _table_lines(header, rows) -> list[str]:
+    cells = [list(header)] + [[str(c) for c in row] for row in rows]
     widths = [max(len(row[i]) for row in cells)
               for i in range(len(header))]
-    for row in cells:
-        print("  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip())
+    return ["  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip()
+            for row in cells]
+
+
+class Report(NamedTuple):
+    """What one command prints, in a form every output format reads.
+
+    Only what the chosen format prints is evaluated: ``doc`` is called for
+    json alone, and ``rows``, ``before`` and ``after`` are iterated only by
+    the formats that print them, so they can be lazy.
+    """
+
+    doc: Callable[[], object]  # the json document
+    columns: tuple[str, ...] = ()  # table header; empty prints no table
+    rows: Iterable = ()
+    csv_columns: tuple[str, ...] = ()  # csv header, when not ``columns``
+    before: Iterable[str] = ()  # table lines above the table
+    after: Iterable[str] = ()  # table lines below the table
+    exit: int = EXIT_OK
+
+
+def _emit(report: Report, fmt: str) -> int:
+    """Render the whole report in the given format, then write it out.
+
+    Returns the report's exit code. csv without a header of its own prints
+    the table lines, as table does.
+    """
+    csv_columns = report.csv_columns or report.columns
+    if fmt == "json":
+        text = json.dumps(report.doc(), indent=2) + "\n"
+    elif fmt == "csv" and csv_columns:
+        buffer = io.StringIO()
+        writer = csv.writer(buffer, lineterminator="\n")
+        writer.writerow(csv_columns)
+        writer.writerows(report.rows)
+        text = buffer.getvalue()
+    else:
+        table = (_table_lines(report.columns, report.rows)
+                 if report.columns else [])
+        lines = [*report.before, *table, *report.after]
+        text = "".join(line + "\n" for line in lines)
+    # the finished text goes out in pieces: with PYTHONUNBUFFERED stdout
+    # has no buffer, a short write to a closed pipe drops its rest without
+    # an error, and only the next piece raises BrokenPipeError
+    for start in range(0, len(text), io.DEFAULT_BUFFER_SIZE):
+        sys.stdout.write(text[start:start + io.DEFAULT_BUFFER_SIZE])
+    sys.stdout.flush()
+    return report.exit
 
 
 def _parse_t_grid(text: str):
@@ -87,14 +129,12 @@ def _parse_t_grid(text: str):
         if t < 1:
             raise ValueError("weakness levels must be at least 1")
         grid.append(t)
-    if not grid:
-        raise ValueError("empty weakness grid")
     return tuple(grid)
 
 
 # ---------------------------------------------------------------- commands
 
-def _cmd_expand(args) -> int:
+def _cmd_expand(args) -> Report:
     theta = parse_rational(args.theta)
     t = parse_rational(args.t)
     lam = IndexSet.parse(args.lam)
@@ -102,85 +142,69 @@ def _cmd_expand(args) -> int:
     policy = WgaaPolicy(t=t, lam=lam, selection=selection)
     run = wgaa_expand(theta, policy, args.terms,
                       last_greedy=args.last_greedy)
-    if args.format == "json":
-        _print_json(run.to_json_dict())
-        return EXIT_OK
-    rows = [(n + 1, run.a[n], run.b[n], format_rational(run.residuals[n]))
-            for n in range(len(run.a))]
-    if args.format == "csv":
-        _print_csv(("index", "a", "b", "residual"), rows)
-    else:
-        _print_table(["n", "a", "b", "residual"], rows)
-    return EXIT_OK
+    rows = ((n + 1, run.a[n], run.b[n], format_rational(run.residuals[n]))
+            for n in range(len(run.a)))
+    return Report(run.to_json_dict, ("n", "a", "b", "residual"), rows,
+                  csv_columns=("index", "a", "b", "residual"))
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args) -> Report:
     b_values = _read_sequence_file(args.b_file)
     theta = parse_rational(args.theta)
-    doc = {
-        "ok": False,
-        "theta": format_rational(theta),
-        "n-terms": len(b_values),
-        "a": [],
-        "b": list(b_values),
-        "first-weak-violation": None,
-        "overrun-at": None,
-        "bracket-checked": args.bracket,
-        "bracket-failures": [],
-    }
+
+    def doc(ok=False, a=(), violation=None, failures=(), overrun_at=None):
+        return {
+            "ok": ok,
+            "theta": format_rational(theta),
+            "n-terms": len(b_values),
+            "a": list(a),
+            "b": list(b_values),
+            "first-weak-violation": violation,
+            "overrun-at": overrun_at,
+            "bracket-checked": args.bracket,
+            "bracket-failures": list(failures),
+        }
+
     try:
         replay = recover_shadow(b_values, theta)
     except ReplayOverrunError as exc:
-        doc["overrun-at"] = exc.index
-        if args.format == "json":
-            _print_json(doc)
-        else:
-            print(f"FAIL: partial sums exhaust theta at index {exc.index}")
-        return EXIT_VERIFY
+        return Report(
+            functools.partial(doc, overrun_at=exc.index),
+            after=(f"FAIL: partial sums exhaust theta at index {exc.index}",),
+            exit=EXIT_VERIFY)
 
-    failures: list[int] = []
-    if args.bracket:
-        for i in range(len(replay.a) - 1):
-            if replay.a[i + 1] > replay.a[i]:
-                window = telescoping_interval(replay.a[i], replay.a[i + 1])
-                if not window.contains(Fraction(b_values[i])):
-                    failures.append(i + 1)
-    ok = replay.first_weak_violation is None and not failures
-    doc.update({
-        "ok": ok,
-        "a": list(replay.a),
-        "first-weak-violation": replay.first_weak_violation,
-        "bracket-failures": failures,
-    })
-    if args.format == "json":
-        _print_json(doc)
+    failures = bracket_misses(replay.a, b_values) if args.bracket else []
+    violation = replay.first_weak_violation
+    ok = violation is None and not failures
+    if ok:
+        verdict = "OK"
+    elif violation is not None:
+        verdict = f"FAIL: b below the greedy shadow at index {violation}"
     else:
-        rows = [(n + 1, replay.a[n], b_values[n],
-                 format_rational(replay.residuals[n]))
-                for n in range(len(b_values))]
-        if args.format == "csv":
-            _print_csv(("index", "a", "b", "residual"), rows)
-        else:
-            _print_table(["n", "a", "b", "residual"], rows)
-            if ok:
-                print("OK")
-            elif replay.first_weak_violation is not None:
-                print(f"FAIL: b below the greedy shadow at index "
-                      f"{replay.first_weak_violation}")
-            else:
-                print(f"FAIL: bracket misses at {failures}")
-    return EXIT_OK if ok else EXIT_VERIFY
+        verdict = f"FAIL: bracket misses at {failures}"
+    rows = ((n + 1, replay.a[n], b_values[n],
+             format_rational(replay.residuals[n]))
+            for n in range(len(b_values)))
+    return Report(functools.partial(doc, ok, replay.a, violation, failures),
+                  ("n", "a", "b", "residual"), rows,
+                  csv_columns=("index", "a", "b", "residual"),
+                  after=(verdict,), exit=EXIT_OK if ok else EXIT_VERIFY)
 
 
-def _cmd_construct(args) -> int:
+def _construct_summary(result) -> Iterator[str]:
+    iv = result.theta_enclosure
+    yield (f"jumps {list(result.jump_indices)}, next jump at "
+           f"{result.next_jump_index} to {result.next_jump_value}")
+    yield (f"theta enclosure ({format_rational(iv.lo)}, "
+           f"{format_rational(iv.hi)})")
+    yield f"future filler bound {format_rational(result.future_filler_bound)}"
+
+
+def _cmd_construct(args) -> Report:
     if (args.a_file is None) == (args.family is None):
-        print("error: give exactly one of --a-file or --family",
-              file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError("give exactly one of --a-file or --family")
     if args.family is not None and args.repeat_last_delta:
-        print("error: --repeat-last-delta applies only to --a-file",
-              file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError("--repeat-last-delta applies only to --a-file")
     if args.a_file is not None:
         values = _read_sequence_file(args.a_file)
         rule = "repeat-last-delta" if args.repeat_last_delta else None
@@ -188,147 +212,121 @@ def _cmd_construct(args) -> int:
     else:
         seq = TargetSequence.from_family(parse_family_spec(args.family))
     result = construct(seq, args.depth, horizon=args.horizon)
-    if args.format == "json":
-        _print_json(result.to_json_dict())
-        return EXIT_OK
-    rows = [(c.index, result.a_prefix[c.index - 1],
+    rows = ((c.index, result.a_prefix[c.index - 1],
              result.b_prefix[c.index - 1],
              format_rational(c.lower_margin), format_rational(c.upper_margin))
-            for c in result.certificates]
-    if args.format == "csv":
-        _print_csv(("index", "a", "b", "lower-margin", "upper-margin"), rows)
-        return EXIT_OK
-    iv = result.theta_enclosure
-    print(f"jumps {list(result.jump_indices)}, next jump at "
-          f"{result.next_jump_index} to {result.next_jump_value}")
-    print(f"theta enclosure ({format_rational(iv.lo)}, "
-          f"{format_rational(iv.hi)})")
-    print(f"future filler bound {format_rational(result.future_filler_bound)}")
-    _print_table(["n", "a", "b", "lower-margin", "upper-margin"], rows)
-    return EXIT_OK
+            for c in result.certificates)
+    return Report(result.to_json_dict,
+                  ("n", "a", "b", "lower-margin", "upper-margin"), rows,
+                  csv_columns=("index", "a", "b", "lower-margin",
+                               "upper-margin"),
+                  before=_construct_summary(result))
 
 
-def _unique_rows_exit(rows, fmt) -> int:
+def _census_report(rows) -> Report:
+    """Summary of sweep or sample rows; csv prints the rows themselves."""
     bad = sum(1 for r in rows
               if not (r["open_agrees"] and r["closed_agrees"]
                       and r["consequences_ok"]))
-    if fmt == "csv":
-        header = list(rows[0].keys())
-        _print_csv(header, [[row[k] for k in header] for row in rows])
-    else:
+
+    def summary():
         cases = Counter()
         for row in rows:
             cases[row["open_case"]] += 1
             cases[row["closed_case"]] += 1
-        doc = {
+        return {
             "pairs": len(rows),
             "open-unique": sum(r["open_unique"] for r in rows),
             "closed-unique": sum(r["closed_unique"] for r in rows),
             "disagreements": bad,
             "cases": {k: cases[k] for k in sorted(cases)},
         }
-        if fmt == "json":
-            _print_json(doc)
-        else:
-            for key, value in doc.items():
-                print(f"{key}: {value}")
-    return EXIT_VERIFY if bad else EXIT_OK
+
+    def lines():
+        for key, value in summary().items():
+            yield f"{key}: {value}"
+
+    return Report(summary, rows=(row.values() for row in rows),
+                  csv_columns=tuple(rows[0]), after=lines(),
+                  exit=EXIT_VERIFY if bad else EXIT_OK)
 
 
-def _cmd_unique(args) -> int:
+def _cmd_unique(args) -> Report:
     modes = [args.pair is not None, args.a_file is not None,
              args.range is not None, args.sample is not None]
     if sum(modes) != 1:
-        print("error: give exactly one of --pair, --a-file, --range, "
-              "--sample", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError("give exactly one of --pair, --a-file, --range, "
+                         "--sample")
     if args.pair is not None:
         a, a_next = args.pair
-        doc = {
-            "open": pair_uniqueness(a, a_next).to_json_dict(),
-            "closed": pair_necessary_closed(a, a_next).to_json_dict(),
-            "consequences": uniqueness_consequences(a, a_next),
-        }
-        if args.format == "json":
-            _print_json(doc)
-        elif args.format == "csv":
-            _print_csv(("criterion", "unique", "k", "case"),
-                       [("open", doc["open"]["unique"], doc["open"]["k"],
-                         doc["open"]["case"]),
-                        ("closed", doc["closed"]["unique"],
-                         doc["closed"]["k"], doc["closed"]["case"])])
-        else:
-            for name in ("open", "closed"):
-                v = doc[name]
-                print(f"{name}: unique={v['unique']} k={v['k']} "
-                      f"case={v['case']}")
-            print(f"consequences: {doc['consequences']}")
-        return EXIT_OK
+        verdicts = (("open", pair_uniqueness(a, a_next)),
+                    ("closed", pair_necessary_closed(a, a_next)))
+        consequences = uniqueness_consequences(a, a_next)
+        lines = [f"{name}: unique={v.unique} k={v.k} case={v.case}"
+                 for name, v in verdicts]
+        return Report(
+            lambda: {**{name: v.to_json_dict() for name, v in verdicts},
+                     "consequences": consequences},
+            rows=((name, v.unique, v.k, v.case) for name, v in verdicts),
+            csv_columns=("criterion", "unique", "k", "case"),
+            after=lines + [f"consequences: {consequences}"])
     if args.a_file is not None:
         values = _read_sequence_file(args.a_file)
         suff, open_verdicts = sufficient_uniqueness(values)
         nec, closed_verdicts = necessary_uniqueness(values)
-        if args.format == "json":
-            _print_json({
+        rows = ((v.index, v.a, v.a_next, v.unique, v.case, w.unique, w.case)
+                for v, w in zip(open_verdicts, closed_verdicts))
+        return Report(
+            lambda: {
                 "sufficient": suff,
                 "necessary": nec,
                 "open-verdicts": [v.to_json_dict() for v in open_verdicts],
                 "closed-verdicts": [v.to_json_dict()
                                     for v in closed_verdicts],
-            })
-        else:
-            rows = [(v.index, v.a, v.a_next, v.unique, v.case,
-                     w.unique, w.case)
-                    for v, w in zip(open_verdicts, closed_verdicts)]
-            header = ("index", "a", "a-next", "open-unique", "open-case",
-                      "closed-unique", "closed-case")
-            if args.format == "csv":
-                _print_csv(header, rows)
-            else:
-                _print_table(list(header), rows)
-                print(f"sufficient: {suff}")
-                print(f"necessary: {nec}")
-        return EXIT_OK
+            },
+            ("index", "a", "a-next", "open-unique", "open-case",
+             "closed-unique", "closed-case"), rows,
+            after=(f"sufficient: {suff}", f"necessary: {nec}"))
     if args.range is not None:
-        return _unique_rows_exit(sweep(args.range), args.format)
-    return _unique_rows_exit(sample_pairs(args.sample, args.seed),
-                             args.format)
+        return _census_report(sweep(args.range))
+    return _census_report(sample_pairs(args.sample, args.seed))
 
 
-def _cmd_family(args) -> int:
+def _cmd_family(args) -> Report:
     family = parse_family_spec(args.spec)
     if args.terms < 1:
         raise ValueError("need at least one term")
-    a_vals = [family.a(n) for n in range(1, args.terms + 1)]
+    # one target past the last term closes the last bracket
+    a_vals = [family.a(n) for n in range(1, args.terms + 2)]
     b_vals = [family.b(n) for n in range(1, args.terms + 1)]
-    bracket_ok = verify_bracket(family, args.terms)
+    bracket_ok = not bracket_misses(a_vals, b_vals)
     enclosure = (theta_partial(family, args.terms)
                  if args.theta_enclosure else None)
-    if args.format == "json":
+
+    def doc():
         doc = {
             "spec": family.spec_string(),
-            "a": a_vals,
+            "a": a_vals[:-1],
             "b": b_vals,
             "bracket-ok": bracket_ok,
         }
         if enclosure is not None:
             doc["theta-enclosure"] = enclosure.to_json_dict()
             doc["enclosure-width"] = format_rational(enclosure.width())
-        _print_json(doc)
-        return EXIT_OK
-    rows = list(zip(range(1, args.terms + 1), a_vals, b_vals))
-    if args.format == "csv":
-        _print_csv(("n", "a", "b"), rows)
-        return EXIT_OK
-    _print_table(["n", "a", "b"], rows)
-    print(f"bracket-ok: {bracket_ok}")
-    if enclosure is not None:
-        print(f"theta in ({format_rational(enclosure.lo)}, "
-              f"{format_rational(enclosure.hi)})")
-    return EXIT_OK
+        return doc
+
+    def after():
+        yield f"bracket-ok: {bracket_ok}"
+        if enclosure is not None:
+            yield (f"theta in ({format_rational(enclosure.lo)}, "
+                   f"{format_rational(enclosure.hi)})")
+
+    return Report(doc, ("n", "a", "b"),
+                  zip(range(1, args.terms + 1), a_vals, b_vals),
+                  after=after())
 
 
-def _cmd_classify(args) -> int:
+def _cmd_classify(args) -> Report:
     a_values = _read_sequence_file(args.a_file)
     b_values = _read_sequence_file(args.b_file)
     t_grid = (_parse_t_grid(args.t_grid) if args.t_grid
@@ -342,18 +340,12 @@ def _cmd_classify(args) -> int:
     report = classify(a_values, b_values, t_grid,
                       declared_limit=declared_limit,
                       declared_limit_exceeds_one=exceeds)
-    if args.format == "json":
-        _print_json(report.to_json_dict())
-        return EXIT_OK
-    rows = [(format_rational(t), c, s)
+    rows = ((format_rational(t), c, s)
             for (t, c), (_, s) in zip(report.witness_counts,
-                                      report.second_half_witness_counts)]
-    if args.format == "csv":
-        _print_csv(("t", "witnesses", "second-half-witnesses"), rows)
-        return EXIT_OK
-    _print_table(["t", "witnesses", "second-half-witnesses"], rows)
-    print(f"verdict: {report.verdict}")
-    return EXIT_OK
+                                      report.second_half_witness_counts))
+    return Report(report.to_json_dict,
+                  ("t", "witnesses", "second-half-witnesses"), rows,
+                  after=(f"verdict: {report.verdict}",))
 
 
 # ------------------------------------------------------------------ wiring
@@ -437,7 +429,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return _emit(args.func(args), args.format)
+    except BrokenPipeError:
+        # the reader is gone; point stdout at devnull so that flushing
+        # what is still buffered at exit does not fail a second time
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_PIPE_CLOSED
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

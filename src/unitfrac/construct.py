@@ -19,13 +19,13 @@ claim into per-index certificates with strictly positive margins.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional
+from typing import Callable, Iterator, Optional
 
 from .rational import (
-    ExactRational,
     RationalInterval,
     format_rational,
     largest_integer_in,
@@ -52,10 +52,8 @@ class TargetSequence:
     and later ones may never decrease.
     """
 
-    def __init__(self, fn: Callable[[int], int],
-                 limit: Optional[int] = None, label: str = "callable"):
+    def __init__(self, fn: Callable[[int], int], label: str = "callable"):
         self._fn = fn
-        self._limit = limit
         self._cache: list[int] = []
         self.label = label
 
@@ -71,7 +69,7 @@ class TargetSequence:
                 if n > len(_v):
                     raise DepthExhausted(f"only {len(_v)} terms available")
                 return _v[n - 1]
-            return cls(fn, limit=len(vals), label="explicit")
+            return cls(fn, label="explicit")
         if continue_rule != "repeat-last-delta":
             raise ValueError(f"unknown continuation rule {continue_rule!r}")
         if len(vals) < 2:
@@ -91,10 +89,6 @@ class TargetSequence:
     @classmethod
     def from_callable(cls, fn: Callable[[int], int]):
         return cls(fn)
-
-    @property
-    def limit(self) -> Optional[int]:
-        return self._limit
 
     def term(self, n: int) -> int:
         if n < 1:
@@ -117,10 +111,14 @@ class TargetSequence:
         return tuple(self._cache[:n])
 
 
-def jump_set(seq: TargetSequence, horizon: int) -> list[int]:
-    """Indices n <= horizon where the targets strictly increase."""
-    return [n for n in range(1, horizon + 1)
-            if seq.term(n) < seq.term(n + 1)]
+def jump_set(seq: TargetSequence, horizon: int) -> Iterator[int]:
+    """Indices n <= horizon where the targets strictly increase, in order.
+
+    The scan is lazy: when it yields jump n it has evaluated the targets
+    through index n + 1 and no further.
+    """
+    return (n for n in range(1, horizon + 1)
+            if seq.term(n) < seq.term(n + 1))
 
 
 def choose_b_jump(a_cur: int, a_next: int) -> int:
@@ -141,7 +139,7 @@ def jump_tail_enclosure(b_terms, a_after: int) -> RationalInterval:
                                  s + Fraction(1, a_after - 1))
 
 
-def choose_theta(enclosure: RationalInterval, a_cur: int) -> ExactRational:
+def choose_theta(enclosure: RationalInterval, a_cur: int) -> Fraction:
     """Half the gap between the enclosure top and 1/(a_cur - 1).
 
     Requires the enclosure to sit inside the window that makes a_cur the
@@ -180,8 +178,8 @@ class StepCertificate:
     """
 
     index: int
-    lower_margin: ExactRational
-    upper_margin: ExactRational
+    lower_margin: Fraction
+    upper_margin: Fraction
 
     def to_json_dict(self) -> dict:
         return {
@@ -199,9 +197,9 @@ class ConstructionResult:
     next_jump_index: int
     next_jump_value: int
     theta_enclosure: RationalInterval
-    theta_choices: tuple[ExactRational, ...]
+    theta_choices: tuple[Fraction, ...]
     filler_values: tuple[Optional[int], ...]
-    future_filler_bound: ExactRational
+    future_filler_bound: Fraction
     certificates: tuple[StepCertificate, ...]
     verification_depth: int
 
@@ -234,15 +232,11 @@ def construct(seq: TargetSequence, depth: int,
     if horizon is None:
         horizon = 64 * (depth + 1) + 1024
 
-    jumps: list[int] = []
-    n = 1
-    while len(jumps) <= depth:
-        if n >= horizon:
-            raise DepthExhausted(
-                f"only {len(jumps)} jumps within horizon {horizon}")
-        if seq.term(n) < seq.term(n + 1):
-            jumps.append(n)
-        n += 1
+    # stop at the (depth+1)-th jump: targets past it are never evaluated
+    jumps = list(itertools.islice(jump_set(seq, horizon - 1), depth + 1))
+    if len(jumps) <= depth:
+        raise DepthExhausted(
+            f"only {len(jumps)} jumps within horizon {horizon}")
 
     values = [seq.term(idx) for idx in jumps]
     b_jumps = [choose_b_jump(values[j], values[j + 1])

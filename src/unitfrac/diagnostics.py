@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .greedy import WeakGreedyRun
-from .rational import ExactRational, format_rational, greedy_denominator
+from .rational import format_rational, greedy_denominator
 
 DEFAULT_T_GRID = (Fraction(1), Fraction(3, 2), Fraction(2), Fraction(3),
                   Fraction(5), Fraction(10))
@@ -70,10 +70,10 @@ def greedy_ratio_checks(run: WeakGreedyRun) -> list[GreedyGrowthCheck]:
 @dataclass(frozen=True)
 class ClassificationReport:
     n_terms: int
-    witness_counts: tuple[tuple[ExactRational, int], ...]
-    second_half_witness_counts: tuple[tuple[ExactRational, int], ...]
-    ratio_samples: tuple[ExactRational, ...]
-    closed_form_limit: Optional[ExactRational]
+    witness_counts: tuple[tuple[Fraction, int], ...]
+    second_half_witness_counts: tuple[tuple[Fraction, int], ...]
+    ratio_samples: tuple[Fraction, ...]
+    closed_form_limit: Optional[Fraction]
     limit_exceeds_one: Optional[bool]
     verdict: str
 
@@ -94,7 +94,7 @@ class ClassificationReport:
 
 
 def classify(a, b, t_grid=DEFAULT_T_GRID,
-             declared_limit: Optional[ExactRational] = None,
+             declared_limit: Optional[Fraction] = None,
              declared_limit_exceeds_one: Optional[bool] = None
              ) -> ClassificationReport:
     """Screen (a, b) data for fixed-weakness producibility evidence."""
@@ -152,8 +152,8 @@ def classify(a, b, t_grid=DEFAULT_T_GRID,
     )
 
 
-def shadow_bound_from_gap(b_prefix, theta: ExactRational,
-                          tail_upper: ExactRational) -> tuple[ExactRational, int]:
+def shadow_bound_from_gap(b_prefix, theta: Fraction,
+                          tail_upper: Fraction) -> tuple[Fraction, int]:
     """Ceiling on every greedy shadow value when the series misses theta.
 
     If the full series is at most (prefix sum + tail_upper) and that

@@ -12,13 +12,11 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .greedy import telescoping_interval
-from .rational import ExactRational, RationalInterval
+from .greedy import bracket_misses
+from .rational import RationalInterval
 
 # fixed-point scale for certified partial sums; error per term is 2**-96
 _SCALE = 2**96
-
-_WALK_LIMIT = 64
 
 
 def fibonacci_number(k: int) -> int:
@@ -46,7 +44,7 @@ class SequenceFamily:
     def spec_string(self) -> str:
         raise NotImplementedError
 
-    def tail_bracket(self, n_terms: int) -> tuple[ExactRational, ExactRational]:
+    def tail_bracket(self, n_terms: int) -> tuple[Fraction, Fraction]:
         """Strict rational bounds on sum(1/b(n) for n > n_terms)."""
         raise ValueError(f"no tail bound for {self.kind()} families")
 
@@ -57,15 +55,6 @@ class SequenceFamily:
     def ratio_exceeds_one(self) -> bool | None:
         """Whether lim a(n+1)/a(n) > 1; None when unknown."""
         return None
-
-    def first_checkable_index(self) -> int:
-        # the bracket needs a(n) >= 2; walk past any leading 1s
-        n = 1
-        while self.a(n) < 2:
-            n += 1
-            if n > _WALK_LIMIT:
-                raise ValueError("no term reaches 2")
-        return n
 
 
 @dataclass(frozen=True)
@@ -101,7 +90,7 @@ class GeometricFamily(SequenceFamily):
     def spec_string(self) -> str:
         return f"geometric:a={self.a0},r={self.r}"
 
-    def tail_bracket(self, n_terms: int) -> tuple[ExactRational, ExactRational]:
+    def tail_bracket(self, n_terms: int) -> tuple[Fraction, Fraction]:
         # 1/b_n lies in ((r-1)/(a0 r^n), (r-1)/(a0 r^n - (r-1))]; the lower
         # series telescopes exactly and the upper is inflated by the n_terms+1
         # correction factor, largest among the remaining terms
@@ -151,7 +140,7 @@ class ArithmeticFamily(SequenceFamily):
     def spec_string(self) -> str:
         return f"arithmetic:a={self.a0},d={self.d}"
 
-    def tail_bracket(self, n_terms: int) -> tuple[ExactRational, ExactRational]:
+    def tail_bracket(self, n_terms: int) -> tuple[Fraction, Fraction]:
         first = self.a(n_terms + 1)
         lo = Fraction(1, first)
         prod = first * self.a(n_terms + 2)
@@ -192,7 +181,7 @@ class FibonacciFamily(SequenceFamily):
     def spec_string(self) -> str:
         return "fibonacci"
 
-    def tail_bracket(self, n_terms: int) -> tuple[ExactRational, ExactRational]:
+    def tail_bracket(self, n_terms: int) -> tuple[Fraction, Fraction]:
         # b(n+1)/b(n) >= 3/2 holds from n = 3 on, so past n_terms >= 2 the
         # tail is squeezed between its first term and the geometric series
         # with ratio 2/3; smaller n_terms peel off exact terms first
@@ -239,13 +228,14 @@ class ExplicitFamily(SequenceFamily):
 
 
 def bracket_failures(family: SequenceFamily, horizon: int) -> list[int]:
-    """Indices n <= horizon where 1/b(n) leaves its telescoping bracket."""
-    bad = []
-    for n in range(family.first_checkable_index(), horizon + 1):
-        window = telescoping_interval(family.a(n), family.a(n + 1))
-        if not window.contains(Fraction(family.b(n))):
-            bad.append(n)
-    return bad
+    """Indices n <= horizon where 1/b(n) leaves its telescoping bracket.
+
+    Indices with a(n) < 2, such as the Fibonacci a_1 = 1, have no bracket
+    and are skipped.
+    """
+    a = [family.a(n) for n in range(1, horizon + 2)]
+    b = [family.b(n) for n in range(1, horizon + 1)]
+    return bracket_misses(a, b)
 
 
 def verify_bracket(family: SequenceFamily, horizon: int) -> bool:

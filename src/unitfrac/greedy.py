@@ -16,6 +16,7 @@ because several modules share them:
   1/a - 1/a_next < 1/b < 1/(a-1) - 1/(a_next-1), whose reciprocal bounds
   telescope across indices and so certify tail enclosures. Its length is
   1 + (2a - 1)/(a_next - a), so it always contains an integer.
+  ``bracket_misses(a, b)`` checks whole sequences against it.
 """
 from __future__ import annotations
 
@@ -26,7 +27,6 @@ from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 from .rational import (
-    Fraction as _Fraction,
     RationalInterval,
     format_rational,
     greedy_denominator,
@@ -379,3 +379,18 @@ def telescoping_interval(a_cur: int, a_next: int,
     if closed:
         return RationalInterval.closed(lo, hi)
     return RationalInterval.open(lo, hi)
+
+
+def bracket_misses(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """Indices n (1-based) where b_n lies outside its telescoping bracket.
+
+    Index n is checked only where the bracket exists: a_{n+1} is given and
+    2 <= a_n < a_{n+1}. Every other index is skipped, not reported.
+    """
+    misses = []
+    for n in range(1, min(len(a) - 1, len(b)) + 1):
+        a_cur, a_next = a[n - 1], a[n]
+        if 2 <= a_cur < a_next and not telescoping_interval(
+                a_cur, a_next).contains(b[n - 1]):
+            misses.append(n)
+    return misses

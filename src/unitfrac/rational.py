@@ -15,8 +15,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-ExactRational = Fraction
-
 _RATIONAL_RE = re.compile(r"^(-?\d+)(?:/(-?\d+))?$")
 
 
@@ -39,12 +37,6 @@ def format_rational(x: Fraction) -> str:
     """Serialize as "P/Q", reduced, with Q >= 1. Integers render as "P/1"."""
     x = Fraction(x)
     return f"{x.numerator}/{x.denominator}"
-
-
-def reciprocal(x: Fraction) -> Fraction:
-    if x == 0:
-        raise ValueError("reciprocal of zero")
-    return Fraction(x.denominator, x.numerator)
 
 
 def greedy_denominator(theta: Fraction) -> int:
@@ -92,10 +84,6 @@ class RationalInterval:
     @classmethod
     def closed(cls, lo: Fraction, hi: Fraction) -> "RationalInterval":
         return cls(lo, hi, lo_open=False, hi_open=False)
-
-    @property
-    def unbounded(self) -> bool:
-        return self.hi is None
 
     def contains(self, x: Fraction) -> bool:
         x = Fraction(x)

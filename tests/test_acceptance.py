@@ -16,13 +16,8 @@ from unitfrac import (
     GeometricFamily,
     TargetSequence,
     WgaaPolicy,
-    admissible_interval,
     construct,
-    count_integers_in,
-    fibonacci_number,
     greedy_expand,
-    greedy_ratio_checks,
-    largest_integer_in,
     pair_necessary_closed,
     pair_uniqueness,
     recover_shadow,
@@ -30,10 +25,14 @@ from unitfrac import (
     shadow_bound_from_gap,
     telescoping_interval,
     theta_partial,
-    uniqueness_consequences,
     verify_bracket,
     wgaa_expand,
 )
+from unitfrac.diagnostics import greedy_ratio_checks
+from unitfrac.families import fibonacci_number
+from unitfrac.greedy import admissible_interval
+from unitfrac.rational import count_integers_in, largest_integer_in
+from unitfrac.uniqueness import uniqueness_consequences
 
 
 def _report(n: int, detail: str) -> None:

@@ -10,21 +10,33 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import unitfrac
 from unitfrac.families import FibonacciFamily, theta_partial
 from unitfrac.rational import format_rational
 from unitfrac.uniqueness import sweep
 
+REPO = Path(__file__).resolve().parent.parent
+
+
+def child_env(extra=None) -> dict:
+    """Environment in which a child interpreter imports this unitfrac."""
+    env = dict(os.environ)
+    package_parent = os.path.dirname(os.path.dirname(unitfrac.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [package_parent, env.get("PYTHONPATH")]))
+    if extra:
+        env.update(extra)
+    return env
+
 
 def run_cli(*args, env_extra=None):
-    env = dict(os.environ)
-    if env_extra:
-        env.update(env_extra)
     return subprocess.run(
         [sys.executable, "-m", "unitfrac.cli", *args],
-        capture_output=True, text=True, env=env)
+        capture_output=True, text=True, env=child_env(env_extra))
 
 
 def write_lines(path, values):
@@ -299,3 +311,32 @@ def test_help_and_unknown_command():
         assert sub in proc.stdout
     proc = run_cli("frobnicate")
     assert proc.returncode == 2
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"])
+def test_closed_pipe_exits_quietly(unbuffered):
+    # the csv is far larger than a pipe buffer, so the writer is still
+    # writing when the reader closes its end, as `| head -1` does; stdout
+    # is buffered or not by PYTHONUNBUFFERED, and both must notice
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "unitfrac.cli", "unique", "--range", "120",
+         "--format", "csv"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env=child_env({"PYTHONUNBUFFERED": unbuffered}))
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    stderr = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 141
+    assert first.startswith(b"a,a_next,")
+    assert stderr == b""
+
+
+# ------------------------------------------------------------------- demos
+
+@pytest.mark.parametrize("demo", sorted((REPO / "demos").glob("*.py")),
+                         ids=lambda path: path.name)
+def test_demo_runs(demo):
+    proc = subprocess.run([sys.executable, str(demo)], capture_output=True,
+                          text=True, env=child_env())
+    assert proc.returncode == 0, proc.stderr

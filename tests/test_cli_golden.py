@@ -1,0 +1,173 @@
+"""Exact stdout bytes and exit codes of the CLI, in every output format.
+
+Each case runs ``cli.main`` in-process and compares its stdout and exit
+code with the record in ``cli_golden.json`` next to this file.  After an
+intended change to the output, rewrite that record with
+
+    PYTHONPATH=src python3 tests/test_cli_golden.py
+
+The last tests check that a format evaluates only what it prints.
+"""
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+import sys
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+
+from unitfrac import cli
+from unitfrac.construct import ConstructionResult
+
+GOLDEN = Path(__file__).with_name("cli_golden.json")
+FORMATS = ("table", "json", "csv")
+
+# sequence files the cases read, one integer per line; "@name" in an
+# argument list stands for the path of the file
+FILES = {
+    "quadratic": [n * (n + 2) for n in range(1, 13)],
+    "weak": [2],
+    "overrun": [2, 3, 10],
+    # the shadows of 646/947 are 2, 6, 18, 54 and each b sits in its
+    # bracket; raising b_2 to 9 moves the later shadows and b_3 leaves
+    # its bracket
+    "geometric-b": [2, 8, 26, 80],
+    "geometric-b-miss": [2, 9, 26, 80],
+    "targets": [2, 3, 5],
+    "plateaus": [2, 2, 3, 3, 4, 4, 5, 5, 6],
+    "unique": [2, 7, 57, 100],
+    "shifted": [n + 1 for n in range(1, 13)],
+    "geometric-a": [2 * 3 ** (n - 1) for n in range(1, 11)],
+    "geometric-a-b": [3 ** n - 1 for n in range(1, 11)],
+}
+
+CASES = {
+    "expand-greedy": ["expand", "--theta", "19/48", "--terms", "4"],
+    "expand-scaled-last-greedy": ["expand", "--theta", "19/48", "--terms", "2",
+                                  "--t", "4/3", "--last-greedy"],
+    "expand-min-admissible": ["expand", "--theta", "2/3", "--terms", "4",
+                              "--t", "2", "--lambda", "periodic:2:0",
+                              "--selection", "min-admissible"],
+    "verify-ok": ["verify", "--b-file", "@quadratic", "--theta", "3/4"],
+    "verify-weak-violation": ["verify", "--b-file", "@weak", "--theta", "1/2"],
+    "verify-overrun": ["verify", "--b-file", "@overrun", "--theta", "51/100"],
+    "verify-bracket-clean": ["verify", "--b-file", "@geometric-b",
+                             "--theta", "646/947", "--bracket"],
+    "verify-bracket-miss": ["verify", "--b-file", "@geometric-b-miss",
+                            "--theta", "646/947", "--bracket"],
+    "construct-repeat-last-delta": ["construct", "--a-file", "@targets",
+                                    "--repeat-last-delta", "--depth", "3"],
+    "construct-plateaus": ["construct", "--a-file", "@plateaus",
+                           "--depth", "3"],
+    "construct-family": ["construct", "--family", "geometric:a=2,r=3",
+                         "--depth", "3"],
+    "unique-pair": ["unique", "--pair", "2", "7"],
+    "unique-a-file": ["unique", "--a-file", "@unique"],
+    "unique-range": ["unique", "--range", "25"],
+    "unique-sample": ["unique", "--sample", "30", "--seed", "3"],
+    "family": ["family", "--spec", "fibonacci", "--terms", "6"],
+    "family-enclosure": ["family", "--spec", "geometric:a=2,r=3",
+                         "--terms", "8", "--theta-enclosure"],
+    "classify": ["classify", "--a-file", "@shifted", "--b-file", "@quadratic"],
+    "classify-grid-family": ["classify", "--a-file", "@geometric-a",
+                             "--b-file", "@geometric-a-b",
+                             "--t-grid", "1,3/2,2",
+                             "--family", "geometric:a=2,r=3"],
+}
+
+
+def run_main(argv: list[str]) -> tuple[int, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def run_case(name: str, fmt: str, directory: Path) -> tuple[int, str, str]:
+    argv = []
+    for arg in CASES[name]:
+        if arg.startswith("@"):
+            path = directory / f"{arg[1:]}.txt"
+            path.write_text("".join(f"{v}\n" for v in FILES[arg[1:]]))
+            arg = str(path)
+        argv.append(arg)
+    return run_main(argv + ["--format", fmt])
+
+
+def case_id(name: str, fmt: str) -> str:
+    return f"{name}/{fmt}"
+
+
+@pytest.fixture(scope="module")
+def golden():
+    return json.loads(GOLDEN.read_text())
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+@pytest.mark.parametrize("name", CASES)
+def test_cli_bytes(golden, tmp_path, name, fmt):
+    code, stdout, _ = run_case(name, fmt, tmp_path)
+    expected = golden[case_id(name, fmt)]
+    assert code == expected["exit"]
+    assert stdout == expected["stdout"]
+
+
+def test_golden_covers_every_case(golden):
+    assert set(golden) == {case_id(n, f) for n in CASES for f in FORMATS}
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_failure_leaves_stdout_empty(fmt):
+    # the margins at this depth run past the lowest int-to-str digit limit
+    # Python accepts, so formatting fails only once the result exists
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("no int-to-str digit limit in this Python")
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        code, stdout, stderr = run_main(
+            ["construct", "--family", "geometric:a=2,r=3", "--depth", "70",
+             "--format", fmt])
+    finally:
+        sys.set_int_max_str_digits(saved)
+    assert code == cli.EXIT_USAGE
+    assert stdout == ""
+    assert stderr.startswith("error: ")
+
+
+def test_json_formats_no_table_rows(monkeypatch, tmp_path):
+    formatted = []
+
+    def counting(x):
+        formatted.append(x)
+        return f"{x.numerator}/{x.denominator}"
+
+    monkeypatch.setattr(cli, "format_rational", counting)
+    code, _, _ = run_case("verify-ok", "json", tmp_path)
+    assert code == 0
+    assert formatted == [Fraction(3, 4)]  # theta, and no residual
+
+
+@pytest.mark.parametrize("fmt", ["table", "csv"])
+def test_table_and_csv_build_no_json(monkeypatch, tmp_path, fmt):
+    def refuse(self):
+        raise AssertionError("json document built")
+
+    monkeypatch.setattr(ConstructionResult, "to_json_dict", refuse)
+    code, _, _ = run_case("construct-family", fmt, tmp_path)
+    assert code == 0
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as tmp:
+        record = {}
+        for name in CASES:
+            for fmt in FORMATS:
+                code, stdout, _ = run_case(name, fmt, Path(tmp))
+                record[case_id(name, fmt)] = {"exit": code, "stdout": stdout}
+    GOLDEN.write_text(json.dumps(record, indent=1) + "\n")

@@ -156,9 +156,20 @@ def test_repeat_last_delta_extension():
 
 def test_jump_set_scan():
     seq = TargetSequence.from_callable(lambda n: 2 + (n - 1) // 2)
-    assert jump_set(seq, 7) == [2, 4, 6]
+    assert list(jump_set(seq, 7)) == [2, 4, 6]
     strict = TargetSequence.from_callable(lambda n: n + 1)
-    assert jump_set(strict, 4) == [1, 2, 3, 4]
+    assert list(jump_set(strict, 4)) == [1, 2, 3, 4]
+
+
+def test_construct_reads_targets_only_through_the_last_jump():
+    # depth 3 needs jumps 1..4, so only targets 1..5 may be evaluated
+    def targets(n):
+        if n > 5:
+            raise RuntimeError(f"target {n} evaluated")
+        return n + 1
+    res = construct(TargetSequence.from_callable(targets), depth=3)
+    assert res.jump_indices == (1, 2, 3)
+    assert res.next_jump_index == 4
 
 
 def test_sequence_validation():

@@ -115,15 +115,17 @@ def test_dichotomy_identities():
 def test_bracket_verification(family, horizon):
     assert verify_bracket(family, horizon)
     assert bracket_failures(family, horizon) == []
-    start = family.first_checkable_index()
-    for n in range(start, horizon + 1):
-        assert bracket_holds(family.a(n), family.a(n + 1), family.b(n))
+    for n in range(1, horizon + 1):
+        if family.a(n) >= 2:
+            assert bracket_holds(family.a(n), family.a(n + 1), family.b(n))
 
 
 def test_fibonacci_bracket_starts_at_two():
-    # a_1 = 1 sits below the greedy range, so index 1 has no bracket
-    assert FibonacciFamily().first_checkable_index() == 2
-    assert GeometricFamily(2, 3).first_checkable_index() == 1
+    # a_1 = 1 sits below the greedy range, so index 1 has no bracket and
+    # is skipped; from a_1 = 2 on, index 1 is checked
+    assert bracket_failures(FibonacciFamily(), 1) == []
+    assert bracket_failures(ExplicitFamily((1, 2), (99,)), 1) == []
+    assert bracket_failures(ExplicitFamily((2, 6), (99,)), 1) == [1]
 
 
 def test_fibonacci_floor_discrepancy_at_two():

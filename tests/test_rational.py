@@ -19,7 +19,6 @@ from unitfrac.rational import (
     greedy_denominator,
     largest_integer_in,
     parse_rational,
-    reciprocal,
 )
 
 
@@ -105,16 +104,6 @@ def test_addition_is_exact(x, y):
 @given(st.fractions(), st.fractions().filter(lambda v: v != 0))
 def test_multiplication_is_exact(x, y):
     assert (x * y) / y == x
-
-
-@given(st.fractions().filter(lambda v: v != 0))
-def test_reciprocal_involution(x):
-    assert reciprocal(reciprocal(x)) == x
-
-
-def test_reciprocal_of_zero():
-    with pytest.raises(ValueError):
-        reciprocal(Fraction(0))
 
 
 # ----------------------------------------------------------------- intervals
