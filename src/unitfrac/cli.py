@@ -329,7 +329,7 @@ def _cmd_family(args) -> Report:
 def _cmd_classify(args) -> Report:
     a_values = _read_sequence_file(args.a_file)
     b_values = _read_sequence_file(args.b_file)
-    t_grid = (_parse_t_grid(args.t_grid) if args.t_grid
+    t_grid = (_parse_t_grid(args.t_grid) if args.t_grid is not None
               else DEFAULT_T_GRID)
     declared_limit = None
     exceeds = None

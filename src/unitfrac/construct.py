@@ -25,12 +25,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterator, Optional
 
-from .rational import (
-    RationalInterval,
-    format_rational,
-    largest_integer_in,
-)
-from .greedy import telescoping_interval
+from .rational import RationalInterval, format_rational, integer_bounds
+from .greedy import telescoping_endpoints
 
 
 class InvalidSequence(ValueError):
@@ -123,11 +119,11 @@ def jump_set(seq: TargetSequence, horizon: int) -> Iterator[int]:
 
 def choose_b_jump(a_cur: int, a_next: int) -> int:
     """Largest integer strictly inside the telescoping bracket."""
-    window = telescoping_interval(a_cur, a_next)
-    value = largest_integer_in(window)
-    if value is None:
+    first, last = integer_bounds(*telescoping_endpoints(a_cur, a_next),
+                                 True, True)
+    if last < first:
         raise ConstructionError("telescoping bracket held no integer")
-    return value
+    return last
 
 
 def jump_tail_enclosure(b_terms, a_after: int) -> RationalInterval:

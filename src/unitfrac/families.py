@@ -20,13 +20,21 @@ _SCALE = 2**96
 
 
 def fibonacci_number(k: int) -> int:
-    """F_k with F_0 = 0, F_1 = F_2 = 1."""
+    """F_k with F_0 = 0, F_1 = F_2 = 1, by fast doubling.
+
+    Reading k's bits from the top, (F_m, F_{m+1}) becomes
+    (F_{2m}, F_{2m+1}) by F_{2m} = F_m (2 F_{m+1} - F_m) and
+    F_{2m+1} = F_m^2 + F_{m+1}^2, then steps once more on a 1 bit:
+    O(log k) multiplications.
+    """
     if k < 0:
         raise ValueError("negative index")
-    prev, cur = 0, 1
-    for _ in range(k):
-        prev, cur = cur, prev + cur
-    return prev
+    f, g = 0, 1
+    for bit in format(k, "b"):
+        f, g = f * (2 * g - f), f * f + g * g
+        if bit == "1":
+            f, g = g, f + g
+    return f
 
 
 class SequenceFamily:

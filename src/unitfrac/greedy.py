@@ -17,6 +17,11 @@ because several modules share them:
   telescope across indices and so certify tail enclosures. Its length is
   1 + (2a - 1)/(a_next - a), so it always contains an integer.
   ``bracket_misses(a, b)`` checks whole sequences against it.
+
+Each window's ends are integer ratios, written once in
+``admissible_endpoints`` and ``telescoping_endpoints``. Hot loops count
+or test integers against those ends directly; the ``RationalInterval``
+forms are for callers at the API boundary.
 """
 from __future__ import annotations
 
@@ -199,17 +204,21 @@ class WgaaPolicy:
                    explicit_b=tuple(b))
 
     def to_json_dict(self) -> dict:
-        return {
+        blob = {
             "t": format_rational(self.t),
             "lambda": self.lam.spec_string(),
             "b-selection": self.selection,
         }
+        if self.selection == "explicit":
+            blob["explicit-b"] = list(self.explicit_b)
+        return blob
 
     @classmethod
     def from_json_dict(cls, blob: dict) -> "WgaaPolicy":
         return cls(t=parse_rational(blob["t"]),
                    lam=IndexSet.parse(blob["lambda"]),
-                   selection=blob.get("b-selection", "greedy"))
+                   selection=blob.get("b-selection", "greedy"),
+                   explicit_b=blob.get("explicit-b", ()))
 
 
 @dataclass(frozen=True)
@@ -347,19 +356,45 @@ def recover_shadow(b: Sequence[int], theta: Fraction) -> ShadowReplay:
                         first_weak_violation=violation)
 
 
-def admissible_interval(a_cur: int, a_next: int) -> RationalInterval:
-    """Open window of weak choices b compatible with shadows (a_cur, a_next).
+def admissible_endpoints(a_cur: int,
+                         a_next: int) -> tuple[int, int, int, int]:
+    """Integer ends (lo_n, lo_d, hi_n, hi_d) of the admissible window.
 
-    Endpoints are (a-1)*a'/(a'-a+1) and a*(a'-1)/(a'-a-1). When the shadow
-    advances by at most one the window is unbounded above.
+    The window is the open interval (lo_n/lo_d, hi_n/hi_d), with ends
+    (a-1)*a'/(a'-a+1) and a*(a'-1)/(a'-a-1). When the shadow advances by
+    at most one, hi_d < 1 and the window is unbounded above.
     """
     if not 2 <= a_cur <= a_next:
         raise ValueError(f"need 2 <= a_cur <= a_next, got ({a_cur}, {a_next})")
-    lo = Fraction((a_cur - 1) * a_next, a_next - a_cur + 1)
-    if a_next - a_cur <= 1:
+    return ((a_cur - 1) * a_next, a_next - a_cur + 1,
+            a_cur * (a_next - 1), a_next - a_cur - 1)
+
+
+def admissible_interval(a_cur: int, a_next: int) -> RationalInterval:
+    """Open window of weak choices b compatible with shadows (a_cur, a_next).
+
+    The ends are those of ``admissible_endpoints``; the window is
+    unbounded above when the shadow advances by at most one.
+    """
+    lo_n, lo_d, hi_n, hi_d = admissible_endpoints(a_cur, a_next)
+    lo = Fraction(lo_n, lo_d)
+    if hi_d < 1:
         return RationalInterval(lo, None, lo_open=True, hi_open=True)
-    hi = Fraction(a_cur * (a_next - 1), a_next - a_cur - 1)
-    return RationalInterval.open(lo, hi)
+    return RationalInterval.open(lo, Fraction(hi_n, hi_d))
+
+
+def telescoping_endpoints(a_cur: int,
+                          a_next: int) -> tuple[int, int, int, int]:
+    """Integer ends (lo_n, lo_d, hi_n, hi_d) of the telescoping window.
+
+    The ends are (a-1)(a'-1)/(a'-a) and a*a'/(a'-a); both denominators
+    are the gap a' - a.
+    """
+    if a_cur < 2 or a_next <= a_cur:
+        raise ValueError(
+            f"need 2 <= a_cur < a_next, got ({a_cur}, {a_next})")
+    gap = a_next - a_cur
+    return (a_cur - 1) * (a_next - 1), gap, a_cur * a_next, gap
 
 
 def telescoping_interval(a_cur: int, a_next: int,
@@ -370,12 +405,8 @@ def telescoping_interval(a_cur: int, a_next: int,
     the interval ((a-1)(a'-1)/(a'-a), a*a'/(a'-a)). The closed variant
     includes both endpoints and is what the necessity criterion counts in.
     """
-    if a_cur < 2 or a_next <= a_cur:
-        raise ValueError(
-            f"need 2 <= a_cur < a_next, got ({a_cur}, {a_next})")
-    gap = a_next - a_cur
-    lo = Fraction((a_cur - 1) * (a_next - 1), gap)
-    hi = Fraction(a_cur * a_next, gap)
+    lo_n, lo_d, hi_n, hi_d = telescoping_endpoints(a_cur, a_next)
+    lo, hi = Fraction(lo_n, lo_d), Fraction(hi_n, hi_d)
     if closed:
         return RationalInterval.closed(lo, hi)
     return RationalInterval.open(lo, hi)
@@ -385,12 +416,15 @@ def bracket_misses(a: Sequence[int], b: Sequence[int]) -> list[int]:
     """Indices n (1-based) where b_n lies outside its telescoping bracket.
 
     Index n is checked only where the bracket exists: a_{n+1} is given and
-    2 <= a_n < a_{n+1}. Every other index is skipped, not reported.
+    2 <= a_n < a_{n+1}. There b_n must satisfy
+    (a_n - 1)(a_{n+1} - 1) < b_n (a_{n+1} - a_n) < a_n a_{n+1}.
+    Every other index is skipped, not reported.
     """
     misses = []
     for n in range(1, min(len(a) - 1, len(b)) + 1):
         a_cur, a_next = a[n - 1], a[n]
-        if 2 <= a_cur < a_next and not telescoping_interval(
-                a_cur, a_next).contains(b[n - 1]):
-            misses.append(n)
+        if 2 <= a_cur < a_next:
+            lo_n, gap, hi_n, _ = telescoping_endpoints(a_cur, a_next)
+            if not lo_n < b[n - 1] * gap < hi_n:
+                misses.append(n)
     return misses

@@ -3,8 +3,10 @@
 Scalars are stdlib ``fractions.Fraction`` values, which already guarantee
 reduced form and a positive denominator. This module adds the pieces the
 rest of the package needs on top of that type: strict "P/Q" serialization,
-the greedy denominator map, and rational intervals that can be open or
-closed on each side and unbounded above.
+the greedy denominator map, rational intervals that can be open or closed
+on each side and unbounded above, and the integer window kernel
+``integer_bounds``, which finds the integers between two integer ratios
+by floor division alone.
 
 No floating point is used anywhere here; every comparison is exact.
 """
@@ -110,28 +112,30 @@ class RationalInterval:
         }
 
 
-def _first_integer_at_or_above(x: Fraction, strict: bool) -> int:
-    # smallest integer k with k > x (strict) or k >= x
-    q = x.numerator // x.denominator  # floor
-    if strict:
-        return q + 1
-    return q if q == x else q + 1
+def integer_bounds(lo_n: int, lo_d: int, hi_n: int, hi_d: int,
+                   lo_open: bool, hi_open: bool) -> tuple[int, int]:
+    """First and last integer between lo_n/lo_d and hi_n/hi_d.
+
+    Both denominators must be positive. Each flag says whether its side
+    is open. There is no integer between the ends when first > last.
+    """
+    first = lo_n // lo_d + 1 if lo_open else -(-lo_n // lo_d)
+    last = -(-hi_n // hi_d) - 1 if hi_open else hi_n // hi_d
+    return first, last
 
 
-def _last_integer_at_or_below(x: Fraction, strict: bool) -> int:
-    # largest integer k with k < x (strict) or k <= x
-    q = x.numerator // x.denominator  # floor
-    if strict:
-        return q - 1 if q == x else q
-    return q
+def _bounds_of(interval: RationalInterval) -> tuple[int, int]:
+    lo, hi = interval.lo, interval.hi
+    return integer_bounds(lo.numerator, lo.denominator,
+                          hi.numerator, hi.denominator,
+                          interval.lo_open, interval.hi_open)
 
 
 def count_integers_in(interval: RationalInterval) -> Optional[int]:
     """Number of integers in the interval; None means infinitely many."""
     if interval.hi is None:
         return None
-    first = _first_integer_at_or_above(interval.lo, interval.lo_open)
-    last = _last_integer_at_or_below(interval.hi, interval.hi_open)
+    first, last = _bounds_of(interval)
     return max(0, last - first + 1)
 
 
@@ -142,6 +146,5 @@ def largest_integer_in(interval: RationalInterval) -> Optional[int]:
     """
     if interval.hi is None:
         return None
-    first = _first_integer_at_or_above(interval.lo, interval.lo_open)
-    last = _last_integer_at_or_below(interval.hi, interval.hi_open)
+    first, last = _bounds_of(interval)
     return last if last >= first else None

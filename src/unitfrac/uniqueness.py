@@ -13,8 +13,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .greedy import admissible_interval, telescoping_interval
-from .rational import count_integers_in
+from .greedy import admissible_endpoints, telescoping_endpoints
+from .rational import integer_bounds
 
 
 @dataclass(frozen=True)
@@ -55,9 +55,9 @@ def pair_uniqueness(a: int, a_next: int, index: int = 0) -> UniquenessVerdict:
     """Open-window criterion: is the weak choice forced for this pair?"""
     _validate_pair(a, a_next)
     if a_next - a <= 1:
-        window = admissible_interval(a, a_next)
-        first = window.lo.numerator // window.lo.denominator + 1
-        return UniquenessVerdict(index, a, a_next, False, first, "unbounded")
+        lo_n, lo_d, _, _ = admissible_endpoints(a, a_next)
+        return UniquenessVerdict(index, a, a_next, False, lo_n // lo_d + 1,
+                                 "unbounded")
     d = a_next - a - 1
     if (a * a) % d == 0:
         k = a * (a_next - 1) // d - 1
@@ -116,11 +116,19 @@ def uniqueness_consequences(a: int, a_next: int) -> dict:
 
 
 def _row(a: int, a_next: int) -> dict:
+    # the counts come from the window ends alone, not from the criteria,
+    # so each row checks a criterion against an independent count
     v_open = pair_uniqueness(a, a_next)
-    open_count = count_integers_in(admissible_interval(a, a_next))
+    lo_n, lo_d, hi_n, hi_d = admissible_endpoints(a, a_next)
+    if hi_d < 1:
+        open_count = None
+    else:
+        first, last = integer_bounds(lo_n, lo_d, hi_n, hi_d, True, True)
+        open_count = max(0, last - first + 1)
     v_closed = pair_necessary_closed(a, a_next)
-    closed_count = count_integers_in(
-        telescoping_interval(a, a_next, closed=True))
+    first, last = integer_bounds(*telescoping_endpoints(a, a_next),
+                                 False, False)
+    closed_count = max(0, last - first + 1)
     cons = uniqueness_consequences(a, a_next)
     return {
         "a": a,

@@ -303,6 +303,16 @@ def test_classify_cli(tmp_path):
     assert [w["t"] for w in doc["witness-counts"]] == ["1/1", "3/2"]
 
 
+def test_classify_rejects_empty_t_grid(tmp_path):
+    a_file = write_lines(tmp_path / "a.txt", [2, 3, 4])
+    b_file = write_lines(tmp_path / "b.txt", [7, 13, 21])
+    proc = run_cli("classify", "--a-file", a_file, "--b-file", b_file,
+                   "--t-grid", "")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == "error: not a rational literal: ''\n"
+
+
 def test_help_and_unknown_command():
     proc = run_cli("--help")
     assert proc.returncode == 0

@@ -76,6 +76,10 @@ CASES = {
                              "--b-file", "@geometric-a-b",
                              "--t-grid", "1,3/2,2",
                              "--family", "geometric:a=2,r=3"],
+    "family-fibonacci-enclosure": ["family", "--spec", "fibonacci",
+                                   "--terms", "60", "--theta-enclosure"],
+    "construct-arithmetic": ["construct", "--family", "arithmetic:a=3,d=1",
+                             "--depth", "20"],
 }
 
 

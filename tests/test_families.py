@@ -69,6 +69,15 @@ def test_fibonacci_values():
     assert [f.b(n) for n in range(1, 7)] == [3, 5, 7, 13, 20, 34]
 
 
+def test_fibonacci_number_matches_recurrence():
+    prev, cur = 0, 1
+    for k in range(501):
+        assert fibonacci_number(k) == prev
+        prev, cur = cur, prev + cur
+    with pytest.raises(ValueError):
+        fibonacci_number(-1)
+
+
 def test_family_validation():
     with pytest.raises(ValueError):
         GeometricFamily(2, 1)

@@ -13,18 +13,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from unitfrac.construct import choose_b_jump
 from unitfrac.greedy import (
     IndexSet,
     ReplayOverrunError,
     WgaaPolicy,
     admissible_interval,
+    bracket_misses,
     greedy_expand,
     max_terms,
     recover_shadow,
     telescoping_interval,
     wgaa_expand,
 )
-from unitfrac.rational import count_integers_in
+from unitfrac.rational import count_integers_in, largest_integer_in
+from unitfrac.uniqueness import _row, pair_uniqueness
 
 
 def oracle_shadow(theta, b_list):
@@ -166,6 +169,27 @@ def test_admissible_interval_pinned():
     assert step.lo == Fraction(15, 2) and step.hi is None
 
 
+def test_integer_routes_match_interval_route():
+    # bracket_misses, choose_b_jump, the census counts and the unbounded k
+    # read integer window ends; the RationalInterval forms are the reference
+    for a in range(2, 150):
+        for a_next in range(a + 1, 151):
+            open_window = admissible_interval(a, a_next)
+            bracket = telescoping_interval(a, a_next)
+            row = _row(a, a_next)
+            assert row["open_count"] == count_integers_in(open_window)
+            assert row["closed_count"] == count_integers_in(
+                telescoping_interval(a, a_next, closed=True))
+            assert choose_b_jump(a, a_next) == largest_integer_in(bracket)
+            if open_window.hi is None:
+                assert pair_uniqueness(a, a_next).k == (
+                    math.floor(open_window.lo) + 1)
+            lo, hi = math.floor(bracket.lo), math.floor(bracket.hi)
+            for b in {lo - 1, lo, lo + 1, hi - 1, hi, hi + 1}:
+                missed = bracket_misses([a, a_next], [b]) == [1]
+                assert missed == (not bracket.contains(b))
+
+
 def test_telescoping_interval_pinned():
     iv = telescoping_interval(2, 3)
     assert (iv.lo, iv.hi) == (Fraction(2), Fraction(6))
@@ -223,6 +247,12 @@ def test_policy_serialization_round_trip():
                      selection="ceil-t-a")
     again = WgaaPolicy.from_json_dict(pol.to_json_dict())
     assert again == pol
+    replay = WgaaPolicy.explicit([3, 7], t=Fraction(2),
+                                 lam=IndexSet.finite([2]))
+    blob = replay.to_json_dict()
+    assert blob["explicit-b"] == [3, 7]
+    assert WgaaPolicy.from_json_dict(blob) == replay
+    assert "explicit-b" not in pol.to_json_dict()
     with pytest.raises(ValueError):
         WgaaPolicy(t=Fraction(1, 2))
     with pytest.raises(ValueError):

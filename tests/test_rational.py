@@ -9,7 +9,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from unitfrac.rational import (
@@ -17,6 +17,7 @@ from unitfrac.rational import (
     count_integers_in,
     format_rational,
     greedy_denominator,
+    integer_bounds,
     largest_integer_in,
     parse_rational,
 )
@@ -199,3 +200,32 @@ def test_largest_integer_matches_enumeration(p, q, lo_open, hi_open):
             break
         k -= 1
     assert got == want
+
+
+# ---------------------------------------------------------------- kernel
+
+numerators = st.integers(min_value=-60, max_value=60)
+denominators = st.integers(min_value=1, max_value=12)
+
+
+@settings(max_examples=600)
+@given(numerators, denominators, numerators, denominators,
+       st.booleans(), st.booleans())
+@example(6, 2, 9, 3, False, False)    # lo == hi == 3, closed
+@example(6, 2, 9, 3, True, False)     # lo == hi, open below
+@example(6, 2, 9, 3, False, True)     # lo == hi, open above
+@example(-7, 2, -4, 1, True, True)    # negative ends
+@example(-8, 4, 10, 5, True, True)    # integer-valued ends, open
+@example(-8, 4, 10, 5, False, False)  # integer-valued ends, closed
+def test_integer_bounds_match_enumeration(lo_n, lo_d, hi_n, hi_d,
+                                          lo_open, hi_open):
+    # membership by cross-multiplication; |n/d| <= |n| bounds both ends
+    reach = max(abs(lo_n), abs(hi_n)) + 2
+    inside = [k for k in range(-reach, reach + 1)
+              if (k * lo_d > lo_n if lo_open else k * lo_d >= lo_n)
+              and (k * hi_d < hi_n if hi_open else k * hi_d <= hi_n)]
+    first, last = integer_bounds(lo_n, lo_d, hi_n, hi_d, lo_open, hi_open)
+    if inside:
+        assert (first, last) == (inside[0], inside[-1])
+    else:
+        assert first > last
