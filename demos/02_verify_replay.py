@@ -9,9 +9,8 @@ from fractions import Fraction
 
 from unitfrac import (
     ReplayOverrunError,
-    format_rational,
+    bracket_misses,
     recover_shadow,
-    telescoping_interval,
 )
 
 # a clean case: b_n = n(n+2) sums to 3/4 and shadows a_n = n+1
@@ -25,12 +24,7 @@ print("  all 300 indices recover a_n = n+1, no weak violation")
 
 # each b_n must also sit strictly inside the bracket spanned by the
 # shadow pair around it whenever the shadow strictly increases
-misses = []
-for i in range(len(replay.a) - 1):
-    if replay.a[i + 1] > replay.a[i]:
-        window = telescoping_interval(replay.a[i], replay.a[i + 1])
-        if not window.contains(Fraction(b_values[i])):
-            misses.append(i + 1)
+misses = bracket_misses(replay.a, b_values)
 print("  bracket misses:", misses or "none")
 
 # a sequence that overshoots: 1/2 + 1/3 already exceeds 51/100

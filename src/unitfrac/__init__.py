@@ -8,9 +8,9 @@ from .rational import format_rational
 from .greedy import (
     ReplayOverrunError,
     WgaaPolicy,
+    bracket_misses,
     greedy_expand,
     recover_shadow,
-    telescoping_interval,
     wgaa_expand,
 )
 from .families import (
@@ -40,9 +40,9 @@ __all__ = [
     "format_rational",
     "ReplayOverrunError",
     "WgaaPolicy",
+    "bracket_misses",
     "greedy_expand",
     "recover_shadow",
-    "telescoping_interval",
     "wgaa_expand",
     "ArithmeticFamily",
     "FibonacciFamily",

@@ -131,8 +131,8 @@ def jump_tail_enclosure(b_terms, a_after: int) -> RationalInterval:
     if a_after < 2:
         raise ValueError("a_after must be at least 2")
     s = sum((Fraction(1, b) for b in b_terms), Fraction(0))
-    return RationalInterval.open(s + Fraction(1, a_after),
-                                 s + Fraction(1, a_after - 1))
+    return RationalInterval(s + Fraction(1, a_after),
+                            s + Fraction(1, a_after - 1))
 
 
 def choose_theta(enclosure: RationalInterval, a_cur: int) -> Fraction:
@@ -144,7 +144,7 @@ def choose_theta(enclosure: RationalInterval, a_cur: int) -> Fraction:
     top = Fraction(1, a_cur - 1)
     if enclosure.lo < Fraction(1, a_cur):
         raise ValueError("enclosure dips below 1/a_cur")
-    if enclosure.hi is None or enclosure.hi >= top:
+    if enclosure.hi >= top:
         raise ValueError("enclosure reaches 1/(a_cur - 1)")
     return (top - enclosure.hi) / 2
 
@@ -282,8 +282,8 @@ def construct(seq: TargetSequence, depth: int,
         jump_indices=tuple(jumps[:depth]),
         next_jump_index=jumps[depth],
         next_jump_value=next_value,
-        theta_enclosure=RationalInterval.open(suffix + tail_lo_base,
-                                              suffix + tail_hi_base),
+        theta_enclosure=RationalInterval(suffix + tail_lo_base,
+                                         suffix + tail_hi_base),
         theta_choices=tuple(thetas),
         filler_values=tuple(fillers),
         future_filler_bound=future_bound,

@@ -269,7 +269,7 @@ def theta_partial(family: SequenceFamily, n_terms: int) -> RationalInterval:
     tail_lo, tail_hi = family.tail_bracket(n_terms)
     lo = Fraction(lo_acc, _SCALE) + tail_lo
     hi = Fraction(hi_acc, _SCALE) + tail_hi
-    return RationalInterval.open(lo, hi)
+    return RationalInterval(lo, hi)
 
 
 _GEOMETRIC_RE = re.compile(r"^geometric:a=(\d+),r=(\d+)$")

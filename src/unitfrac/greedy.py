@@ -7,21 +7,18 @@ b_n >= a_n at every step. A policy fixes how b_n is chosen and where the
 cap b_n <= ceil(t * a_n) is enforced (the index set Lambda).
 
 Two denominator windows derived from consecutive shadow values live here
-because several modules share them:
+because several modules share them. Their ends are integer ratios,
+written once as (lo_n, lo_d, hi_n, hi_d) and read through
+``rational.integer_bounds``:
 
-* ``admissible_interval(a, a_next)``: the open window every weak choice
+* ``admissible_endpoints(a, a_next)``: the open window every weak choice
   b_n lands in when the shadow moves from a to a_next. It is unbounded
   above when the shadow moves by at most one.
-* ``telescoping_interval(a, a_next)``: the strictly smaller open window
+* ``telescoping_endpoints(a, a_next)``: the strictly smaller open window
   1/a - 1/a_next < 1/b < 1/(a-1) - 1/(a_next-1), whose reciprocal bounds
   telescope across indices and so certify tail enclosures. Its length is
   1 + (2a - 1)/(a_next - a), so it always contains an integer.
-  ``bracket_misses(a, b)`` checks whole sequences against it.
-
-Each window's ends are integer ratios, written once in
-``admissible_endpoints`` and ``telescoping_endpoints``. Hot loops count
-or test integers against those ends directly; the ``RationalInterval``
-forms are for callers at the API boundary.
+  ``bracket_misses(a, b)`` is the one check of whole sequences against it.
 """
 from __future__ import annotations
 
@@ -31,12 +28,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
-from .rational import (
-    RationalInterval,
-    format_rational,
-    greedy_denominator,
-    parse_rational,
-)
+from .rational import format_rational, greedy_denominator, parse_rational
 
 DEFAULT_MAX_TERMS = 10**4
 
@@ -370,19 +362,6 @@ def admissible_endpoints(a_cur: int,
             a_cur * (a_next - 1), a_next - a_cur - 1)
 
 
-def admissible_interval(a_cur: int, a_next: int) -> RationalInterval:
-    """Open window of weak choices b compatible with shadows (a_cur, a_next).
-
-    The ends are those of ``admissible_endpoints``; the window is
-    unbounded above when the shadow advances by at most one.
-    """
-    lo_n, lo_d, hi_n, hi_d = admissible_endpoints(a_cur, a_next)
-    lo = Fraction(lo_n, lo_d)
-    if hi_d < 1:
-        return RationalInterval(lo, None, lo_open=True, hi_open=True)
-    return RationalInterval.open(lo, Fraction(hi_n, hi_d))
-
-
 def telescoping_endpoints(a_cur: int,
                           a_next: int) -> tuple[int, int, int, int]:
     """Integer ends (lo_n, lo_d, hi_n, hi_d) of the telescoping window.
@@ -395,21 +374,6 @@ def telescoping_endpoints(a_cur: int,
             f"need 2 <= a_cur < a_next, got ({a_cur}, {a_next})")
     gap = a_next - a_cur
     return (a_cur - 1) * (a_next - 1), gap, a_cur * a_next, gap
-
-
-def telescoping_interval(a_cur: int, a_next: int,
-                         closed: bool = False) -> RationalInterval:
-    """Denominator window whose reciprocal bounds telescope across indices.
-
-    Open form: 1/a - 1/a' < 1/b < 1/(a-1) - 1/(a'-1), which in b-space is
-    the interval ((a-1)(a'-1)/(a'-a), a*a'/(a'-a)). The closed variant
-    includes both endpoints and is what the necessity criterion counts in.
-    """
-    lo_n, lo_d, hi_n, hi_d = telescoping_endpoints(a_cur, a_next)
-    lo, hi = Fraction(lo_n, lo_d), Fraction(hi_n, hi_d)
-    if closed:
-        return RationalInterval.closed(lo, hi)
-    return RationalInterval.open(lo, hi)
 
 
 def bracket_misses(a: Sequence[int], b: Sequence[int]) -> list[int]:

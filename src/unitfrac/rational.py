@@ -1,10 +1,10 @@
-"""Exact rational scalars, intervals with endpoint flags, and integer counting.
+"""Exact rational scalars, open enclosures, and the integer window kernel.
 
 Scalars are stdlib ``fractions.Fraction`` values, which already guarantee
 reduced form and a positive denominator. This module adds the pieces the
 rest of the package needs on top of that type: strict "P/Q" serialization,
-the greedy denominator map, rational intervals that can be open or closed
-on each side and unbounded above, and the integer window kernel
+the greedy denominator map, the open bounded ``RationalInterval`` that
+every emitted enclosure takes, and the integer window kernel
 ``integer_bounds``, which finds the integers between two integer ratios
 by floor division alone.
 
@@ -15,7 +15,6 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
 
 _RATIONAL_RE = re.compile(r"^(-?\d+)(?:/(-?\d+))?$")
 
@@ -56,59 +55,36 @@ def greedy_denominator(theta: Fraction) -> int:
 
 @dataclass(frozen=True)
 class RationalInterval:
-    """Interval of rationals; ``hi=None`` is the sentinel for unbounded above.
+    """Open bounded interval (lo, hi) of rationals, with lo < hi.
 
-    Each endpoint carries its own open/closed flag. An unbounded interval is
-    necessarily open on the high side.
+    This is the shape of every enclosure the package emits; both ends are
+    excluded.
     """
 
     lo: Fraction
-    hi: Optional[Fraction]
-    lo_open: bool = False
-    hi_open: bool = False
+    hi: Fraction
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "lo", Fraction(self.lo))
-        if self.hi is None:
-            if not self.hi_open:
-                raise ValueError("unbounded interval must be open above")
-            return
         object.__setattr__(self, "hi", Fraction(self.hi))
-        if self.lo > self.hi:
-            raise ValueError(f"empty interval: lo={self.lo} > hi={self.hi}")
-        if self.lo == self.hi and (self.lo_open or self.hi_open):
-            raise ValueError("degenerate interval must be closed on both sides")
-
-    @classmethod
-    def open(cls, lo: Fraction, hi: Fraction) -> "RationalInterval":
-        return cls(lo, hi, lo_open=True, hi_open=True)
-
-    @classmethod
-    def closed(cls, lo: Fraction, hi: Fraction) -> "RationalInterval":
-        return cls(lo, hi, lo_open=False, hi_open=False)
+        if self.lo >= self.hi:
+            raise ValueError(f"empty interval: lo={self.lo} >= hi={self.hi}")
 
     def contains(self, x: Fraction) -> bool:
-        x = Fraction(x)
-        if x < self.lo or (self.lo_open and x == self.lo):
-            return False
-        if self.hi is None:
-            return True
-        return x < self.hi or (not self.hi_open and x == self.hi)
+        return self.lo < x < self.hi
 
-    def width(self) -> Optional[Fraction]:
-        return None if self.hi is None else self.hi - self.lo
+    def width(self) -> Fraction:
+        return self.hi - self.lo
 
     def midpoint(self) -> Fraction:
-        if self.hi is None:
-            raise ValueError("midpoint of an unbounded interval")
         return (self.lo + self.hi) / 2
 
     def to_json_dict(self) -> dict:
         return {
             "lo": format_rational(self.lo),
-            "hi": None if self.hi is None else format_rational(self.hi),
-            "lo_open": self.lo_open,
-            "hi_open": self.hi_open,
+            "hi": format_rational(self.hi),
+            "lo_open": True,
+            "hi_open": True,
         }
 
 
@@ -122,29 +98,3 @@ def integer_bounds(lo_n: int, lo_d: int, hi_n: int, hi_d: int,
     first = lo_n // lo_d + 1 if lo_open else -(-lo_n // lo_d)
     last = -(-hi_n // hi_d) - 1 if hi_open else hi_n // hi_d
     return first, last
-
-
-def _bounds_of(interval: RationalInterval) -> tuple[int, int]:
-    lo, hi = interval.lo, interval.hi
-    return integer_bounds(lo.numerator, lo.denominator,
-                          hi.numerator, hi.denominator,
-                          interval.lo_open, interval.hi_open)
-
-
-def count_integers_in(interval: RationalInterval) -> Optional[int]:
-    """Number of integers in the interval; None means infinitely many."""
-    if interval.hi is None:
-        return None
-    first, last = _bounds_of(interval)
-    return max(0, last - first + 1)
-
-
-def largest_integer_in(interval: RationalInterval) -> Optional[int]:
-    """Largest integer inside the interval, or None if there is none.
-
-    Unbounded intervals have no largest member, so they also return None.
-    """
-    if interval.hi is None:
-        return None
-    first, last = _bounds_of(interval)
-    return last if last >= first else None

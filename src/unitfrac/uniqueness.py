@@ -129,7 +129,6 @@ def _row(a: int, a_next: int) -> dict:
     first, last = integer_bounds(*telescoping_endpoints(a, a_next),
                                  False, False)
     closed_count = max(0, last - first + 1)
-    cons = uniqueness_consequences(a, a_next)
     return {
         "a": a,
         "a_next": a_next,
@@ -143,7 +142,8 @@ def _row(a: int, a_next: int) -> dict:
         "closed_k": v_closed.k,
         "closed_count": closed_count,
         "closed_agrees": v_closed.unique == (closed_count == 1),
-        "consequences_ok": (not v_closed.unique) or all(cons.values()),
+        "consequences_ok": not v_closed.unique or all(
+            uniqueness_consequences(a, a_next).values()),
     }
 
 

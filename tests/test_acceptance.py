@@ -16,6 +16,7 @@ from unitfrac import (
     GeometricFamily,
     TargetSequence,
     WgaaPolicy,
+    bracket_misses,
     construct,
     greedy_expand,
     pair_necessary_closed,
@@ -23,16 +24,15 @@ from unitfrac import (
     recover_shadow,
     scaled_run_ratio_checks,
     shadow_bound_from_gap,
-    telescoping_interval,
     theta_partial,
     verify_bracket,
     wgaa_expand,
 )
+from unitfrac.construct import choose_b_jump
 from unitfrac.diagnostics import greedy_ratio_checks
 from unitfrac.families import fibonacci_number
-from unitfrac.greedy import admissible_interval
-from unitfrac.rational import count_integers_in, largest_integer_in
-from unitfrac.uniqueness import uniqueness_consequences
+from unitfrac.greedy import telescoping_endpoints
+from unitfrac.uniqueness import _row, uniqueness_consequences
 
 
 def _report(n: int, detail: str) -> None:
@@ -119,16 +119,16 @@ def test_criterion_5_fibonacci_identities():
 
     family = FibonacciFamily()
     for n in range(2, 51):
-        window = telescoping_interval(family.a(n), family.a(n + 1))
-        assert family.b(n) == largest_integer_in(window)
+        assert family.b(n) == choose_b_jump(family.a(n), family.a(n + 1))
 
     # at n = 2 the window is (2, 6); flooring the open upper endpoint
     # lands on 6, which the window excludes, while 5 is admissible
-    window = telescoping_interval(family.a(2), family.a(3))
-    naive = window.hi.numerator // window.hi.denominator
-    assert naive == 6
-    assert not window.contains(F(6))
-    assert window.contains(F(5))
+    a_pair = [family.a(2), family.a(3)]
+    lo_n, gap, hi_n, _ = telescoping_endpoints(*a_pair)
+    assert (lo_n, gap, hi_n) == (2, 1, 6)
+    assert hi_n // gap == 6
+    assert bracket_misses(a_pair, [6]) == [1]
+    assert bracket_misses(a_pair, [5]) == []
     assert family.b(2) == 5
     _report(5, "Cassini to 80, parity form = bracket maximum on [2, 50], "
                "n = 2 floor overshoot shown")
@@ -181,17 +181,16 @@ def test_criterion_6_uniqueness_oracle_equivalence():
     for a in range(2, 300):
         for a_next in range(a + 1, 301):
             pairs += 1
+            row = _row(a, a_next)
             oracle_open = _open_count(a, a_next)
             open_verdict = pair_uniqueness(a, a_next)
             assert open_verdict.unique == (oracle_open == 1), (a, a_next)
-            assert count_integers_in(
-                admissible_interval(a, a_next)) == oracle_open
+            assert row["open_count"] == oracle_open
 
             oracle_closed = _closed_count(a, a_next)
             closed_verdict = pair_necessary_closed(a, a_next)
             assert closed_verdict.unique == (oracle_closed == 1), (a, a_next)
-            assert count_integers_in(
-                telescoping_interval(a, a_next, closed=True)) == oracle_closed
+            assert row["closed_count"] == oracle_closed
 
             if closed_verdict.unique:
                 assert all(uniqueness_consequences(a, a_next).values())

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -350,3 +351,14 @@ def test_demo_runs(demo):
     proc = subprocess.run([sys.executable, str(demo)], capture_output=True,
                           text=True, env=child_env())
     assert proc.returncode == 0, proc.stderr
+
+
+# ------------------------------------------------------------------ README
+
+def test_readme_python_blocks_run():
+    # a renamed or deleted public name fails here instead of going stale
+    readme = (REPO / "README.md").read_text()
+    blocks = re.findall(r"^```python\n(.*?)^```", readme, re.M | re.S)
+    assert blocks
+    for number, source in enumerate(blocks, start=1):
+        exec(compile(source, f"README.md python block {number}", "exec"), {})

@@ -45,14 +45,14 @@ def test_choose_b_jump_pinned():
 def test_jump_tail_enclosure_pinned():
     iv = jump_tail_enclosure((5,), 3)
     assert iv.lo == F(8, 15) and iv.hi == F(7, 10)
-    assert iv.lo_open and iv.hi_open
+    assert not iv.contains(iv.lo) and not iv.contains(iv.hi)
     iv = jump_tail_enclosure((5, 11), 4)
     assert iv.lo == F(1, 5) + F(1, 11) + F(1, 4)
     assert iv.hi == F(1, 5) + F(1, 11) + F(1, 3)
 
 
 def test_choose_theta_pinned():
-    iv = RationalInterval.open(F(1, 3), F(1, 2) - F(1, 100))
+    iv = RationalInterval(F(1, 3), F(1, 2) - F(1, 100))
     assert choose_theta(iv, 3) == F(1, 200)
     iv = jump_tail_enclosure((5,), 3)
     assert choose_theta(iv, 2) == F(3, 20)
@@ -61,9 +61,9 @@ def test_choose_theta_pinned():
 def test_choose_theta_validates():
     # tail may not reach down to 1/a_j or up past 1/(a_j - 1)
     with pytest.raises(ValueError):
-        choose_theta(RationalInterval.open(F(1, 5), F(1, 3)), 3)
+        choose_theta(RationalInterval(F(1, 5), F(1, 3)), 3)
     with pytest.raises(ValueError):
-        choose_theta(RationalInterval.open(F(2, 5), F(1, 2)), 3)
+        choose_theta(RationalInterval(F(2, 5), F(1, 2)), 3)
 
 
 def test_choose_filler_pinned():

@@ -10,6 +10,7 @@ from fractions import Fraction
 
 import pytest
 
+from unitfrac.construct import choose_b_jump
 from unitfrac.families import (
     ArithmeticFamily,
     ExplicitFamily,
@@ -21,8 +22,6 @@ from unitfrac.families import (
     theta_partial,
     verify_bracket,
 )
-from unitfrac.greedy import telescoping_interval
-from unitfrac.rational import largest_integer_in
 
 
 def bracket_holds(a, a_next, b):
@@ -155,8 +154,7 @@ def test_fibonacci_floor_discrepancy_at_two():
 def test_fibonacci_parity_is_largest_admissible():
     f = FibonacciFamily()
     for n in range(2, 51):
-        window = telescoping_interval(f.a(n), f.a(n + 1))
-        assert f.b(n) == largest_integer_in(window)
+        assert f.b(n) == choose_b_jump(f.a(n), f.a(n + 1))
 
 
 def test_cassini_identity():

@@ -18,16 +18,16 @@ from unitfrac.greedy import (
     IndexSet,
     ReplayOverrunError,
     WgaaPolicy,
-    admissible_interval,
+    admissible_endpoints,
     bracket_misses,
     greedy_expand,
     max_terms,
     recover_shadow,
-    telescoping_interval,
+    telescoping_endpoints,
     wgaa_expand,
 )
-from unitfrac.rational import count_integers_in, largest_integer_in
-from unitfrac.uniqueness import _row, pair_uniqueness
+from unitfrac.rational import integer_bounds
+from unitfrac.uniqueness import pair_uniqueness
 
 
 def oracle_shadow(theta, b_list):
@@ -156,60 +156,68 @@ def test_term_cap_default_and_env(monkeypatch):
 # ---------------------------------------------------------------- intervals
 
 def test_admissible_interval_pinned():
-    iv = admissible_interval(2, 7)
-    assert (iv.lo, iv.hi) == (Fraction(7, 6), Fraction(3))
-    assert iv.lo_open and iv.hi_open
-    assert count_integers_in(iv) == 1
-    iv2 = admissible_interval(3, 17)
-    assert (iv2.lo, iv2.hi) == (Fraction(34, 15), Fraction(48, 13))
-    # small or zero gap leaves the window unbounded above
-    flat = admissible_interval(4, 4)
-    assert flat.lo == Fraction(12) and flat.hi is None
-    step = admissible_interval(4, 5)
-    assert step.lo == Fraction(15, 2) and step.hi is None
+    lo_n, lo_d, hi_n, hi_d = admissible_endpoints(2, 7)
+    assert (Fraction(lo_n, lo_d), Fraction(hi_n, hi_d)) == (Fraction(7, 6),
+                                                           Fraction(3))
+    assert integer_bounds(lo_n, lo_d, hi_n, hi_d, True, True) == (2, 2)
+    lo_n, lo_d, hi_n, hi_d = admissible_endpoints(3, 17)
+    assert (Fraction(lo_n, lo_d), Fraction(hi_n, hi_d)) == (Fraction(34, 15),
+                                                           Fraction(48, 13))
+    # small or zero gap leaves the window unbounded above: hi_d < 1
+    lo_n, lo_d, _, hi_d = admissible_endpoints(4, 4)
+    assert Fraction(lo_n, lo_d) == Fraction(12) and hi_d < 1
+    lo_n, lo_d, _, hi_d = admissible_endpoints(4, 5)
+    assert Fraction(lo_n, lo_d) == Fraction(15, 2) and hi_d < 1
 
 
-def test_integer_routes_match_interval_route():
-    # bracket_misses, choose_b_jump, the census counts and the unbounded k
-    # read integer window ends; the RationalInterval forms are the reference
+def test_integer_routes_match_reciprocal_oracle():
+    # bracket_misses, choose_b_jump and the unbounded k read integer window
+    # ends; the reference is the reciprocal definition, cross-multiplied
     for a in range(2, 150):
         for a_next in range(a + 1, 151):
-            open_window = admissible_interval(a, a_next)
-            bracket = telescoping_interval(a, a_next)
-            row = _row(a, a_next)
-            assert row["open_count"] == count_integers_in(open_window)
-            assert row["closed_count"] == count_integers_in(
-                telescoping_interval(a, a_next, closed=True))
-            assert choose_b_jump(a, a_next) == largest_integer_in(bracket)
-            if open_window.hi is None:
-                assert pair_uniqueness(a, a_next).k == (
-                    math.floor(open_window.lo) + 1)
-            lo, hi = math.floor(bracket.lo), math.floor(bracket.hi)
+            # bracket: lower < 1/b < upper
+            lower = Fraction(1, a) - Fraction(1, a_next)
+            upper = Fraction(1, a - 1) - Fraction(1, a_next - 1)
+            ln, ld = lower.numerator, lower.denominator
+            un, ud = upper.numerator, upper.denominator
+
+            def inside(b):
+                return b > 0 and ln * b < ld and ud < un * b
+
+            lo, hi = math.floor(1 / upper), math.floor(1 / lower)
             for b in {lo - 1, lo, lo + 1, hi - 1, hi, hi + 1}:
                 missed = bracket_misses([a, a_next], [b]) == [1]
-                assert missed == (not bracket.contains(b))
+                assert missed == (not inside(b)), (a, a_next, b)
+            best = hi + 1
+            while not inside(best):
+                best -= 1
+            assert choose_b_jump(a, a_next) == best
+            # the admissible window is unbounded above exactly when its
+            # lower reciprocal bound 1/a - 1/(a_next - 1) is not positive
+            if Fraction(1, a) <= Fraction(1, a_next - 1):
+                top = Fraction(1, a - 1) - Fraction(1, a_next)
+                tn, td = top.numerator, top.denominator
+                k = pair_uniqueness(a, a_next).k
+                assert td < tn * k and not td < tn * (k - 1), (a, a_next)
 
 
 def test_telescoping_interval_pinned():
-    iv = telescoping_interval(2, 3)
-    assert (iv.lo, iv.hi) == (Fraction(2), Fraction(6))
-    iv2 = telescoping_interval(3, 5)
-    assert (iv2.lo, iv2.hi) == (Fraction(4), Fraction(15, 2))
-    closed = telescoping_interval(3, 5, closed=True)
-    assert not closed.lo_open and not closed.hi_open
+    assert telescoping_endpoints(2, 3) == (2, 1, 6, 1)
+    assert telescoping_endpoints(3, 5) == (8, 2, 15, 2)
     with pytest.raises(ValueError):
-        telescoping_interval(2, 2)
+        telescoping_endpoints(2, 2)
 
 
 def test_telescoping_interval_length_identity():
     # window length is 1 + (2a - 1)/(a_next - a), hence always holds an integer
     for a in range(2, 40):
         for nxt in range(a + 1, a + 40):
-            iv = telescoping_interval(a, nxt)
-            assert iv.hi - iv.lo == 1 + Fraction(2 * a - 1, nxt - a)
+            lo_n, lo_d, hi_n, hi_d = telescoping_endpoints(a, nxt)
+            lo, hi = Fraction(lo_n, lo_d), Fraction(hi_n, hi_d)
+            assert hi - lo == 1 + Fraction(2 * a - 1, nxt - a)
             # verbose endpoint forms agree with the factored ones
-            assert iv.hi == Fraction(a * nxt, nxt - a)
-            assert iv.lo == iv.hi - 1 - Fraction(2 * a - 1, nxt - a)
+            assert hi == Fraction(a * nxt, nxt - a)
+            assert lo == hi - 1 - Fraction(2 * a - 1, nxt - a)
 
 
 # ---------------------------------------------------------------- policies
@@ -306,10 +314,12 @@ def test_wgaa_run_invariants(theta, t, n, selection):
         assert Fraction(1, a) < r_prev <= Fraction(1, a - 1)
         r_prev = run.residuals[k]
         assert r_prev > 0
-    # consecutive shadows sit strictly inside the admissible window
+    # each choice meets the open admissible window of its shadow pair:
+    # 1/a - 1/(a_next - 1) < 1/b < 1/(a - 1) - 1/a_next
     for k in range(n - 1):
-        iv = admissible_interval(run.a[k], run.a[k + 1])
-        assert iv.contains(Fraction(run.b[k]))
+        a, a_next = run.a[k], run.a[k + 1]
+        assert (Fraction(1, a) - Fraction(1, a_next - 1) < Fraction(1, run.b[k])
+                < Fraction(1, a - 1) - Fraction(1, a_next))
     # replay is idempotent
     assert list(recover_shadow(run.b, theta).a) == list(run.a)
 

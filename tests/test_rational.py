@@ -1,8 +1,8 @@
-"""Exact scalar helpers, intervals, and integer counting.
+"""Exact scalar helpers, open intervals, and integer counting.
 
 The enumeration oracle here is deliberately naive: it walks candidate
-integers one by one and tests membership with raw comparisons, so it
-shares no code with the counting logic under test.
+integers one by one and tests membership with cross-multiplied
+comparisons, so it shares no code with the counting kernel under test.
 """
 from __future__ import annotations
 
@@ -14,31 +14,11 @@ from hypothesis import strategies as st
 
 from unitfrac.rational import (
     RationalInterval,
-    count_integers_in,
     format_rational,
     greedy_denominator,
     integer_bounds,
-    largest_integer_in,
     parse_rational,
 )
-
-
-def enumerate_count(lo, hi, lo_open, hi_open):
-    """Count integers in the interval by brute force. hi=None means unbounded."""
-    if hi is None:
-        return None
-    if lo > hi:
-        return 0
-    total = 0
-    k = int(lo) - 2
-    stop = int(hi) + 2
-    while k <= stop:
-        above = k > lo if lo_open else k >= lo
-        below = k < hi if hi_open else k <= hi
-        if above and below:
-            total += 1
-        k += 1
-    return total
 
 
 # ---------------------------------------------------------------- parsing
@@ -113,93 +93,53 @@ def test_interval_validation():
     with pytest.raises(ValueError):
         RationalInterval(Fraction(3), Fraction(2))
     with pytest.raises(ValueError):
-        RationalInterval(Fraction(2), Fraction(2), lo_open=True)
-    # degenerate closed point is fine
-    point = RationalInterval(Fraction(2), Fraction(2))
-    assert point.contains(Fraction(2))
-    # unbounded above must be open on that side
-    with pytest.raises(ValueError):
-        RationalInterval(Fraction(2), None, hi_open=False)
+        RationalInterval(Fraction(2), Fraction(2))
+    iv = RationalInterval(1, 3)
+    assert type(iv.lo) is Fraction and type(iv.hi) is Fraction
+    assert (iv.lo, iv.hi) == (Fraction(1), Fraction(3))
+    assert iv.to_json_dict() == {"lo": "1/1", "hi": "3/1",
+                                 "lo_open": True, "hi_open": True}
 
 
 def test_interval_membership_flags():
-    iv = RationalInterval.open(Fraction(7, 6), Fraction(3))
+    iv = RationalInterval(Fraction(7, 6), Fraction(3))
     assert iv.contains(Fraction(2))
     assert not iv.contains(Fraction(3))
     assert not iv.contains(Fraction(7, 6))
-    cv = RationalInterval.closed(Fraction(7, 6), Fraction(3))
-    assert cv.contains(Fraction(3))
-    assert cv.contains(Fraction(7, 6))
-    ub = RationalInterval(Fraction(5), None, lo_open=True, hi_open=True)
-    assert ub.contains(Fraction(10**12))
-    assert not ub.contains(Fraction(5))
-    assert ub.width() is None
+    assert not iv.contains(Fraction(1))
+    assert not iv.contains(Fraction(10**12))
 
 
 def test_interval_midpoint_and_width():
-    iv = RationalInterval.open(Fraction(1, 3), Fraction(1, 2))
+    iv = RationalInterval(Fraction(1, 3), Fraction(1, 2))
     assert iv.width() == Fraction(1, 6)
     assert iv.midpoint() == Fraction(5, 12)
-    ub = RationalInterval(Fraction(0), None, lo_open=True, hi_open=True)
-    with pytest.raises(ValueError):
-        ub.midpoint()
+
+
+def _count(lo_n, lo_d, hi_n, hi_d, lo_open, hi_open):
+    first, last = integer_bounds(lo_n, lo_d, hi_n, hi_d, lo_open, hi_open)
+    return max(0, last - first + 1)
+
+
+def _largest(lo_n, lo_d, hi_n, hi_d, lo_open, hi_open):
+    first, last = integer_bounds(lo_n, lo_d, hi_n, hi_d, lo_open, hi_open)
+    return last if last >= first else None
 
 
 def test_count_integers_pinned_values():
-    assert count_integers_in(RationalInterval.open(Fraction(7, 6), Fraction(3))) == 1
-    assert count_integers_in(RationalInterval.closed(Fraction(7, 6), Fraction(3))) == 2
-    assert count_integers_in(RationalInterval.open(Fraction(2), Fraction(3))) == 0
-    assert count_integers_in(RationalInterval.closed(Fraction(2), Fraction(2))) == 1
-    assert count_integers_in(RationalInterval.open(Fraction(5, 2), Fraction(8, 3))) == 0
-    assert count_integers_in(
-        RationalInterval(Fraction(5), None, lo_open=True, hi_open=True)
-    ) is None
-
-
-small_fractions = st.fractions(
-    min_value=Fraction(-50), max_value=Fraction(50), max_denominator=1000
-)
-
-
-@settings(max_examples=400)
-@given(small_fractions, small_fractions, st.booleans(), st.booleans())
-def test_count_integers_matches_enumeration(p, q, lo_open, hi_open):
-    lo, hi = min(p, q), max(p, q)
-    if lo == hi and (lo_open or hi_open):
-        return
-    iv = RationalInterval(lo, hi, lo_open=lo_open, hi_open=hi_open)
-    assert count_integers_in(iv) == enumerate_count(lo, hi, lo_open, hi_open)
+    assert _count(7, 6, 3, 1, True, True) == 1
+    assert _count(7, 6, 3, 1, False, False) == 2
+    assert _count(2, 1, 3, 1, True, True) == 0
+    assert _count(2, 1, 2, 1, False, False) == 1
+    assert _count(5, 2, 8, 3, True, True) == 0
 
 
 def test_largest_integer_pinned_values():
-    assert largest_integer_in(RationalInterval.open(Fraction(2), Fraction(6))) == 5
-    assert largest_integer_in(RationalInterval.open(Fraction(7, 6), Fraction(3))) == 2
-    assert largest_integer_in(RationalInterval.open(Fraction(4), Fraction(15, 2))) == 7
-    assert largest_integer_in(RationalInterval.closed(Fraction(2), Fraction(6))) == 6
-    assert largest_integer_in(RationalInterval.open(Fraction(5, 2), Fraction(8, 3))) is None
-    assert largest_integer_in(
-        RationalInterval(Fraction(5), None, lo_open=True, hi_open=True)
-    ) is None
-
-
-@settings(max_examples=300)
-@given(small_fractions, small_fractions, st.booleans(), st.booleans())
-def test_largest_integer_matches_enumeration(p, q, lo_open, hi_open):
-    lo, hi = min(p, q), max(p, q)
-    if lo == hi and (lo_open or hi_open):
-        return
-    iv = RationalInterval(lo, hi, lo_open=lo_open, hi_open=hi_open)
-    got = largest_integer_in(iv)
-    want = None
-    k = int(hi) + 2
-    while k >= int(lo) - 2:
-        above = k > lo if lo_open else k >= lo
-        below = k < hi if hi_open else k <= hi
-        if above and below:
-            want = k
-            break
-        k -= 1
-    assert got == want
+    assert _largest(2, 1, 6, 1, True, True) == 5
+    assert _largest(7, 6, 3, 1, True, True) == 2
+    assert _largest(4, 1, 15, 2, True, True) == 7
+    assert _largest(2, 1, 6, 1, False, False) == 6
+    assert _largest(5, 2, 8, 3, True, True) is None
 
 
 # ---------------------------------------------------------------- kernel
