@@ -8,14 +8,17 @@ residual r inside (1/a_n, 1/(a_n - 1)) at every built index.  The shadow
 of the b sequence is then exactly the target prefix, for every admissible
 theta at once.
 
-The construction works plateau by plateau.  At the last index of each
-plateau (a jump), b is the largest integer whose reciprocal fits the
-telescoping bracket between consecutive values; half the leftover bracket
-slack is banked as theta_j.  Interior plateau positions get a large
-constant filler chosen so all fillers from plateau j onward spend less
-than the banked slack theta_k for every k <= j, with a dyadic discount
-splitting each budget across later plateaus.  Exact suffix sums turn the
-claim into per-index certificates with strictly positive margins.
+The construction makes one pass over the jumps (the last index of each
+plateau).  At jump j, from target a to the next jump's target a', b is the
+largest integer whose reciprocal fits the telescoping bracket, and half
+the leftover slack, theta_j = (1/(a-1) - 1/b - 1/(a'-1))/2, is banked.
+Each slack is split dyadically over plateaus j, j+1, ..., so plateau j
+may spend the running budget B_j = min(B_{j-1}, theta_j)/2, which equals
+min over k <= j of theta_k/2^(j+1-k).  Its interior positions get the
+constant filler floor(gap/B_j) + 1 (at least a), so all fillers from
+plateau j onward spend less than every banked slack theta_k, k <= j.
+Exact suffix sums turn the claim into per-index certificates with
+strictly positive margins.
 """
 from __future__ import annotations
 
@@ -48,10 +51,9 @@ class TargetSequence:
     and later ones may never decrease.
     """
 
-    def __init__(self, fn: Callable[[int], int], label: str = "callable"):
+    def __init__(self, fn: Callable[[int], int]):
         self._fn = fn
         self._cache: list[int] = []
-        self.label = label
 
     @classmethod
     def from_explicit(cls, values, continue_rule: Optional[str] = None):
@@ -65,7 +67,7 @@ class TargetSequence:
                 if n > len(_v):
                     raise DepthExhausted(f"only {len(_v)} terms available")
                 return _v[n - 1]
-            return cls(fn, label="explicit")
+            return cls(fn)
         if continue_rule != "repeat-last-delta":
             raise ValueError(f"unknown continuation rule {continue_rule!r}")
         if len(vals) < 2:
@@ -76,15 +78,11 @@ class TargetSequence:
             if n <= len(_v):
                 return _v[n - 1]
             return _v[-1] + _d * (n - len(_v))
-        return cls(fn, label="explicit")
+        return cls(fn)
 
     @classmethod
     def from_family(cls, family):
-        return cls(family.a, label=family.kind())
-
-    @classmethod
-    def from_callable(cls, fn: Callable[[int], int]):
-        return cls(fn)
+        return cls(family.a)
 
     def term(self, n: int) -> int:
         if n < 1:
@@ -124,45 +122,6 @@ def choose_b_jump(a_cur: int, a_next: int) -> int:
     if last < first:
         raise ConstructionError("telescoping bracket held no integer")
     return last
-
-
-def jump_tail_enclosure(b_terms, a_after: int) -> RationalInterval:
-    """Open enclosure of sum(1/b) + (tail following a jump to a_after)."""
-    if a_after < 2:
-        raise ValueError("a_after must be at least 2")
-    s = sum((Fraction(1, b) for b in b_terms), Fraction(0))
-    return RationalInterval(s + Fraction(1, a_after),
-                            s + Fraction(1, a_after - 1))
-
-
-def choose_theta(enclosure: RationalInterval, a_cur: int) -> Fraction:
-    """Half the gap between the enclosure top and 1/(a_cur - 1).
-
-    Requires the enclosure to sit inside the window that makes a_cur the
-    greedy choice: at or above 1/a_cur, strictly below 1/(a_cur - 1).
-    """
-    top = Fraction(1, a_cur - 1)
-    if enclosure.lo < Fraction(1, a_cur):
-        raise ValueError("enclosure dips below 1/a_cur")
-    if enclosure.hi >= top:
-        raise ValueError("enclosure reaches 1/(a_cur - 1)")
-    return (top - enclosure.hi) / 2
-
-
-def _budget(plateau_index: int, thetas) -> Fraction:
-    # slack theta_k is split dyadically over plateaus k, k+1, ...; the
-    # spend allowed here is the tightest discounted budget
-    return min(thetas[k - 1] / 2 ** (plateau_index + 1 - k)
-               for k in range(1, plateau_index + 1))
-
-
-def choose_filler(plateau_index: int, gap: int, thetas) -> int:
-    """Smallest constant filler keeping gap terms under every budget."""
-    if plateau_index < 1 or gap < 1:
-        raise ValueError("plateau index and gap must be positive")
-    if len(thetas) < plateau_index:
-        raise ValueError("missing slack values")
-    return math.floor(gap / _budget(plateau_index, thetas)) + 1
 
 
 @dataclass(frozen=True)
@@ -235,29 +194,34 @@ def construct(seq: TargetSequence, depth: int,
             f"only {len(jumps)} jumps within horizon {horizon}")
 
     values = [seq.term(idx) for idx in jumps]
-    b_jumps = [choose_b_jump(values[j], values[j + 1])
-               for j in range(depth)]
-    thetas = [choose_theta(jump_tail_enclosure((b_jumps[j],), values[j + 1]),
-                           values[j])
-              for j in range(depth)]
-
     b_prefix: list[int] = []
+    thetas: list[Fraction] = []
     fillers: list[Optional[int]] = []
+    budget: Optional[Fraction] = None
     prev = 0
     for j in range(depth):
+        a, a_next = values[j], values[j + 1]
+        b = choose_b_jump(a, a_next)
+        # half the room left under 1/(a-1) by 1/b and a tail below 1/(a'-1)
+        theta = (Fraction(1, a - 1) - Fraction(1, b)
+                 - Fraction(1, a_next - 1)) / 2
+        if theta <= 0:
+            raise ConstructionError(f"no bracket slack at jump {jumps[j]}")
+        thetas.append(theta)
+        # B_j = min(B_{j-1}, theta_j)/2 = min over k <= j of theta_k/2^(j+1-k)
+        budget = (theta if budget is None else min(budget, theta)) / 2
         gap = jumps[j] - prev - 1
         if gap > 0:
             # the budget keeps certificates alive; the plateau value
             # keeps each filler a legal weak choice (b_n >= a_n)
-            filler = max(choose_filler(j + 1, gap, thetas), values[j])
+            filler = max(math.floor(gap / budget) + 1, a)
             fillers.append(filler)
             b_prefix.extend([filler] * gap)
         else:
             fillers.append(None)
-        b_prefix.append(b_jumps[j])
+        b_prefix.append(b)
         prev = jumps[j]
 
-    future_bound = _budget(depth, thetas)
     last_built = jumps[depth - 1]
     next_value = values[depth]
     a_prefix = seq.prefix(last_built)
@@ -265,7 +229,8 @@ def construct(seq: TargetSequence, depth: int,
     certs: list[StepCertificate] = []
     suffix = Fraction(0)
     tail_lo_base = Fraction(1, next_value)
-    tail_hi_base = Fraction(1, next_value - 1) + future_bound
+    # every filler past the built prefix spends less than B_depth
+    tail_hi_base = Fraction(1, next_value - 1) + budget
     for idx in range(last_built, 0, -1):
         suffix += Fraction(1, b_prefix[idx - 1])
         a_here = a_prefix[idx - 1]
@@ -286,7 +251,7 @@ def construct(seq: TargetSequence, depth: int,
                                          suffix + tail_hi_base),
         theta_choices=tuple(thetas),
         filler_values=tuple(fillers),
-        future_filler_bound=future_bound,
+        future_filler_bound=budget,
         certificates=tuple(certs),
         verification_depth=last_built,
     )

@@ -243,18 +243,13 @@ class ShadowReplay:
     first_weak_violation: Optional[int]
 
 
-def _cap_for(policy: WgaaPolicy, n: int, a_n: int) -> Optional[int]:
-    if policy.lam.contains(n):
-        return math.ceil(policy.t * a_n)
-    return None
-
-
 def _select_b(policy: WgaaPolicy, n: int, a_n: int) -> int:
-    cap = _cap_for(policy, n, a_n)
     if policy.selection == "greedy":
         return a_n
     if policy.selection == "ceil-t-a":
         return math.ceil(policy.t * a_n)
+    # only the last two rules read the cap, and only on Lambda
+    cap = math.ceil(policy.t * a_n) if policy.lam.contains(n) else None
     if policy.selection == "min-admissible":
         if cap is None or cap >= a_n + 1:
             return a_n + 1
@@ -336,8 +331,6 @@ def recover_shadow(b: Sequence[int], theta: Fraction) -> ShadowReplay:
             raise ValueError(f"denominators must be positive, got {b_n} at {n}")
         if r <= 0:
             raise ReplayOverrunError(n)
-        if r > 1:
-            raise ValueError(f"residual exceeds 1 at index {n}")
         a_n = greedy_denominator(r)
         if violation is None and b_n < a_n:
             violation = n

@@ -80,6 +80,9 @@ CASES = {
                                    "--terms", "60", "--theta-enclosure"],
     "construct-arithmetic": ["construct", "--family", "arithmetic:a=3,d=1",
                              "--depth", "20"],
+    # the filler of plateau 4 is bound by plateau 3's slack, not its own
+    "construct-plateaus-deep": ["construct", "--a-file", "@plateaus",
+                                "--repeat-last-delta", "--depth", "5"],
 }
 
 

@@ -7,9 +7,12 @@ oracle for the whole pipeline.
 """
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from unitfrac.construct import (
     ConstructionResult,
@@ -17,15 +20,11 @@ from unitfrac.construct import (
     InvalidSequence,
     TargetSequence,
     choose_b_jump,
-    choose_filler,
-    choose_theta,
     construct,
     jump_set,
-    jump_tail_enclosure,
 )
 from unitfrac.families import ArithmeticFamily, GeometricFamily
 from unitfrac.greedy import recover_shadow
-from unitfrac.rational import RationalInterval
 
 
 def F(p, q=1):
@@ -42,41 +41,10 @@ def test_choose_b_jump_pinned():
     assert choose_b_jump(3, 4) == 11
 
 
-def test_jump_tail_enclosure_pinned():
-    iv = jump_tail_enclosure((5,), 3)
-    assert iv.lo == F(8, 15) and iv.hi == F(7, 10)
-    assert not iv.contains(iv.lo) and not iv.contains(iv.hi)
-    iv = jump_tail_enclosure((5, 11), 4)
-    assert iv.lo == F(1, 5) + F(1, 11) + F(1, 4)
-    assert iv.hi == F(1, 5) + F(1, 11) + F(1, 3)
-
-
-def test_choose_theta_pinned():
-    iv = RationalInterval(F(1, 3), F(1, 2) - F(1, 100))
-    assert choose_theta(iv, 3) == F(1, 200)
-    iv = jump_tail_enclosure((5,), 3)
-    assert choose_theta(iv, 2) == F(3, 20)
-
-
-def test_choose_theta_validates():
-    # tail may not reach down to 1/a_j or up past 1/(a_j - 1)
-    with pytest.raises(ValueError):
-        choose_theta(RationalInterval(F(1, 5), F(1, 3)), 3)
-    with pytest.raises(ValueError):
-        choose_theta(RationalInterval(F(2, 5), F(1, 2)), 3)
-
-
-def test_choose_filler_pinned():
-    assert choose_filler(1, 1, (F(1, 100),)) == 201
-    assert choose_filler(1, 2, (F(1, 5),)) == 21
-    # later plateaus take the tightest discounted budget
-    assert choose_filler(2, 1, (F(3, 20), F(5, 132))) == 53
-
-
 # ------------------------------------------------------- full construction
 
 def test_strictly_increasing_reproduces_arithmetic_companion():
-    seq = TargetSequence.from_callable(lambda n: n + 1)
+    seq = TargetSequence(lambda n: n + 1)
     res = construct(seq, depth=25)
     family = ArithmeticFamily(2, 1)
     assert res.a_prefix == tuple(n + 1 for n in range(1, 26))
@@ -95,7 +63,7 @@ def test_geometric_targets_reproduce_family():
 
 
 def test_plateau_construction_pinned():
-    seq = TargetSequence.from_callable(lambda n: 2 + (n - 1) // 2)
+    seq = TargetSequence(lambda n: 2 + (n - 1) // 2)
     res = construct(seq, depth=2)
     assert res.a_prefix == (2, 2, 3, 3)
     assert res.jump_indices == (2, 4)
@@ -113,8 +81,50 @@ def test_plateau_construction_pinned():
     assert width == F(1, 12) + res.future_filler_bound
 
 
+# plateaus of 1 to 4 indices, each followed by a step of 1 to 3
+plateau_runs = st.lists(st.tuples(st.integers(1, 4), st.integers(1, 3)),
+                        min_size=2, max_size=13)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(min_value=2, max_value=9), plateau_runs)
+def test_slacks_and_fillers_recomputed_from_the_result(start, runs):
+    values, a = [], start
+    for length, step in runs:
+        values += [a] * length
+        a += step
+    values.append(a)
+    depth = len(runs) - 1
+    res = construct(TargetSequence.from_explicit(values), depth)
+
+    jumps = res.jump_indices
+    shadows = [res.a_prefix[n - 1] for n in jumps] + [res.next_jump_value]
+    thetas, fillers = [], []
+    for j, n in enumerate(jumps):
+        a, a_next, b = shadows[j], shadows[j + 1], res.b_prefix[n - 1]
+        # b is the largest integer strictly inside the telescoping bracket
+        assert (a - 1) * (a_next - 1) < b * (a_next - a) < a * a_next
+        assert (b + 1) * (a_next - a) >= a * a_next
+        theta = (F(1, a - 1) - F(1, b) - F(1, a_next - 1)) / 2
+        assert theta > 0
+        thetas.append(theta)
+        budget = min(thetas[k] / 2 ** (j + 1 - k) for k in range(j + 1))
+        start_of_plateau = jumps[j - 1] if j else 0
+        gap = n - start_of_plateau - 1
+        filler = max(math.floor(gap / budget) + 1, a) if gap else None
+        fillers.append(filler)
+        assert res.b_prefix[start_of_plateau:n - 1] == (filler,) * gap
+    assert res.theta_choices == tuple(thetas)
+    assert res.filler_values == tuple(fillers)
+    assert res.future_filler_bound == budget
+
+    replay = recover_shadow(list(res.b_prefix), res.theta_enclosure.midpoint())
+    assert tuple(replay.a) == res.a_prefix
+    assert replay.first_weak_violation is None
+
+
 def test_certificates_positive():
-    seq = TargetSequence.from_callable(lambda n: 2 + (n - 1) // 2)
+    seq = TargetSequence(lambda n: 2 + (n - 1) // 2)
     res = construct(seq, depth=2)
     assert res.verification_depth == len(res.b_prefix) == 4
     assert len(res.certificates) == 4
@@ -124,7 +134,7 @@ def test_certificates_positive():
 
 
 def test_enclosure_replay_recovers_targets():
-    seq = TargetSequence.from_callable(lambda n: 2 + (n - 1) // 2)
+    seq = TargetSequence(lambda n: 2 + (n - 1) // 2)
     res = construct(seq, depth=4)
     iv = res.theta_enclosure
     width = iv.width()
@@ -135,7 +145,7 @@ def test_enclosure_replay_recovers_targets():
 
 
 def test_monotone_deepening():
-    seq = TargetSequence.from_callable(lambda n: 2 + (n - 1) // 2)
+    seq = TargetSequence(lambda n: 2 + (n - 1) // 2)
     shallow = construct(seq, depth=2)
     deep = construct(seq, depth=5)
     k = len(shallow.b_prefix)
@@ -155,9 +165,9 @@ def test_repeat_last_delta_extension():
 
 
 def test_jump_set_scan():
-    seq = TargetSequence.from_callable(lambda n: 2 + (n - 1) // 2)
+    seq = TargetSequence(lambda n: 2 + (n - 1) // 2)
     assert list(jump_set(seq, 7)) == [2, 4, 6]
-    strict = TargetSequence.from_callable(lambda n: n + 1)
+    strict = TargetSequence(lambda n: n + 1)
     assert list(jump_set(strict, 4)) == [1, 2, 3, 4]
 
 
@@ -167,7 +177,7 @@ def test_construct_reads_targets_only_through_the_last_jump():
         if n > 5:
             raise RuntimeError(f"target {n} evaluated")
         return n + 1
-    res = construct(TargetSequence.from_callable(targets), depth=3)
+    res = construct(TargetSequence(targets), depth=3)
     assert res.jump_indices == (1, 2, 3)
     assert res.next_jump_index == 4
 
@@ -178,13 +188,13 @@ def test_sequence_validation():
     with pytest.raises(InvalidSequence):
         construct(TargetSequence.from_explicit((3, 2, 4)), depth=1)
     with pytest.raises(InvalidSequence):
-        construct(TargetSequence.from_callable(lambda n: n / 2), depth=1)
+        construct(TargetSequence(lambda n: n / 2), depth=1)
 
 
 def test_depth_exhaustion():
     # an eventually constant sequence never yields enough jumps
     with pytest.raises(DepthExhausted):
-        construct(TargetSequence.from_callable(lambda n: 2), depth=1)
+        construct(TargetSequence(lambda n: 2), depth=1)
     # finite explicit list without a continuation rule runs out
     with pytest.raises(DepthExhausted):
         construct(TargetSequence.from_explicit((2, 3)), depth=2)
@@ -195,13 +205,13 @@ def test_depth_exhaustion():
 
 
 def test_depth_must_be_positive():
-    seq = TargetSequence.from_callable(lambda n: n + 1)
+    seq = TargetSequence(lambda n: n + 1)
     with pytest.raises(ValueError):
         construct(seq, depth=0)
 
 
 def test_result_json_shape():
-    seq = TargetSequence.from_callable(lambda n: 2 + (n - 1) // 2)
+    seq = TargetSequence(lambda n: 2 + (n - 1) // 2)
     res = construct(seq, depth=2)
     doc = res.to_json_dict()
     assert set(doc) == {
