@@ -18,7 +18,6 @@ from .families import (
     FibonacciFamily,
     GeometricFamily,
     theta_partial,
-    verify_bracket,
 )
 from .construct import TargetSequence, construct
 from .uniqueness import (
@@ -48,7 +47,6 @@ __all__ = [
     "FibonacciFamily",
     "GeometricFamily",
     "theta_partial",
-    "verify_bracket",
     "TargetSequence",
     "construct",
     "necessary_uniqueness",

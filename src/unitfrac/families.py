@@ -46,15 +46,12 @@ class SequenceFamily:
     def b(self, n: int) -> int:
         raise NotImplementedError
 
-    def kind(self) -> str:
-        raise NotImplementedError
-
     def spec_string(self) -> str:
         raise NotImplementedError
 
     def tail_bracket(self, n_terms: int) -> tuple[Fraction, Fraction]:
         """Strict rational bounds on sum(1/b(n) for n > n_terms)."""
-        raise ValueError(f"no tail bound for {self.kind()} families")
+        raise NotImplementedError
 
     def ratio_limit(self) -> Fraction | None:
         """Rational limit of a(n+1)/a(n) when one exists, else None."""
@@ -62,7 +59,8 @@ class SequenceFamily:
 
     def ratio_exceeds_one(self) -> bool | None:
         """Whether lim a(n+1)/a(n) > 1; None when unknown."""
-        return None
+        limit = self.ratio_limit()
+        return None if limit is None else limit > 1
 
 
 @dataclass(frozen=True)
@@ -82,9 +80,6 @@ class GeometricFamily(SequenceFamily):
             raise ValueError("a0 must be at least 2")
         if self.r < 2:
             raise ValueError("ratio must be at least 2")
-
-    def kind(self) -> str:
-        return "geometric"
 
     def a(self, n: int) -> int:
         return self.a0 * self.r ** (n - 1)
@@ -111,9 +106,6 @@ class GeometricFamily(SequenceFamily):
     def ratio_limit(self) -> Fraction | None:
         return Fraction(self.r)
 
-    def ratio_exceeds_one(self) -> bool | None:
-        return True
-
 
 @dataclass(frozen=True)
 class ArithmeticFamily(SequenceFamily):
@@ -132,9 +124,6 @@ class ArithmeticFamily(SequenceFamily):
             raise ValueError("a0 must be at least 2")
         if self.d < 1:
             raise ValueError("step must be positive")
-
-    def kind(self) -> str:
-        return "arithmetic"
 
     def a(self, n: int) -> int:
         return self.a0 + (n - 1) * self.d
@@ -158,9 +147,6 @@ class ArithmeticFamily(SequenceFamily):
     def ratio_limit(self) -> Fraction | None:
         return Fraction(1)
 
-    def ratio_exceeds_one(self) -> bool | None:
-        return False
-
 
 @dataclass(frozen=True)
 class FibonacciFamily(SequenceFamily):
@@ -173,9 +159,6 @@ class FibonacciFamily(SequenceFamily):
     parity form (5) is the right choice; b_1 is pinned to 3 by hand since
     a_1 = 1 has no bracket of its own.
     """
-
-    def kind(self) -> str:
-        return "fibonacci"
 
     def a(self, n: int) -> int:
         return fibonacci_number(n + 1)
@@ -206,35 +189,6 @@ class FibonacciFamily(SequenceFamily):
         return True
 
 
-@dataclass(frozen=True)
-class ExplicitFamily(SequenceFamily):
-    """Finite family given by literal tuples of a and b values."""
-
-    a_values: tuple[int, ...]
-    b_values: tuple[int, ...]
-
-    def __post_init__(self):
-        if not self.a_values or not self.b_values:
-            raise ValueError("empty family")
-
-    def kind(self) -> str:
-        return "explicit"
-
-    def _pick(self, values: tuple[int, ...], n: int) -> int:
-        if not 1 <= n <= len(values):
-            raise ValueError(f"index {n} outside the given terms")
-        return values[n - 1]
-
-    def a(self, n: int) -> int:
-        return self._pick(self.a_values, n)
-
-    def b(self, n: int) -> int:
-        return self._pick(self.b_values, n)
-
-    def spec_string(self) -> str:
-        return "explicit"
-
-
 def bracket_failures(family: SequenceFamily, horizon: int) -> list[int]:
     """Indices n <= horizon where 1/b(n) leaves its telescoping bracket.
 
@@ -244,10 +198,6 @@ def bracket_failures(family: SequenceFamily, horizon: int) -> list[int]:
     a = [family.a(n) for n in range(1, horizon + 2)]
     b = [family.b(n) for n in range(1, horizon + 1)]
     return bracket_misses(a, b)
-
-
-def verify_bracket(family: SequenceFamily, horizon: int) -> bool:
-    return not bracket_failures(family, horizon)
 
 
 def theta_partial(family: SequenceFamily, n_terms: int) -> RationalInterval:

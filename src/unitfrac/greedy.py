@@ -32,7 +32,7 @@ from .rational import format_rational, greedy_denominator, parse_rational
 
 DEFAULT_MAX_TERMS = 10**4
 
-_SELECTIONS = ("greedy", "ceil-t-a", "min-admissible", "explicit")
+_SELECTIONS = ("greedy", "ceil-t-a", "min-admissible")
 
 
 def max_terms() -> int:
@@ -156,14 +156,11 @@ class WgaaPolicy:
       ceil-t-a        b_n = ceil(t * a_n)
       min-admissible  smallest strictly weak choice, a_n + 1, unless the
                       cap at that index forces a_n
-      explicit        replay a given list, validated against weakness and
-                      the cap on Lambda
     """
 
     t: Fraction = Fraction(1)
     lam: IndexSet = field(default_factory=IndexSet.all)
     selection: str = "greedy"
-    explicit_b: tuple = ()
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "t", Fraction(self.t))
@@ -171,12 +168,6 @@ class WgaaPolicy:
             raise ValueError(f"scale factor t must be >= 1, got {self.t}")
         if self.selection not in _SELECTIONS:
             raise ValueError(f"unknown selection rule: {self.selection!r}")
-        object.__setattr__(self, "explicit_b",
-                           tuple(int(b) for b in self.explicit_b))
-        if self.selection == "explicit" and not self.explicit_b:
-            raise ValueError("explicit selection needs a denominator list")
-        if self.selection != "explicit" and self.explicit_b:
-            raise ValueError("denominator list given without explicit selection")
 
     @classmethod
     def greedy(cls) -> "WgaaPolicy":
@@ -186,31 +177,18 @@ class WgaaPolicy:
     def scaled(cls, t: Fraction) -> "WgaaPolicy":
         return cls(t=Fraction(t), lam=IndexSet.all(), selection="ceil-t-a")
 
-    @classmethod
-    def explicit(cls, b: Sequence[int], t: Fraction = Fraction(1),
-                 lam: Optional[IndexSet] = None) -> "WgaaPolicy":
-        # replay policies default to an empty cap set: nothing is capped
-        if lam is None:
-            lam = IndexSet.finite(())
-        return cls(t=Fraction(t), lam=lam, selection="explicit",
-                   explicit_b=tuple(b))
-
     def to_json_dict(self) -> dict:
-        blob = {
+        return {
             "t": format_rational(self.t),
             "lambda": self.lam.spec_string(),
             "b-selection": self.selection,
         }
-        if self.selection == "explicit":
-            blob["explicit-b"] = list(self.explicit_b)
-        return blob
 
     @classmethod
     def from_json_dict(cls, blob: dict) -> "WgaaPolicy":
         return cls(t=parse_rational(blob["t"]),
                    lam=IndexSet.parse(blob["lambda"]),
-                   selection=blob.get("b-selection", "greedy"),
-                   explicit_b=blob.get("explicit-b", ()))
+                   selection=blob.get("b-selection", "greedy"))
 
 
 @dataclass(frozen=True)
@@ -248,25 +226,11 @@ def _select_b(policy: WgaaPolicy, n: int, a_n: int) -> int:
         return a_n
     if policy.selection == "ceil-t-a":
         return math.ceil(policy.t * a_n)
-    # only the last two rules read the cap, and only on Lambda
+    # min-admissible, the only rule that reads the cap, and only on Lambda
     cap = math.ceil(policy.t * a_n) if policy.lam.contains(n) else None
-    if policy.selection == "min-admissible":
-        if cap is None or cap >= a_n + 1:
-            return a_n + 1
-        return a_n
-    # explicit
-    if n > len(policy.explicit_b):
-        raise ValueError(
-            f"explicit denominator list has {len(policy.explicit_b)} entries, "
-            f"step {n} requested")
-    b_n = policy.explicit_b[n - 1]
-    if b_n < a_n:
-        raise ValueError(
-            f"policy violation at index {n}: b={b_n} is below the shadow {a_n}")
-    if cap is not None and b_n > cap:
-        raise ValueError(
-            f"policy violation at index {n}: b={b_n} exceeds the cap {cap}")
-    return b_n
+    if cap is None or cap >= a_n + 1:
+        return a_n + 1
+    return a_n
 
 
 def wgaa_expand(theta: Fraction, policy: WgaaPolicy, n_terms: int,

@@ -16,6 +16,10 @@ from dataclasses import dataclass
 from .greedy import admissible_endpoints, telescoping_endpoints
 from .rational import integer_bounds
 
+# range of the random pairs behind `unique --sample`
+_SAMPLE_MAX_START = 50
+_SAMPLE_MAX_GAP = 400
+
 
 @dataclass(frozen=True)
 class UniquenessVerdict:
@@ -156,15 +160,14 @@ def sweep(limit: int) -> list[dict]:
             for a_next in range(a + 1, limit + 1)]
 
 
-def sample_pairs(count: int, seed: int, max_start: int = 50,
-                 max_gap: int = 400) -> list[dict]:
+def sample_pairs(count: int, seed: int) -> list[dict]:
     """Rows for `count` random pairs; deterministic for a given seed."""
     if count < 1:
         raise ValueError("count must be positive")
     rng = random.Random(seed)
     rows = []
     for _ in range(count):
-        a = rng.randint(2, max_start)
-        a_next = a + rng.randint(1, max_gap)
+        a = rng.randint(2, _SAMPLE_MAX_START)
+        a_next = a + rng.randint(1, _SAMPLE_MAX_GAP)
         rows.append(_row(a, a_next))
     return rows

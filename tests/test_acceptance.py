@@ -25,12 +25,11 @@ from unitfrac import (
     scaled_run_ratio_checks,
     shadow_bound_from_gap,
     theta_partial,
-    verify_bracket,
     wgaa_expand,
 )
 from unitfrac.construct import choose_b_jump
 from unitfrac.diagnostics import greedy_ratio_checks
-from unitfrac.families import fibonacci_number
+from unitfrac.families import bracket_failures, fibonacci_number
 from unitfrac.greedy import telescoping_endpoints
 from unitfrac.uniqueness import _row, uniqueness_consequences
 
@@ -103,10 +102,10 @@ def test_criterion_3_series_constants_certified():
 
 
 def test_criterion_4_bracket_verification_four_families():
-    assert verify_bracket(GeometricFamily(2, 3), 30)
-    assert verify_bracket(GeometricFamily(2, 4), 30)
-    assert verify_bracket(ArithmeticFamily(2, 1), 50)
-    assert verify_bracket(ArithmeticFamily(3, 2), 50)
+    assert bracket_failures(GeometricFamily(2, 3), 30) == []
+    assert bracket_failures(GeometricFamily(2, 4), 30) == []
+    assert bracket_failures(ArithmeticFamily(2, 1), 50) == []
+    assert bracket_failures(ArithmeticFamily(3, 2), 50) == []
     _report(4, "strict bracket containment: geometric to 30, "
                "arithmetic to 50")
 

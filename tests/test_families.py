@@ -13,15 +13,14 @@ import pytest
 from unitfrac.construct import choose_b_jump
 from unitfrac.families import (
     ArithmeticFamily,
-    ExplicitFamily,
     FibonacciFamily,
     GeometricFamily,
     bracket_failures,
     fibonacci_number,
     parse_family_spec,
     theta_partial,
-    verify_bracket,
 )
+from unitfrac.greedy import bracket_misses
 
 
 def bracket_holds(a, a_next, b):
@@ -121,7 +120,6 @@ def test_dichotomy_identities():
     (FibonacciFamily(), 50),
 ])
 def test_bracket_verification(family, horizon):
-    assert verify_bracket(family, horizon)
     assert bracket_failures(family, horizon) == []
     for n in range(1, horizon + 1):
         if family.a(n) >= 2:
@@ -132,8 +130,8 @@ def test_fibonacci_bracket_starts_at_two():
     # a_1 = 1 sits below the greedy range, so index 1 has no bracket and
     # is skipped; from a_1 = 2 on, index 1 is checked
     assert bracket_failures(FibonacciFamily(), 1) == []
-    assert bracket_failures(ExplicitFamily((1, 2), (99,)), 1) == []
-    assert bracket_failures(ExplicitFamily((2, 6), (99,)), 1) == [1]
+    assert bracket_misses([1, 2], [99]) == []
+    assert bracket_misses([2, 6], [99]) == [1]
 
 
 def test_fibonacci_floor_discrepancy_at_two():
@@ -169,9 +167,7 @@ def test_explicit_family_bracket_failure():
     a_vals = [f.a(n) for n in range(1, 8)]
     b_vals = [f.b(n) for n in range(1, 8)]
     b_vals[1] = 6
-    broken = ExplicitFamily(tuple(a_vals), tuple(b_vals))
-    assert bracket_failures(broken, 6) == [2]
-    assert not verify_bracket(broken, 6)
+    assert bracket_misses(a_vals, b_vals) == [2]
 
 
 # ------------------------------------------------------- certified sums
@@ -205,11 +201,6 @@ def test_theta_enclosure_fibonacci():
     assert small.contains(iv.midpoint())
 
 
-def test_theta_enclosure_explicit_unsupported():
-    with pytest.raises(ValueError):
-        theta_partial(ExplicitFamily((2, 3), (2, 8)), 1)
-
-
 # ----------------------------------------------------------------- parsing
 
 def test_family_spec_round_trip():
@@ -235,4 +226,3 @@ def test_ratio_limit_hooks():
     assert GeometricFamily(2, 3).ratio_exceeds_one() is True
     assert ArithmeticFamily(2, 1).ratio_exceeds_one() is False
     assert FibonacciFamily().ratio_exceeds_one() is True
-    assert ExplicitFamily((2, 3), (2, 8)).ratio_exceeds_one() is None

@@ -83,8 +83,6 @@ def test_explicit_replay_frozen():
     # derived by the oracle: residuals 3/4 -> 5/12 -> 7/24
     want = oracle_shadow(Fraction(3, 4), [3, 8, 120])
     assert want == [2, 3, 4]
-    run = wgaa_expand(Fraction(3, 4), WgaaPolicy.explicit([3, 8, 120]), 3)
-    assert list(run.a) == want
     rec = recover_shadow([3, 8, 120], Fraction(3, 4))
     assert list(rec.a) == want
     assert rec.first_weak_violation is None
@@ -99,6 +97,10 @@ def test_min_admissible_is_smallest_strictly_weak_choice():
     flat = wgaa_expand(Fraction(2, 3), WgaaPolicy(t=Fraction(1), lam=IndexSet.all(),
                                                   selection="min-admissible"), 3)
     assert list(flat.b) == list(flat.a)
+    # capped on index 1 only, the cap pins index 1 and leaves the rest weak
+    part = wgaa_expand(Fraction(2, 3), WgaaPolicy(t=Fraction(1), lam=IndexSet.finite({1}),
+                                                  selection="min-admissible"), 3)
+    assert list(part.b) == [part.a[0]] + [a + 1 for a in part.a[1:]]
 
 
 # ------------------------------------------------------------- validation
@@ -111,20 +113,7 @@ def test_theta_domain_errors():
 
 def test_explicit_below_shadow_is_policy_violation():
     # shadow of 1/2 is 3, so b = 2 is not a weak choice
-    with pytest.raises(ValueError):
-        wgaa_expand(Fraction(1, 2), WgaaPolicy.explicit([2]), 1)
-
-
-def test_explicit_cap_violation_only_on_lambda():
-    # cap applies at index 1 only; 100 exceeds ceil(t * a_1) there
-    policy = WgaaPolicy(t=Fraction(3, 2), lam=IndexSet.finite({1}),
-                        selection="explicit", explicit_b=(100, 100))
-    with pytest.raises(ValueError):
-        wgaa_expand(Fraction(3, 4), policy, 2)
-    off = WgaaPolicy(t=Fraction(3, 2), lam=IndexSet.finite({2}),
-                     selection="explicit", explicit_b=(100,))
-    run = wgaa_expand(Fraction(3, 4), off, 1)
-    assert list(run.b) == [100]
+    assert recover_shadow([2], Fraction(1, 2)).first_weak_violation == 1
 
 
 def test_recover_shadow_weakness_report_and_overrun():
@@ -255,12 +244,11 @@ def test_policy_serialization_round_trip():
                      selection="ceil-t-a")
     again = WgaaPolicy.from_json_dict(pol.to_json_dict())
     assert again == pol
-    replay = WgaaPolicy.explicit([3, 7], t=Fraction(2),
-                                 lam=IndexSet.finite([2]))
-    blob = replay.to_json_dict()
-    assert blob["explicit-b"] == [3, 7]
-    assert WgaaPolicy.from_json_dict(blob) == replay
-    assert "explicit-b" not in pol.to_json_dict()
+    # replaying a given list is recover_shadow's job, not a selection rule
+    with pytest.raises(ValueError):
+        WgaaPolicy.from_json_dict({"t": "2/1", "lambda": "all",
+                                   "b-selection": "explicit",
+                                   "explicit-b": [3]})
     with pytest.raises(ValueError):
         WgaaPolicy(t=Fraction(1, 2))
     with pytest.raises(ValueError):
