@@ -26,14 +26,13 @@ for a, a_next in ((2, 3), (2, 4), (2, 7), (3, 17), (7, 43), (7, 57)):
 
 print("\ncensus of all pairs with 2 <= a < a' <= 120:")
 rows = sweep(120)
-open_unique = sum(r["open_unique"] for r in rows)
-closed_unique = sum(r["closed_unique"] for r in rows)
-disagree = sum(1 for r in rows
-               if not (r["open_agrees"] and r["closed_agrees"]))
+open_unique = sum(r.open_unique for r in rows)
+closed_unique = sum(r.closed_unique for r in rows)
+disagree = sum(1 for r in rows if not (r.open_agrees and r.closed_agrees))
 print(f"  {len(rows)} pairs, {open_unique} open-unique, "
       f"{closed_unique} closed-unique, {disagree} formula/count mismatches")
 
-cases = Counter(r["open_case"] for r in rows)
+cases = Counter(r.open_case for r in rows)
 print("  open criterion case mix:")
 for case, count in sorted(cases.items()):
     print(f"    {case:18s} {count}")

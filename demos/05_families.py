@@ -6,7 +6,6 @@ a0 + (n-1)d, and the Fibonacci shadow.  Partial sums plus exact tail
 brackets give certified rational enclosures for the full series.
 """
 import math
-from fractions import Fraction
 
 from unitfrac import (
     ArithmeticFamily,

@@ -31,12 +31,13 @@ from .greedy import (
 )
 from .rational import format_rational, parse_rational
 from .uniqueness import (
+    CensusRow,
+    iter_sample,
+    iter_sweep,
     necessary_uniqueness,
     pair_necessary_closed,
     pair_uniqueness,
-    sample_pairs,
     sufficient_uniqueness,
-    sweep,
     uniqueness_consequences,
 )
 
@@ -81,7 +82,8 @@ class Report(NamedTuple):
 
     Only what the chosen format prints is evaluated: ``doc`` is called for
     json alone, and ``rows``, ``before`` and ``after`` are iterated only by
-    the formats that print them, so they can be lazy.
+    the formats that print them, so they can be lazy. ``exit`` is the exit
+    code, or a function giving it that is called once the text is made.
     """
 
     doc: Callable[[], object]  # the json document
@@ -90,7 +92,7 @@ class Report(NamedTuple):
     csv_columns: tuple[str, ...] = ()  # csv header, when not ``columns``
     before: Iterable[str] = ()  # table lines above the table
     after: Iterable[str] = ()  # table lines below the table
-    exit: int = EXIT_OK
+    exit: int | Callable[[], int] = EXIT_OK
 
 
 def _emit(report: Report, fmt: str) -> int:
@@ -119,7 +121,7 @@ def _emit(report: Report, fmt: str) -> int:
     for start in range(0, len(text), io.DEFAULT_BUFFER_SIZE):
         sys.stdout.write(text[start:start + io.DEFAULT_BUFFER_SIZE])
     sys.stdout.flush()
-    return report.exit
+    return report.exit() if callable(report.exit) else report.exit
 
 
 def _parse_t_grid(text: str):
@@ -223,21 +225,34 @@ def _cmd_construct(args) -> Report:
                   before=_construct_summary(result))
 
 
-def _census_report(rows) -> Report:
-    """Summary of sweep or sample rows; csv prints the rows themselves."""
-    bad = sum(1 for r in rows
-              if not (r["open_agrees"] and r["closed_agrees"]
-                      and r["consequences_ok"]))
+def _census_report(rows: Iterator[CensusRow]) -> Report:
+    """Summary of census rows, folded in the one pass that produces them.
+
+    json and table print the summary alone and hold no rows; csv prints
+    each row as it is read. The exit code is known once every row is.
+    """
+    pairs = open_unique = closed_unique = bad = 0
+    cases = Counter()
+
+    def counted() -> Iterator[CensusRow]:
+        nonlocal pairs, open_unique, closed_unique, bad
+        for row in rows:
+            pairs += 1
+            open_unique += row.open_unique
+            closed_unique += row.closed_unique
+            bad += not (row.open_agrees and row.closed_agrees
+                        and row.consequences_ok)
+            cases[row.open_case] += 1
+            cases[row.closed_case] += 1
+            yield row
 
     def summary():
-        cases = Counter()
-        for row in rows:
-            cases[row["open_case"]] += 1
-            cases[row["closed_case"]] += 1
+        for _ in counted():  # reads the rows no format has read yet
+            pass
         return {
-            "pairs": len(rows),
-            "open-unique": sum(r["open_unique"] for r in rows),
-            "closed-unique": sum(r["closed_unique"] for r in rows),
+            "pairs": pairs,
+            "open-unique": open_unique,
+            "closed-unique": closed_unique,
             "disagreements": bad,
             "cases": {k: cases[k] for k in sorted(cases)},
         }
@@ -246,9 +261,11 @@ def _census_report(rows) -> Report:
         for key, value in summary().items():
             yield f"{key}: {value}"
 
-    return Report(summary, rows=(row.values() for row in rows),
-                  csv_columns=tuple(rows[0]), after=lines(),
-                  exit=EXIT_VERIFY if bad else EXIT_OK)
+    def exit_code():
+        return EXIT_VERIFY if summary()["disagreements"] else EXIT_OK
+
+    return Report(summary, rows=counted(), csv_columns=CensusRow._fields,
+                  after=lines(), exit=exit_code)
 
 
 def _cmd_unique(args) -> Report:
@@ -288,8 +305,8 @@ def _cmd_unique(args) -> Report:
              "closed-unique", "closed-case"), rows,
             after=(f"sufficient: {suff}", f"necessary: {nec}"))
     if args.range is not None:
-        return _census_report(sweep(args.range))
-    return _census_report(sample_pairs(args.sample, args.seed))
+        return _census_report(iter_sweep(args.range))
+    return _census_report(iter_sample(args.sample, args.seed))
 
 
 def _cmd_family(args) -> Report:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from typing import Iterator, NamedTuple, Optional
 
 from .greedy import admissible_endpoints, telescoping_endpoints
 from .rational import integer_bounds
@@ -55,46 +56,58 @@ def _validate_pair(a: int, a_next: int) -> None:
         raise ValueError("a_next must exceed a")
 
 
-def pair_uniqueness(a: int, a_next: int, index: int = 0) -> UniquenessVerdict:
-    """Open-window criterion: is the weak choice forced for this pair?"""
-    _validate_pair(a, a_next)
+# The criteria below take a pair already validated and return
+# (unique, k, case); the verdicts and the census rows both read them.
+
+def _open_criterion(a: int, a_next: int) -> tuple[bool, int, str]:
     if a_next - a <= 1:
         lo_n, lo_d, _, _ = admissible_endpoints(a, a_next)
-        return UniquenessVerdict(index, a, a_next, False, lo_n // lo_d + 1,
-                                 "unbounded")
+        return False, lo_n // lo_d + 1, "unbounded"
     d = a_next - a - 1
     if (a * a) % d == 0:
         k = a * (a_next - 1) // d - 1
         unique = (a_next * a_next - (4 * a - 1) * a_next
                   + (a * a + a - 2)) >= 0
-        return UniquenessVerdict(index, a, a_next, unique, k, "open-divisible")
+        return unique, k, "open-divisible"
     floor_part = (a * a) // d
-    k = a + floor_part
     unique = floor_part * (a_next - a + 1) <= (a - 1) * (a - 1)
-    return UniquenessVerdict(index, a, a_next, unique, k, "open-nondivisible")
+    return unique, a + floor_part, "open-nondivisible"
+
+
+def _closed_criterion(a: int, a_next: int) -> tuple[bool, int, str]:
+    delta = a_next - a
+    floor_part = (a * a) // delta
+    if (a * a_next) % delta == 0:
+        return False, a + floor_part, "closed-divisible"
+    unique = floor_part * delta < (a - 1) * (a - 1)
+    return unique, a + floor_part, "closed-nondivisible"
+
+
+def pair_uniqueness(a: int, a_next: int, index: int = 0) -> UniquenessVerdict:
+    """Open-window criterion: is the weak choice forced for this pair?"""
+    _validate_pair(a, a_next)
+    return UniquenessVerdict(index, a, a_next, *_open_criterion(a, a_next))
 
 
 def pair_necessary_closed(a: int, a_next: int,
                           index: int = 0) -> UniquenessVerdict:
     """Closed-window criterion each pair must pass for a unique expansion."""
     _validate_pair(a, a_next)
-    delta = a_next - a
-    k = a + (a * a) // delta
-    if (a * a_next) % delta == 0:
-        return UniquenessVerdict(index, a, a_next, False, k,
-                                 "closed-divisible")
-    unique = ((a * a) // delta) * delta < (a - 1) * (a - 1)
-    return UniquenessVerdict(index, a, a_next, unique, k,
-                             "closed-nondivisible")
+    return UniquenessVerdict(index, a, a_next, *_closed_criterion(a, a_next))
 
 
 def _pairwise(a_seq, checker):
     seq = list(a_seq)
     if len(seq) < 2:
         raise ValueError("need at least two terms")
-    verdicts = tuple(checker(seq[i], seq[i + 1], index=i + 1)
-                     for i in range(len(seq) - 1))
-    return all(v.unique for v in verdicts), verdicts
+    verdicts = []
+    for index, (a, a_next) in enumerate(zip(seq, seq[1:]), 1):
+        try:
+            verdicts.append(checker(a, a_next, index=index))
+        except ValueError as exc:
+            raise ValueError(
+                f"pair {index} (a={a}, a_next={a_next}): {exc}") from exc
+    return all(v.unique for v in verdicts), tuple(verdicts)
 
 
 def sufficient_uniqueness(a_seq):
@@ -119,55 +132,88 @@ def uniqueness_consequences(a: int, a_next: int) -> dict:
     }
 
 
-def _row(a: int, a_next: int) -> dict:
-    # the counts come from the window ends alone, not from the criteria,
-    # so each row checks a criterion against an independent count
-    v_open = pair_uniqueness(a, a_next)
+class CensusRow(NamedTuple):
+    """One pair of a census: each criterion beside its window count.
+
+    The fields, in order, are the csv columns of ``unique --range`` and
+    ``unique --sample``. A count is the number of integers in its window
+    (None when the open window is unbounded above); an ``agrees`` field
+    says whether the criterion's verdict matches that count being one.
+    """
+
+    a: int
+    a_next: int
+    open_unique: bool
+    open_case: str
+    open_k: int
+    open_count: Optional[int]
+    open_agrees: bool
+    closed_unique: bool
+    closed_case: str
+    closed_k: int
+    closed_count: int
+    closed_agrees: bool
+    consequences_ok: bool
+
+
+def _row(a: int, a_next: int) -> CensusRow:
+    # the window ends check the pair; the counts come from those ends
+    # alone, never from the criteria, so each row checks a criterion
+    # against an independent count.  Both windows are nonempty, so
+    # last >= first - 1 and a count is never negative.
     lo_n, lo_d, hi_n, hi_d = admissible_endpoints(a, a_next)
     if hi_d < 1:
         open_count = None
     else:
         first, last = integer_bounds(lo_n, lo_d, hi_n, hi_d, True, True)
-        open_count = max(0, last - first + 1)
-    v_closed = pair_necessary_closed(a, a_next)
-    first, last = integer_bounds(*telescoping_endpoints(a, a_next),
-                                 False, False)
-    closed_count = max(0, last - first + 1)
-    return {
-        "a": a,
-        "a_next": a_next,
-        "open_unique": v_open.unique,
-        "open_case": v_open.case,
-        "open_k": v_open.k,
-        "open_count": open_count,
-        "open_agrees": v_open.unique == (open_count == 1),
-        "closed_unique": v_closed.unique,
-        "closed_case": v_closed.case,
-        "closed_k": v_closed.k,
-        "closed_count": closed_count,
-        "closed_agrees": v_closed.unique == (closed_count == 1),
-        "consequences_ok": not v_closed.unique or all(
-            uniqueness_consequences(a, a_next).values()),
-    }
+        open_count = last - first + 1
+    lo_n, lo_d, hi_n, hi_d = telescoping_endpoints(a, a_next)
+    first, last = integer_bounds(lo_n, lo_d, hi_n, hi_d, False, False)
+    closed_count = last - first + 1
+    open_unique, open_k, open_case = _open_criterion(a, a_next)
+    closed_unique, closed_k, closed_case = _closed_criterion(a, a_next)
+    # the facts of uniqueness_consequences, tested where they must hold
+    delta = a_next - a
+    consequences_ok = not closed_unique or (
+        a_next > 3 * a and (a - 1) * (a - 1) % delta != 0
+        and (a * a) % delta != 0 and (a * a_next) % delta != 0)
+    # tuple.__new__ skips the field-by-field __new__ NamedTuple generates
+    return tuple.__new__(CensusRow, (
+        a, a_next,
+        open_unique, open_case, open_k, open_count,
+        open_unique == (open_count == 1),
+        closed_unique, closed_case, closed_k, closed_count,
+        closed_unique == (closed_count == 1),
+        consequences_ok))
 
 
-def sweep(limit: int) -> list[dict]:
-    """Criterion-vs-enumeration rows for every pair 2 <= a < a' <= limit."""
+def iter_sweep(limit: int) -> Iterator[CensusRow]:
+    """Census rows for every pair 2 <= a < a' <= limit, made one at a time."""
     if limit < 3:
         raise ValueError("limit must be at least 3")
-    return [_row(a, a_next)
+    return (_row(a, a_next)
             for a in range(2, limit)
-            for a_next in range(a + 1, limit + 1)]
+            for a_next in range(a + 1, limit + 1))
 
 
-def sample_pairs(count: int, seed: int) -> list[dict]:
-    """Rows for `count` random pairs; deterministic for a given seed."""
+def sweep(limit: int) -> list[CensusRow]:
+    """Criterion-vs-enumeration rows for every pair 2 <= a < a' <= limit."""
+    return list(iter_sweep(limit))
+
+
+def iter_sample(count: int, seed: int) -> Iterator[CensusRow]:
+    """Census rows for `count` random pairs, made one at a time."""
     if count < 1:
         raise ValueError("count must be positive")
-    rng = random.Random(seed)
-    rows = []
+    return _sample_rows(count, random.Random(seed))
+
+
+def _sample_rows(count: int, rng: random.Random) -> Iterator[CensusRow]:
     for _ in range(count):
         a = rng.randint(2, _SAMPLE_MAX_START)
-        a_next = a + rng.randint(1, _SAMPLE_MAX_GAP)
-        rows.append(_row(a, a_next))
-    return rows
+        yield _row(a, a + rng.randint(1, _SAMPLE_MAX_GAP))
+
+
+def sample_pairs(count: int, seed: int) -> list[CensusRow]:
+    """Rows for `count` random pairs; deterministic for a given seed."""
+    return list(iter_sample(count, seed))

@@ -184,12 +184,12 @@ def test_criterion_6_uniqueness_oracle_equivalence():
             oracle_open = _open_count(a, a_next)
             open_verdict = pair_uniqueness(a, a_next)
             assert open_verdict.unique == (oracle_open == 1), (a, a_next)
-            assert row["open_count"] == oracle_open
+            assert row.open_count == oracle_open
 
             oracle_closed = _closed_count(a, a_next)
             closed_verdict = pair_necessary_closed(a, a_next)
             assert closed_verdict.unique == (oracle_closed == 1), (a, a_next)
-            assert row["closed_count"] == oracle_closed
+            assert row.closed_count == oracle_closed
 
             if closed_verdict.unique:
                 assert all(uniqueness_consequences(a, a_next).values())

@@ -227,8 +227,8 @@ def test_unique_range_summary():
     doc = json.loads(proc.stdout)
     rows = sweep(60)
     assert doc["pairs"] == len(rows)
-    assert doc["open-unique"] == sum(r["open_unique"] for r in rows)
-    assert doc["closed-unique"] == sum(r["closed_unique"] for r in rows)
+    assert doc["open-unique"] == sum(r.open_unique for r in rows)
+    assert doc["closed-unique"] == sum(r.closed_unique for r in rows)
     assert doc["disagreements"] == 0
 
 
@@ -252,6 +252,41 @@ def test_unique_file_reports(tmp_path):
     doc = json.loads(run_cli("unique", "--a-file", a_file,
                              "--format", "json").stdout)
     assert doc["sufficient"] is False
+
+
+def test_unique_file_names_the_pair_that_does_not_increase(tmp_path):
+    # a plateau is a natural shadow, but no pair criterion takes it
+    a_file = write_lines(tmp_path / "a.txt", [2, 3, 3, 5])
+    proc = run_cli("unique", "--a-file", a_file)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "a_next must exceed a" in proc.stderr
+    assert "pair 2 (a=3, a_next=3)" in proc.stderr
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"),
+                    reason="VmHWM is read from Linux /proc")
+def test_unique_range_summary_holds_no_rows():
+    # 179101 pairs: holding their rows took 110 MB, folding them as they
+    # are made takes about what a bare interpreter does.  The peak is the
+    # child's VmHWM, not its ru_maxrss: Linux carries the spawning
+    # process's peak across exec into ru_maxrss, so under a test runner
+    # that would read the runner's size.
+    script = ("import sys\n"
+              "from unitfrac.cli import main\n"
+              "code = main(['unique', '--range', '600', '--format', 'json'])\n"
+              "with open('/proc/self/status') as status:\n"
+              "    print(*(line for line in status\n"
+              "            if line.startswith('VmHWM:')), file=sys.stderr)\n"
+              "sys.exit(code)\n")
+    proc = subprocess.run([sys.executable, "-c", script],
+                          capture_output=True, text=True, env=child_env())
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["pairs"] == 599 * 598 // 2
+    _, kilobytes, unit = proc.stderr.split()
+    assert unit == "kB"
+    peak_mb = int(kilobytes) / 1024
+    assert peak_mb < 40, f"peak RSS {peak_mb:.1f} MB"
 
 
 # ------------------------------------------------------------------ family

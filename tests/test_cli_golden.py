@@ -6,14 +6,17 @@ intended change to the output, rewrite that record with
 
     PYTHONPATH=src python3 tests/test_cli_golden.py
 
-The last tests check that a format evaluates only what it prints.
+The later tests check that a format evaluates only what it prints, and that
+a census summary is counted in one pass over rows it does not hold.
 """
 from __future__ import annotations
 
 import contextlib
+import csv
 import io
 import json
 import sys
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -21,6 +24,7 @@ import pytest
 
 from unitfrac import cli
 from unitfrac.construct import ConstructionResult
+from unitfrac.uniqueness import CensusRow, sample_pairs, sweep
 
 GOLDEN = Path(__file__).with_name("cli_golden.json")
 FORMATS = ("table", "json", "csv")
@@ -167,6 +171,64 @@ def test_table_and_csv_build_no_json(monkeypatch, tmp_path, fmt):
     code, _, _ = run_case("construct-family", fmt, tmp_path)
     assert code == 0
 
+
+
+def census_recount(rows: list[CensusRow]) -> dict:
+    """The census summary counted again from rows held in a list."""
+    cases = Counter(r.open_case for r in rows)
+    cases.update(r.closed_case for r in rows)
+    return {
+        "pairs": len(rows),
+        "open-unique": sum(r.open_unique for r in rows),
+        "closed-unique": sum(r.closed_unique for r in rows),
+        "disagreements": sum(
+            not (r.open_agrees and r.closed_agrees and r.consequences_ok)
+            for r in rows),
+        "cases": dict(sorted(cases.items())),
+    }
+
+
+def check_census_output(fmt: str, code: int, stdout: str,
+                        rows: list[CensusRow]) -> None:
+    expected = census_recount(rows)
+    assert code == (1 if expected["disagreements"] else 0)
+    if fmt == "json":
+        assert json.loads(stdout) == expected
+    elif fmt == "table":
+        assert stdout == "".join(f"{key}: {value}\n"
+                                 for key, value in expected.items())
+    else:
+        records = list(csv.reader(io.StringIO(stdout)))
+        assert records[0] == list(CensusRow._fields)
+        assert records[1:] == [["" if v is None else str(v) for v in row]
+                               for row in rows]
+
+
+CENSUS = {
+    "range": (["--range", "40"], lambda: sweep(40)),
+    "sample": (["--sample", "400", "--seed", "11"],
+               lambda: sample_pairs(400, 11)),
+}
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+@pytest.mark.parametrize("mode", CENSUS)
+def test_census_summary_is_a_recount_of_its_rows(mode, fmt):
+    args, rows = CENSUS[mode]
+    code, stdout, _ = run_main(["unique", *args, "--format", fmt])
+    check_census_output(fmt, code, stdout, rows())
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_census_reads_its_rows_once(monkeypatch, fmt):
+    # the rows arrive as a one-shot iterator, so a second pass over them,
+    # or a len(), cannot pass here; one planted disagreement must be
+    # counted and turn the exit code to 1
+    rows = sweep(30)
+    rows[7] = rows[7]._replace(closed_agrees=False)
+    monkeypatch.setattr(cli, "iter_sweep", lambda limit: iter(rows))
+    code, stdout, _ = run_main(["unique", "--range", "30", "--format", fmt])
+    check_census_output(fmt, code, stdout, rows)
 
 if __name__ == "__main__":
     import tempfile

@@ -5,7 +5,6 @@ written out inline, independent of the interval helpers.
 """
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 
 import pytest

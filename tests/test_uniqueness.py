@@ -14,7 +14,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from unitfrac.uniqueness import (
+    CensusRow,
     UniquenessVerdict,
+    _row,
     necessary_uniqueness,
     pair_necessary_closed,
     pair_uniqueness,
@@ -149,17 +151,17 @@ def test_sweep_against_oracle():
     rows = sweep(120)
     cases_seen = set()
     for row in rows:
-        a, a_next = row["a"], row["a_next"]
-        cases_seen.add(row["open_case"])
-        cases_seen.add(row["closed_case"])
+        a, a_next = row.a, row.a_next
+        cases_seen.add(row.open_case)
+        cases_seen.add(row.closed_case)
         oc = open_window_count(a, a_next)
-        assert row["open_unique"] == (oc == 1)
-        assert row["open_count"] == oc
+        assert row.open_unique == (oc == 1)
+        assert row.open_count == oc
         cc = closed_window_count(a, a_next)
-        assert row["closed_unique"] == (cc == 1)
-        assert row["closed_count"] == cc
-        assert row["open_agrees"] and row["closed_agrees"]
-        if row["closed_unique"]:
+        assert row.closed_unique == (cc == 1)
+        assert row.closed_count == cc
+        assert row.open_agrees and row.closed_agrees
+        if row.closed_unique:
             assert all(uniqueness_consequences(a, a_next).values())
     assert cases_seen == {"unbounded", "open-divisible", "open-nondivisible",
                           "closed-divisible", "closed-nondivisible"}
@@ -171,7 +173,7 @@ def test_sample_pairs_deterministic():
     assert rows1 == rows2
     assert len(rows1) == 25
     for row in rows1:
-        assert row["open_agrees"] and row["closed_agrees"]
+        assert row.open_agrees and row.closed_agrees
 
 
 @settings(max_examples=150, deadline=None)
@@ -186,3 +188,23 @@ def test_formulas_match_enumeration(a, gap):
     assert v_closed.unique == (closed_window_count(a, a_next) == 1)
     if v_closed.unique:
         assert all(uniqueness_consequences(a, a_next).values())
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=2, max_value=1000),
+       st.integers(min_value=1, max_value=10**4))
+def test_census_row_matches_the_verdicts(a, gap):
+    # the row reads the criteria without building verdicts; it must say
+    # what the public verdicts say
+    a_next = a + gap
+    row = _row(a, a_next)
+    assert isinstance(row, CensusRow) and (row.a, row.a_next) == (a, a_next)
+    v_open = pair_uniqueness(a, a_next)
+    assert (row.open_unique, row.open_k, row.open_case) == (
+        v_open.unique, v_open.k, v_open.case)
+    v_closed = pair_necessary_closed(a, a_next)
+    assert (row.closed_unique, row.closed_k, row.closed_case) == (
+        v_closed.unique, v_closed.k, v_closed.case)
+    assert row.consequences_ok == (
+        not v_closed.unique
+        or all(uniqueness_consequences(a, a_next).values()))
