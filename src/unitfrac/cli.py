@@ -12,6 +12,7 @@ import argparse
 import csv
 import functools
 import io
+import itertools
 import json
 import os
 import sys
@@ -46,6 +47,8 @@ EXIT_VERIFY = 1
 EXIT_USAGE = 2
 # 128 + SIGPIPE, what a shell reports for a tool killed by a closed pipe
 EXIT_PIPE_CLOSED = 141
+# rows per csv piece: a few hundred rows make a piece of a few kilobytes
+_CSV_PIECE_ROWS = 256
 
 
 def _read_sequence_file(path: str) -> list[int]:
@@ -95,31 +98,40 @@ class Report(NamedTuple):
     exit: int | Callable[[], int] = EXIT_OK
 
 
+def _csv_pieces(columns, rows) -> Iterator[str]:
+    """csv text as the header, then pieces of ``_CSV_PIECE_ROWS`` rows."""
+    rows = iter(rows)
+    piece = [columns]
+    while piece:
+        buffer = io.StringIO()
+        csv.writer(buffer, lineterminator="\n").writerows(piece)
+        yield buffer.getvalue()
+        piece = list(itertools.islice(rows, _CSV_PIECE_ROWS))
+
+
 def _emit(report: Report, fmt: str) -> int:
     """Render the whole report in the given format, then write it out.
 
     Returns the report's exit code. csv without a header of its own prints
-    the table lines, as table does.
+    the table lines, as table does. csv is held as a list of pieces, so
+    its text is never copied whole.
     """
     csv_columns = report.csv_columns or report.columns
     if fmt == "json":
-        text = json.dumps(report.doc(), indent=2) + "\n"
+        pieces = [json.dumps(report.doc(), indent=2) + "\n"]
     elif fmt == "csv" and csv_columns:
-        buffer = io.StringIO()
-        writer = csv.writer(buffer, lineterminator="\n")
-        writer.writerow(csv_columns)
-        writer.writerows(report.rows)
-        text = buffer.getvalue()
+        pieces = list(_csv_pieces(csv_columns, report.rows))
     else:
         table = (_table_lines(report.columns, report.rows)
                  if report.columns else [])
         lines = [*report.before, *table, *report.after]
-        text = "".join(line + "\n" for line in lines)
-    # the finished text goes out in pieces: with PYTHONUNBUFFERED stdout
-    # has no buffer, a short write to a closed pipe drops its rest without
-    # an error, and only the next piece raises BrokenPipeError
-    for start in range(0, len(text), io.DEFAULT_BUFFER_SIZE):
-        sys.stdout.write(text[start:start + io.DEFAULT_BUFFER_SIZE])
+        pieces = ["".join(line + "\n" for line in lines)]
+    # the finished text goes out in short writes: with PYTHONUNBUFFERED
+    # stdout has no buffer, a short write to a closed pipe drops its rest
+    # without an error, and only the next write raises BrokenPipeError
+    for piece in pieces:
+        for start in range(0, len(piece), io.DEFAULT_BUFFER_SIZE):
+            sys.stdout.write(piece[start:start + io.DEFAULT_BUFFER_SIZE])
     sys.stdout.flush()
     return report.exit() if callable(report.exit) else report.exit
 

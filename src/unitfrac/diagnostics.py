@@ -45,26 +45,30 @@ class GreedyGrowthCheck:
 
 
 def scaled_run_ratio_checks(run: WeakGreedyRun) -> list[RatioCheck]:
-    """Evaluate the ceil-t-a growth bounds along a run."""
-    t = run.policy.t
+    """Evaluate the ceil-t-a growth bounds along a run.
+
+    With t = tn/td the bounds are 1/a' < ((t-1)a + 2) / ((ta + 1)(a - 1))
+    and a'/a < t/(t-1) + 1/a, for a = a_n and a' = a_{n+1}. Both are
+    checked cleared of denominators, as integer inequalities.
+    """
+    tn, td = run.policy.t.numerator, run.policy.t.denominator
     checks = []
     for i in range(len(run.a) - 1):
-        a_cur, a_next = run.a[i], run.a[i + 1]
-        lower = Fraction(1, a_next) < \
-            ((t - 1) * a_cur + 2) / ((t * a_cur + 1) * (a_cur - 1))
-        if t == 1:
+        a, a_next = run.a[i], run.a[i + 1]
+        lower = (tn * (a * a) + (td - tn) * a - td
+                 < a_next * ((tn - td) * a + 2 * td))
+        if tn == td:
             upper: Optional[bool] = None
         else:
-            upper = Fraction(a_next, a_cur) < t / (t - 1) + Fraction(1, a_cur)
+            upper = a_next * (tn - td) < tn * a + (tn - td)
         checks.append(RatioCheck(i + 1, lower, upper))
     return checks
 
 
 def greedy_ratio_checks(run: WeakGreedyRun) -> list[GreedyGrowthCheck]:
     """b_{n+1} >= b_n(b_n - 1) + 1, the greedy squared-growth bound."""
-    return [GreedyGrowthCheck(i + 1,
-                              run.b[i + 1] >= run.b[i] * (run.b[i] - 1) + 1)
-            for i in range(len(run.b) - 1)]
+    return [GreedyGrowthCheck(i + 1, b_next >= b * b - b + 1)
+            for i, (b, b_next) in enumerate(zip(run.b, run.b[1:]))]
 
 
 @dataclass(frozen=True)

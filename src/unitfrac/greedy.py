@@ -19,6 +19,12 @@ written once as (lo_n, lo_d, hi_n, hi_d) and read through
   telescope across indices and so certify tail enclosures. Its length is
   1 + (2a - 1)/(a_next - a), so it always contains an integer.
   ``bracket_misses(a, b)`` is the one check of whole sequences against it.
+
+Both loops, ``wgaa_expand`` and ``recover_shadow``, subtract 1/b_n through
+one step kernel, ``_unit_step``. When the residual's numerator p and the
+step d = b_n - (a_n - 1) are both below ``_WORD_BOUND`` (2**64), it builds
+the next residual from integers, so its one long product is a square;
+every other step is the stdlib ``r - Fraction(1, b_n)``.
 """
 from __future__ import annotations
 
@@ -31,6 +37,16 @@ from typing import Iterable, Optional, Sequence
 from .rational import format_rational, greedy_denominator, parse_rational
 
 DEFAULT_MAX_TERMS = 10**4
+
+_WORD_BOUND = 1 << 64
+"""Operand bound below which ``_unit_step`` builds the residual itself.
+
+With p and d under one machine word, the new numerator p*d - s has at most
+128 bits, so the gcd that reduces the result is one linear remainder and
+the one long product is the square m*m. A long p or d would make that
+numerator long and that gcd quadratic, while the stdlib subtraction only
+needs gcd(q, b), which stays cheap, so those steps are left to it.
+"""
 
 _SELECTIONS = ("greedy", "ceil-t-a", "min-admissible")
 
@@ -233,6 +249,24 @@ def _select_b(policy: WgaaPolicy, n: int, a_n: int) -> int:
     return a_n
 
 
+def _unit_step(r: Fraction, m: int, b: int) -> Fraction:
+    """r - 1/b, for a residual r = p/q > 0 in lowest terms and m = q // p.
+
+    With s = q - p*m and d = b - m,
+    p/q - 1/b = (p*d - s) / (p*m*m + (p*d + s)*m + s*d), whose denominator
+    is q*b written around the square m*m. That form is taken when p and d
+    lie in a machine word (see ``_WORD_BOUND``). Greedy steps (d = 1) never
+    raise the numerator and min-admissible steps (d = 2) at most double
+    it, so from a word-sized numerator they take it for dozens of steps.
+    """
+    p, q = r.numerator, r.denominator
+    d = b - m
+    if p < _WORD_BOUND and 0 < d < _WORD_BOUND:
+        s = q - p * m
+        return Fraction(p * d - s, p * (m * m) + (p * d + s) * m + s * d)
+    return r - Fraction(1, b)
+
+
 def wgaa_expand(theta: Fraction, policy: WgaaPolicy, n_terms: int,
                 last_greedy: bool = False) -> WeakGreedyRun:
     """Expand theta for n_terms steps under the given policy.
@@ -261,7 +295,7 @@ def wgaa_expand(theta: Fraction, policy: WgaaPolicy, n_terms: int,
         else:
             b_n = _select_b(policy, n, a_n)
         # any weak choice keeps the residual positive: 1/b <= 1/a < r
-        r = r - Fraction(1, b_n)
+        r = _unit_step(r, a_n - 1, b_n)
         shadows.append(a_n)
         chosen.append(b_n)
         residuals.append(r)
@@ -290,7 +324,9 @@ def recover_shadow(b: Sequence[int], theta: Fraction) -> ShadowReplay:
     violation: Optional[int] = None
     r = theta
     for n, b_n in enumerate(b, start=1):
-        b_n = int(b_n)
+        if isinstance(b_n, bool) or not isinstance(b_n, int):
+            raise ValueError(
+                f"denominators must be integers, got {b_n!r} at {n}")
         if b_n < 1:
             raise ValueError(f"denominators must be positive, got {b_n} at {n}")
         if r <= 0:
@@ -298,7 +334,7 @@ def recover_shadow(b: Sequence[int], theta: Fraction) -> ShadowReplay:
         a_n = greedy_denominator(r)
         if violation is None and b_n < a_n:
             violation = n
-        r = r - Fraction(1, b_n)
+        r = _unit_step(r, a_n - 1, b_n)
         shadows.append(a_n)
         residuals.append(r)
     return ShadowReplay(a=tuple(shadows), residuals=tuple(residuals),

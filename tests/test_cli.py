@@ -268,25 +268,32 @@ def test_unique_file_names_the_pair_that_does_not_increase(tmp_path):
                     reason="VmHWM is read from Linux /proc")
 def test_unique_range_summary_holds_no_rows():
     # 179101 pairs: holding their rows took 110 MB, folding them as they
-    # are made takes about what a bare interpreter does.  The peak is the
+    # are made takes about what a bare interpreter does.  csv prints every
+    # row, about 15 MB of text: held once it fits the bound, held twice (a
+    # buffer and a copy of its whole value) it took 47 MB.  The peak is the
     # child's VmHWM, not its ru_maxrss: Linux carries the spawning
     # process's peak across exec into ru_maxrss, so under a test runner
     # that would read the runner's size.
-    script = ("import sys\n"
-              "from unitfrac.cli import main\n"
-              "code = main(['unique', '--range', '600', '--format', 'json'])\n"
-              "with open('/proc/self/status') as status:\n"
-              "    print(*(line for line in status\n"
-              "            if line.startswith('VmHWM:')), file=sys.stderr)\n"
-              "sys.exit(code)\n")
-    proc = subprocess.run([sys.executable, "-c", script],
-                          capture_output=True, text=True, env=child_env())
-    assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout)["pairs"] == 599 * 598 // 2
-    _, kilobytes, unit = proc.stderr.split()
-    assert unit == "kB"
-    peak_mb = int(kilobytes) / 1024
-    assert peak_mb < 40, f"peak RSS {peak_mb:.1f} MB"
+    pairs = 599 * 598 // 2
+    for fmt in ("json", "csv"):
+        script = ("import sys\n"
+                  "from unitfrac.cli import main\n"
+                  f"code = main(['unique', '--range', '600', '--format', '{fmt}'])\n"
+                  "with open('/proc/self/status') as status:\n"
+                  "    print(*(line for line in status\n"
+                  "            if line.startswith('VmHWM:')), file=sys.stderr)\n"
+                  "sys.exit(code)\n")
+        proc = subprocess.run([sys.executable, "-c", script],
+                              capture_output=True, text=True, env=child_env())
+        assert proc.returncode == 0, proc.stderr
+        if fmt == "json":
+            assert json.loads(proc.stdout)["pairs"] == pairs
+        else:
+            assert proc.stdout.count("\n") == 1 + pairs
+        _, kilobytes, unit = proc.stderr.split()
+        assert unit == "kB"
+        peak_mb = int(kilobytes) / 1024
+        assert peak_mb < 40, f"{fmt}: peak RSS {peak_mb:.1f} MB"
 
 
 # ------------------------------------------------------------------ family

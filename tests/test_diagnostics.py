@@ -69,6 +69,49 @@ def test_scaled_runs_satisfy_growth_bounds(theta, t):
         assert chk.upper_holds == upper_ratio_form(a_cur, a_next, t)
 
 
+# t with td > 1 keeps a stray td factor from cancelling; t = 1 has no upper
+RATIO_TS = (F(1), F(3, 2), F(7, 5), F(10, 3), F(2))
+
+
+def assert_checks_match_forms(a_cur, a_next, t):
+    chk, = scaled_run_ratio_checks(fake_run((a_cur, a_next), (a_cur, a_next), t))
+    assert chk.lower_holds is lower_ratio_form(a_cur, a_next, t)
+    if t == 1:
+        assert chk.upper_holds is None
+    else:
+        assert chk.upper_holds is upper_ratio_form(a_cur, a_next, t)
+    return chk
+
+
+def test_ratio_checks_match_forms_on_a_grid():
+    # every pair 2 <= a <= a' on a grid that crosses both bounds
+    seen = set()
+    for t in RATIO_TS:
+        for a_cur in range(2, 26):
+            for a_next in range(a_cur, 4 * a_cur + 6):
+                chk = assert_checks_match_forms(a_cur, a_next, t)
+                seen.add(("lower", chk.lower_holds))
+                seen.add(("upper", chk.upper_holds))
+    assert seen == {("lower", True), ("lower", False), ("upper", True),
+                    ("upper", False), ("upper", None)}
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(2, 2**300), st.integers(0, 2**300),
+       st.sampled_from(RATIO_TS))
+def test_ratio_checks_match_forms(a_cur, gap, t):
+    assert_checks_match_forms(a_cur, a_cur + gap, t)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 2**300), st.integers(-2**10, 2**10))
+def test_greedy_growth_check_at_its_edge(b, offset):
+    # around the edge b' = b(b - 1) + 1, on both sides
+    b_next = max(1, b * (b - 1) + 1 + offset)
+    check, = greedy_ratio_checks(fake_run((b, b_next), (b, b_next)))
+    assert check.holds is (b_next >= b * (b - 1) + 1)
+
+
 def test_scaled_checks_pinned_failure():
     run = fake_run((5, 5), (5, 5), t=F(3, 2))
     checks = scaled_run_ratio_checks(run)

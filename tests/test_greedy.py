@@ -15,9 +15,11 @@ from hypothesis import strategies as st
 
 from unitfrac.construct import choose_b_jump
 from unitfrac.greedy import (
+    _WORD_BOUND,
     IndexSet,
     ReplayOverrunError,
     WgaaPolicy,
+    _unit_step,
     admissible_endpoints,
     bracket_misses,
     greedy_expand,
@@ -128,6 +130,14 @@ def test_recover_shadow_weakness_report_and_overrun():
     with pytest.raises(ReplayOverrunError) as err:
         recover_shadow([2, 3, 10], theta)
     assert err.value.index == 3
+
+
+@pytest.mark.parametrize("b, index", [
+    ([2.9, 7.5], 1), ([2, True], 2), ([2, 7, Fraction(50)], 3), (["3"], 1)])
+def test_recover_shadow_rejects_non_integers(b, index):
+    # int() would truncate 2.9 to 2 and replay a list that was not given
+    with pytest.raises(ValueError, match=f"at {index}$"):
+        recover_shadow(b, Fraction(2, 3))
 
 
 def test_term_cap_default_and_env(monkeypatch):
@@ -324,3 +334,68 @@ def test_desk_scale_residual_decay():
     for theta in (Fraction(7, 9), Fraction(355, 452), Fraction(19, 48)):
         run = greedy_expand(theta, 5)
         assert run.residuals[-1] < Fraction(1, 10**6)
+
+
+# ------------------------------------------------------------ step kernel
+
+W = _WORD_BOUND
+
+
+def step_case(p, q, d):
+    """(r, m, b) with r = p/q reduced, m = q // p and b = m + d, or None."""
+    r = Fraction(p, q)
+    m = r.denominator // r.numerator
+    b = m + d
+    return (r, m, b) if b >= 1 else None
+
+
+# numerators and steps on both sides of the word bound; d <= 0 is a b at
+# or below m, so below its shadow m + 1, and its residual overruns when
+# p*d - s <= 0
+numerators = st.one_of(st.integers(1, 2**16), st.integers(W - 2**8, W + 2**8),
+                       st.integers(W, 2**200))
+steps = st.one_of(st.integers(1, 3), st.integers(W - 2**8, W + 2**8),
+                  st.integers(W, 2**300), st.integers(-2**64, 0))
+
+
+@settings(max_examples=400, deadline=None)
+@given(numerators, st.integers(0, 2**400), steps)
+def test_unit_step_matches_fraction_subtraction(p, extra, d):
+    case = step_case(p, p + extra, d)
+    if case is not None:
+        r, m, b = case
+        got = _unit_step(r, m, b)
+        want = r - Fraction(1, b)
+        assert (got.numerator, got.denominator) == \
+            (want.numerator, want.denominator)
+
+
+def test_unit_step_at_the_guard():
+    q = 2**521 - 1  # prime, so every p below it gives a reduced p/q
+    for p in (1, 2, W - 1, W, W + 1):
+        for d in (-3, 0, 1, 2, W - 1, W, W + 1):
+            r, m, b = step_case(p, q, d)
+            want = r - Fraction(1, b)
+            assert _unit_step(r, m, b) == want
+            if d <= 0:
+                assert want <= 0  # b below the shadow overruns r here
+    # an exact unit fraction: s = 0 and the step lands on zero
+    r = Fraction(1, 7)
+    assert _unit_step(r, 7, 7) == 0
+
+
+@pytest.mark.parametrize("theta, selection", [
+    (Fraction(1), "greedy"), (Fraction(5, 121), "greedy"),
+    (Fraction(2, 3), "min-admissible"), (Fraction(17, 19), "min-admissible")])
+def test_deep_runs_match_fraction_replay(theta, selection):
+    # squaring denominators: 14 to 16 steps carry the residual past 10 kbit
+    policy = WgaaPolicy(t=Fraction(2), selection=selection)
+    run = wgaa_expand(theta, policy, 16)
+    assert run.residuals[-1].denominator.bit_length() > 10_000
+    r = theta
+    for a, b, got in zip(run.a, run.b, run.residuals):
+        assert a == r.denominator // r.numerator + 1
+        r -= Fraction(1, b)
+        assert (got.numerator, got.denominator) == (r.numerator, r.denominator)
+    replay = recover_shadow(run.b, theta)
+    assert replay.a == run.a and replay.residuals == run.residuals
