@@ -7,8 +7,6 @@ one denominator per jump of the targets, fills plateaus with large
 equal terms sized against geometric budgets, and returns an exact
 rational enclosure; every theta inside it works.
 """
-from fractions import Fraction
-
 from unitfrac import TargetSequence, construct, format_rational, recover_shadow
 
 targets = TargetSequence.from_explicit([2, 2, 3, 3, 4],

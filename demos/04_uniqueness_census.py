@@ -25,7 +25,7 @@ for a, a_next in ((2, 3), (2, 4), (2, 7), (3, 17), (7, 43), (7, 57)):
           f"closed: unique={str(closed_v.unique):5s} k={closed_v.k}")
 
 print("\ncensus of all pairs with 2 <= a < a' <= 120:")
-rows = sweep(120)
+rows = list(sweep(120))
 open_unique = sum(r.open_unique for r in rows)
 closed_unique = sum(r.closed_unique for r in rows)
 disagree = sum(1 for r in rows if not (r.open_agrees and r.closed_agrees))

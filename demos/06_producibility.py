@@ -31,8 +31,7 @@ fam = GeometricFamily(2, 3)
 n = 200
 geo_a = [fam.a(k) for k in range(1, n + 1)]
 geo_b = [fam.b(k) for k in range(1, n + 1)]
-report = classify(geo_a, geo_b, declared_limit=fam.ratio_limit(),
-                  declared_limit_exceeds_one=fam.ratio_exceeds_one())
+report = classify(geo_a, geo_b, family=fam)
 print("\ngeometric family data, shadow ratio 3 declared:")
 print("  witnesses by cap:",
       [(format_rational(t), c) for t, c in report.witness_counts[:4]])

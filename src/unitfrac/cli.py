@@ -33,12 +33,12 @@ from .greedy import (
 from .rational import format_rational, parse_rational
 from .uniqueness import (
     CensusRow,
-    iter_sample,
-    iter_sweep,
     necessary_uniqueness,
     pair_necessary_closed,
     pair_uniqueness,
+    sample_pairs,
     sufficient_uniqueness,
+    sweep,
     uniqueness_consequences,
 )
 
@@ -215,8 +215,6 @@ def _construct_summary(result) -> Iterator[str]:
 
 
 def _cmd_construct(args) -> Report:
-    if (args.a_file is None) == (args.family is None):
-        raise ValueError("give exactly one of --a-file or --family")
     if args.family is not None and args.repeat_last_delta:
         raise ValueError("--repeat-last-delta applies only to --a-file")
     if args.a_file is not None:
@@ -281,11 +279,6 @@ def _census_report(rows: Iterator[CensusRow]) -> Report:
 
 
 def _cmd_unique(args) -> Report:
-    modes = [args.pair is not None, args.a_file is not None,
-             args.range is not None, args.sample is not None]
-    if sum(modes) != 1:
-        raise ValueError("give exactly one of --pair, --a-file, --range, "
-                         "--sample")
     if args.pair is not None:
         a, a_next = args.pair
         verdicts = (("open", pair_uniqueness(a, a_next)),
@@ -317,8 +310,8 @@ def _cmd_unique(args) -> Report:
              "closed-unique", "closed-case"), rows,
             after=(f"sufficient: {suff}", f"necessary: {nec}"))
     if args.range is not None:
-        return _census_report(iter_sweep(args.range))
-    return _census_report(iter_sample(args.sample, args.seed))
+        return _census_report(sweep(args.range))
+    return _census_report(sample_pairs(args.sample, args.seed))
 
 
 def _cmd_family(args) -> Report:
@@ -360,15 +353,8 @@ def _cmd_classify(args) -> Report:
     b_values = _read_sequence_file(args.b_file)
     t_grid = (_parse_t_grid(args.t_grid) if args.t_grid is not None
               else DEFAULT_T_GRID)
-    declared_limit = None
-    exceeds = None
-    if args.family:
-        family = parse_family_spec(args.family)
-        declared_limit = family.ratio_limit()
-        exceeds = family.ratio_exceeds_one()
-    report = classify(a_values, b_values, t_grid,
-                      declared_limit=declared_limit,
-                      declared_limit_exceeds_one=exceeds)
+    family = None if args.family is None else parse_family_spec(args.family)
+    report = classify(a_values, b_values, t_grid, family)
     rows = ((format_rational(t), c, s)
             for (t, c), (_, s) in zip(report.witness_counts,
                                       report.second_half_witness_counts))
@@ -414,10 +400,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = commands.add_parser("construct",
                             help="build b hitting given greedy targets")
-    p.add_argument("--a-file")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--a-file")
+    source.add_argument("--family",
+                        help="family spec, e.g. geometric:a=2,r=3")
     p.add_argument("--repeat-last-delta", action="store_true",
                    help="extend the file arithmetically past its end")
-    p.add_argument("--family", help="family spec, e.g. geometric:a=2,r=3")
     p.add_argument("--depth", type=int, required=True,
                    help="number of strict target increases to process")
     p.add_argument("--horizon", type=int)
@@ -426,11 +414,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = commands.add_parser("unique",
                             help="forced-choice criteria and cross-checks")
-    p.add_argument("--pair", nargs=2, type=int, metavar=("A", "A_NEXT"))
-    p.add_argument("--a-file")
-    p.add_argument("--range", type=int,
-                   help="check all pairs up to this bound")
-    p.add_argument("--sample", type=int, help="check random pairs")
+    mode = p.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--pair", nargs=2, type=int, metavar=("A", "A_NEXT"))
+    mode.add_argument("--a-file")
+    mode.add_argument("--range", type=int,
+                      help="check all pairs up to this bound")
+    mode.add_argument("--sample", type=int, help="check random pairs")
     p.add_argument("--seed", type=int, default=0)
     _add_format(p)
     p.set_defaults(func=_cmd_unique)

@@ -62,22 +62,20 @@ class TargetSequence:
         vals = tuple(values)
         if not vals:
             raise InvalidSequence("no terms given")
-        if continue_rule is None:
-            def fn(n, _v=vals):
-                if n > len(_v):
-                    raise DepthExhausted(f"only {len(_v)} terms available")
-                return _v[n - 1]
-            return cls(fn)
-        if continue_rule != "repeat-last-delta":
+        delta = None
+        if continue_rule == "repeat-last-delta":
+            if len(vals) < 2:
+                raise InvalidSequence("need two terms to repeat a difference")
+            delta = vals[-1] - vals[-2]
+        elif continue_rule is not None:
             raise ValueError(f"unknown continuation rule {continue_rule!r}")
-        if len(vals) < 2:
-            raise InvalidSequence("need two terms to repeat a difference")
-        delta = vals[-1] - vals[-2]
 
-        def fn(n, _v=vals, _d=delta):
-            if n <= len(_v):
-                return _v[n - 1]
-            return _v[-1] + _d * (n - len(_v))
+        def fn(n):
+            if n <= len(vals):
+                return vals[n - 1]
+            if delta is None:
+                raise DepthExhausted(f"only {len(vals)} terms available")
+            return vals[-1] + delta * (n - len(vals))
         return cls(fn)
 
     @classmethod
@@ -156,7 +154,6 @@ class ConstructionResult:
     filler_values: tuple[Optional[int], ...]
     future_filler_bound: Fraction
     certificates: tuple[StepCertificate, ...]
-    verification_depth: int
 
     def to_json_dict(self) -> dict:
         return {
@@ -170,7 +167,7 @@ class ConstructionResult:
             "filler-values": list(self.filler_values),
             "future-filler-bound": format_rational(self.future_filler_bound),
             "certificates": [c.to_json_dict() for c in self.certificates],
-            "verification-depth": self.verification_depth,
+            "verification-depth": len(self.a_prefix),
         }
 
 
@@ -253,5 +250,4 @@ def construct(seq: TargetSequence, depth: int,
         filler_values=tuple(fillers),
         future_filler_bound=budget,
         certificates=tuple(certs),
-        verification_depth=last_built,
     )

@@ -98,10 +98,11 @@ class ClassificationReport:
 
 
 def classify(a, b, t_grid=DEFAULT_T_GRID,
-             declared_limit: Optional[Fraction] = None,
-             declared_limit_exceeds_one: Optional[bool] = None
-             ) -> ClassificationReport:
-    """Screen (a, b) data for fixed-weakness producibility evidence."""
+             family=None) -> ClassificationReport:
+    """Screen (a, b) data for fixed-weakness producibility evidence.
+
+    A declared ``family`` settles persistent witnesses by its ratio limit.
+    """
     a = tuple(a)
     b = tuple(b)
     if not a or len(a) != len(b):
@@ -124,12 +125,8 @@ def classify(a, b, t_grid=DEFAULT_T_GRID,
     samples = tuple(Fraction(a[i + 1], a[i])
                     for i in range(n - 1 - take, n - 1))
 
-    if declared_limit_exceeds_one is not None:
-        grows = declared_limit_exceeds_one
-    elif declared_limit is not None:
-        grows = Fraction(declared_limit) > 1
-    else:
-        grows = None
+    limit = None if family is None else family.ratio_limit()
+    grows = None if family is None else family.ratio_exceeds_one()
 
     second_len = n - half_start + 1
     witnessed = any(count == second_len for _, count in second)
@@ -149,8 +146,7 @@ def classify(a, b, t_grid=DEFAULT_T_GRID,
         witness_counts=tuple(full),
         second_half_witness_counts=tuple(second),
         ratio_samples=samples,
-        closed_form_limit=None if declared_limit is None
-        else Fraction(declared_limit),
+        closed_form_limit=limit,
         limit_exceeds_one=grows,
         verdict=verdict,
     )

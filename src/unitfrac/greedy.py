@@ -172,6 +172,9 @@ class WgaaPolicy:
       ceil-t-a        b_n = ceil(t * a_n)
       min-admissible  smallest strictly weak choice, a_n + 1, unless the
                       cap at that index forces a_n
+
+    As t >= 1 and a_n >= 1, ceil(t * a_n) >= a_n + 1 exactly when t > 1:
+    the min-admissible cap can force a_n only at t == 1, on Lambda.
     """
 
     t: Fraction = Fraction(1)
@@ -242,11 +245,10 @@ def _select_b(policy: WgaaPolicy, n: int, a_n: int) -> int:
         return a_n
     if policy.selection == "ceil-t-a":
         return math.ceil(policy.t * a_n)
-    # min-admissible, the only rule that reads the cap, and only on Lambda
-    cap = math.ceil(policy.t * a_n) if policy.lam.contains(n) else None
-    if cap is None or cap >= a_n + 1:
-        return a_n + 1
-    return a_n
+    # min-admissible: the cap binds only at t == 1 (see WgaaPolicy)
+    if policy.t == 1 and policy.lam.contains(n):
+        return a_n
+    return a_n + 1
 
 
 def _unit_step(r: Fraction, m: int, b: int) -> Fraction:

@@ -120,16 +120,18 @@ def necessary_uniqueness(a_seq):
     return _pairwise(a_seq, pair_necessary_closed)
 
 
+def _consequences(a: int, a_next: int) -> tuple[bool, bool, bool, bool]:
+    delta = a_next - a
+    return (a_next > 3 * a, (a - 1) * (a - 1) % delta != 0,
+            (a * a) % delta != 0, (a * a_next) % delta != 0)
+
+
 def uniqueness_consequences(a: int, a_next: int) -> dict:
     """Divisibility and growth facts that hold for closed-unique pairs."""
     _validate_pair(a, a_next)
-    delta = a_next - a
-    return {
-        "ratio_above_3": a_next > 3 * a,
-        "pred_square_indivisible": (a - 1) * (a - 1) % delta != 0,
-        "square_indivisible": (a * a) % delta != 0,
-        "product_indivisible": (a * a_next) % delta != 0,
-    }
+    return dict(zip(("ratio_above_3", "pred_square_indivisible",
+                     "square_indivisible", "product_indivisible"),
+                    _consequences(a, a_next)))
 
 
 class CensusRow(NamedTuple):
@@ -173,10 +175,7 @@ def _row(a: int, a_next: int) -> CensusRow:
     open_unique, open_k, open_case = _open_criterion(a, a_next)
     closed_unique, closed_k, closed_case = _closed_criterion(a, a_next)
     # the facts of uniqueness_consequences, tested where they must hold
-    delta = a_next - a
-    consequences_ok = not closed_unique or (
-        a_next > 3 * a and (a - 1) * (a - 1) % delta != 0
-        and (a * a) % delta != 0 and (a * a_next) % delta != 0)
+    consequences_ok = not closed_unique or all(_consequences(a, a_next))
     # tuple.__new__ skips the field-by-field __new__ NamedTuple generates
     return tuple.__new__(CensusRow, (
         a, a_next,
@@ -187,7 +186,7 @@ def _row(a: int, a_next: int) -> CensusRow:
         consequences_ok))
 
 
-def iter_sweep(limit: int) -> Iterator[CensusRow]:
+def sweep(limit: int) -> Iterator[CensusRow]:
     """Census rows for every pair 2 <= a < a' <= limit, made one at a time."""
     if limit < 3:
         raise ValueError("limit must be at least 3")
@@ -196,24 +195,11 @@ def iter_sweep(limit: int) -> Iterator[CensusRow]:
             for a_next in range(a + 1, limit + 1))
 
 
-def sweep(limit: int) -> list[CensusRow]:
-    """Criterion-vs-enumeration rows for every pair 2 <= a < a' <= limit."""
-    return list(iter_sweep(limit))
-
-
-def iter_sample(count: int, seed: int) -> Iterator[CensusRow]:
-    """Census rows for `count` random pairs, made one at a time."""
+def sample_pairs(count: int, seed: int) -> Iterator[CensusRow]:
+    """Rows for `count` random pairs, made one at a time, fixed by the seed."""
     if count < 1:
         raise ValueError("count must be positive")
-    return _sample_rows(count, random.Random(seed))
-
-
-def _sample_rows(count: int, rng: random.Random) -> Iterator[CensusRow]:
-    for _ in range(count):
-        a = rng.randint(2, _SAMPLE_MAX_START)
-        yield _row(a, a + rng.randint(1, _SAMPLE_MAX_GAP))
-
-
-def sample_pairs(count: int, seed: int) -> list[CensusRow]:
-    """Rows for `count` random pairs; deterministic for a given seed."""
-    return list(iter_sample(count, seed))
+    rng = random.Random(seed)
+    # pair by pair, the start is drawn before the gap
+    starts = (rng.randint(2, _SAMPLE_MAX_START) for _ in range(count))
+    return (_row(a, a + rng.randint(1, _SAMPLE_MAX_GAP)) for a in starts)

@@ -2,6 +2,12 @@
 
 Exit codes: 0 success, 1 verification failure, 2 malformed input or
 internal error.  Output must be byte-identical across repeat runs.
+
+Each demo's stdout is compared with the record in ``demo_golden.json``
+next to this file.  After an intended change to a demo's output, rewrite
+that record with
+
+    PYTHONPATH=src python3 tests/test_cli.py
 """
 from __future__ import annotations
 
@@ -21,6 +27,8 @@ from unitfrac.rational import format_rational
 from unitfrac.uniqueness import sweep
 
 REPO = Path(__file__).resolve().parent.parent
+DEMOS = sorted((REPO / "demos").glob("*.py"))
+DEMO_GOLDEN = Path(__file__).with_name("demo_golden.json")
 
 
 def child_env(extra=None) -> dict:
@@ -201,16 +209,38 @@ def test_construct_exhaustion_is_malformed(tmp_path):
     assert proc.returncode == 2
 
 
+def assert_usage_error(proc, *flags):
+    """Exit 2 with nothing on stdout and every given flag named on stderr."""
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "error" in proc.stderr
+    for flag in flags:
+        assert flag in proc.stderr
+
+
 def test_construct_source_flags_exclusive(tmp_path):
     a_file = write_lines(tmp_path / "a.txt", [2, 3, 5])
     proc = run_cli("construct", "--a-file", a_file, "--family", "fibonacci",
                    "--depth", "3")
-    assert proc.returncode == 2
+    assert_usage_error(proc, "--a-file", "--family")
     proc = run_cli("construct", "--depth", "3")
-    assert proc.returncode == 2
+    assert_usage_error(proc, "--a-file", "--family")
+    proc = run_cli("construct", "--family", "fibonacci",
+                   "--repeat-last-delta", "--depth", "3")
+    assert_usage_error(proc, "--repeat-last-delta")
 
 
 # ------------------------------------------------------------------ unique
+
+def test_unique_mode_flags_exclusive(tmp_path):
+    a_file = write_lines(tmp_path / "a.txt", [2, 7, 57])
+    proc = run_cli("unique")
+    assert_usage_error(proc, "--pair", "--a-file", "--range", "--sample")
+    proc = run_cli("unique", "--pair", "2", "7", "--range", "10")
+    assert_usage_error(proc, "--pair", "--range")
+    proc = run_cli("unique", "--a-file", a_file, "--sample", "5")
+    assert_usage_error(proc, "--a-file", "--sample")
+
 
 def test_unique_pair_json():
     proc = run_cli("unique", "--pair", "2", "7", "--format", "json")
@@ -225,7 +255,7 @@ def test_unique_range_summary():
     proc = run_cli("unique", "--range", "60", "--format", "json")
     assert proc.returncode == 0, proc.stderr
     doc = json.loads(proc.stdout)
-    rows = sweep(60)
+    rows = list(sweep(60))
     assert doc["pairs"] == len(rows)
     assert doc["open-unique"] == sum(r.open_unique for r in rows)
     assert doc["closed-unique"] == sum(r.closed_unique for r in rows)
@@ -356,6 +386,16 @@ def test_classify_rejects_empty_t_grid(tmp_path):
     assert proc.stderr == "error: not a rational literal: ''\n"
 
 
+def test_classify_rejects_empty_family(tmp_path):
+    a_file = write_lines(tmp_path / "a.txt", [2, 3, 4])
+    b_file = write_lines(tmp_path / "b.txt", [7, 13, 21])
+    proc = run_cli("classify", "--a-file", a_file, "--b-file", b_file,
+                   "--family", "")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == "error: unrecognized family spec: ''\n"
+
+
 def test_help_and_unknown_command():
     proc = run_cli("--help")
     assert proc.returncode == 0
@@ -387,12 +427,16 @@ def test_closed_pipe_exits_quietly(unbuffered):
 
 # ------------------------------------------------------------------- demos
 
-@pytest.mark.parametrize("demo", sorted((REPO / "demos").glob("*.py")),
-                         ids=lambda path: path.name)
-def test_demo_runs(demo):
-    proc = subprocess.run([sys.executable, str(demo)], capture_output=True,
+def run_demo(demo: Path):
+    return subprocess.run([sys.executable, str(demo)], capture_output=True,
                           text=True, env=child_env())
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.name)
+def test_demo_runs(demo):
+    proc = run_demo(demo)
     assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == json.loads(DEMO_GOLDEN.read_text())[demo.name]
 
 
 # ------------------------------------------------------------------ README
@@ -404,3 +448,13 @@ def test_readme_python_blocks_run():
     assert blocks
     for number, source in enumerate(blocks, start=1):
         exec(compile(source, f"README.md python block {number}", "exec"), {})
+
+
+if __name__ == "__main__":
+    record = {}
+    for demo in DEMOS:
+        proc = run_demo(demo)
+        if proc.returncode != 0:
+            sys.exit(f"{demo.name} failed:\n{proc.stderr}")
+        record[demo.name] = proc.stdout
+    DEMO_GOLDEN.write_text(json.dumps(record, indent=1) + "\n")

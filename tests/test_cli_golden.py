@@ -205,9 +205,9 @@ def check_census_output(fmt: str, code: int, stdout: str,
 
 
 CENSUS = {
-    "range": (["--range", "40"], lambda: sweep(40)),
+    "range": (["--range", "40"], lambda: list(sweep(40))),
     "sample": (["--sample", "400", "--seed", "11"],
-               lambda: sample_pairs(400, 11)),
+               lambda: list(sample_pairs(400, 11))),
 }
 
 
@@ -224,9 +224,9 @@ def test_census_reads_its_rows_once(monkeypatch, fmt):
     # the rows arrive as a one-shot iterator, so a second pass over them,
     # or a len(), cannot pass here; one planted disagreement must be
     # counted and turn the exit code to 1
-    rows = sweep(30)
+    rows = list(sweep(30))
     rows[7] = rows[7]._replace(closed_agrees=False)
-    monkeypatch.setattr(cli, "iter_sweep", lambda limit: iter(rows))
+    monkeypatch.setattr(cli, "sweep", lambda limit: iter(rows))
     code, stdout, _ = run_main(["unique", "--range", "30", "--format", fmt])
     check_census_output(fmt, code, stdout, rows)
 

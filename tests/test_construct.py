@@ -126,7 +126,7 @@ def test_slacks_and_fillers_recomputed_from_the_result(start, runs):
 def test_certificates_positive():
     seq = TargetSequence(lambda n: 2 + (n - 1) // 2)
     res = construct(seq, depth=2)
-    assert res.verification_depth == len(res.b_prefix) == 4
+    assert res.to_json_dict()["verification-depth"] == len(res.b_prefix) == 4
     assert len(res.certificates) == 4
     for cert in res.certificates:
         assert cert.lower_margin > 0

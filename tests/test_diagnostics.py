@@ -20,8 +20,12 @@ from unitfrac.diagnostics import (
     scaled_run_ratio_checks,
     shadow_bound_from_gap,
 )
+from unitfrac.families import (
+    ArithmeticFamily,
+    FibonacciFamily,
+    GeometricFamily,
+)
 from unitfrac.greedy import (
-    IndexSet,
     WeakGreedyRun,
     WgaaPolicy,
     recover_shadow,
@@ -163,27 +167,27 @@ def test_classify_quadratic_not_producible():
 def test_classify_geometric_producible():
     a = tuple(2 * 3 ** (n - 1) for n in range(1, 21))
     b = tuple(3**n - 1 for n in range(1, 21))
-    report = classify(a, b, declared_limit=F(3))
+    report = classify(a, b, family=GeometricFamily(2, 3))
     assert report.verdict == "producible-evidence"
     assert dict(report.witness_counts)[F(3, 2)] == 20
     assert report.closed_form_limit == F(3)
     # without any declared growth the data alone cannot settle it
     assert classify(a, b).verdict == "inconclusive"
-    # a declared irrational limit above one works through the flag
-    flagged = classify(a, b, declared_limit_exceeds_one=True)
+    # a family whose ratio tends to an irrational limit above one
+    flagged = classify(a, b, family=FibonacciFamily())
     assert flagged.verdict == "producible-evidence"
 
 
 def test_classify_declared_limit_one():
     a = tuple(range(2, 22))
-    report = classify(a, a, declared_limit=F(1))
+    report = classify(a, a, family=ArithmeticFamily(2, 1))
     assert report.verdict == "not-producible-evidence"
     assert dict(report.second_half_witness_counts)[F(1)] == 10
 
 
 def test_classify_short_input_inconclusive():
     assert classify((2, 3), (2, 3)).verdict == "inconclusive"
-    assert classify((2,) * 7, (2,) * 7, declared_limit=F(2)).verdict \
+    assert classify((2,) * 7, (2,) * 7, family=GeometricFamily(2, 2)).verdict \
         == "inconclusive"
 
 

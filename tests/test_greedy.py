@@ -103,6 +103,11 @@ def test_min_admissible_is_smallest_strictly_weak_choice():
     part = wgaa_expand(Fraction(2, 3), WgaaPolicy(t=Fraction(1), lam=IndexSet.finite({1}),
                                                   selection="min-admissible"), 3)
     assert list(part.b) == [part.a[0]] + [a + 1 for a in part.a[1:]]
+    # any t above 1 leaves room for a_n + 1 under ceil(t * a_n), however close
+    near_one = WgaaPolicy(t=1 + Fraction(1, 10**30), lam=IndexSet.finite({1}),
+                          selection="min-admissible")
+    near = wgaa_expand(Fraction(2, 3), near_one, 3)
+    assert near.b[0] == near.a[0] + 1
 
 
 # ------------------------------------------------------------- validation

@@ -1,0 +1,52 @@
+"""Every name a module imports is read somewhere in that module.
+
+A deletion elsewhere can leave an import behind that nothing uses; this
+scan finds it.  Names listed in ``__all__`` count as read, since they are
+imported to be exported.
+"""
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+REPO = Path(__file__).resolve().parent.parent
+SCANNED = ("src/unitfrac", "tests", "demos")
+
+
+def imported_names(tree: ast.Module) -> dict[str, int]:
+    """Each name an import binds, with the line of that import."""
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                name = alias.asname or alias.name.partition(".")[0]
+                bound[name] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                if alias.name != "*":
+                    bound[alias.asname or alias.name] = node.lineno
+    return bound
+
+
+def read_names(tree: ast.Module) -> set[str]:
+    """Names loaded anywhere in the module, and the strings in __all__."""
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__"
+                        for t in node.targets)):
+            read.update(ast.literal_eval(node.value))
+    return read
+
+
+def test_no_unused_imports():
+    unused = []
+    for directory in SCANNED:
+        for path in sorted((REPO / directory).rglob("*.py")):
+            tree = ast.parse(path.read_text(), str(path))
+            read = read_names(tree)
+            unused += [f"{path.relative_to(REPO)}:{line}: {name}"
+                       for name, line in imported_names(tree).items()
+                       if name not in read]
+    assert unused == []

@@ -168,12 +168,20 @@ def test_sweep_against_oracle():
 
 
 def test_sample_pairs_deterministic():
-    rows1 = sample_pairs(25, seed=7)
-    rows2 = sample_pairs(25, seed=7)
+    rows1 = list(sample_pairs(25, seed=7))
+    rows2 = list(sample_pairs(25, seed=7))
     assert rows1 == rows2
     assert len(rows1) == 25
     for row in rows1:
         assert row.open_agrees and row.closed_agrees
+
+
+def test_census_arguments_checked_at_the_call():
+    # the rows are made lazily, but a bad argument fails before any is read
+    with pytest.raises(ValueError, match="limit must be at least 3"):
+        sweep(2)
+    with pytest.raises(ValueError, match="count must be positive"):
+        sample_pairs(0, seed=7)
 
 
 @settings(max_examples=150, deadline=None)
