@@ -136,16 +136,6 @@ def _emit(report: Report, fmt: str) -> int:
     return report.exit() if callable(report.exit) else report.exit
 
 
-def _parse_t_grid(text: str):
-    grid = []
-    for token in text.split(","):
-        t = parse_rational(token.strip())
-        if t < 1:
-            raise ValueError("weakness levels must be at least 1")
-        grid.append(t)
-    return tuple(grid)
-
-
 # ---------------------------------------------------------------- commands
 
 def _cmd_expand(args) -> Report:
@@ -223,7 +213,7 @@ def _cmd_construct(args) -> Report:
         seq = TargetSequence.from_explicit(values, rule)
     else:
         seq = TargetSequence.from_family(parse_family_spec(args.family))
-    result = construct(seq, args.depth, horizon=args.horizon)
+    result = construct(seq, args.depth)
     rows = ((c.index, result.a_prefix[c.index - 1],
              result.b_prefix[c.index - 1],
              format_rational(c.lower_margin), format_rational(c.upper_margin))
@@ -351,8 +341,8 @@ def _cmd_family(args) -> Report:
 def _cmd_classify(args) -> Report:
     a_values = _read_sequence_file(args.a_file)
     b_values = _read_sequence_file(args.b_file)
-    t_grid = (_parse_t_grid(args.t_grid) if args.t_grid is not None
-              else DEFAULT_T_GRID)
+    t_grid = (tuple(map(parse_rational, args.t_grid.split(",")))
+              if args.t_grid is not None else DEFAULT_T_GRID)
     family = None if args.family is None else parse_family_spec(args.family)
     report = classify(a_values, b_values, t_grid, family)
     rows = ((format_rational(t), c, s)
@@ -408,7 +398,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="extend the file arithmetically past its end")
     p.add_argument("--depth", type=int, required=True,
                    help="number of strict target increases to process")
-    p.add_argument("--horizon", type=int)
     _add_format(p)
     p.set_defaults(func=_cmd_construct)
 

@@ -171,18 +171,16 @@ class ConstructionResult:
         }
 
 
-def construct(seq: TargetSequence, depth: int,
-              horizon: Optional[int] = None) -> ConstructionResult:
+def construct(seq: TargetSequence, depth: int) -> ConstructionResult:
     """Run the construction through `depth` jumps.
 
     The built prefix ends at the depth-th jump; one further jump is
     located to anchor the tail, so depth+1 strict increases must occur
-    within the scan horizon (default 64*(depth+1) + 1024 indices).
+    within the scan horizon of 64*(depth+1) + 1024 indices.
     """
     if depth < 1:
         raise ValueError("depth must be positive")
-    if horizon is None:
-        horizon = 64 * (depth + 1) + 1024
+    horizon = 64 * (depth + 1) + 1024
 
     # stop at the (depth+1)-th jump: targets past it are never evaluated
     jumps = list(itertools.islice(jump_set(seq, horizon - 1), depth + 1))

@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .greedy import WeakGreedyRun
-from .rational import format_rational, greedy_denominator
+from .rational import exact, format_rational, greedy_denominator
 
 DEFAULT_T_GRID = (Fraction(1), Fraction(3, 2), Fraction(2), Fraction(3),
                   Fraction(5), Fraction(10))
@@ -116,7 +116,9 @@ def classify(a, b, t_grid=DEFAULT_T_GRID,
     full = []
     second = []
     for t in t_grid:
-        t = Fraction(t)
+        t = exact(t)
+        if t < 1:
+            raise ValueError("weakness levels must be at least 1")
         hits = [b[i] <= math.ceil(t * a[i]) for i in range(n)]
         full.append((t, sum(hits)))
         second.append((t, sum(hits[half_start - 1:])))
@@ -161,8 +163,8 @@ def shadow_bound_from_gap(b_prefix, theta: Fraction,
     expansion stays at least c, so no shadow value can exceed the greedy
     denominator of c.  Returns (c, bound).
     """
-    theta = Fraction(theta)
-    tail_upper = Fraction(tail_upper)
+    theta = exact(theta)
+    tail_upper = exact(tail_upper)
     if tail_upper < 0:
         raise ValueError("tail bound must be nonnegative")
     partial = sum((Fraction(1, x) for x in b_prefix), Fraction(0))

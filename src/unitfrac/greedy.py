@@ -20,23 +20,24 @@ written once as (lo_n, lo_d, hi_n, hi_d) and read through
   1 + (2a - 1)/(a_next - a), so it always contains an integer.
   ``bracket_misses(a, b)`` is the one check of whole sequences against it.
 
-Both loops, ``wgaa_expand`` and ``recover_shadow``, subtract 1/b_n through
+One walk, ``_walk``, serves both the chosen denominators of
+``wgaa_expand`` and the given ones of ``recover_shadow``, because the
+shadow is fixed by the residual alone. It subtracts each 1/b_n through
 one step kernel, ``_unit_step``. When the residual's numerator p and the
-step d = b_n - (a_n - 1) are both below ``_WORD_BOUND`` (2**64), it builds
-the next residual from integers, so its one long product is a square;
-every other step is the stdlib ``r - Fraction(1, b_n)``.
+step d = b_n - (a_n - 1) are both below ``_WORD_BOUND`` (2**64), the
+kernel builds the next residual from integers, so its one long product
+is a square; every other step is the stdlib ``r - Fraction(1, b_n)``.
 """
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
-from .rational import format_rational, greedy_denominator, parse_rational
+from .rational import exact, format_rational, parse_rational
 
-DEFAULT_MAX_TERMS = 10**4
+_MAX_TERMS = 10**4
 
 _WORD_BOUND = 1 << 64
 """Operand bound below which ``_unit_step`` builds the residual itself.
@@ -49,20 +50,6 @@ needs gcd(q, b), which stays cheap, so those steps are left to it.
 """
 
 _SELECTIONS = ("greedy", "ceil-t-a", "min-admissible")
-
-
-def max_terms() -> int:
-    """Term-count cap for expansion requests; UNITFRAC_MAX_TERMS overrides."""
-    raw = os.environ.get("UNITFRAC_MAX_TERMS")
-    if raw is None:
-        return DEFAULT_MAX_TERMS
-    try:
-        value = int(raw)
-    except ValueError as exc:
-        raise ValueError(f"UNITFRAC_MAX_TERMS is not an integer: {raw!r}") from exc
-    if value < 1:
-        raise ValueError(f"UNITFRAC_MAX_TERMS must be positive: {value}")
-    return value
 
 
 class ReplayOverrunError(ValueError):
@@ -182,7 +169,7 @@ class WgaaPolicy:
     selection: str = "greedy"
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "t", Fraction(self.t))
+        object.__setattr__(self, "t", exact(self.t))
         if self.t < 1:
             raise ValueError(f"scale factor t must be >= 1, got {self.t}")
         if self.selection not in _SELECTIONS:
@@ -194,7 +181,7 @@ class WgaaPolicy:
 
     @classmethod
     def scaled(cls, t: Fraction) -> "WgaaPolicy":
-        return cls(t=Fraction(t), lam=IndexSet.all(), selection="ceil-t-a")
+        return cls(t=t, lam=IndexSet.all(), selection="ceil-t-a")
 
     def to_json_dict(self) -> dict:
         return {
@@ -269,40 +256,49 @@ def _unit_step(r: Fraction, m: int, b: int) -> Fraction:
     return r - Fraction(1, b)
 
 
-def wgaa_expand(theta: Fraction, policy: WgaaPolicy, n_terms: int,
-                last_greedy: bool = False) -> WeakGreedyRun:
-    """Expand theta for n_terms steps under the given policy.
+def _walk(theta: Fraction, n_terms: int,
+          choose: Callable[[int, int], int]) -> tuple[tuple, tuple, tuple]:
+    """Shadows, choices and residuals of n_terms steps from theta.
 
-    With ``last_greedy`` the final step takes b_n = a_n regardless of the
-    policy, which is the right convention for fixed-length approximations:
-    the last term has no successor to leave room for.
+    ``choose(n, a_n)`` gives b_n. The walk raises ReplayOverrunError as
+    soon as the running residual is no longer positive, because no shadow
+    exists there; a weak choice (1/b_n <= 1/a_n < r) never gets there.
     """
-    theta = Fraction(theta)
+    theta = exact(theta)
     if not 0 < theta <= 1:
         raise ValueError(f"target must lie in (0, 1], got {theta}")
-    if n_terms < 1:
-        raise ValueError("need at least one term")
-    cap = max_terms()
-    if n_terms > cap:
-        raise ValueError(f"{n_terms} terms exceeds the cap of {cap} "
-                         "(set UNITFRAC_MAX_TERMS to raise it)")
     shadows: list[int] = []
     chosen: list[int] = []
     residuals: list[Fraction] = []
     r = theta
     for n in range(1, n_terms + 1):
-        a_n = greedy_denominator(r)
-        if last_greedy and n == n_terms:
-            b_n = a_n
-        else:
-            b_n = _select_b(policy, n, a_n)
-        # any weak choice keeps the residual positive: 1/b <= 1/a < r
-        r = _unit_step(r, a_n - 1, b_n)
-        shadows.append(a_n)
+        if r <= 0:
+            raise ReplayOverrunError(n)
+        m = r.denominator // r.numerator
+        b_n = choose(n, m + 1)
+        r = _unit_step(r, m, b_n)
+        shadows.append(m + 1)
         chosen.append(b_n)
         residuals.append(r)
-    return WeakGreedyRun(theta=theta, policy=policy, a=tuple(shadows),
-                         b=tuple(chosen), residuals=tuple(residuals))
+    return tuple(shadows), tuple(chosen), tuple(residuals)
+
+
+def wgaa_expand(theta: Fraction, policy: WgaaPolicy, n_terms: int,
+                last_greedy: bool = False) -> WeakGreedyRun:
+    """Expand theta for n_terms steps, at most 10**4, under the policy.
+
+    With ``last_greedy`` the final step takes b_n = a_n regardless of the
+    policy, which is the right convention for fixed-length approximations:
+    the last term has no successor to leave room for.
+    """
+    if not 1 <= n_terms <= _MAX_TERMS:
+        raise ValueError(
+            f"need between 1 and {_MAX_TERMS} terms, got {n_terms}")
+    a, b, residuals = _walk(
+        theta, n_terms, lambda n, a_n: a_n if last_greedy and n == n_terms
+        else _select_b(policy, n, a_n))
+    return WeakGreedyRun(theta=Fraction(theta), policy=policy, a=a, b=b,
+                         residuals=residuals)
 
 
 def greedy_expand(theta: Fraction, n_terms: int) -> WeakGreedyRun:
@@ -313,33 +309,19 @@ def greedy_expand(theta: Fraction, n_terms: int) -> WeakGreedyRun:
 def recover_shadow(b: Sequence[int], theta: Fraction) -> ShadowReplay:
     """Replay a denominator list against theta and recover the shadows.
 
-    Weakness failures (b_n below the recovered shadow) are reported via
-    ``first_weak_violation``; they do not abort the replay on their own.
-    The replay does abort, with ReplayOverrunError, as soon as the running
-    residual is no longer positive, because no shadow exists there.
+    Every b_n must be a positive integer; the whole list is checked before
+    the replay starts. Weakness failures (b_n below the recovered shadow)
+    are reported via ``first_weak_violation`` and do not abort the replay;
+    a residual that is no longer positive aborts it (ReplayOverrunError).
     """
-    theta = Fraction(theta)
-    if not 0 < theta <= 1:
-        raise ValueError(f"target must lie in (0, 1], got {theta}")
-    shadows: list[int] = []
-    residuals: list[Fraction] = []
-    violation: Optional[int] = None
-    r = theta
     for n, b_n in enumerate(b, start=1):
-        if isinstance(b_n, bool) or not isinstance(b_n, int):
+        if isinstance(b_n, bool) or not isinstance(b_n, int) or b_n < 1:
             raise ValueError(
-                f"denominators must be integers, got {b_n!r} at {n}")
-        if b_n < 1:
-            raise ValueError(f"denominators must be positive, got {b_n} at {n}")
-        if r <= 0:
-            raise ReplayOverrunError(n)
-        a_n = greedy_denominator(r)
-        if violation is None and b_n < a_n:
-            violation = n
-        r = _unit_step(r, a_n - 1, b_n)
-        shadows.append(a_n)
-        residuals.append(r)
-    return ShadowReplay(a=tuple(shadows), residuals=tuple(residuals),
+                f"denominators must be positive integers, got {b_n!r} at {n}")
+    a, _, residuals = _walk(theta, len(b), lambda n, a_n: b[n - 1])
+    violation = next((n for n, (a_n, b_n) in enumerate(zip(a, b), start=1)
+                      if b_n < a_n), None)
+    return ShadowReplay(a=a, residuals=residuals,
                         first_weak_violation=violation)
 
 

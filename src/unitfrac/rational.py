@@ -34,6 +34,14 @@ def parse_rational(text: str) -> Fraction:
     return Fraction(num, den)
 
 
+def exact(x) -> Fraction:
+    """x as a Fraction. Floats and bools are refused: Fraction(0.1) is the
+    binary value of the float, not 1/10, and Fraction(True) is 1."""
+    if isinstance(x, (float, bool)):
+        raise ValueError(f"need an exact rational, got {x!r}")
+    return Fraction(x)
+
+
 def format_rational(x: Fraction) -> str:
     """Serialize as "P/Q", reduced, with Q >= 1. Integers render as "P/1"."""
     x = Fraction(x)

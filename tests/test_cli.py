@@ -42,10 +42,10 @@ def child_env(extra=None) -> dict:
     return env
 
 
-def run_cli(*args, env_extra=None):
+def run_cli(*args):
     return subprocess.run(
         [sys.executable, "-m", "unitfrac.cli", *args],
-        capture_output=True, text=True, env=child_env(env_extra))
+        capture_output=True, text=True, env=child_env())
 
 
 def write_lines(path, values):
@@ -91,9 +91,10 @@ def test_expand_table_deterministic():
 
 
 def test_expand_term_cap_env():
-    proc = run_cli("expand", "--theta", "2/3", "--terms", "10",
-                   env_extra={"UNITFRAC_MAX_TERMS": "5"})
+    proc = run_cli("expand", "--theta", "2/3", "--terms", "10001")
     assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "10000" in proc.stderr
 
 
 # ------------------------------------------------------------------ verify
@@ -172,6 +173,16 @@ def test_verify_rejects_malformed_files(tmp_path, content):
     path.write_text(content)
     proc = run_cli("verify", "--b-file", str(path), "--theta", "1/2")
     assert proc.returncode == 2
+
+
+def test_verify_rejects_nonpositive_denominator_before_replay(tmp_path):
+    # the partial sums pass 2/3 at index 3, but the 0 at index 4 is
+    # malformed input and is reported first
+    b_file = write_lines(tmp_path / "b.txt", [2, 2, 7, 0])
+    proc = run_cli("verify", "--b-file", b_file, "--theta", "2/3")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "at 4" in proc.stderr
 
 
 def test_verify_missing_file():

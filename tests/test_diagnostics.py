@@ -198,6 +198,11 @@ def test_classify_validation():
         classify((), ())
     with pytest.raises(ValueError):
         classify((2, 0, 3), (2, 1, 3))
+    with pytest.raises(ValueError, match="at least 1"):
+        classify((2, 3), (2, 3), t_grid=(F(1, 2),))
+    for inexact in (1.5, True):
+        with pytest.raises(ValueError, match="exact rational"):
+            classify((2, 3), (2, 3), t_grid=(inexact,))
 
 
 def test_report_json():
@@ -239,3 +244,8 @@ def test_shadow_bound_quadratic():
 def test_shadow_bound_requires_gap():
     with pytest.raises(ValueError):
         shadow_bound_from_gap([2], F(1, 2), F(1, 2))
+    # each would leave a gap of 1/8 or more if it were converted
+    for theta, tail in ((0.75, F(1, 8)), (True, F(1, 8)),
+                        (F(3, 4), 0.125), (F(3, 4), False)):
+        with pytest.raises(ValueError, match="exact rational"):
+            shadow_bound_from_gap([2], theta, tail)

@@ -23,7 +23,6 @@ from unitfrac.greedy import (
     admissible_endpoints,
     bracket_misses,
     greedy_expand,
-    max_terms,
     recover_shadow,
     telescoping_endpoints,
     wgaa_expand,
@@ -116,6 +115,12 @@ def test_theta_domain_errors():
     for bad in (Fraction(0), Fraction(-1, 2), Fraction(5, 4)):
         with pytest.raises(ValueError):
             greedy_expand(bad, 2)
+    # 0.1 would expand as 3602879701896397/2**55 and True as 1
+    for inexact in (0.1, 0.5, True):
+        with pytest.raises(ValueError, match="exact rational"):
+            greedy_expand(inexact, 2)
+        with pytest.raises(ValueError, match="exact rational"):
+            recover_shadow([3], inexact)
 
 
 def test_explicit_below_shadow_is_policy_violation():
@@ -138,21 +143,19 @@ def test_recover_shadow_weakness_report_and_overrun():
 
 
 @pytest.mark.parametrize("b, index", [
-    ([2.9, 7.5], 1), ([2, True], 2), ([2, 7, Fraction(50)], 3), (["3"], 1)])
+    ([2.9, 7.5], 1), ([2, True], 2), ([2, 7, Fraction(50)], 3), (["3"], 1),
+    ([2, 2, 7, 0], 4)])
 def test_recover_shadow_rejects_non_integers(b, index):
-    # int() would truncate 2.9 to 2 and replay a list that was not given
+    # int() would truncate 2.9 to 2 and replay a list that was not given;
+    # the whole list is checked first, so [2, 2, 7, 0] fails at the 0
+    # before its partial sums pass 2/3 at index 3
     with pytest.raises(ValueError, match=f"at {index}$"):
         recover_shadow(b, Fraction(2, 3))
 
 
-def test_term_cap_default_and_env(monkeypatch):
-    assert max_terms() == 10**4
-    with pytest.raises(ValueError):
+def test_term_cap_default_and_env():
+    with pytest.raises(ValueError, match="10000"):
         greedy_expand(Fraction(2, 3), 10**4 + 1)
-    monkeypatch.setenv("UNITFRAC_MAX_TERMS", "10")
-    assert max_terms() == 10
-    with pytest.raises(ValueError):
-        greedy_expand(Fraction(2, 3), 11)
     run = greedy_expand(Fraction(355, 452), 4)
     assert len(run.b) == 4
 
@@ -266,6 +269,9 @@ def test_policy_serialization_round_trip():
                                    "explicit-b": [3]})
     with pytest.raises(ValueError):
         WgaaPolicy(t=Fraction(1, 2))
+    for inexact in (1.1, True):
+        with pytest.raises(ValueError, match="exact rational"):
+            WgaaPolicy(t=inexact)
     with pytest.raises(ValueError):
         WgaaPolicy(selection="nope")
 

@@ -2,7 +2,8 @@
 
 A deletion elsewhere can leave an import behind that nothing uses; this
 scan finds it.  Names listed in ``__all__`` count as read, since they are
-imported to be exported.
+imported to be exported.  A second scan checks that the package reads no
+environment variable: its settings come from arguments only.
 """
 from __future__ import annotations
 
@@ -50,3 +51,21 @@ def test_no_unused_imports():
                        for name, line in imported_names(tree).items()
                        if name not in read]
     assert unused == []
+
+
+def test_package_reads_no_environment():
+    env_names = {"environ", "getenv"}
+    reads = []
+    for path in sorted((REPO / "src/unitfrac").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Attribute):
+                hit = (isinstance(node.value, ast.Name)
+                       and node.value.id == "os" and node.attr in env_names)
+            elif isinstance(node, ast.ImportFrom):
+                hit = node.module == "os" and any(
+                    alias.name in env_names for alias in node.names)
+            else:
+                hit = False
+            if hit:
+                reads.append(f"{path.relative_to(REPO)}:{node.lineno}")
+    assert reads == []
