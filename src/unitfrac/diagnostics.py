@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .greedy import WeakGreedyRun
+from .greedy import WeakGreedyRun, _check_denominators
 from .rational import exact, format_rational, greedy_denominator
 
 DEFAULT_T_GRID = (Fraction(1), Fraction(3, 2), Fraction(2), Fraction(3),
@@ -24,6 +24,9 @@ DEFAULT_T_GRID = (Fraction(1), Fraction(3, 2), Fraction(2), Fraction(3),
 
 _SHORT_RUN = 8
 _RATIO_SAMPLE_COUNT = 8
+
+_K = 64
+"""Leading bits of each factor that ``_product_gap_below`` multiplies."""
 
 
 @dataclass(frozen=True)
@@ -44,19 +47,56 @@ class GreedyGrowthCheck:
     holds: bool
 
 
+def _product_bounds(u: int, v: int) -> tuple[int, int, int]:
+    """(lo, hi, e) with lo*2**e <= u*v <= hi*2**e, from the top _K bits."""
+    eu = max(u.bit_length() - _K, 0)
+    ev = max(v.bit_length() - _K, 0)
+    mu, mv = u >> eu, v >> ev
+    return mu * mv, (mu + (eu > 0)) * (mv + (ev > 0)), eu + ev
+
+
+def _product_gap_below(u1: int, v1: int, u2: int, v2: int, c: int) -> bool:
+    """Decide u1*v1 - u2*v2 < c exactly, for positive u1, v1, u2, v2, c.
+
+    Each factor is cut to its top _K bits (``_product_bounds``): a factor
+    of at most _K bits is kept whole, and a longer one x = m*2**e + r, with
+    0 <= r < 2**e and 2**(_K-1) <= m < 2**_K, lies in [m*2**e, (m+1)*2**e].
+    So each product u*v lies in [lo*2**e, hi*2**e], where lo and hi are the
+    products of the cut factors' ends and e is the sum of their shifts, and
+    hi/lo <= (1 + 2**(1-_K))**2 < 1 + 2**(3-_K). Those bounds give one
+    interval for the difference, less than 2**(3-_K)*(u1*v1 + u2*v2) wide,
+    and the verdict comes from it unless c lies inside it; only then are
+    the two exact products formed. With every factor of at most _K bits
+    the interval is the difference itself. The ends are built at the
+    smaller shift, so they cost shifts and subtractions linear in the
+    operands' length instead of two long products.
+    """
+    lo1, hi1, e1 = _product_bounds(u1, v1)
+    lo2, hi2, e2 = _product_bounds(u2, v2)
+    e = min(e1, e2)
+    c_units = -(-c >> e)  # the least integer n with n*2**e >= c
+    if (hi1 << e1 - e) - (lo2 << e2 - e) < c_units:
+        return True
+    if (lo1 << e1 - e) - (hi2 << e2 - e) >= c_units:
+        return False
+    return u1 * v1 - u2 * v2 < c
+
+
 def scaled_run_ratio_checks(run: WeakGreedyRun) -> list[RatioCheck]:
     """Evaluate the ceil-t-a growth bounds along a run.
 
     With t = tn/td the bounds are 1/a' < ((t-1)a + 2) / ((ta + 1)(a - 1))
     and a'/a < t/(t-1) + 1/a, for a = a_n and a' = a_{n+1}. Both are
-    checked cleared of denominators, as integer inequalities.
+    checked cleared of denominators, as integer inequalities. The lower
+    one, a(tn a + td - tn) - a'((tn - td)a + 2td) < td, goes to
+    ``_product_gap_below``, which rarely needs its long products.
     """
     tn, td = run.policy.t.numerator, run.policy.t.denominator
     checks = []
     for i in range(len(run.a) - 1):
         a, a_next = run.a[i], run.a[i + 1]
-        lower = (tn * (a * a) + (td - tn) * a - td
-                 < a_next * ((tn - td) * a + 2 * td))
+        lower = _product_gap_below(a, tn * a + td - tn,
+                                   a_next, (tn - td) * a + 2 * td, td)
         if tn == td:
             upper: Optional[bool] = None
         else:
@@ -161,8 +201,11 @@ def shadow_bound_from_gap(b_prefix, theta: Fraction,
     If the full series is at most (prefix sum + tail_upper) and that
     still falls short of theta by a gap c > 0, every residual along the
     expansion stays at least c, so no shadow value can exceed the greedy
-    denominator of c.  Returns (c, bound).
+    denominator of c.  Every b_n must be a positive integer.  Returns
+    (c, bound).
     """
+    b_prefix = tuple(b_prefix)
+    _check_denominators(b_prefix)
     theta = exact(theta)
     tail_upper = exact(tail_upper)
     if tail_upper < 0:

@@ -81,7 +81,8 @@ class IndexSet:
         if self.kind not in ("all", "finite", "cofinite", "periodic"):
             raise ValueError(f"unknown index set kind: {self.kind!r}")
         if self.kind == "periodic":
-            if self.period < 1:
+            if (isinstance(self.period, bool)
+                    or not isinstance(self.period, int) or self.period < 1):
                 raise ValueError("period must be a positive integer")
             if not self.residues:
                 raise ValueError("periodic index set needs at least one residue")
@@ -94,16 +95,16 @@ class IndexSet:
 
     @classmethod
     def finite(cls, members: Iterable[int]) -> "IndexSet":
-        return cls("finite", members=frozenset(int(m) for m in members))
+        return cls("finite", members=_int_set(members, "members"))
 
     @classmethod
     def cofinite(cls, excluded: Iterable[int]) -> "IndexSet":
-        return cls("cofinite", members=frozenset(int(m) for m in excluded))
+        return cls("cofinite", members=_int_set(excluded, "members"))
 
     @classmethod
     def periodic(cls, period: int, residues: Iterable[int]) -> "IndexSet":
         return cls("periodic", period=period,
-                   residues=frozenset(int(r) for r in residues))
+                   residues=_int_set(residues, "residues"))
 
     def contains(self, n: int) -> bool:
         if self.kind == "all":
@@ -141,6 +142,16 @@ class IndexSet:
         except ValueError as exc:
             raise ValueError(f"bad index set spec {text!r}: {exc}") from exc
         raise ValueError(f"bad index set spec {text!r}")
+
+
+def _int_set(values: Iterable[int], what: str) -> frozenset:
+    """The values as a set, refusing bool and non-int ones, which int()
+    would truncate and which True == 1 would let merge."""
+    values = tuple(values)
+    for v in values:
+        if isinstance(v, bool) or not isinstance(v, int):
+            raise ValueError(f"index set {what} must be integers, got {v!r}")
+    return frozenset(values)
 
 
 def _int_list(text: str) -> list[int]:
@@ -306,6 +317,14 @@ def greedy_expand(theta: Fraction, n_terms: int) -> WeakGreedyRun:
     return wgaa_expand(theta, WgaaPolicy.greedy(), n_terms)
 
 
+def _check_denominators(b: Sequence[int]) -> None:
+    """Refuse a bool, a non-int or a value below 1, naming its index n."""
+    for n, b_n in enumerate(b, start=1):
+        if isinstance(b_n, bool) or not isinstance(b_n, int) or b_n < 1:
+            raise ValueError(
+                f"denominators must be positive integers, got {b_n!r} at {n}")
+
+
 def recover_shadow(b: Sequence[int], theta: Fraction) -> ShadowReplay:
     """Replay a denominator list against theta and recover the shadows.
 
@@ -314,10 +333,7 @@ def recover_shadow(b: Sequence[int], theta: Fraction) -> ShadowReplay:
     are reported via ``first_weak_violation`` and do not abort the replay;
     a residual that is no longer positive aborts it (ReplayOverrunError).
     """
-    for n, b_n in enumerate(b, start=1):
-        if isinstance(b_n, bool) or not isinstance(b_n, int) or b_n < 1:
-            raise ValueError(
-                f"denominators must be positive integers, got {b_n!r} at {n}")
+    _check_denominators(b)
     a, _, residuals = _walk(theta, len(b), lambda n, a_n: b[n - 1])
     violation = next((n for n, (a_n, b_n) in enumerate(zip(a, b), start=1)
                       if b_n < a_n), None)

@@ -13,8 +13,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from unitfrac.diagnostics import (
+    _K,
     DEFAULT_T_GRID,
     ClassificationReport,
+    _product_bounds,
+    _product_gap_below,
     classify,
     greedy_ratio_checks,
     scaled_run_ratio_checks,
@@ -105,6 +108,94 @@ def test_ratio_checks_match_forms_on_a_grid():
        st.sampled_from(RATIO_TS))
 def test_ratio_checks_match_forms(a_cur, gap, t):
     assert_checks_match_forms(a_cur, a_cur + gap, t)
+
+
+# ------------------------------------------------ products decided by size
+
+def bounds_straddle(u1, v1, u2, v2, c):
+    """True when the top-bit bounds leave u1*v1 - u2*v2 < c open."""
+    lo1, hi1, e1 = _product_bounds(u1, v1)
+    lo2, hi2, e2 = _product_bounds(u2, v2)
+    return (lo1 << e1) - (hi2 << e2) < c <= (hi1 << e1) - (lo2 << e2)
+
+
+def test_product_bounds_enclose_the_product():
+    for u, v in ((1, 1), (2**64 - 1, 2**64 - 1), (2**64, 3),
+                 (2**64 + 1, 2**64 + 1), (3**200, 5**150), (2**500 - 1, 7)):
+        lo, hi, e = _product_bounds(u, v)
+        assert lo << e <= u * v <= hi << e
+        if max(u, v).bit_length() <= _K:
+            assert (lo, hi, e) == (u * v, u * v, 0)
+
+
+def test_product_gap_near_ties_fall_back_to_exact():
+    # m*m - (m-1)(m+1) = 1 and its scaled forms: the difference is tiny
+    # beside products of 400 bits and more, so only the exact products
+    # can tell 1 < c from 1 >= c
+    for m in (2**200, 3**130 + 1, 2**256 - 1):
+        for k in (1, 7, 2**70 + 1):
+            u1, v1, u2, v2 = k * m, m, k * (m - 1), m + 1
+            diff = u1 * v1 - u2 * v2
+            assert diff == k
+            for c, below in ((k, False), (k + 1, True)):
+                assert bounds_straddle(u1, v1, u2, v2, c)
+                assert _product_gap_below(u1, v1, u2, v2, c) is below
+                assert _product_gap_below(v1, u1, v2, u2, c) is below
+
+
+def test_lower_ratio_check_at_its_edge_on_long_operands():
+    # the least a' with the lower bound holding, and the one below it,
+    # for a >= 2**200: both reach the exact products
+    for a_cur in (2**200 + 3, 3**150, 2**300 - 1):
+        for t in RATIO_TS:
+            tn, td = t.numerator, t.denominator
+            left = tn * a_cur * a_cur + (td - tn) * a_cur - td
+            right = (tn - td) * a_cur + 2 * td
+            edge = left // right + 1
+            for a_next, holds in ((edge, True), (edge - 1, False)):
+                assert bounds_straddle(a_cur, tn * a_cur + td - tn,
+                                       a_next, right, td)
+                chk = assert_checks_match_forms(a_cur, a_next, t)
+                assert chk.lower_holds is holds
+
+
+def test_product_gap_far_apart_shifts():
+    big, small = 2**5000 + 12345, 3**40
+    # one product dwarfs the other, whichever side holds the long factor
+    assert _product_gap_below(3, big, small, 5, 1) is False
+    assert _product_gap_below(small, 5, big, 3, 1) is True
+    assert _product_gap_below(big, big, 2**70 + 1, 1, 2**64) is False
+    assert _product_gap_below(1, 1, big, 7 * big, 1) is True
+    # a c as long as the products themselves
+    p = big * 3
+    assert _product_gap_below(big, 3, small, 5, p) is True
+    assert _product_gap_below(big, 3, 1, 1, p - 1) is False
+    assert _product_gap_below(big, 3, 1, 1, p) is True
+
+
+def test_product_gap_exact_on_small_operands():
+    # factors of at most _K bits are kept whole: the verdict never needs
+    # the fallback, and it is exact at every offset around the tie
+    for u1, v1, u2, v2 in ((1, 1, 1, 1), (2**64 - 1, 2**64 - 1, 2**64 - 2, 2**64),
+                           (12345, 678, 910, 1112), (2**63 + 5, 3, 2**62, 6)):
+        diff = u1 * v1 - u2 * v2
+        for c in range(max(1, diff - 3), max(1, diff + 4)):
+            assert _product_gap_below(u1, v1, u2, v2, c) is (diff < c)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(2, 2**400), st.integers(1, 2**20), st.integers(1, 2**20),
+       st.integers(0, 8), st.integers(0, 8), st.integers(-3, 3),
+       st.booleans())
+def test_product_gap_matches_plain_near_ties(s, i, j, r1, r2, offset, swap):
+    # u1*v1 - u2*v2 = i*r2 - j*r1 + i*j, a few dozen bits beside products
+    # of up to 840 bits, and c is drawn within 3 of it
+    u1, v1 = i * s + r1, j * s + r2
+    u2, v2 = u1 - i, v1 + j
+    if swap:
+        u1, v1, u2, v2 = v2, u2, v1, u1
+    c = max(1, u1 * v1 - u2 * v2 + offset)
+    assert _product_gap_below(u1, v1, u2, v2, c) is (u1 * v1 - u2 * v2 < c)
 
 
 @settings(max_examples=200, deadline=None)
@@ -249,3 +340,12 @@ def test_shadow_bound_requires_gap():
                         (F(3, 4), 0.125), (F(3, 4), False)):
         with pytest.raises(ValueError, match="exact rational"):
             shadow_bound_from_gap([2], theta, tail)
+
+
+@pytest.mark.parametrize("b_prefix, index", [([0], 1), ([2.5], 1),
+                                             ([True, 4], 1), ([4, 8, 0], 3)])
+def test_shadow_bound_rejects_non_denominators(b_prefix, index):
+    # [0] used to divide by zero, [2.5] to raise TypeError and [True, 4]
+    # to be summed as [1, 4]
+    with pytest.raises(ValueError, match=f"positive integers, .* at {index}$"):
+        shadow_bound_from_gap(b_prefix, F(3, 4), F(1, 8))

@@ -257,6 +257,21 @@ def test_index_set_validation():
         IndexSet.parse("junk:1")
 
 
+@pytest.mark.parametrize("make", [
+    lambda: IndexSet.finite({1.5, True}),
+    lambda: IndexSet.finite([3, 2.0]),
+    lambda: IndexSet.cofinite([True]),
+    lambda: IndexSet.periodic(3, {0, 1.0}),
+    lambda: IndexSet.periodic(3, [False]),
+    lambda: IndexSet.periodic(2.5, {0}),
+    lambda: IndexSet.periodic(True, {0}),
+])
+def test_index_set_rejects_non_integers(make):
+    # int() would turn {1.5, True} into {1}, and True == 1 would merge
+    with pytest.raises(ValueError, match="integer"):
+        make()
+
+
 def test_policy_serialization_round_trip():
     pol = WgaaPolicy(t=Fraction(3, 2), lam=IndexSet.periodic(2, {0}),
                      selection="ceil-t-a")
