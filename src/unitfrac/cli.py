@@ -19,7 +19,7 @@ import sys
 from collections import Counter
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
-from .construct import TargetSequence, construct
+from .construct import ConstructionError, TargetSequence, construct
 from .diagnostics import DEFAULT_T_GRID, classify
 from .families import parse_family_spec, theta_partial
 from .greedy import (
@@ -30,7 +30,7 @@ from .greedy import (
     recover_shadow,
     wgaa_expand,
 )
-from .rational import format_rational, parse_rational
+from .rational import format_rational, parse_int, parse_rational, positive_int
 from .uniqueness import (
     CensusRow,
     necessary_uniqueness,
@@ -52,21 +52,18 @@ _CSV_PIECE_ROWS = 256
 
 
 def _read_sequence_file(path: str) -> list[int]:
-    """One decimal integer per line; blank or non-integer lines reject."""
+    """One ``parse_int`` integer per line; any other line rejects."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
             text = handle.read()
     except OSError as exc:
         raise ValueError(f"cannot read {path}: {exc}")
     values = []
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.strip()
-        if not line:
-            raise ValueError(f"{path}:{lineno}: blank line")
+    for lineno, line in enumerate(text.splitlines(), 1):
         try:
-            values.append(int(line))
-        except ValueError:
-            raise ValueError(f"{path}:{lineno}: not an integer: {line!r}")
+            values.append(parse_int(line))
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: {exc}") from None
     if not values:
         raise ValueError(f"{path}: empty sequence file")
     return values
@@ -306,8 +303,7 @@ def _cmd_unique(args) -> Report:
 
 def _cmd_family(args) -> Report:
     family = parse_family_spec(args.spec)
-    if args.terms < 1:
-        raise ValueError("need at least one term")
+    positive_int(args.terms, "--terms")
     # one target past the last term closes the last bracket
     a_vals = [family.a(n) for n in range(1, args.terms + 2)]
     b_vals = [family.b(n) for n in range(1, args.terms + 1)]
@@ -368,7 +364,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = commands.add_parser("expand", help="run a weak greedy expansion")
     p.add_argument("--theta", required=True, help="target in (0, 1], as P/Q")
-    p.add_argument("--terms", type=int, required=True)
+    p.add_argument("--terms", type=parse_int, required=True)
     p.add_argument("--t", default="1", help="weakness level, rational >= 1")
     p.add_argument("--lambda", dest="lam", default="all",
                    help="index set: all, set:..., cofinite:..., periodic:p:r")
@@ -396,7 +392,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="family spec, e.g. geometric:a=2,r=3")
     p.add_argument("--repeat-last-delta", action="store_true",
                    help="extend the file arithmetically past its end")
-    p.add_argument("--depth", type=int, required=True,
+    p.add_argument("--depth", type=parse_int, required=True,
                    help="number of strict target increases to process")
     _add_format(p)
     p.set_defaults(func=_cmd_construct)
@@ -404,18 +400,19 @@ def build_parser() -> argparse.ArgumentParser:
     p = commands.add_parser("unique",
                             help="forced-choice criteria and cross-checks")
     mode = p.add_mutually_exclusive_group(required=True)
-    mode.add_argument("--pair", nargs=2, type=int, metavar=("A", "A_NEXT"))
+    mode.add_argument("--pair", nargs=2, type=parse_int,
+                      metavar=("A", "A_NEXT"))
     mode.add_argument("--a-file")
-    mode.add_argument("--range", type=int,
+    mode.add_argument("--range", type=parse_int,
                       help="check all pairs up to this bound")
-    mode.add_argument("--sample", type=int, help="check random pairs")
-    p.add_argument("--seed", type=int, default=0)
+    mode.add_argument("--sample", type=parse_int, help="check random pairs")
+    p.add_argument("--seed", type=parse_int, default=0)
     _add_format(p)
     p.set_defaults(func=_cmd_unique)
 
     p = commands.add_parser("family", help="closed-form sequence families")
     p.add_argument("--spec", required=True)
-    p.add_argument("--terms", type=int, required=True)
+    p.add_argument("--terms", type=parse_int, required=True)
     p.add_argument("--theta-enclosure", action="store_true",
                    help="also bound the full series sum")
     _add_format(p)
@@ -444,7 +441,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return EXIT_PIPE_CLOSED
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, ConstructionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

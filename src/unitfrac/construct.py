@@ -28,7 +28,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterator, Optional
 
-from .rational import RationalInterval, format_rational, integer_bounds
+from .rational import (RationalInterval, format_rational, integer_bounds,
+                       positive_int, positive_ints)
 from .greedy import telescoping_endpoints
 
 
@@ -59,7 +60,7 @@ class TargetSequence:
     def from_explicit(cls, values, continue_rule: Optional[str] = None):
         """Wrap literal terms; continue_rule 'repeat-last-delta' extends
         them arithmetically with the final difference."""
-        vals = tuple(values)
+        vals = positive_ints(values, "target")
         if not vals:
             raise InvalidSequence("no terms given")
         delta = None
@@ -83,19 +84,15 @@ class TargetSequence:
         return cls(family.a)
 
     def term(self, n: int) -> int:
-        if n < 1:
-            raise ValueError("indices start at 1")
+        positive_int(n, "n")
         while len(self._cache) < n:
             k = len(self._cache) + 1
-            value = self._fn(k)
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise InvalidSequence(f"term {k} is not an integer")
-            if k == 1:
-                if value < 2:
-                    raise InvalidSequence("first target must be at least 2")
-            elif value < self._cache[-1]:
-                raise InvalidSequence(f"targets decrease at index {k}")
-            self._cache.append(value)
+            least = self._cache[-1] if self._cache else 2
+            value = self._fn(k)  # may raise DepthExhausted, a ValueError
+            try:
+                self._cache.append(positive_int(value, "target", least))
+            except ValueError as exc:
+                raise InvalidSequence(f"{exc} at {k}") from None
         return self._cache[n - 1]
 
     def prefix(self, n: int) -> tuple[int, ...]:
@@ -178,8 +175,7 @@ def construct(seq: TargetSequence, depth: int) -> ConstructionResult:
     located to anchor the tail, so depth+1 strict increases must occur
     within the scan horizon of 64*(depth+1) + 1024 indices.
     """
-    if depth < 1:
-        raise ValueError("depth must be positive")
+    positive_int(depth, "depth")
     horizon = 64 * (depth + 1) + 1024
 
     # stop at the (depth+1)-th jump: targets past it are never evaluated

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .greedy import WeakGreedyRun, _check_denominators
-from .rational import exact, format_rational, greedy_denominator
+from .greedy import WeakGreedyRun
+from .rational import exact, format_rational, greedy_denominator, positive_ints
 
 DEFAULT_T_GRID = (Fraction(1), Fraction(3, 2), Fraction(2), Fraction(3),
                   Fraction(5), Fraction(10))
@@ -143,13 +143,10 @@ def classify(a, b, t_grid=DEFAULT_T_GRID,
 
     A declared ``family`` settles persistent witnesses by its ratio limit.
     """
-    a = tuple(a)
-    b = tuple(b)
+    a = positive_ints(a, "a")
+    b = positive_ints(b, "b")
     if not a or len(a) != len(b):
         raise ValueError("need equal-length nonempty sequences")
-    for x in a + b:
-        if isinstance(x, bool) or not isinstance(x, int) or x < 1:
-            raise ValueError("terms must be positive integers")
     n = len(a)
     half_start = n // 2 + 1
 
@@ -204,8 +201,7 @@ def shadow_bound_from_gap(b_prefix, theta: Fraction,
     denominator of c.  Every b_n must be a positive integer.  Returns
     (c, bound).
     """
-    b_prefix = tuple(b_prefix)
-    _check_denominators(b_prefix)
+    b_prefix = positive_ints(b_prefix, "denominator")
     theta = exact(theta)
     tail_upper = exact(tail_upper)
     if tail_upper < 0:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .greedy import bracket_misses
-from .rational import RationalInterval
+from .rational import RationalInterval, positive_int
 
 # fixed-point scale for certified partial sums; error per term is 2**-96
 _SCALE = 2**96
@@ -27,8 +27,7 @@ def fibonacci_number(k: int) -> int:
     F_{2m+1} = F_m^2 + F_{m+1}^2, then steps once more on a 1 bit:
     O(log k) multiplications.
     """
-    if k < 0:
-        raise ValueError("negative index")
+    positive_int(k, "k", 0)
     f, g = 0, 1
     for bit in format(k, "b"):
         f, g = f * (2 * g - f), f * f + g * g
@@ -76,10 +75,8 @@ class GeometricFamily(SequenceFamily):
     r: int
 
     def __post_init__(self):
-        if self.a0 < 2:
-            raise ValueError("a0 must be at least 2")
-        if self.r < 2:
-            raise ValueError("ratio must be at least 2")
+        positive_int(self.a0, "a0", 2)
+        positive_int(self.r, "r", 2)
 
     def a(self, n: int) -> int:
         return self.a0 * self.r ** (n - 1)
@@ -120,10 +117,8 @@ class ArithmeticFamily(SequenceFamily):
     d: int
 
     def __post_init__(self):
-        if self.a0 < 2:
-            raise ValueError("a0 must be at least 2")
-        if self.d < 1:
-            raise ValueError("step must be positive")
+        positive_int(self.a0, "a0", 2)
+        positive_int(self.d, "d")
 
     def a(self, n: int) -> int:
         return self.a0 + (n - 1) * self.d
@@ -195,6 +190,7 @@ def bracket_failures(family: SequenceFamily, horizon: int) -> list[int]:
     Indices with a(n) < 2, such as the Fibonacci a_1 = 1, have no bracket
     and are skipped.
     """
+    positive_int(horizon, "horizon")
     a = [family.a(n) for n in range(1, horizon + 2)]
     b = [family.b(n) for n in range(1, horizon + 1)]
     return bracket_misses(a, b)
@@ -208,8 +204,7 @@ def theta_partial(family: SequenceFamily, n_terms: int) -> RationalInterval:
     rest.  The result is exact arithmetic end to end: the true series sum
     lies strictly inside the returned interval.
     """
-    if n_terms < 1:
-        raise ValueError("need at least one term")
+    positive_int(n_terms, "n_terms")
     lo_acc = 0
     hi_acc = 0
     for n in range(1, n_terms + 1):
@@ -222,18 +217,18 @@ def theta_partial(family: SequenceFamily, n_terms: int) -> RationalInterval:
     return RationalInterval(lo, hi)
 
 
-_GEOMETRIC_RE = re.compile(r"^geometric:a=(\d+),r=(\d+)$")
-_ARITHMETIC_RE = re.compile(r"^arithmetic:a=(\d+),d=(\d+)$")
+_GEOMETRIC_RE = re.compile("geometric:a=([0-9]+),r=([0-9]+)")
+_ARITHMETIC_RE = re.compile("arithmetic:a=([0-9]+),d=([0-9]+)")
 
 
 def parse_family_spec(text: str) -> SequenceFamily:
     """Parse 'geometric:a=2,r=3', 'arithmetic:a=2,d=1', or 'fibonacci'."""
     if text == "fibonacci":
         return FibonacciFamily()
-    m = _GEOMETRIC_RE.match(text)
+    m = _GEOMETRIC_RE.fullmatch(text)
     if m:
         return GeometricFamily(int(m.group(1)), int(m.group(2)))
-    m = _ARITHMETIC_RE.match(text)
+    m = _ARITHMETIC_RE.fullmatch(text)
     if m:
         return ArithmeticFamily(int(m.group(1)), int(m.group(2)))
     raise ValueError(f"unrecognized family spec: {text!r}")

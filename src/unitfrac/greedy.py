@@ -35,7 +35,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Optional, Sequence
 
-from .rational import exact, format_rational, parse_rational
+from .rational import (exact, format_rational, parse_int, parse_rational,
+                       positive_int, positive_ints)
 
 _MAX_TERMS = 10**4
 
@@ -80,10 +81,13 @@ class IndexSet:
     def __post_init__(self) -> None:
         if self.kind not in ("all", "finite", "cofinite", "periodic"):
             raise ValueError(f"unknown index set kind: {self.kind!r}")
+        # checked before the sets are built, where True == 1 would merge
+        object.__setattr__(self, "members", frozenset(
+            positive_ints(self.members, "member")))
+        object.__setattr__(self, "residues", frozenset(
+            positive_ints(self.residues, "residue", 0)))
         if self.kind == "periodic":
-            if (isinstance(self.period, bool)
-                    or not isinstance(self.period, int) or self.period < 1):
-                raise ValueError("period must be a positive integer")
+            positive_int(self.period, "period")
             if not self.residues:
                 raise ValueError("periodic index set needs at least one residue")
             if any(not 0 <= r < self.period for r in self.residues):
@@ -95,16 +99,15 @@ class IndexSet:
 
     @classmethod
     def finite(cls, members: Iterable[int]) -> "IndexSet":
-        return cls("finite", members=_int_set(members, "members"))
+        return cls("finite", members=members)
 
     @classmethod
     def cofinite(cls, excluded: Iterable[int]) -> "IndexSet":
-        return cls("cofinite", members=_int_set(excluded, "members"))
+        return cls("cofinite", members=excluded)
 
     @classmethod
     def periodic(cls, period: int, residues: Iterable[int]) -> "IndexSet":
-        return cls("periodic", period=period,
-                   residues=_int_set(residues, "residues"))
+        return cls("periodic", period=period, residues=residues)
 
     def contains(self, n: int) -> bool:
         if self.kind == "all":
@@ -131,34 +134,20 @@ class IndexSet:
         if text == "all":
             return cls.all()
         head, _, rest = text.partition(":")
+        if head == "periodic":
+            period_text, _, rest = rest.partition(":")
         try:
+            values = [parse_int(part) for part in rest.split(",")
+                      if rest.strip()]
             if head == "set":
-                return cls.finite(_int_list(rest))
+                return cls.finite(values)
             if head == "cofinite":
-                return cls.cofinite(_int_list(rest))
+                return cls.cofinite(values)
             if head == "periodic":
-                period_text, _, residues_text = rest.partition(":")
-                return cls.periodic(int(period_text), _int_list(residues_text))
+                return cls.periodic(parse_int(period_text), values)
         except ValueError as exc:
             raise ValueError(f"bad index set spec {text!r}: {exc}") from exc
         raise ValueError(f"bad index set spec {text!r}")
-
-
-def _int_set(values: Iterable[int], what: str) -> frozenset:
-    """The values as a set, refusing bool and non-int ones, which int()
-    would truncate and which True == 1 would let merge."""
-    values = tuple(values)
-    for v in values:
-        if isinstance(v, bool) or not isinstance(v, int):
-            raise ValueError(f"index set {what} must be integers, got {v!r}")
-    return frozenset(values)
-
-
-def _int_list(text: str) -> list[int]:
-    text = text.strip()
-    if not text:
-        return []
-    return [int(part) for part in text.split(",")]
 
 
 @dataclass(frozen=True)
@@ -183,6 +172,8 @@ class WgaaPolicy:
         object.__setattr__(self, "t", exact(self.t))
         if self.t < 1:
             raise ValueError(f"scale factor t must be >= 1, got {self.t}")
+        if not isinstance(self.lam, IndexSet):
+            raise ValueError(f"lam must be an IndexSet, got {self.lam!r}")
         if self.selection not in _SELECTIONS:
             raise ValueError(f"unknown selection rule: {self.selection!r}")
 
@@ -302,9 +293,8 @@ def wgaa_expand(theta: Fraction, policy: WgaaPolicy, n_terms: int,
     policy, which is the right convention for fixed-length approximations:
     the last term has no successor to leave room for.
     """
-    if not 1 <= n_terms <= _MAX_TERMS:
-        raise ValueError(
-            f"need between 1 and {_MAX_TERMS} terms, got {n_terms}")
+    if positive_int(n_terms, "n_terms") > _MAX_TERMS:
+        raise ValueError(f"need at most {_MAX_TERMS} terms, got {n_terms}")
     a, b, residuals = _walk(
         theta, n_terms, lambda n, a_n: a_n if last_greedy and n == n_terms
         else _select_b(policy, n, a_n))
@@ -317,14 +307,6 @@ def greedy_expand(theta: Fraction, n_terms: int) -> WeakGreedyRun:
     return wgaa_expand(theta, WgaaPolicy.greedy(), n_terms)
 
 
-def _check_denominators(b: Sequence[int]) -> None:
-    """Refuse a bool, a non-int or a value below 1, naming its index n."""
-    for n, b_n in enumerate(b, start=1):
-        if isinstance(b_n, bool) or not isinstance(b_n, int) or b_n < 1:
-            raise ValueError(
-                f"denominators must be positive integers, got {b_n!r} at {n}")
-
-
 def recover_shadow(b: Sequence[int], theta: Fraction) -> ShadowReplay:
     """Replay a denominator list against theta and recover the shadows.
 
@@ -333,7 +315,7 @@ def recover_shadow(b: Sequence[int], theta: Fraction) -> ShadowReplay:
     are reported via ``first_weak_violation`` and do not abort the replay;
     a residual that is no longer positive aborts it (ReplayOverrunError).
     """
-    _check_denominators(b)
+    b = positive_ints(b, "denominator")
     a, _, residuals = _walk(theta, len(b), lambda n, a_n: b[n - 1])
     violation = next((n for n, (a_n, b_n) in enumerate(zip(a, b), start=1)
                       if b_n < a_n), None)
@@ -377,6 +359,8 @@ def bracket_misses(a: Sequence[int], b: Sequence[int]) -> list[int]:
     (a_n - 1)(a_{n+1} - 1) < b_n (a_{n+1} - a_n) < a_n a_{n+1}.
     Every other index is skipped, not reported.
     """
+    a = positive_ints(a, "a")
+    b = positive_ints(b, "b")
     misses = []
     for n in range(1, min(len(a) - 1, len(b)) + 1):
         a_cur, a_next = a[n - 1], a[n]

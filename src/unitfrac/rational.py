@@ -8,6 +8,13 @@ every emitted enclosure takes, and the integer window kernel
 ``integer_bounds``, which finds the integers between two integer ratios
 by floor division alone.
 
+It also holds the input contract of every entry point. ``positive_int``
+and, for lists, ``positive_ints`` refuse a bool, a non-``int`` or a value
+below the least one allowed, with a ValueError naming the argument and
+the 1-based list index. ``parse_int`` reads integer text as ASCII digits
+after an optional minus, surrounding whitespace stripped, and
+``parse_rational`` reads its numerator and denominator the same way.
+
 No floating point is used anywhere here; every comparison is exact.
 """
 from __future__ import annotations
@@ -16,7 +23,37 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-_RATIONAL_RE = re.compile(r"^(-?\d+)(?:/(-?\d+))?$")
+_INT = "-?[0-9]+"  # ASCII digits only: int() also takes "1_0", "+5", "٣"
+_INT_RE = re.compile(_INT)
+_RATIONAL_RE = re.compile(f"({_INT})(?:/({_INT}))?")
+
+
+def positive_int(x, what: str, least: int = 1) -> int:
+    """x if it is an int >= least, else a ValueError naming ``what``.
+    A bool is refused too: True would run as 1."""
+    if isinstance(x, bool) or not isinstance(x, int) or x < least:
+        raise ValueError(f"{what} must be an integer >= {least}, got {x!r}")
+    return x
+
+
+def positive_ints(values, what: str, least: int = 1) -> tuple:
+    """The values as a tuple, each checked by ``positive_int``; the error
+    ends with the 1-based index of the first bad value."""
+    values = tuple(values)
+    for n, x in enumerate(values, start=1):
+        try:
+            positive_int(x, what, least)
+        except ValueError as exc:
+            raise ValueError(f"{exc} at {n}") from None
+    return values
+
+
+def parse_int(text: str) -> int:
+    """ASCII digits after an optional minus, surrounding whitespace cut."""
+    digits = text.strip()
+    if not _INT_RE.fullmatch(digits):
+        raise ValueError(f"not an integer: {text!r}")
+    return int(digits)
 
 
 def parse_rational(text: str) -> Fraction:
@@ -24,7 +61,7 @@ def parse_rational(text: str) -> Fraction:
 
     Raises ValueError for anything else, including a zero denominator.
     """
-    m = _RATIONAL_RE.match(text.strip())
+    m = _RATIONAL_RE.fullmatch(text.strip())
     if not m:
         raise ValueError(f"not a rational literal: {text!r}")
     num = int(m.group(1))
@@ -55,7 +92,7 @@ def greedy_denominator(theta: Fraction) -> int:
     Fraction is always reduced with positive denominator, floor(1/theta) is
     one exact integer division.
     """
-    theta = Fraction(theta)
+    theta = exact(theta)
     if not 0 < theta <= 1:
         raise ValueError(f"target must lie in (0, 1], got {theta}")
     return theta.denominator // theta.numerator + 1
@@ -73,8 +110,8 @@ class RationalInterval:
     hi: Fraction
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "lo", Fraction(self.lo))
-        object.__setattr__(self, "hi", Fraction(self.hi))
+        object.__setattr__(self, "lo", exact(self.lo))
+        object.__setattr__(self, "hi", exact(self.hi))
         if self.lo >= self.hi:
             raise ValueError(f"empty interval: lo={self.lo} >= hi={self.hi}")
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Iterator, NamedTuple, Optional
 
 from .greedy import admissible_endpoints, telescoping_endpoints
-from .rational import integer_bounds
+from .rational import integer_bounds, positive_int
 
 # range of the random pairs behind `unique --sample`
 _SAMPLE_MAX_START = 50
@@ -50,10 +50,7 @@ class UniquenessVerdict:
 
 
 def _validate_pair(a: int, a_next: int) -> None:
-    if a < 2:
-        raise ValueError("a must be at least 2")
-    if a_next <= a:
-        raise ValueError("a_next must exceed a")
+    positive_int(a_next, "a_next", positive_int(a, "a", 2) + 1)
 
 
 # The criteria below take a pair already validated and return
@@ -188,8 +185,7 @@ def _row(a: int, a_next: int) -> CensusRow:
 
 def sweep(limit: int) -> Iterator[CensusRow]:
     """Census rows for every pair 2 <= a < a' <= limit, made one at a time."""
-    if limit < 3:
-        raise ValueError("limit must be at least 3")
+    positive_int(limit, "limit", 3)
     return (_row(a, a_next)
             for a in range(2, limit)
             for a_next in range(a + 1, limit + 1))
@@ -197,8 +193,7 @@ def sweep(limit: int) -> Iterator[CensusRow]:
 
 def sample_pairs(count: int, seed: int) -> Iterator[CensusRow]:
     """Rows for `count` random pairs, made one at a time, fixed by the seed."""
-    if count < 1:
-        raise ValueError("count must be positive")
+    positive_int(count, "count")
     rng = random.Random(seed)
     # pair by pair, the start is drawn before the gap
     starts = (rng.randint(2, _SAMPLE_MAX_START) for _ in range(count))

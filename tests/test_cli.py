@@ -22,6 +22,8 @@ from pathlib import Path
 import pytest
 
 import unitfrac
+from unitfrac import cli
+from unitfrac.construct import ConstructionError
 from unitfrac.families import FibonacciFamily, theta_partial
 from unitfrac.rational import format_rational
 from unitfrac.uniqueness import sweep
@@ -220,6 +222,18 @@ def test_construct_exhaustion_is_malformed(tmp_path):
     assert proc.returncode == 2
 
 
+def test_construct_internal_error_exits_2(monkeypatch, capsys):
+    # a failed certificate check is a bug, not a failed verification
+    def fail(seq, depth):
+        raise ConstructionError("certificate failed at index 1")
+    monkeypatch.setattr(cli, "construct", fail)
+    code = cli.main(["construct", "--family", "fibonacci", "--depth", "3"])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    assert err == "error: certificate failed at index 1\n"
+
+
 def assert_usage_error(proc, *flags):
     """Exit 2 with nothing on stdout and every given flag named on stderr."""
     assert proc.returncode == 2
@@ -301,7 +315,7 @@ def test_unique_file_names_the_pair_that_does_not_increase(tmp_path):
     proc = run_cli("unique", "--a-file", a_file)
     assert proc.returncode == 2
     assert proc.stdout == ""
-    assert "a_next must exceed a" in proc.stderr
+    assert "a_next must be an integer >= 4, got 3" in proc.stderr
     assert "pair 2 (a=3, a_next=3)" in proc.stderr
 
 

@@ -347,5 +347,5 @@ def test_shadow_bound_requires_gap():
 def test_shadow_bound_rejects_non_denominators(b_prefix, index):
     # [0] used to divide by zero, [2.5] to raise TypeError and [True, 4]
     # to be summed as [1, 4]
-    with pytest.raises(ValueError, match=f"positive integers, .* at {index}$"):
+    with pytest.raises(ValueError, match=f"integer >= 1, got .* at {index}$"):
         shadow_bound_from_gap(b_prefix, F(3, 4), F(1, 8))

@@ -193,6 +193,10 @@ def test_integer_routes_match_reciprocal_oracle():
 
             lo, hi = math.floor(1 / upper), math.floor(1 / lower)
             for b in {lo - 1, lo, lo + 1, hi - 1, hi, hi + 1}:
+                if b < 1:  # no denominator, so not a miss but bad input
+                    with pytest.raises(ValueError, match="at 1$"):
+                        bracket_misses([a, a_next], [b])
+                    continue
                 missed = bracket_misses([a, a_next], [b]) == [1]
                 assert missed == (not inside(b)), (a, a_next, b)
             best = hi + 1
@@ -265,6 +269,7 @@ def test_index_set_validation():
     lambda: IndexSet.periodic(3, [False]),
     lambda: IndexSet.periodic(2.5, {0}),
     lambda: IndexSet.periodic(True, {0}),
+    lambda: IndexSet.finite([0, -1]),  # members are step indices, from 1
 ])
 def test_index_set_rejects_non_integers(make):
     # int() would turn {1.5, True} into {1}, and True == 1 would merge
@@ -287,6 +292,9 @@ def test_policy_serialization_round_trip():
     for inexact in (1.1, True):
         with pytest.raises(ValueError, match="exact rational"):
             WgaaPolicy(t=inexact)
+    # a spec string is not an index set: min-admissible would fail on it
+    with pytest.raises(ValueError, match="IndexSet"):
+        WgaaPolicy(lam="all", selection="min-admissible")
     with pytest.raises(ValueError):
         WgaaPolicy(selection="nope")
 

@@ -3,7 +3,9 @@
 A deletion elsewhere can leave an import behind that nothing uses; this
 scan finds it.  Names listed in ``__all__`` count as read, since they are
 imported to be exported.  A second scan checks that the package reads no
-environment variable: its settings come from arguments only.
+environment variable: its settings come from arguments only.  A third
+keeps the integer input check in one place: only ``rational.py`` tests
+whether a value is a bool.
 """
 from __future__ import annotations
 
@@ -69,3 +71,20 @@ def test_package_reads_no_environment():
             if hit:
                 reads.append(f"{path.relative_to(REPO)}:{node.lineno}")
     assert reads == []
+
+
+def test_bool_checks_only_in_rational():
+    """``isinstance(x, bool)``, alone or in a tuple, outside rational.py."""
+    hits = []
+    for path in sorted((REPO / "src/unitfrac").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if (isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Name)
+                    and node.func.id == "isinstance" and len(node.args) == 2):
+                kinds = node.args[1]
+                names = kinds.elts if isinstance(kinds, ast.Tuple) else [kinds]
+                if any(isinstance(name, ast.Name) and name.id == "bool"
+                       for name in names):
+                    hits.append(f"{path.relative_to(REPO)}:{node.lineno}")
+    assert hits and all(hit.startswith("src/unitfrac/rational.py:")
+                        for hit in hits), hits

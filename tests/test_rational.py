@@ -62,7 +62,10 @@ def test_greedy_denominator_exact_unit_fractions():
         assert greedy_denominator(Fraction(1, k)) == k + 1
 
 
-@pytest.mark.parametrize("bad", [Fraction(0), Fraction(-1, 2), Fraction(3, 2)])
+# Fraction(0.1) is 3602879701896397/2**55, whose greedy denominator is 10,
+# and Fraction(True) is 1: inexact targets are refused, not converted
+@pytest.mark.parametrize("bad", [Fraction(0), Fraction(-1, 2), Fraction(3, 2),
+                                 0.1, True])
 def test_greedy_denominator_domain(bad):
     with pytest.raises(ValueError):
         greedy_denominator(bad)
@@ -94,6 +97,10 @@ def test_interval_validation():
         RationalInterval(Fraction(3), Fraction(2))
     with pytest.raises(ValueError):
         RationalInterval(Fraction(2), Fraction(2))
+    # the binary value of 0.1 is not 1/10
+    for lo, hi in ((0.1, Fraction(1, 2)), (Fraction(0), 0.2), (False, 2)):
+        with pytest.raises(ValueError, match="exact rational"):
+            RationalInterval(lo, hi)
     iv = RationalInterval(1, 3)
     assert type(iv.lo) is Fraction and type(iv.hi) is Fraction
     assert (iv.lo, iv.hi) == (Fraction(1), Fraction(3))

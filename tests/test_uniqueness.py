@@ -178,9 +178,9 @@ def test_sample_pairs_deterministic():
 
 def test_census_arguments_checked_at_the_call():
     # the rows are made lazily, but a bad argument fails before any is read
-    with pytest.raises(ValueError, match="limit must be at least 3"):
+    with pytest.raises(ValueError, match="limit must be an integer >= 3"):
         sweep(2)
-    with pytest.raises(ValueError, match="count must be positive"):
+    with pytest.raises(ValueError, match="count must be an integer >= 1"):
         sample_pairs(0, seed=7)
 
 
