@@ -13,12 +13,12 @@ import csv
 import functools
 import io
 import itertools
-import json
 import os
 import sys
 from collections import Counter
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
+from . import _json
 from .construct import ConstructionError, TargetSequence, construct
 from .diagnostics import DEFAULT_T_GRID, classify
 from .families import parse_family_spec, theta_partial
@@ -110,12 +110,12 @@ def _emit(report: Report, fmt: str) -> int:
     """Render the whole report in the given format, then write it out.
 
     Returns the report's exit code. csv without a header of its own prints
-    the table lines, as table does. csv is held as a list of pieces, so
-    its text is never copied whole.
+    the table lines, as table does. json and csv are held as lists of
+    pieces, so their text is never copied whole.
     """
     csv_columns = report.csv_columns or report.columns
     if fmt == "json":
-        pieces = [json.dumps(report.doc(), indent=2) + "\n"]
+        pieces = _json.render(report.doc()) + ["\n"]
     elif fmt == "csv" and csv_columns:
         pieces = list(_csv_pieces(csv_columns, report.rows))
     else:

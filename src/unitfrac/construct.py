@@ -106,6 +106,7 @@ def jump_set(seq: TargetSequence, horizon: int) -> Iterator[int]:
     The scan is lazy: when it yields jump n it has evaluated the targets
     through index n + 1 and no further.
     """
+    positive_int(horizon, "horizon", 0)
     return (n for n in range(1, horizon + 1)
             if seq.term(n) < seq.term(n + 1))
 

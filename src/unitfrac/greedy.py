@@ -328,11 +328,14 @@ def admissible_endpoints(a_cur: int,
     """Integer ends (lo_n, lo_d, hi_n, hi_d) of the admissible window.
 
     The window is the open interval (lo_n/lo_d, hi_n/hi_d), with ends
-    (a-1)*a'/(a'-a+1) and a*(a'-1)/(a'-a-1). When the shadow advances by
-    at most one, hi_d < 1 and the window is unbounded above.
+    (a-1)*a'/(a'-a+1) and a*(a'-1)/(a'-a-1) for integers 2 <= a <= a'.
+    When a' <= a + 1, hi_d < 1 and the window is unbounded above.
     """
-    if not 2 <= a_cur <= a_next:
-        raise ValueError(f"need 2 <= a_cur <= a_next, got ({a_cur}, {a_next})")
+    positive_int(a_next, "a_next", positive_int(a_cur, "a_cur", 2))
+    return _admissible_ends(a_cur, a_next)
+
+
+def _admissible_ends(a_cur: int, a_next: int) -> tuple[int, int, int, int]:
     return ((a_cur - 1) * a_next, a_next - a_cur + 1,
             a_cur * (a_next - 1), a_next - a_cur - 1)
 
@@ -342,11 +345,13 @@ def telescoping_endpoints(a_cur: int,
     """Integer ends (lo_n, lo_d, hi_n, hi_d) of the telescoping window.
 
     The ends are (a-1)(a'-1)/(a'-a) and a*a'/(a'-a); both denominators
-    are the gap a' - a.
+    are the gap a' - a. Needs integers 2 <= a_cur < a_next.
     """
-    if a_cur < 2 or a_next <= a_cur:
-        raise ValueError(
-            f"need 2 <= a_cur < a_next, got ({a_cur}, {a_next})")
+    positive_int(a_next, "a_next", positive_int(a_cur, "a_cur", 2) + 1)
+    return _telescoping_ends(a_cur, a_next)
+
+
+def _telescoping_ends(a_cur: int, a_next: int) -> tuple[int, int, int, int]:
     gap = a_next - a_cur
     return (a_cur - 1) * (a_next - 1), gap, a_cur * a_next, gap
 
@@ -365,7 +370,7 @@ def bracket_misses(a: Sequence[int], b: Sequence[int]) -> list[int]:
     for n in range(1, min(len(a) - 1, len(b)) + 1):
         a_cur, a_next = a[n - 1], a[n]
         if 2 <= a_cur < a_next:
-            lo_n, gap, hi_n, _ = telescoping_endpoints(a_cur, a_next)
+            lo_n, gap, hi_n, _ = _telescoping_ends(a_cur, a_next)
             if not lo_n < b[n - 1] * gap < hi_n:
                 misses.append(n)
     return misses

@@ -11,9 +11,9 @@ by floor division alone.
 It also holds the input contract of every entry point. ``positive_int``
 and, for lists, ``positive_ints`` refuse a bool, a non-``int`` or a value
 below the least one allowed, with a ValueError naming the argument and
-the 1-based list index. ``parse_int`` reads integer text as ASCII digits
-after an optional minus, surrounding whitespace stripped, and
-``parse_rational`` reads its numerator and denominator the same way.
+the 1-based list index; ``checked_int`` only the first two. ``parse_int``
+reads ASCII digits after an optional minus, whitespace around stripped,
+and ``parse_rational`` reads its numerator and denominator the same way.
 
 No floating point is used anywhere here; every comparison is exact.
 """
@@ -33,6 +33,13 @@ def positive_int(x, what: str, least: int = 1) -> int:
     A bool is refused too: True would run as 1."""
     if isinstance(x, bool) or not isinstance(x, int) or x < least:
         raise ValueError(f"{what} must be an integer >= {least}, got {x!r}")
+    return x
+
+
+def checked_int(x, what: str) -> int:
+    """x if it is an int of any sign, and not a bool, else a ValueError."""
+    if isinstance(x, bool) or not isinstance(x, int):
+        raise ValueError(f"{what} must be an integer, got {x!r}")
     return x
 
 

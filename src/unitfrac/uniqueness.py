@@ -11,19 +11,17 @@ one integer at every pair.  Both counts reduce to integer arithmetic.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from typing import Iterator, NamedTuple, Optional
 
-from .greedy import admissible_endpoints, telescoping_endpoints
-from .rational import integer_bounds, positive_int
+from .greedy import _admissible_ends, _telescoping_ends
+from .rational import checked_int, integer_bounds, positive_int
 
 # range of the random pairs behind `unique --sample`
 _SAMPLE_MAX_START = 50
 _SAMPLE_MAX_GAP = 400
 
 
-@dataclass(frozen=True)
-class UniquenessVerdict:
+class UniquenessVerdict(NamedTuple):
     """Outcome for one consecutive pair.
 
     k is the forced value when unique; otherwise a representative
@@ -39,14 +37,8 @@ class UniquenessVerdict:
     case: str
 
     def to_json_dict(self) -> dict:
-        return {
-            "index": self.index,
-            "a": self.a,
-            "a-next": self.a_next,
-            "unique": self.unique,
-            "k": self.k,
-            "case": self.case,
-        }
+        return dict(zip(("index", "a", "a-next", "unique", "k", "case"),
+                        self))
 
 
 def _validate_pair(a: int, a_next: int) -> None:
@@ -58,7 +50,7 @@ def _validate_pair(a: int, a_next: int) -> None:
 
 def _open_criterion(a: int, a_next: int) -> tuple[bool, int, str]:
     if a_next - a <= 1:
-        lo_n, lo_d, _, _ = admissible_endpoints(a, a_next)
+        lo_n, lo_d, _, _ = _admissible_ends(a, a_next)
         return False, lo_n // lo_d + 1, "unbounded"
     d = a_next - a - 1
     if (a * a) % d == 0:
@@ -83,14 +75,16 @@ def _closed_criterion(a: int, a_next: int) -> tuple[bool, int, str]:
 def pair_uniqueness(a: int, a_next: int, index: int = 0) -> UniquenessVerdict:
     """Open-window criterion: is the weak choice forced for this pair?"""
     _validate_pair(a, a_next)
-    return UniquenessVerdict(index, a, a_next, *_open_criterion(a, a_next))
+    return tuple.__new__(UniquenessVerdict,
+                         (index, a, a_next, *_open_criterion(a, a_next)))
 
 
 def pair_necessary_closed(a: int, a_next: int,
                           index: int = 0) -> UniquenessVerdict:
     """Closed-window criterion each pair must pass for a unique expansion."""
     _validate_pair(a, a_next)
-    return UniquenessVerdict(index, a, a_next, *_closed_criterion(a, a_next))
+    return tuple.__new__(UniquenessVerdict,
+                         (index, a, a_next, *_closed_criterion(a, a_next)))
 
 
 def _pairwise(a_seq, checker):
@@ -156,17 +150,17 @@ class CensusRow(NamedTuple):
 
 
 def _row(a: int, a_next: int) -> CensusRow:
-    # the window ends check the pair; the counts come from those ends
-    # alone, never from the criteria, so each row checks a criterion
-    # against an independent count.  Both windows are nonempty, so
-    # last >= first - 1 and a count is never negative.
-    lo_n, lo_d, hi_n, hi_d = admissible_endpoints(a, a_next)
+    # sweep and sample_pairs make only valid pairs; the counts come from
+    # the window ends alone, never from the criteria, so each row checks a
+    # criterion against an independent count.  Both windows are nonempty,
+    # so last >= first - 1 and a count is never negative.
+    lo_n, lo_d, hi_n, hi_d = _admissible_ends(a, a_next)
     if hi_d < 1:
         open_count = None
     else:
         first, last = integer_bounds(lo_n, lo_d, hi_n, hi_d, True, True)
         open_count = last - first + 1
-    lo_n, lo_d, hi_n, hi_d = telescoping_endpoints(a, a_next)
+    lo_n, lo_d, hi_n, hi_d = _telescoping_ends(a, a_next)
     first, last = integer_bounds(lo_n, lo_d, hi_n, hi_d, False, False)
     closed_count = last - first + 1
     open_unique, open_k, open_case = _open_criterion(a, a_next)
@@ -194,7 +188,7 @@ def sweep(limit: int) -> Iterator[CensusRow]:
 def sample_pairs(count: int, seed: int) -> Iterator[CensusRow]:
     """Rows for `count` random pairs, made one at a time, fixed by the seed."""
     positive_int(count, "count")
-    rng = random.Random(seed)
+    rng = random.Random(checked_int(seed, "seed"))
     # pair by pair, the start is drawn before the gap
     starts = (rng.randint(2, _SAMPLE_MAX_START) for _ in range(count))
     return (_row(a, a + rng.randint(1, _SAMPLE_MAX_GAP)) for a in starts)

@@ -130,6 +130,14 @@ def test_golden_covers_every_case(golden):
     assert set(golden) == {case_id(n, f) for n in CASES for f in FORMATS}
 
 
+@pytest.mark.parametrize("name", CASES)
+def test_json_records_are_canonical(golden, name):
+    # the json contract: the stdlib's indent-2 text of the document and a
+    # newline, whatever code renders it
+    stdout = golden[case_id(name, "json")]["stdout"]
+    assert stdout == json.dumps(json.loads(stdout), indent=2) + "\n"
+
+
 @pytest.mark.parametrize("fmt", FORMATS)
 def test_failure_leaves_stdout_empty(fmt):
     # the margins at this depth run past the lowest int-to-str digit limit

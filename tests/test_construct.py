@@ -169,6 +169,11 @@ def test_jump_set_scan():
     assert list(jump_set(seq, 7)) == [2, 4, 6]
     strict = TargetSequence(lambda n: n + 1)
     assert list(jump_set(strict, 4)) == [1, 2, 3, 4]
+    assert list(jump_set(strict, 0)) == []
+    # refused at the call, not when the scan is first read
+    for horizon in (2.5, True, -1):
+        with pytest.raises(ValueError, match="horizon must be an integer"):
+            jump_set(strict, horizon)
 
 
 def test_construct_reads_targets_only_through_the_last_jump():

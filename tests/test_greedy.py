@@ -219,6 +219,17 @@ def test_telescoping_interval_pinned():
         telescoping_endpoints(2, 2)
 
 
+@pytest.mark.parametrize("window", [admissible_endpoints,
+                                    telescoping_endpoints, choose_b_jump])
+@pytest.mark.parametrize("bad", [2.5, True, 1])
+def test_windows_refuse_non_integers(window, bad):
+    # a float ran through the formulas as a float, and True as 1
+    with pytest.raises(ValueError, match="^a_cur must be an integer >= 2"):
+        window(bad, 4)
+    with pytest.raises(ValueError, match="^a_next must be an integer >= "):
+        window(2, bad)
+
+
 def test_telescoping_interval_length_identity():
     # window length is 1 + (2a - 1)/(a_next - a), hence always holds an integer
     for a in range(2, 40):

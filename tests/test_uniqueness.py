@@ -182,6 +182,15 @@ def test_census_arguments_checked_at_the_call():
         sweep(2)
     with pytest.raises(ValueError, match="count must be an integer >= 1"):
         sample_pairs(0, seed=7)
+    # True ran as seed 1, and a float seeded from its hash
+    for seed in (True, 2.5):
+        with pytest.raises(ValueError, match="seed must be an integer, got"):
+            sample_pairs(2, seed)
+
+
+def test_sample_pairs_takes_negative_seeds():
+    rows = list(sample_pairs(5, -5))
+    assert rows == list(sample_pairs(5, -5)) and len(rows) == 5
 
 
 @settings(max_examples=150, deadline=None)
