@@ -21,7 +21,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 from . import _json
 from .construct import ConstructionError, TargetSequence, construct
 from .diagnostics import DEFAULT_T_GRID, classify
-from .families import parse_family_spec, theta_partial
+from .families import _enclosure, parse_family_spec
 from .greedy import (
     IndexSet,
     ReplayOverrunError,
@@ -33,11 +33,12 @@ from .greedy import (
 from .rational import format_rational, parse_int, parse_rational, positive_int
 from .uniqueness import (
     CensusRow,
-    necessary_uniqueness,
+    _closed_criterion,
+    _open_criterion,
+    _pairwise,
     pair_necessary_closed,
     pair_uniqueness,
     sample_pairs,
-    sufficient_uniqueness,
     sweep,
     uniqueness_consequences,
 )
@@ -281,8 +282,8 @@ def _cmd_unique(args) -> Report:
             after=lines + [f"consequences: {consequences}"])
     if args.a_file is not None:
         values = _read_sequence_file(args.a_file)
-        suff, open_verdicts = sufficient_uniqueness(values)
-        nec, closed_verdicts = necessary_uniqueness(values)
+        (suff, open_verdicts), (nec, closed_verdicts) = _pairwise(
+            values, _open_criterion, _closed_criterion)
         rows = ((v.index, v.a, v.a_next, v.unique, v.case, w.unique, w.case)
                 for v, w in zip(open_verdicts, closed_verdicts))
         return Report(
@@ -303,13 +304,10 @@ def _cmd_unique(args) -> Report:
 
 def _cmd_family(args) -> Report:
     family = parse_family_spec(args.spec)
-    positive_int(args.terms, "--terms")
     # one target past the last term closes the last bracket
-    a_vals = [family.a(n) for n in range(1, args.terms + 2)]
-    b_vals = [family.b(n) for n in range(1, args.terms + 1)]
+    a_vals, b_vals = family.terms(positive_int(args.terms, "--terms"))
     bracket_ok = not bracket_misses(a_vals, b_vals)
-    enclosure = (theta_partial(family, args.terms)
-                 if args.theta_enclosure else None)
+    enclosure = _enclosure(family, b_vals) if args.theta_enclosure else None
 
     def doc():
         doc = {

@@ -28,9 +28,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterator, Optional
 
-from .rational import (RationalInterval, format_rational, integer_bounds,
-                       positive_int, positive_ints)
-from .greedy import telescoping_endpoints
+from .rational import (RationalInterval, format_rational, positive_int,
+                       positive_ints)
+from .greedy import _companion, telescoping_endpoints
 
 
 class InvalidSequence(ValueError):
@@ -113,11 +113,11 @@ def jump_set(seq: TargetSequence, horizon: int) -> Iterator[int]:
 
 def choose_b_jump(a_cur: int, a_next: int) -> int:
     """Largest integer strictly inside the telescoping bracket."""
-    first, last = integer_bounds(*telescoping_endpoints(a_cur, a_next),
-                                 True, True)
-    if last < first:
+    lo_n, gap, _, _ = telescoping_endpoints(a_cur, a_next)
+    b = _companion(a_cur, a_next)
+    if b * gap <= lo_n:
         raise ConstructionError("telescoping bracket held no integer")
-    return last
+    return b
 
 
 @dataclass(frozen=True)

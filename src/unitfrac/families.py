@@ -1,10 +1,11 @@
-"""Sequence families with closed-form expansions.
+"""Sequence families of targets and their companion denominators.
 
-Each family fixes a target sequence a_n and the canonical companion b_n,
-the largest integer whose reciprocal fits strictly between the telescoping
-differences 1/a_n - 1/a_{n+1} and 1/(a_n - 1) - 1/(a_{n+1} - 1).  For the
-built-in families that choice has a closed form, and the resulting series
-sum(1/b_n) can be enclosed in an exact rational interval.
+Each family fixes a closed-form target sequence a_n. Its b_n is the
+largest integer whose reciprocal fits strictly between the telescoping
+differences 1/a_n - 1/a_{n+1} and 1/(a_n - 1) - 1/(a_{n+1} - 1), by the one
+companion rule ``greedy._companion``; the class docstrings give its closed
+forms. ``terms(n)`` reads a_1..a_{n+1} once and derives b_1..b_n from them,
+and the series sum(1/b_n) is enclosed in an exact rational interval.
 """
 from __future__ import annotations
 
@@ -12,7 +13,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .greedy import bracket_misses
+from .greedy import _companion, bracket_misses
 from .rational import RationalInterval, positive_int
 
 # fixed-point scale for certified partial sums; error per term is 2**-96
@@ -43,7 +44,15 @@ class SequenceFamily:
         raise NotImplementedError
 
     def b(self, n: int) -> int:
-        raise NotImplementedError
+        """The companion of a_n < a_{n+1} (see ``greedy._companion``)."""
+        return _companion(self.a(n), self.a(n + 1))
+
+    def terms(self, n: int) -> tuple[list[int], list[int]]:
+        """a_1..a_{n+1}, each evaluated once, and b_1..b_n derived from
+        them; an index whose a_k < 2 has no bracket and reads ``b(k)``."""
+        a = [self.a(k) for k in range(1, positive_int(n, "n") + 2)]
+        return a, [_companion(x, y) if x >= 2 else self.b(k)
+                   for k, (x, y) in enumerate(zip(a, a[1:]), 1)]
 
     def spec_string(self) -> str:
         raise NotImplementedError
@@ -66,7 +75,7 @@ class SequenceFamily:
 class GeometricFamily(SequenceFamily):
     """a_n = a0 * r^(n-1) for integers a0 >= 2, r >= 2.
 
-    b_n is a0 r^n / (r-1) - 1 when r-1 divides a0, else the floor of
+    Its b_n is a0 r^n / (r-1) - 1 when r-1 divides a0, else the floor of
     a0 r^n / (r-1).  With a0 = 2: r = 3 gives b_n = 3^n - 1 (OEIS A024023
     shifted) and r = 4 gives b_n = 2(4^n - 1)/3 (A020988).
     """
@@ -79,13 +88,7 @@ class GeometricFamily(SequenceFamily):
         positive_int(self.r, "r", 2)
 
     def a(self, n: int) -> int:
-        return self.a0 * self.r ** (n - 1)
-
-    def b(self, n: int) -> int:
-        power = self.a0 * self.r**n
-        if self.a0 % (self.r - 1) == 0:
-            return power // (self.r - 1) - 1
-        return power // (self.r - 1)
+        return self.a0 * self.r ** (positive_int(n, "n") - 1)
 
     def spec_string(self) -> str:
         return f"geometric:a={self.a0},r={self.r}"
@@ -94,7 +97,7 @@ class GeometricFamily(SequenceFamily):
         # 1/b_n lies in ((r-1)/(a0 r^n), (r-1)/(a0 r^n - (r-1))]; the lower
         # series telescopes exactly and the upper is inflated by the n_terms+1
         # correction factor, largest among the remaining terms
-        base = self.a0 * self.r**n_terms
+        base = self.a0 * self.r ** positive_int(n_terms, "n_terms", 0)
         lo = Fraction(1, base)
         head = base * self.r
         kappa = Fraction(head, head - (self.r - 1))
@@ -108,7 +111,7 @@ class GeometricFamily(SequenceFamily):
 class ArithmeticFamily(SequenceFamily):
     """a_n = a0 + (n-1) d for integers a0 >= 2, d >= 1.
 
-    b_n is a_n a_{n+1} / d - 1 when d divides a0^2, else the floor of
+    Its b_n is a_n a_{n+1} / d - 1 when d divides a0^2, else the floor of
     a_n a_{n+1} / d.  With a0 = 2, d = 1 this is n^2 + 3n + 1 (OEIS
     A028387); with a0 = 3, d = 2 it is 2n^2 + 4n + 1 (A056220 shifted).
     """
@@ -121,19 +124,13 @@ class ArithmeticFamily(SequenceFamily):
         positive_int(self.d, "d")
 
     def a(self, n: int) -> int:
-        return self.a0 + (n - 1) * self.d
-
-    def b(self, n: int) -> int:
-        prod = self.a(n) * self.a(n + 1)
-        if (self.a0 * self.a0) % self.d == 0:
-            return prod // self.d - 1
-        return prod // self.d
+        return self.a0 + (positive_int(n, "n") - 1) * self.d
 
     def spec_string(self) -> str:
         return f"arithmetic:a={self.a0},d={self.d}"
 
     def tail_bracket(self, n_terms: int) -> tuple[Fraction, Fraction]:
-        first = self.a(n_terms + 1)
+        first = self.a(positive_int(n_terms, "n_terms", 0) + 1)
         lo = Fraction(1, first)
         prod = first * self.a(n_terms + 2)
         kappa = Fraction(prod, prod - self.d)
@@ -150,19 +147,16 @@ class FibonacciFamily(SequenceFamily):
     The floor of a_n a_{n+1} / (a_{n+1} - a_n) = F_{n+1} F_{n+2} / F_n
     equals F_{n+3} + (-1)^n / F_n up to the fractional part, which by the
     Cassini identity collapses to F_{n+3} for even n and F_{n+3} - 1 for
-    odd n >= 3.  At n = 2 the raw floor (6) overshoots the bracket and the
-    parity form (5) is the right choice; b_1 is pinned to 3 by hand since
-    a_1 = 1 has no bracket of its own.
+    odd n >= 3.  At n = 2 the raw floor (6) overshoots the bracket, and
+    the companion rule gives the parity form (5).  b_1 is pinned to 3 by
+    hand since a_1 = 1 has no bracket of its own.
     """
 
     def a(self, n: int) -> int:
-        return fibonacci_number(n + 1)
+        return fibonacci_number(positive_int(n, "n") + 1)
 
     def b(self, n: int) -> int:
-        if n == 1:
-            return 3
-        base = fibonacci_number(n + 3)
-        return base - 1 if n % 2 == 1 else base
+        return 3 if positive_int(n, "n") == 1 else super().b(n)
 
     def spec_string(self) -> str:
         return "fibonacci"
@@ -171,7 +165,7 @@ class FibonacciFamily(SequenceFamily):
         # b(n+1)/b(n) >= 3/2 holds from n = 3 on, so past n_terms >= 2 the
         # tail is squeezed between its first term and the geometric series
         # with ratio 2/3; smaller n_terms peel off exact terms first
-        if n_terms < 2:
+        if positive_int(n_terms, "n_terms", 0) < 2:
             shift = Fraction(1, self.b(n_terms + 1))
             lo, hi = self.tail_bracket(n_terms + 1)
             return shift + lo, shift + hi
@@ -190,10 +184,7 @@ def bracket_failures(family: SequenceFamily, horizon: int) -> list[int]:
     Indices with a(n) < 2, such as the Fibonacci a_1 = 1, have no bracket
     and are skipped.
     """
-    positive_int(horizon, "horizon")
-    a = [family.a(n) for n in range(1, horizon + 2)]
-    b = [family.b(n) for n in range(1, horizon + 1)]
-    return bracket_misses(a, b)
+    return bracket_misses(*family.terms(positive_int(horizon, "horizon")))
 
 
 def theta_partial(family: SequenceFamily, n_terms: int) -> RationalInterval:
@@ -204,17 +195,16 @@ def theta_partial(family: SequenceFamily, n_terms: int) -> RationalInterval:
     rest.  The result is exact arithmetic end to end: the true series sum
     lies strictly inside the returned interval.
     """
-    positive_int(n_terms, "n_terms")
-    lo_acc = 0
-    hi_acc = 0
-    for n in range(1, n_terms + 1):
-        den = family.b(n)
-        lo_acc += _SCALE // den
-        hi_acc += -(-_SCALE // den)
-    tail_lo, tail_hi = family.tail_bracket(n_terms)
-    lo = Fraction(lo_acc, _SCALE) + tail_lo
-    hi = Fraction(hi_acc, _SCALE) + tail_hi
-    return RationalInterval(lo, hi)
+    _, b = family.terms(positive_int(n_terms, "n_terms"))
+    return _enclosure(family, b)
+
+
+def _enclosure(family: SequenceFamily, b: list[int]) -> RationalInterval:
+    """``theta_partial`` from the family's own b_1..b_n, n = len(b)."""
+    tail_lo, tail_hi = family.tail_bracket(len(b))
+    return RationalInterval(
+        Fraction(sum(_SCALE // den for den in b), _SCALE) + tail_lo,
+        Fraction(sum(-(-_SCALE // den) for den in b), _SCALE) + tail_hi)
 
 
 _GEOMETRIC_RE = re.compile("geometric:a=([0-9]+),r=([0-9]+)")

@@ -18,7 +18,8 @@ written once as (lo_n, lo_d, hi_n, hi_d) and read through
   1/a - 1/a_next < 1/b < 1/(a-1) - 1/(a_next-1), whose reciprocal bounds
   telescope across indices and so certify tail enclosures. Its length is
   1 + (2a - 1)/(a_next - a), so it always contains an integer.
-  ``bracket_misses(a, b)`` is the one check of whole sequences against it.
+  ``bracket_misses(a, b)`` is the one check of whole sequences against it,
+  and ``_companion``, its largest integer, the one companion rule.
 
 One walk, ``_walk``, serves both the chosen denominators of
 ``wgaa_expand`` and the given ones of ``recover_shadow``, because the
@@ -354,6 +355,11 @@ def telescoping_endpoints(a_cur: int,
 def _telescoping_ends(a_cur: int, a_next: int) -> tuple[int, int, int, int]:
     gap = a_next - a_cur
     return (a_cur - 1) * (a_next - 1), gap, a_cur * a_next, gap
+
+
+def _companion(a_cur: int, a_next: int) -> int:
+    """The largest integer strictly inside the telescoping window."""
+    return (a_cur * a_next - 1) // (a_next - a_cur)
 
 
 def bracket_misses(a: Sequence[int], b: Sequence[int]) -> list[int]:

@@ -87,28 +87,32 @@ def pair_necessary_closed(a: int, a_next: int,
                          (index, a, a_next, *_closed_criterion(a, a_next)))
 
 
-def _pairwise(a_seq, checker):
+def _pairwise(a_seq, *criteria):
+    """(all unique, verdicts) per criterion; each pair is checked once."""
     seq = list(a_seq)
     if len(seq) < 2:
         raise ValueError("need at least two terms")
-    verdicts = []
+    columns = [[] for _ in criteria]
     for index, (a, a_next) in enumerate(zip(seq, seq[1:]), 1):
         try:
-            verdicts.append(checker(a, a_next, index=index))
+            _validate_pair(a, a_next)
         except ValueError as exc:
             raise ValueError(
                 f"pair {index} (a={a}, a_next={a_next}): {exc}") from exc
-    return all(v.unique for v in verdicts), tuple(verdicts)
+        for verdicts, criterion in zip(columns, criteria):
+            verdicts.append(tuple.__new__(
+                UniquenessVerdict, (index, a, a_next, *criterion(a, a_next))))
+    return [(all(v.unique for v in c), tuple(c)) for c in columns]
 
 
 def sufficient_uniqueness(a_seq):
     """True when every pair forces its choice, so the expansion is unique."""
-    return _pairwise(a_seq, pair_uniqueness)
+    return _pairwise(a_seq, _open_criterion)[0]
 
 
 def necessary_uniqueness(a_seq):
     """False rules uniqueness out; True leaves it possible."""
-    return _pairwise(a_seq, pair_necessary_closed)
+    return _pairwise(a_seq, _closed_criterion)[0]
 
 
 def _consequences(a: int, a_next: int) -> tuple[bool, bool, bool, bool]:

@@ -82,6 +82,13 @@ CASES = {
                              "--family", "geometric:a=2,r=3"],
     "family-fibonacci-enclosure": ["family", "--spec", "fibonacci",
                                    "--terms", "60", "--theta-enclosure"],
+    # d divides a0^2 in the first and not in the second: the two closed
+    # forms of the arithmetic b_n in families.ArithmeticFamily
+    "family-arithmetic-divisible": ["family", "--spec", "arithmetic:a=2,d=4",
+                                    "--terms", "8", "--theta-enclosure"],
+    "family-arithmetic-nondivisible": ["family", "--spec",
+                                       "arithmetic:a=3,d=2", "--terms", "8",
+                                       "--theta-enclosure"],
     "construct-arithmetic": ["construct", "--family", "arithmetic:a=3,d=1",
                              "--depth", "20"],
     # the filler of plateau 4 is bound by plateau 3's slack, not its own

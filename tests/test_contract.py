@@ -52,6 +52,7 @@ from unitfrac.uniqueness import (
 )
 
 HALF = Fraction(1, 2)
+FAMILIES = (GeometricFamily(2, 3), ArithmeticFamily(2, 1), FibonacciFamily())
 
 # each puts x where a count, a list entry or a pair member goes
 ENTRY_POINTS = {
@@ -70,6 +71,8 @@ ENTRY_POINTS = {
     "GeometricFamily r": lambda x: GeometricFamily(2, x),
     "ArithmeticFamily a0": lambda x: ArithmeticFamily(x, 1),
     "ArithmeticFamily d": lambda x: ArithmeticFamily(2, x),
+    **{f"{type(f).__name__}.{method}": getattr(f, method)
+       for f in FAMILIES for method in ("a", "b", "terms")},
     "sweep": sweep,
     "sample_pairs": lambda x: sample_pairs(x, 0),
     "pair_uniqueness a": lambda x: pair_uniqueness(x, 9),
@@ -91,10 +94,11 @@ ENTRY_POINTS = {
     "IndexSet.periodic period": lambda x: IndexSet.periodic(x, [0]),
 }
 
-# a residue and a Fibonacci index may be 0
+# a residue, a Fibonacci index and the terms a tail follows may be 0
 FROM_ZERO = {
     "IndexSet.periodic residues": lambda x: IndexSet.periodic(3, [x]),
     "fibonacci_number": fibonacci_number,
+    **{f"{type(f).__name__}.tail_bracket": f.tail_bracket for f in FAMILIES},
 }
 
 FLOATS_AND_BOOLS = st.one_of(st.floats(), st.booleans())

@@ -5,10 +5,13 @@ written out inline, independent of the interval helpers.
 """
 from __future__ import annotations
 
+import contextlib
+import io
 from fractions import Fraction
 
 import pytest
 
+from unitfrac import cli, families
 from unitfrac.construct import choose_b_jump
 from unitfrac.families import (
     ArithmeticFamily,
@@ -148,10 +151,25 @@ def test_fibonacci_floor_discrepancy_at_two():
         assert f.b(n) == floor_val
 
 
-def test_fibonacci_parity_is_largest_admissible():
-    f = FibonacciFamily()
-    for n in range(2, 51):
-        assert f.b(n) == choose_b_jump(f.a(n), f.a(n + 1))
+GRID = [FibonacciFamily(),
+        *(GeometricFamily(a0, r) for a0 in (2, 3, 4, 6, 9) for r in (2, 3, 5)),
+        *(ArithmeticFamily(a0, d) for a0 in (2, 3, 5, 7) for d in (1, 2, 4, 9))]
+
+
+@pytest.mark.parametrize("family", GRID, ids=lambda f: f.spec_string())
+def test_b_is_largest_admissible(family):
+    # b_n is the construction's jump choice wherever a_n has a bracket;
+    # for Fibonacci that is the parity form from n = 2 on
+    for n in range(1, 51):
+        if family.a(n) >= 2:
+            assert family.b(n) == choose_b_jump(family.a(n), family.a(n + 1))
+
+
+@pytest.mark.parametrize("family", GRID, ids=lambda f: f.spec_string())
+def test_terms_match_the_indexed_terms(family):
+    for n in (1, 2, 3, 17):
+        assert family.terms(n) == ([family.a(k) for k in range(1, n + 2)],
+                                   [family.b(k) for k in range(1, n + 1)])
 
 
 def test_cassini_identity():
@@ -190,6 +208,23 @@ def test_theta_enclosure_arithmetic():
     est = float_sum(ArithmeticFamily(2, 1), 200000) + 1.0 / 200002
     assert abs(float(iv.midpoint()) - est) < 1e-6
     assert iv.width() < Fraction(1, 10**6)
+
+
+def test_family_command_evaluates_each_fibonacci_term_once(monkeypatch):
+    # 1321 targets close 1320 brackets, and the tail bracket reads one b
+    # by index; the listing and the enclosure share the one term list
+    calls = []
+
+    def counting(k):
+        calls.append(k)
+        return fibonacci_number(k)
+
+    monkeypatch.setattr(families, "fibonacci_number", counting)
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(["family", "--spec", "fibonacci", "--terms", "1320",
+                         "--theta-enclosure", "--format", "json"])
+    assert code == 0
+    assert len(calls) <= 1330
 
 
 def test_theta_enclosure_fibonacci():
