@@ -17,7 +17,8 @@ from fractions import Fraction
 from typing import Optional
 
 from .greedy import WeakGreedyRun
-from .rational import exact, format_rational, greedy_denominator, positive_ints
+from .rational import (_square, exact, format_rational, greedy_denominator,
+                       positive_ints)
 
 DEFAULT_T_GRID = (Fraction(1), Fraction(3, 2), Fraction(2), Fraction(3),
                   Fraction(5), Fraction(10))
@@ -107,7 +108,7 @@ def scaled_run_ratio_checks(run: WeakGreedyRun) -> list[RatioCheck]:
 
 def greedy_ratio_checks(run: WeakGreedyRun) -> list[GreedyGrowthCheck]:
     """b_{n+1} >= b_n(b_n - 1) + 1, the greedy squared-growth bound."""
-    return [GreedyGrowthCheck(i + 1, b_next >= b * b - b + 1)
+    return [GreedyGrowthCheck(i + 1, b_next >= _square(b) - b + 1)
             for i, (b, b_next) in enumerate(zip(run.b, run.b[1:]))]
 
 

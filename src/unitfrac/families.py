@@ -4,8 +4,9 @@ Each family fixes a closed-form target sequence a_n. Its b_n is the
 largest integer whose reciprocal fits strictly between the telescoping
 differences 1/a_n - 1/a_{n+1} and 1/(a_n - 1) - 1/(a_{n+1} - 1), by the one
 companion rule ``greedy._companion``; the class docstrings give its closed
-forms. ``terms(n)`` reads a_1..a_{n+1} once and derives b_1..b_n from them,
-and the series sum(1/b_n) is enclosed in an exact rational interval.
+forms. ``terms(n)`` reads a_1..a_{n+1} once (Fibonacci by its recurrence,
+the others by index) and derives b_1..b_n from them, and the series
+sum(1/b_n) is enclosed in an exact rational interval.
 """
 from __future__ import annotations
 
@@ -47,10 +48,15 @@ class SequenceFamily:
         """The companion of a_n < a_{n+1} (see ``greedy._companion``)."""
         return _companion(self.a(n), self.a(n + 1))
 
+    def _targets(self, count: int) -> list[int]:
+        """a_1..a_count, for ``terms``; by index unless a family has a
+        cheaper recurrence."""
+        return [self.a(k) for k in range(1, count + 1)]
+
     def terms(self, n: int) -> tuple[list[int], list[int]]:
         """a_1..a_{n+1}, each evaluated once, and b_1..b_n derived from
         them; an index whose a_k < 2 has no bracket and reads ``b(k)``."""
-        a = [self.a(k) for k in range(1, positive_int(n, "n") + 2)]
+        a = self._targets(positive_int(n, "n") + 1)
         return a, [_companion(x, y) if x >= 2 else self.b(k)
                    for k, (x, y) in enumerate(zip(a, a[1:]), 1)]
 
@@ -157,6 +163,15 @@ class FibonacciFamily(SequenceFamily):
 
     def b(self, n: int) -> int:
         return 3 if positive_int(n, "n") == 1 else super().b(n)
+
+    def _targets(self, count: int) -> list[int]:
+        # F_2, F_3, ... by addition: one long addition per term, where
+        # fast doubling costs O(log k) multiplications for each
+        out, f, g = [], 1, 2
+        for _ in range(count):
+            out.append(f)
+            f, g = g, f + g
+        return out
 
     def spec_string(self) -> str:
         return "fibonacci"

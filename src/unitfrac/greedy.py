@@ -27,7 +27,8 @@ shadow is fixed by the residual alone. It subtracts each 1/b_n through
 one step kernel, ``_unit_step``. When the residual's numerator p and the
 step d = b_n - (a_n - 1) are both below ``_WORD_BOUND`` (2**64), the
 kernel builds the next residual from integers, so its one long product
-is a square; every other step is the stdlib ``r - Fraction(1, b_n)``.
+is the square m*m, which ``rational._square`` forms by Toom-3 once m is
+long; every other step is the stdlib ``r - Fraction(1, b_n)``.
 """
 from __future__ import annotations
 
@@ -36,8 +37,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Optional, Sequence
 
-from .rational import (exact, format_rational, parse_int, parse_rational,
-                       positive_int, positive_ints)
+from .rational import (_square, exact, format_rational, parse_int,
+                       parse_rational, positive_int, positive_ints)
 
 _MAX_TERMS = 10**4
 
@@ -46,9 +47,10 @@ _WORD_BOUND = 1 << 64
 
 With p and d under one machine word, the new numerator p*d - s has at most
 128 bits, so the gcd that reduces the result is one linear remainder and
-the one long product is the square m*m. A long p or d would make that
-numerator long and that gcd quadratic, while the stdlib subtraction only
-needs gcd(q, b), which stays cheap, so those steps are left to it.
+the one long product is the square m*m, which ``rational._square``
+forms. A long p or d would make that numerator long and that gcd
+quadratic, while the stdlib subtraction only needs gcd(q, b), which stays
+cheap, so those steps are left to it.
 """
 
 _SELECTIONS = ("greedy", "ceil-t-a", "min-admissible")
@@ -246,16 +248,17 @@ def _unit_step(r: Fraction, m: int, b: int) -> Fraction:
 
     With s = q - p*m and d = b - m,
     p/q - 1/b = (p*d - s) / (p*m*m + (p*d + s)*m + s*d), whose denominator
-    is q*b written around the square m*m. That form is taken when p and d
-    lie in a machine word (see ``_WORD_BOUND``). Greedy steps (d = 1) never
-    raise the numerator and min-admissible steps (d = 2) at most double
-    it, so from a word-sized numerator they take it for dozens of steps.
+    is q*b written around the square m*m, formed by ``rational._square``.
+    That form is taken when p and d lie in a machine word (see
+    ``_WORD_BOUND``). Greedy steps (d = 1) never raise the numerator and
+    min-admissible steps (d = 2) at most double it, so from a word-sized
+    numerator they take it for dozens of steps.
     """
     p, q = r.numerator, r.denominator
     d = b - m
     if p < _WORD_BOUND and 0 < d < _WORD_BOUND:
         s = q - p * m
-        return Fraction(p * d - s, p * (m * m) + (p * d + s) * m + s * d)
+        return Fraction(p * d - s, p * _square(m) + (p * d + s) * m + s * d)
     return r - Fraction(1, b)
 
 

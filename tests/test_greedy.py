@@ -27,7 +27,7 @@ from unitfrac.greedy import (
     telescoping_endpoints,
     wgaa_expand,
 )
-from unitfrac.rational import integer_bounds
+from unitfrac.rational import _TOOM_BITS, integer_bounds
 from unitfrac.uniqueness import pair_uniqueness
 
 
@@ -153,7 +153,7 @@ def test_recover_shadow_rejects_non_integers(b, index):
         recover_shadow(b, Fraction(2, 3))
 
 
-def test_term_cap_default_and_env():
+def test_term_cap():
     with pytest.raises(ValueError, match="10000"):
         greedy_expand(Fraction(2, 3), 10**4 + 1)
     run = greedy_expand(Fraction(355, 452), 4)
@@ -431,12 +431,16 @@ def test_unit_step_at_the_guard():
 
 @pytest.mark.parametrize("theta, selection", [
     (Fraction(1), "greedy"), (Fraction(5, 121), "greedy"),
-    (Fraction(2, 3), "min-admissible"), (Fraction(17, 19), "min-admissible")])
+    (Fraction(2, 3), "min-admissible"), (Fraction(17, 19), "min-admissible"),
+    (Fraction(5, 121), "min-admissible")])
 def test_deep_runs_match_fraction_replay(theta, selection):
-    # squaring denominators: 14 to 16 steps carry the residual past 10 kbit
+    # squaring denominators: 14 to 16 steps carry the residual past 10 kbit,
+    # and from 5/121 past four Toom-3 cutoffs, so the last steps' squares
+    # m*m take one or two levels of ``rational._square``
     policy = WgaaPolicy(t=Fraction(2), selection=selection)
     run = wgaa_expand(theta, policy, 16)
-    assert run.residuals[-1].denominator.bit_length() > 10_000
+    least = 4 * _TOOM_BITS if theta == Fraction(5, 121) else 10_000
+    assert run.residuals[-1].denominator.bit_length() > least
     r = theta
     for a, b, got in zip(run.a, run.b, run.residuals):
         assert a == r.denominator // r.numerator + 1

@@ -6,6 +6,7 @@ comparisons, so it shares no code with the counting kernel under test.
 """
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -13,7 +14,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from unitfrac.rational import (
+    _TOOM_BITS,
     RationalInterval,
+    _square,
     format_rational,
     greedy_denominator,
     integer_bounds,
@@ -176,3 +179,58 @@ def test_integer_bounds_match_enumeration(lo_n, lo_d, hi_n, hi_d,
         assert (first, last) == (inside[0], inside[-1])
     else:
         assert first > last
+
+
+# ------------------------------------------------------------ long square
+#
+# The reference is the interpreter's own x * x. Operands run from just
+# below the Toom-3 cutoff to four times it, so one and two levels of
+# recursion are taken; each example stays in milliseconds.
+
+def _thirds(n: int, x0: int, x1: int, x2: int) -> int:
+    """The n-bit operand whose Toom-3 pieces are x0, x1 and x2."""
+    k = (n + 2) // 3
+    x = (x2 << 2 * k) | (x1 << k) | x0
+    assert x.bit_length() == n
+    return x
+
+
+def _structured(n: int) -> list[int]:
+    k = (n + 2) // 3
+    top = n - 2 * k
+    rng = random.Random(n)
+    full = [rng.getrandbits(k), rng.getrandbits(k),
+            rng.getrandbits(top) | 1 << top - 1]
+    ones = (1 << k) - 1
+    return [
+        1 << n - 1, (1 << n) - 1,
+        _thirds(n, 0, *full[1:]),                 # low third zero
+        _thirds(n, full[0], 0, full[2]),          # middle third zero
+        _thirds(n, *full[:2], 1 << top - 1),      # least top third
+        _thirds(n, 0, ones, 1 << top - 1),        # x0 - x1 + x2 < 0
+        _thirds(n, ones, 0, (1 << top) - 1),      # carries out of x0 + x2
+    ]
+
+
+@pytest.mark.parametrize("n", [_TOOM_BITS - 1, _TOOM_BITS, _TOOM_BITS + 1,
+                               _TOOM_BITS + 2, 3 * _TOOM_BITS + 1])
+def test_square_structured_operands(n):
+    for x in _structured(n):
+        assert _square(x) == x * x
+        assert _square(-x) == x * x
+
+
+def test_square_small_operands():
+    for x in (0, 1, -1, 2, -3, 2**64 - 1, -2**100):
+        assert _square(x) == x * x
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(_TOOM_BITS - 64, 4 * _TOOM_BITS), st.integers(0, 2**32),
+       st.booleans())
+@example(4 * _TOOM_BITS, 0, False)
+def test_square_matches_plain_product(bits, seed, negative):
+    x = random.Random(seed).getrandbits(bits) | 1 << bits - 1
+    if negative:
+        x = -x
+    assert _square(x) == x * x
