@@ -1,4 +1,5 @@
-"""Command line front end.
+"""Command line front end, and every document it prints: each command
+builds its json document beside its table and csv columns.
 
 Exit codes: 0 on success, 1 when a verification or cross-check fails on
 well-formed input, 2 for malformed input or internal errors, 141 when the
@@ -134,7 +135,35 @@ def _emit(report: Report, fmt: str) -> int:
     return report.exit() if callable(report.exit) else report.exit
 
 
+# ------------------------------------------------------ shared json shapes
+
+def _interval_doc(iv) -> dict:
+    """An open enclosure (lo, hi); both ends are excluded."""
+    return {"lo": format_rational(iv.lo), "hi": format_rational(iv.hi),
+            "lo_open": True, "hi_open": True}
+
+
+def _verdict_doc(verdict) -> dict:
+    return dict(zip(("index", "a", "a-next", "unique", "k", "case"), verdict))
+
+
+def _counts_doc(counts) -> list[dict]:
+    """(t, count) pairs as {t, count} objects."""
+    return [{"t": format_rational(t), "count": c} for t, c in counts]
+
+
 # ---------------------------------------------------------------- commands
+
+def _expand_doc(run) -> dict:
+    return {
+        "theta": format_rational(run.theta),
+        "t": format_rational(run.policy.t),
+        "lambda": run.policy.lam.spec_string(),
+        "a": list(run.a),
+        "b": list(run.b),
+        "residuals": [format_rational(r) for r in run.residuals],
+    }
+
 
 def _cmd_expand(args) -> Report:
     theta = parse_rational(args.theta)
@@ -146,7 +175,8 @@ def _cmd_expand(args) -> Report:
                       last_greedy=args.last_greedy)
     rows = ((n + 1, run.a[n], run.b[n], format_rational(run.residuals[n]))
             for n in range(len(run.a)))
-    return Report(run.to_json_dict, ("n", "a", "b", "residual"), rows,
+    return Report(functools.partial(_expand_doc, run),
+                  ("n", "a", "b", "residual"), rows,
                   csv_columns=("index", "a", "b", "residual"))
 
 
@@ -202,6 +232,26 @@ def _construct_summary(result) -> Iterator[str]:
     yield f"future filler bound {format_rational(result.future_filler_bound)}"
 
 
+def _construct_doc(result) -> dict:
+    return {
+        "a": list(result.a_prefix),
+        "b": list(result.b_prefix),
+        "jump-indices": list(result.jump_indices),
+        "next-jump-index": result.next_jump_index,
+        "next-jump-value": result.next_jump_value,
+        "theta-enclosure": _interval_doc(result.theta_enclosure),
+        "theta-choices": [format_rational(t) for t in result.theta_choices],
+        "filler-values": list(result.filler_values),
+        "future-filler-bound": format_rational(result.future_filler_bound),
+        "certificates": [
+            {"index": c.index,
+             "lower-margin": format_rational(c.lower_margin),
+             "upper-margin": format_rational(c.upper_margin)}
+            for c in result.certificates],
+        "verification-depth": len(result.a_prefix),
+    }
+
+
 def _cmd_construct(args) -> Report:
     if args.family is not None and args.repeat_last_delta:
         raise ValueError("--repeat-last-delta applies only to --a-file")
@@ -216,7 +266,7 @@ def _cmd_construct(args) -> Report:
              result.b_prefix[c.index - 1],
              format_rational(c.lower_margin), format_rational(c.upper_margin))
             for c in result.certificates)
-    return Report(result.to_json_dict,
+    return Report(functools.partial(_construct_doc, result),
                   ("n", "a", "b", "lower-margin", "upper-margin"), rows,
                   csv_columns=("index", "a", "b", "lower-margin",
                                "upper-margin"),
@@ -275,7 +325,7 @@ def _cmd_unique(args) -> Report:
         lines = [f"{name}: unique={v.unique} k={v.k} case={v.case}"
                  for name, v in verdicts]
         return Report(
-            lambda: {**{name: v.to_json_dict() for name, v in verdicts},
+            lambda: {**{name: _verdict_doc(v) for name, v in verdicts},
                      "consequences": consequences},
             rows=((name, v.unique, v.k, v.case) for name, v in verdicts),
             csv_columns=("criterion", "unique", "k", "case"),
@@ -290,9 +340,8 @@ def _cmd_unique(args) -> Report:
             lambda: {
                 "sufficient": suff,
                 "necessary": nec,
-                "open-verdicts": [v.to_json_dict() for v in open_verdicts],
-                "closed-verdicts": [v.to_json_dict()
-                                    for v in closed_verdicts],
+                "open-verdicts": [_verdict_doc(v) for v in open_verdicts],
+                "closed-verdicts": [_verdict_doc(v) for v in closed_verdicts],
             },
             ("index", "a", "a-next", "open-unique", "open-case",
              "closed-unique", "closed-case"), rows,
@@ -317,7 +366,7 @@ def _cmd_family(args) -> Report:
             "bracket-ok": bracket_ok,
         }
         if enclosure is not None:
-            doc["theta-enclosure"] = enclosure.to_json_dict()
+            doc["theta-enclosure"] = _interval_doc(enclosure)
             doc["enclosure-width"] = format_rational(enclosure.width())
         return doc
 
@@ -332,6 +381,20 @@ def _cmd_family(args) -> Report:
                   after=after())
 
 
+def _classify_doc(report) -> dict:
+    return {
+        "n-terms": report.n_terms,
+        "witness-counts": _counts_doc(report.witness_counts),
+        "second-half-witness-counts": _counts_doc(
+            report.second_half_witness_counts),
+        "ratio-samples": [format_rational(r) for r in report.ratio_samples],
+        "closed-form-limit": None if report.closed_form_limit is None
+        else format_rational(report.closed_form_limit),
+        "limit-exceeds-one": report.limit_exceeds_one,
+        "verdict": report.verdict,
+    }
+
+
 def _cmd_classify(args) -> Report:
     a_values = _read_sequence_file(args.a_file)
     b_values = _read_sequence_file(args.b_file)
@@ -342,7 +405,7 @@ def _cmd_classify(args) -> Report:
     rows = ((format_rational(t), c, s)
             for (t, c), (_, s) in zip(report.witness_counts,
                                       report.second_half_witness_counts))
-    return Report(report.to_json_dict,
+    return Report(functools.partial(_classify_doc, report),
                   ("t", "witnesses", "second-half-witnesses"), rows,
                   after=(f"verdict: {report.verdict}",))
 

@@ -28,8 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterator, Optional
 
-from .rational import (RationalInterval, format_rational, positive_int,
-                       positive_ints)
+from .rational import RationalInterval, positive_int, positive_ints
 from .greedy import _companion, telescoping_endpoints
 
 
@@ -132,13 +131,6 @@ class StepCertificate:
     lower_margin: Fraction
     upper_margin: Fraction
 
-    def to_json_dict(self) -> dict:
-        return {
-            "index": self.index,
-            "lower-margin": format_rational(self.lower_margin),
-            "upper-margin": format_rational(self.upper_margin),
-        }
-
 
 @dataclass(frozen=True)
 class ConstructionResult:
@@ -152,21 +144,6 @@ class ConstructionResult:
     filler_values: tuple[Optional[int], ...]
     future_filler_bound: Fraction
     certificates: tuple[StepCertificate, ...]
-
-    def to_json_dict(self) -> dict:
-        return {
-            "a": list(self.a_prefix),
-            "b": list(self.b_prefix),
-            "jump-indices": list(self.jump_indices),
-            "next-jump-index": self.next_jump_index,
-            "next-jump-value": self.next_jump_value,
-            "theta-enclosure": self.theta_enclosure.to_json_dict(),
-            "theta-choices": [format_rational(t) for t in self.theta_choices],
-            "filler-values": list(self.filler_values),
-            "future-filler-bound": format_rational(self.future_filler_bound),
-            "certificates": [c.to_json_dict() for c in self.certificates],
-            "verification-depth": len(self.a_prefix),
-        }
 
 
 def construct(seq: TargetSequence, depth: int) -> ConstructionResult:

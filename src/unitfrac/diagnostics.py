@@ -11,14 +11,12 @@ forces b_n/a_n to blow up, so any finite window of witnesses is transient.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
 from .greedy import WeakGreedyRun
-from .rational import (_square, exact, format_rational, greedy_denominator,
-                       positive_ints)
+from .rational import _square, exact, greedy_denominator, positive_ints
 
 DEFAULT_T_GRID = (Fraction(1), Fraction(3, 2), Fraction(2), Fraction(3),
                   Fraction(5), Fraction(10))
@@ -122,21 +120,6 @@ class ClassificationReport:
     limit_exceeds_one: Optional[bool]
     verdict: str
 
-    def to_json_dict(self) -> dict:
-        return {
-            "n-terms": self.n_terms,
-            "witness-counts": [{"t": format_rational(t), "count": c}
-                               for t, c in self.witness_counts],
-            "second-half-witness-counts": [
-                {"t": format_rational(t), "count": c}
-                for t, c in self.second_half_witness_counts],
-            "ratio-samples": [format_rational(r) for r in self.ratio_samples],
-            "closed-form-limit": None if self.closed_form_limit is None
-            else format_rational(self.closed_form_limit),
-            "limit-exceeds-one": self.limit_exceeds_one,
-            "verdict": self.verdict,
-        }
-
 
 def classify(a, b, t_grid=DEFAULT_T_GRID,
              family=None) -> ClassificationReport:
@@ -148,6 +131,9 @@ def classify(a, b, t_grid=DEFAULT_T_GRID,
     b = positive_ints(b, "b")
     if not a or len(a) != len(b):
         raise ValueError("need equal-length nonempty sequences")
+    t_grid = tuple(t_grid)
+    if not t_grid:
+        raise ValueError("need at least one weakness level")
     n = len(a)
     half_start = n // 2 + 1
 
@@ -157,7 +143,9 @@ def classify(a, b, t_grid=DEFAULT_T_GRID,
         t = exact(t)
         if t < 1:
             raise ValueError("weakness levels must be at least 1")
-        hits = [b[i] <= math.ceil(t * a[i]) for i in range(n)]
+        # for integer y and t = tn/td: y <= ceil(t*x) iff (y - 1)*td < tn*x
+        tn, td = t.numerator, t.denominator
+        hits = [(y - 1) * td < tn * x for x, y in zip(a, b)]
         full.append((t, sum(hits)))
         second.append((t, sum(hits[half_start - 1:])))
 

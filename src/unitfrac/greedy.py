@@ -37,8 +37,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Optional, Sequence
 
-from .rational import (_square, exact, format_rational, parse_int,
-                       parse_rational, positive_int, positive_ints)
+from .rational import _square, exact, parse_int, positive_int, positive_ints
 
 _MAX_TERMS = 10**4
 
@@ -188,19 +187,6 @@ class WgaaPolicy:
     def scaled(cls, t: Fraction) -> "WgaaPolicy":
         return cls(t=t, lam=IndexSet.all(), selection="ceil-t-a")
 
-    def to_json_dict(self) -> dict:
-        return {
-            "t": format_rational(self.t),
-            "lambda": self.lam.spec_string(),
-            "b-selection": self.selection,
-        }
-
-    @classmethod
-    def from_json_dict(cls, blob: dict) -> "WgaaPolicy":
-        return cls(t=parse_rational(blob["t"]),
-                   lam=IndexSet.parse(blob["lambda"]),
-                   selection=blob.get("b-selection", "greedy"))
-
 
 @dataclass(frozen=True)
 class WeakGreedyRun:
@@ -211,16 +197,6 @@ class WeakGreedyRun:
     a: tuple
     b: tuple
     residuals: tuple
-
-    def to_json_dict(self) -> dict:
-        return {
-            "theta": format_rational(self.theta),
-            "t": format_rational(self.policy.t),
-            "lambda": self.policy.lam.spec_string(),
-            "a": list(self.a),
-            "b": list(self.b),
-            "residuals": [format_rational(r) for r in self.residuals],
-        }
 
 
 @dataclass(frozen=True)

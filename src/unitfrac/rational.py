@@ -133,14 +133,6 @@ class RationalInterval:
     def midpoint(self) -> Fraction:
         return (self.lo + self.hi) / 2
 
-    def to_json_dict(self) -> dict:
-        return {
-            "lo": format_rational(self.lo),
-            "hi": format_rational(self.hi),
-            "lo_open": True,
-            "hi_open": True,
-        }
-
 
 _TOOM_BITS = 40_000
 """Operand length from which ``_square`` splits its operand by Toom-3.

@@ -36,10 +36,6 @@ class UniquenessVerdict(NamedTuple):
     k: int
     case: str
 
-    def to_json_dict(self) -> dict:
-        return dict(zip(("index", "a", "a-next", "unique", "k", "case"),
-                        self))
-
 
 def _validate_pair(a: int, a_next: int) -> None:
     positive_int(a_next, "a_next", positive_int(a, "a", 2) + 1)
@@ -75,6 +71,7 @@ def _closed_criterion(a: int, a_next: int) -> tuple[bool, int, str]:
 def pair_uniqueness(a: int, a_next: int, index: int = 0) -> UniquenessVerdict:
     """Open-window criterion: is the weak choice forced for this pair?"""
     _validate_pair(a, a_next)
+    positive_int(index, "index", 0)
     return tuple.__new__(UniquenessVerdict,
                          (index, a, a_next, *_open_criterion(a, a_next)))
 
@@ -83,6 +80,7 @@ def pair_necessary_closed(a: int, a_next: int,
                           index: int = 0) -> UniquenessVerdict:
     """Closed-window criterion each pair must pass for a unique expansion."""
     _validate_pair(a, a_next)
+    positive_int(index, "index", 0)
     return tuple.__new__(UniquenessVerdict,
                          (index, a, a_next, *_closed_criterion(a, a_next)))
 

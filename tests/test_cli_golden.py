@@ -23,7 +23,6 @@ from pathlib import Path
 import pytest
 
 from unitfrac import cli
-from unitfrac.construct import ConstructionResult
 from unitfrac.uniqueness import CensusRow, sample_pairs, sweep
 
 GOLDEN = Path(__file__).with_name("cli_golden.json")
@@ -179,10 +178,10 @@ def test_json_formats_no_table_rows(monkeypatch, tmp_path):
 
 @pytest.mark.parametrize("fmt", ["table", "csv"])
 def test_table_and_csv_build_no_json(monkeypatch, tmp_path, fmt):
-    def refuse(self):
+    def refuse(result):
         raise AssertionError("json document built")
 
-    monkeypatch.setattr(ConstructionResult, "to_json_dict", refuse)
+    monkeypatch.setattr(cli, "_construct_doc", refuse)
     code, _, _ = run_case("construct-family", fmt, tmp_path)
     assert code == 0
 

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from unitfrac import cli
 from unitfrac.construct import (
     ConstructionResult,
     DepthExhausted,
@@ -126,7 +127,8 @@ def test_slacks_and_fillers_recomputed_from_the_result(start, runs):
 def test_certificates_positive():
     seq = TargetSequence(lambda n: 2 + (n - 1) // 2)
     res = construct(seq, depth=2)
-    assert res.to_json_dict()["verification-depth"] == len(res.b_prefix) == 4
+    assert (cli._construct_doc(res)["verification-depth"]
+            == len(res.b_prefix) == 4)
     assert len(res.certificates) == 4
     for cert in res.certificates:
         assert cert.lower_margin > 0
@@ -218,7 +220,7 @@ def test_depth_must_be_positive():
 def test_result_json_shape():
     seq = TargetSequence(lambda n: 2 + (n - 1) // 2)
     res = construct(seq, depth=2)
-    doc = res.to_json_dict()
+    doc = cli._construct_doc(res)
     assert set(doc) == {
         "a", "b", "jump-indices", "next-jump-index", "next-jump-value",
         "theta-enclosure", "theta-choices", "filler-values",
@@ -229,4 +231,7 @@ def test_result_json_shape():
     assert doc["theta-choices"] == ["3/20", "5/132"]
     assert doc["future-filler-bound"] == "5/264"
     assert doc["certificates"][0]["index"] == 1
+    assert set(doc["certificates"][0]) == {"index", "lower-margin",
+                                           "upper-margin"}
+    assert doc["theta-enclosure"]["lo_open"] is True
     assert isinstance(res, ConstructionResult)

@@ -10,7 +10,7 @@ documented form does not ("1_0", "+5", Arabic-Indic digits).
 
 Sizes stay small, so that each example runs in milliseconds: at most 12
 terms, depth 20 and range 40. Sizes that run away (a large --terms,
---depth or --range) are left to the work-budget tests of ROADMAP item 2.
+--depth or --range) are left to the work-budget tests of ROADMAP item 5.
 """
 from __future__ import annotations
 
@@ -94,10 +94,13 @@ ENTRY_POINTS = {
     "IndexSet.periodic period": lambda x: IndexSet.periodic(x, [0]),
 }
 
-# a residue, a Fibonacci index and the terms a tail follows may be 0
+# a residue, a Fibonacci index, the terms a tail follows and a pair's
+# index may be 0
 FROM_ZERO = {
     "IndexSet.periodic residues": lambda x: IndexSet.periodic(3, [x]),
     "fibonacci_number": fibonacci_number,
+    "pair_uniqueness index": lambda x: pair_uniqueness(2, 7, x),
+    "pair_necessary_closed index": lambda x: pair_necessary_closed(2, 7, x),
     **{f"{type(f).__name__}.tail_bracket": f.tail_bracket for f in FAMILIES},
 }
 

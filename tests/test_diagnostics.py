@@ -6,12 +6,14 @@ real check rather than an echo.
 """
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from unitfrac import cli
 from unitfrac.diagnostics import (
     _K,
     DEFAULT_T_GRID,
@@ -307,11 +309,35 @@ def test_classify_validation():
     for inexact in (1.5, True):
         with pytest.raises(ValueError, match="exact rational"):
             classify((2, 3), (2, 3), t_grid=(inexact,))
+    # no level checked is no evidence, even for data a family produces
+    a, b = GeometricFamily(2, 3).terms(12)
+    for family in (None, GeometricFamily(2, 3)):
+        with pytest.raises(ValueError, match="weakness level"):
+            classify(a[:-1], b, t_grid=(), family=family)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.integers(1, 40), st.integers(1, 400)),
+                min_size=1, max_size=16),
+       st.lists(st.fractions(min_value=1, max_value=10, max_denominator=12),
+                min_size=1, max_size=4))
+def test_classify_counts_match_fraction_ceiling(pairs, grid):
+    """Small terms and levels put t*a_n on an integer often, where the
+    integer witness test and b_n <= ceil(t*a_n) must still agree."""
+    a, b = zip(*pairs)
+    report = classify(a, b, grid)
+    assert [t for t, _ in report.witness_counts] == grid
+    assert [t for t, _ in report.second_half_witness_counts] == grid
+    for t, (_, full), (_, second) in zip(
+            grid, report.witness_counts, report.second_half_witness_counts):
+        hits = [y <= math.ceil(t * x) for x, y in pairs]
+        assert full == sum(hits)
+        assert second == sum(hits[len(pairs) // 2:])
 
 
 def test_report_json():
     a, b = quadratic_pair(12)
-    doc = classify(a, b).to_json_dict()
+    doc = cli._classify_doc(classify(a, b))
     assert doc["verdict"] == "not-producible-evidence"
     assert doc["n-terms"] == 12
     assert doc["witness-counts"][0] == {"t": "1/1", "count": 0}

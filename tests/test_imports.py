@@ -5,7 +5,9 @@ scan finds it.  Names listed in ``__all__`` count as read, since they are
 imported to be exported.  A second scan checks that the package reads no
 environment variable: its settings come from arguments only.  A third
 keeps the integer input check in one place: only ``rational.py`` tests
-whether a value is a bool.
+whether a value is a bool.  A fourth keeps every output document in the
+command line: no library type serialises itself, and only ``cli.py`` and
+the package namespace import ``format_rational``.
 """
 from __future__ import annotations
 
@@ -88,3 +90,19 @@ def test_bool_checks_only_in_rational():
                     hits.append(f"{path.relative_to(REPO)}:{node.lineno}")
     assert hits and all(hit.startswith("src/unitfrac/rational.py:")
                         for hit in hits), hits
+
+
+def test_documents_only_in_cli():
+    methods = []
+    formatters = []
+    for path in sorted((REPO / "src/unitfrac").rglob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        where = str(path.relative_to(REPO))
+        methods += [f"{where}:{node.lineno}: {node.name}"
+                    for node in ast.walk(tree)
+                    if isinstance(node, ast.FunctionDef)
+                    and node.name in ("to_json_dict", "from_json_dict")]
+        if "format_rational" in imported_names(tree):
+            formatters.append(path.name)
+    assert methods == []
+    assert formatters == ["__init__.py", "cli.py"]

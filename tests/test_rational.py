@@ -13,6 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from unitfrac import cli
 from unitfrac.rational import (
     _TOOM_BITS,
     RationalInterval,
@@ -107,8 +108,8 @@ def test_interval_validation():
     iv = RationalInterval(1, 3)
     assert type(iv.lo) is Fraction and type(iv.hi) is Fraction
     assert (iv.lo, iv.hi) == (Fraction(1), Fraction(3))
-    assert iv.to_json_dict() == {"lo": "1/1", "hi": "3/1",
-                                 "lo_open": True, "hi_open": True}
+    assert cli._interval_doc(iv) == {"lo": "1/1", "hi": "3/1",
+                                     "lo_open": True, "hi_open": True}
 
 
 def test_interval_membership_flags():

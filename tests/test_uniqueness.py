@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from unitfrac import cli
 from unitfrac.uniqueness import (
     CensusRow,
     UniquenessVerdict,
@@ -125,7 +126,7 @@ def test_necessary_uniqueness_sequences():
 
 
 def test_verdict_json():
-    doc = pair_uniqueness(2, 7, index=3).to_json_dict()
+    doc = cli._verdict_doc(pair_uniqueness(2, 7, index=3))
     assert doc == {"index": 3, "a": 2, "a-next": 7, "unique": True,
                    "k": 2, "case": "open-divisible"}
     assert isinstance(pair_uniqueness(2, 7), UniquenessVerdict)
