@@ -24,9 +24,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterator, NamedTuple, Optional
 
 from .rational import RationalInterval, positive_int, positive_ints
 from .greedy import _companion, telescoping_endpoints
@@ -119,8 +118,7 @@ def choose_b_jump(a_cur: int, a_next: int) -> int:
     return b
 
 
-@dataclass(frozen=True)
-class StepCertificate:
+class StepCertificate(NamedTuple):
     """Margins by which the residual window holds at one index.
 
     lower_margin is (suffix sum lower bound) - 1/a_n, upper_margin is
@@ -132,8 +130,7 @@ class StepCertificate:
     upper_margin: Fraction
 
 
-@dataclass(frozen=True)
-class ConstructionResult:
+class ConstructionResult(NamedTuple):
     a_prefix: tuple[int, ...]
     b_prefix: tuple[int, ...]
     jump_indices: tuple[int, ...]

@@ -11,9 +11,8 @@ forces b_n/a_n to blow up, so any finite window of witnesses is transient.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .greedy import WeakGreedyRun
 from .rational import _square, exact, greedy_denominator, positive_ints
@@ -28,8 +27,7 @@ _K = 64
 """Leading bits of each factor that ``_product_gap_below`` multiplies."""
 
 
-@dataclass(frozen=True)
-class RatioCheck:
+class RatioCheck(NamedTuple):
     """Two-sided growth test between steps index and index+1.
 
     upper_holds is None at t = 1, where no upper bound applies.
@@ -40,8 +38,7 @@ class RatioCheck:
     upper_holds: Optional[bool]
 
 
-@dataclass(frozen=True)
-class GreedyGrowthCheck:
+class GreedyGrowthCheck(NamedTuple):
     index: int
     holds: bool
 
@@ -110,8 +107,7 @@ def greedy_ratio_checks(run: WeakGreedyRun) -> list[GreedyGrowthCheck]:
             for i, (b, b_next) in enumerate(zip(run.b, run.b[1:]))]
 
 
-@dataclass(frozen=True)
-class ClassificationReport:
+class ClassificationReport(NamedTuple):
     n_terms: int
     witness_counts: tuple[tuple[Fraction, int], ...]
     second_half_witness_counts: tuple[tuple[Fraction, int], ...]

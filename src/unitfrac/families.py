@@ -11,7 +11,6 @@ sum(1/b_n) is enclosed in an exact rational interval.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .greedy import _companion, bracket_misses
@@ -39,7 +38,33 @@ def fibonacci_number(k: int) -> int:
 
 
 class SequenceFamily:
-    """Base for indexed families; indices are 1-based throughout."""
+    """Base for indexed families; indices are 1-based throughout.
+
+    A family is immutable. It equals, hashes and prints as its spec
+    string, and is copied and pickled as one.
+    """
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __eq__(self, other):
+        if not isinstance(other, SequenceFamily):
+            return NotImplemented
+        return self.spec_string() == other.spec_string()
+
+    def __hash__(self):
+        return hash(self.spec_string())
+
+    def __repr__(self):
+        return f"<{type(self).__name__} {self.spec_string()}>"
+
+    def __reduce__(self):
+        return parse_family_spec, (self.spec_string(),)
 
     def a(self, n: int) -> int:
         raise NotImplementedError
@@ -77,7 +102,6 @@ class SequenceFamily:
         return None if limit is None else limit > 1
 
 
-@dataclass(frozen=True)
 class GeometricFamily(SequenceFamily):
     """a_n = a0 * r^(n-1) for integers a0 >= 2, r >= 2.
 
@@ -86,12 +110,11 @@ class GeometricFamily(SequenceFamily):
     shifted) and r = 4 gives b_n = 2(4^n - 1)/3 (A020988).
     """
 
-    a0: int
-    r: int
+    __slots__ = ("a0", "r")
 
-    def __post_init__(self):
-        positive_int(self.a0, "a0", 2)
-        positive_int(self.r, "r", 2)
+    def __init__(self, a0: int, r: int):
+        object.__setattr__(self, "a0", positive_int(a0, "a0", 2))
+        object.__setattr__(self, "r", positive_int(r, "r", 2))
 
     def a(self, n: int) -> int:
         return self.a0 * self.r ** (positive_int(n, "n") - 1)
@@ -113,7 +136,6 @@ class GeometricFamily(SequenceFamily):
         return Fraction(self.r)
 
 
-@dataclass(frozen=True)
 class ArithmeticFamily(SequenceFamily):
     """a_n = a0 + (n-1) d for integers a0 >= 2, d >= 1.
 
@@ -122,12 +144,11 @@ class ArithmeticFamily(SequenceFamily):
     A028387); with a0 = 3, d = 2 it is 2n^2 + 4n + 1 (A056220 shifted).
     """
 
-    a0: int
-    d: int
+    __slots__ = ("a0", "d")
 
-    def __post_init__(self):
-        positive_int(self.a0, "a0", 2)
-        positive_int(self.d, "d")
+    def __init__(self, a0: int, d: int):
+        object.__setattr__(self, "a0", positive_int(a0, "a0", 2))
+        object.__setattr__(self, "d", positive_int(d, "d"))
 
     def a(self, n: int) -> int:
         return self.a0 + (positive_int(n, "n") - 1) * self.d
@@ -146,7 +167,6 @@ class ArithmeticFamily(SequenceFamily):
         return Fraction(1)
 
 
-@dataclass(frozen=True)
 class FibonacciFamily(SequenceFamily):
     """a_n = F_{n+1}, so 1, 2, 3, 5, 8, 13, ...
 
@@ -157,6 +177,8 @@ class FibonacciFamily(SequenceFamily):
     the companion rule gives the parity form (5).  b_1 is pinned to 3 by
     hand since a_1 = 1 has no bracket of its own.
     """
+
+    __slots__ = ()
 
     def a(self, n: int) -> int:
         return fibonacci_number(positive_int(n, "n") + 1)

@@ -33,9 +33,8 @@ long; every other step is the stdlib ``r - Fraction(1, b_n)``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from .rational import _square, exact, parse_int, positive_int, positive_ints
 
@@ -66,34 +65,39 @@ class ReplayOverrunError(ValueError):
         self.index = index
 
 
-@dataclass(frozen=True)
-class IndexSet:
+class IndexSet(NamedTuple("IndexSet", [("kind", str),
+                                       ("members", frozenset),
+                                       ("period", int),
+                                       ("residues", frozenset)])):
     """Set of step indices where the cap applies.
 
     Kinds: "all" (every index), "finite" (exactly the listed indices),
     "cofinite" (every index except the listed ones), and "periodic"
-    (indices n with n mod period in residues).
+    (indices n with n mod period in residues). An immutable named tuple;
+    ``_make`` and ``_replace`` go through the constructor's checks.
     """
 
-    kind: str
-    members: frozenset = frozenset()
-    period: int = 0
-    residues: frozenset = frozenset()
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.kind not in ("all", "finite", "cofinite", "periodic"):
-            raise ValueError(f"unknown index set kind: {self.kind!r}")
+    def __new__(cls, kind: str, members: Iterable[int] = frozenset(),
+                period: int = 0,
+                residues: Iterable[int] = frozenset()) -> "IndexSet":
+        if kind not in ("all", "finite", "cofinite", "periodic"):
+            raise ValueError(f"unknown index set kind: {kind!r}")
         # checked before the sets are built, where True == 1 would merge
-        object.__setattr__(self, "members", frozenset(
-            positive_ints(self.members, "member")))
-        object.__setattr__(self, "residues", frozenset(
-            positive_ints(self.residues, "residue", 0)))
-        if self.kind == "periodic":
-            positive_int(self.period, "period")
-            if not self.residues:
+        members = frozenset(positive_ints(members, "member"))
+        residues = frozenset(positive_ints(residues, "residue", 0))
+        if kind == "periodic":
+            positive_int(period, "period")
+            if not residues:
                 raise ValueError("periodic index set needs at least one residue")
-            if any(not 0 <= r < self.period for r in self.residues):
+            if any(not 0 <= r < period for r in residues):
                 raise ValueError("residues must lie in [0, period)")
+        return tuple.__new__(cls, (kind, members, period, residues))
+
+    @classmethod
+    def _make(cls, iterable) -> "IndexSet":
+        return cls(*iterable)
 
     @classmethod
     def all(cls) -> "IndexSet":
@@ -152,8 +156,9 @@ class IndexSet:
         raise ValueError(f"bad index set spec {text!r}")
 
 
-@dataclass(frozen=True)
-class WgaaPolicy:
+class WgaaPolicy(NamedTuple("WgaaPolicy", [("t", Fraction),
+                                           ("lam", IndexSet),
+                                           ("selection", str)])):
     """How b_n is chosen: scale factor t, cap index set, selection rule.
 
     Selections:
@@ -163,21 +168,27 @@ class WgaaPolicy:
                       cap at that index forces a_n
 
     As t >= 1 and a_n >= 1, ceil(t * a_n) >= a_n + 1 exactly when t > 1:
-    the min-admissible cap can force a_n only at t == 1, on Lambda.
+    the min-admissible cap can force a_n only at t == 1, on Lambda. An
+    immutable named tuple; ``_make`` and ``_replace`` go through the
+    constructor's checks.
     """
 
-    t: Fraction = Fraction(1)
-    lam: IndexSet = field(default_factory=IndexSet.all)
-    selection: str = "greedy"
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "t", exact(self.t))
-        if self.t < 1:
-            raise ValueError(f"scale factor t must be >= 1, got {self.t}")
-        if not isinstance(self.lam, IndexSet):
-            raise ValueError(f"lam must be an IndexSet, got {self.lam!r}")
-        if self.selection not in _SELECTIONS:
-            raise ValueError(f"unknown selection rule: {self.selection!r}")
+    def __new__(cls, t: Fraction = Fraction(1), lam: IndexSet = IndexSet.all(),
+                selection: str = "greedy") -> "WgaaPolicy":
+        t = exact(t)
+        if t < 1:
+            raise ValueError(f"scale factor t must be >= 1, got {t}")
+        if not isinstance(lam, IndexSet):
+            raise ValueError(f"lam must be an IndexSet, got {lam!r}")
+        if selection not in _SELECTIONS:
+            raise ValueError(f"unknown selection rule: {selection!r}")
+        return tuple.__new__(cls, (t, lam, selection))
+
+    @classmethod
+    def _make(cls, iterable) -> "WgaaPolicy":
+        return cls(*iterable)
 
     @classmethod
     def greedy(cls) -> "WgaaPolicy":
@@ -188,8 +199,7 @@ class WgaaPolicy:
         return cls(t=t, lam=IndexSet.all(), selection="ceil-t-a")
 
 
-@dataclass(frozen=True)
-class WeakGreedyRun:
+class WeakGreedyRun(NamedTuple):
     """Finite prefix of an expansion: shadows, choices, exact residuals."""
 
     theta: Fraction
@@ -199,8 +209,7 @@ class WeakGreedyRun:
     residuals: tuple
 
 
-@dataclass(frozen=True)
-class ShadowReplay:
+class ShadowReplay(NamedTuple):
     """Result of replaying a denominator list against a target."""
 
     a: tuple

@@ -22,8 +22,8 @@ No floating point is used anywhere here; every comparison is exact.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 _INT = "-?[0-9]+"  # ASCII digits only: int() also takes "1_0", "+5", "٣"
 _INT_RE = re.compile(_INT)
@@ -49,6 +49,10 @@ def positive_ints(values, what: str, least: int = 1) -> tuple:
     """The values as a tuple, each checked by ``positive_int``; the error
     ends with the 1-based index of the first bad value."""
     values = tuple(values)
+    # plain ints at or above least pass in one C pass; anything else (a
+    # bool, another int subclass, a bad value) is judged by the loop
+    if set(map(type, values)) == {int} and min(values) >= least:
+        return values
     for n, x in enumerate(values, start=1):
         try:
             positive_int(x, what, least)
@@ -107,22 +111,26 @@ def greedy_denominator(theta: Fraction) -> int:
     return theta.denominator // theta.numerator + 1
 
 
-@dataclass(frozen=True)
-class RationalInterval:
+class RationalInterval(NamedTuple("RationalInterval", [("lo", Fraction),
+                                                       ("hi", Fraction)])):
     """Open bounded interval (lo, hi) of rationals, with lo < hi.
 
     This is the shape of every enclosure the package emits; both ends are
-    excluded.
+    excluded. It is an immutable named tuple whose constructor checks its
+    ends, and ``_make``, so also ``_replace``, goes through that check.
     """
 
-    lo: Fraction
-    hi: Fraction
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "lo", exact(self.lo))
-        object.__setattr__(self, "hi", exact(self.hi))
-        if self.lo >= self.hi:
-            raise ValueError(f"empty interval: lo={self.lo} >= hi={self.hi}")
+    def __new__(cls, lo: Fraction, hi: Fraction) -> "RationalInterval":
+        lo, hi = exact(lo), exact(hi)
+        if lo >= hi:
+            raise ValueError(f"empty interval: lo={lo} >= hi={hi}")
+        return tuple.__new__(cls, (lo, hi))
+
+    @classmethod
+    def _make(cls, iterable) -> "RationalInterval":
+        return cls(*iterable)
 
     def contains(self, x: Fraction) -> bool:
         return self.lo < x < self.hi

@@ -7,11 +7,17 @@ environment variable: its settings come from arguments only.  A third
 keeps the integer input check in one place: only ``rational.py`` tests
 whether a value is a bool.  A fourth keeps every output document in the
 command line: no library type serialises itself, and only ``cli.py`` and
-the package namespace import ``format_rational``.
+the package namespace import ``format_rational``. The last two keep every
+process start light: no module of the package imports ``dataclasses``,
+and importing the package and its command line loads neither
+``dataclasses`` nor ``inspect``.
 """
 from __future__ import annotations
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
@@ -106,3 +112,35 @@ def test_documents_only_in_cli():
             formatters.append(path.name)
     assert methods == []
     assert formatters == ["__init__.py", "cli.py"]
+
+
+def test_no_dataclasses_import():
+    hits = []
+    for path in sorted((REPO / "src/unitfrac").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            if any(m.partition(".")[0] == "dataclasses" for m in modules):
+                hits.append(f"{path.relative_to(REPO)}:{node.lineno}")
+    assert hits == []
+
+
+def test_start_up_import_graph():
+    """The modules ``import unitfrac, unitfrac.cli`` adds to a fresh
+    interpreter. ``dataclasses`` brings ``inspect``, and the two were most
+    of the start-up time of every command. Modules the interpreter loaded
+    before, as a site hook may, are not counted."""
+    script = ("import sys\n"
+              "before = set(sys.modules)\n"
+              "import unitfrac, unitfrac.cli\n"
+              "print(*sorted(set(sys.modules) - before))\n")
+    added = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True,
+        check=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": str(REPO / "src")}).stdout.split()
+    assert "unitfrac.cli" in added
+    assert {"dataclasses", "inspect"}.isdisjoint(added), added

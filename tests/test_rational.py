@@ -6,6 +6,7 @@ comparisons, so it shares no code with the counting kernel under test.
 """
 from __future__ import annotations
 
+import enum
 import random
 from fractions import Fraction
 
@@ -22,6 +23,8 @@ from unitfrac.rational import (
     greedy_denominator,
     integer_bounds,
     parse_rational,
+    positive_int,
+    positive_ints,
 )
 
 
@@ -92,6 +95,46 @@ def test_addition_is_exact(x, y):
 @given(st.fractions(), st.fractions().filter(lambda v: v != 0))
 def test_multiplication_is_exact(x, y):
     assert (x * y) / y == x
+
+
+# ----------------------------------------------------------- input checks
+
+class _Level(enum.IntEnum):
+    LOW = 0
+    HIGH = 5
+
+
+def _per_element(values, least):
+    """What ``positive_ints`` gave as one ``positive_int`` per value: the
+    tuple, or the message naming the first bad value and its index."""
+    for n, x in enumerate(values, start=1):
+        try:
+            positive_int(x, "v", least)
+        except ValueError as exc:
+            return f"{exc} at {n}"
+    return tuple(values)
+
+
+@settings(max_examples=300)
+@given(st.lists(st.one_of(st.integers(-2, 2**70), st.booleans(),
+                          st.sampled_from(_Level), st.floats())),
+       st.integers(-1, 3))
+@example([], 1)
+@example([2, 3, 2], 2)
+@example([3, 2, 1, 0], 1)
+@example([2, True], 1)
+@example([_Level.HIGH, 2], 2)
+@example([_Level.LOW, 2], 1)
+@example([2, 2.0], 1)
+def test_positive_ints_matches_the_per_element_check(values, least):
+    try:
+        got = positive_ints(values, "v", least)
+    except ValueError as exc:
+        got = str(exc)
+    want = _per_element(values, least)
+    assert got == want
+    if isinstance(got, tuple):
+        assert list(map(type, got)) == list(map(type, values))
 
 
 # ----------------------------------------------------------------- intervals
