@@ -2,8 +2,9 @@
 
 Three families come with closed forms for both the shadow a_n and the
 denominator b_n: geometric shadows a0 * r^n, arithmetic shadows
-a0 + (n-1)d, and the Fibonacci shadow.  Partial sums plus exact tail
-brackets give certified rational enclosures for the full series.
+a0 + (n-1)d, and the Fibonacci shadow.  Partial sums plus the one tail
+bracket that the companion rule gives every family, rounded outward onto
+a 2^-96 grid, give certified rational enclosures for the full series.
 """
 import math
 

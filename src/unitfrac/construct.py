@@ -50,9 +50,10 @@ class TargetSequence:
     and later ones may never decrease.
     """
 
-    def __init__(self, fn: Callable[[int], int]):
+    def __init__(self, fn: Callable[[int], int], _given: int = 0):
         self._fn = fn
         self._cache: list[int] = []
+        self._given = _given  # terms given as data, by from_explicit
 
     @classmethod
     def from_explicit(cls, values, continue_rule: Optional[str] = None):
@@ -75,7 +76,7 @@ class TargetSequence:
             if delta is None:
                 raise DepthExhausted(f"only {len(vals)} terms available")
             return vals[-1] + delta * (n - len(vals))
-        return cls(fn)
+        return cls(fn, len(vals))
 
     @classmethod
     def from_family(cls, family):
@@ -148,10 +149,11 @@ def construct(seq: TargetSequence, depth: int) -> ConstructionResult:
 
     The built prefix ends at the depth-th jump; one further jump is
     located to anchor the tail, so depth+1 strict increases must occur
-    within the scan horizon of 64*(depth+1) + 1024 indices.
+    within the scan horizon of given + 64*(depth+1) + 1024 indices, where
+    given counts the terms passed to ``from_explicit`` (0 otherwise).
     """
     positive_int(depth, "depth")
-    horizon = 64 * (depth + 1) + 1024
+    horizon = seq._given + 64 * (depth + 1) + 1024
 
     # stop at the (depth+1)-th jump: targets past it are never evaluated
     jumps = list(itertools.islice(jump_set(seq, horizon - 1), depth + 1))

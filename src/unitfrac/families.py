@@ -6,17 +6,19 @@ differences 1/a_n - 1/a_{n+1} and 1/(a_n - 1) - 1/(a_{n+1} - 1), by the one
 companion rule ``greedy._companion``; the class docstrings give its closed
 forms. ``terms(n)`` reads a_1..a_{n+1} once (Fibonacci by its recurrence,
 the others by index) and derives b_1..b_n from them, and the series
-sum(1/b_n) is enclosed in an exact rational interval.
+sum(1/b_n) is enclosed by its prefix sums plus the one tail bracket that
+the companion rule gives every family, with both ends on the 2**-96 grid.
 """
 from __future__ import annotations
 
+import math
 import re
 from fractions import Fraction
 
 from .greedy import _companion, bracket_misses
 from .rational import RationalInterval, positive_int
 
-# fixed-point scale for certified partial sums; error per term is 2**-96
+# grid of every enclosure end: terms and tail are rounded outward to it
 _SCALE = 2**96
 
 
@@ -89,8 +91,28 @@ class SequenceFamily:
         raise NotImplementedError
 
     def tail_bracket(self, n_terms: int) -> tuple[Fraction, Fraction]:
-        """Strict rational bounds on sum(1/b(n) for n > n_terms)."""
-        raise NotImplementedError
+        """Strict rational bounds on sum(1/b(k) for k > n_terms).
+
+        With a = a_{n+1} and a' = a_{n+2}, n = n_terms, they are 1/a and
+        a'/(a a' - (a' - a)).  Write P_k = a_k a_{k+1} and
+        g_k = a_{k+1} - a_k.  The companion b_k = (P_k - 1) // g_k is the
+        largest integer below P_k / g_k, so P_k / g_k - 1 <= b_k, that is
+        1/a_k - 1/a_{k+1} < 1/b_k <= kappa_k (1/a_k - 1/a_{k+1}) with
+        kappa_k = P_k / (P_k - g_k).  The lower ends telescope to 1/a,
+        since a_k grows without bound.  P_k / g_k strictly increases in
+        every family here (the tests check it), so kappa_k strictly
+        decreases and the upper ends sum to less than kappa_{n+1} / a,
+        the upper bound.  An index whose a_k < 2 has no bracket; as in
+        ``terms``, it is peeled off as 1/b(k).
+        """
+        k = positive_int(n_terms, "n_terms", 0) + 1
+        peeled = Fraction(0)
+        while (a := self.a(k)) < 2:
+            peeled += Fraction(1, self.b(k))
+            k += 1
+        a_next = self.a(k + 1)
+        return (peeled + Fraction(1, a),
+                peeled + Fraction(a_next, a * a_next - (a_next - a)))
 
     def ratio_limit(self) -> Fraction | None:
         """Rational limit of a(n+1)/a(n) when one exists, else None."""
@@ -122,16 +144,6 @@ class GeometricFamily(SequenceFamily):
     def spec_string(self) -> str:
         return f"geometric:a={self.a0},r={self.r}"
 
-    def tail_bracket(self, n_terms: int) -> tuple[Fraction, Fraction]:
-        # 1/b_n lies in ((r-1)/(a0 r^n), (r-1)/(a0 r^n - (r-1))]; the lower
-        # series telescopes exactly and the upper is inflated by the n_terms+1
-        # correction factor, largest among the remaining terms
-        base = self.a0 * self.r ** positive_int(n_terms, "n_terms", 0)
-        lo = Fraction(1, base)
-        head = base * self.r
-        kappa = Fraction(head, head - (self.r - 1))
-        return lo, kappa * lo
-
     def ratio_limit(self) -> Fraction | None:
         return Fraction(self.r)
 
@@ -155,13 +167,6 @@ class ArithmeticFamily(SequenceFamily):
 
     def spec_string(self) -> str:
         return f"arithmetic:a={self.a0},d={self.d}"
-
-    def tail_bracket(self, n_terms: int) -> tuple[Fraction, Fraction]:
-        first = self.a(positive_int(n_terms, "n_terms", 0) + 1)
-        lo = Fraction(1, first)
-        prod = first * self.a(n_terms + 2)
-        kappa = Fraction(prod, prod - self.d)
-        return lo, kappa * lo
 
     def ratio_limit(self) -> Fraction | None:
         return Fraction(1)
@@ -198,17 +203,6 @@ class FibonacciFamily(SequenceFamily):
     def spec_string(self) -> str:
         return "fibonacci"
 
-    def tail_bracket(self, n_terms: int) -> tuple[Fraction, Fraction]:
-        # b(n+1)/b(n) >= 3/2 holds from n = 3 on, so past n_terms >= 2 the
-        # tail is squeezed between its first term and the geometric series
-        # with ratio 2/3; smaller n_terms peel off exact terms first
-        if positive_int(n_terms, "n_terms", 0) < 2:
-            shift = Fraction(1, self.b(n_terms + 1))
-            lo, hi = self.tail_bracket(n_terms + 1)
-            return shift + lo, shift + hi
-        first = Fraction(1, self.b(n_terms + 1))
-        return first, 3 * first
-
     def ratio_exceeds_one(self) -> bool | None:
         # a(n+1)/a(n) tends to the golden ratio, which is not rational,
         # so there is no exact limit to report
@@ -227,10 +221,10 @@ def bracket_failures(family: SequenceFamily, horizon: int) -> list[int]:
 def theta_partial(family: SequenceFamily, n_terms: int) -> RationalInterval:
     """Open rational enclosure of sum(1/b(n) for all n >= 1).
 
-    The first n_terms reciprocals are accumulated in fixed point at scale
-    2**96 with outward rounding, then the family tail bracket covers the
-    rest.  The result is exact arithmetic end to end: the true series sum
-    lies strictly inside the returned interval.
+    The first n_terms reciprocals and the tail bracket are each rounded
+    outward onto the 2**-96 grid, so each end is an integer over 2**96.
+    The result is exact arithmetic end to end: the true series sum lies
+    strictly inside the returned interval.
     """
     _, b = family.terms(positive_int(n_terms, "n_terms"))
     return _enclosure(family, b)
@@ -239,9 +233,9 @@ def theta_partial(family: SequenceFamily, n_terms: int) -> RationalInterval:
 def _enclosure(family: SequenceFamily, b: list[int]) -> RationalInterval:
     """``theta_partial`` from the family's own b_1..b_n, n = len(b)."""
     tail_lo, tail_hi = family.tail_bracket(len(b))
-    return RationalInterval(
-        Fraction(sum(_SCALE // den for den in b), _SCALE) + tail_lo,
-        Fraction(sum(-(-_SCALE // den) for den in b), _SCALE) + tail_hi)
+    lo = sum(_SCALE // den for den in b) + math.floor(tail_lo * _SCALE)
+    hi = sum(-(-_SCALE // den) for den in b) + math.ceil(tail_hi * _SCALE)
+    return RationalInterval(Fraction(lo, _SCALE), Fraction(hi, _SCALE))
 
 
 _GEOMETRIC_RE = re.compile("geometric:a=([0-9]+),r=([0-9]+)")

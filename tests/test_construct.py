@@ -211,6 +211,13 @@ def test_depth_exhaustion():
         construct(seq, depth=2)
 
 
+def test_long_given_plateau_is_scanned_whole():
+    # 1200 given 2s outrun the 64*(depth+1) + 1024 indices an endless
+    # plateau may take; a plateau inside given terms is scanned to its end
+    seq = TargetSequence.from_explicit([2] * 1200 + [3, 4])
+    assert construct(seq, 1).jump_indices == (1200,)
+
+
 def test_depth_must_be_positive():
     seq = TargetSequence(lambda n: n + 1)
     with pytest.raises(ValueError):

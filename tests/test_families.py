@@ -10,6 +10,8 @@ import io
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from unitfrac import cli, families
 from unitfrac.construct import choose_b_jump
@@ -23,6 +25,7 @@ from unitfrac.families import (
     theta_partial,
 )
 from unitfrac.greedy import bracket_misses
+from unitfrac.rational import format_rational
 
 
 def bracket_holds(a, a_next, b):
@@ -187,6 +190,109 @@ def test_explicit_family_bracket_failure():
     assert bracket_misses(a_vals, b_vals) == [2]
 
 
+# -------------------------------------------------------- the tail bracket
+
+def geometric_tail_oracle(a0, r, n):
+    """The geometric closed form: 1/b_k lies in ((r-1)/(a0 r^k),
+    (r-1)/(a0 r^k - (r-1))], so the tail is inflated by its first factor."""
+    base = a0 * r**n
+    head = base * r
+    return Fraction(1, base), Fraction(head, head - (r - 1)) / base
+
+
+def arithmetic_tail_oracle(a0, d, n):
+    """The arithmetic closed form, inflated by kappa = P/(P - d)."""
+    first = a0 + n * d
+    prod = first * (first + d)
+    return Fraction(1, first), Fraction(prod, prod - d) / first
+
+
+def fibonacci_ratio_oracle(n):
+    """The ratio bound: past index 2 the tail lies between its first term
+    and a geometric series of ratio 2/3; terms 1 and 2 are exact."""
+    fam = FibonacciFamily()
+    exact = sum(Fraction(1, fam.b(k)) for k in range(n + 1, 3))
+    first = Fraction(1, fam.b(max(n, 2) + 1))
+    return exact + first, exact + 3 * first
+
+
+@pytest.mark.parametrize("a0,r", [(2, 3), (5, 7), (2, 2), (3, 4), (9, 5)])
+def test_tail_bracket_is_the_geometric_closed_form(a0, r):
+    family = GeometricFamily(a0, r)
+    for n in range(300):
+        assert family.tail_bracket(n) == geometric_tail_oracle(a0, r, n)
+
+
+@pytest.mark.parametrize("a0,d", [(2, 1), (3, 2), (9, 4), (2, 7), (5, 5)])
+def test_tail_bracket_is_the_arithmetic_closed_form(a0, d):
+    family = ArithmeticFamily(a0, d)
+    for n in range(300):
+        assert family.tail_bracket(n) == arithmetic_tail_oracle(a0, d, n)
+
+
+def test_tail_bracket_lies_inside_the_fibonacci_ratio_bound():
+    family = FibonacciFamily()
+    for n in range(301):
+        old_lo, old_hi = fibonacci_ratio_oracle(n)
+        lo, hi = family.tail_bracket(n)
+        assert old_lo <= lo < hi <= old_hi
+
+
+@pytest.mark.parametrize("family", GRID, ids=lambda f: f.spec_string())
+def test_companion_lemma_hypothesis(family):
+    # tail_bracket needs a_k a_{k+1} / (a_{k+1} - a_k) strictly increasing,
+    # from k = 2 for Fibonacci (a_1 = 1 is peeled) and k = 1 otherwise
+    a, _ = family.terms(2000)
+    first = 2 if isinstance(family, FibonacciFamily) else 1
+    ratios = [(x * y, y - x) for x, y in zip(a[first - 1:], a[first:])]
+    for (p, g), (p_next, g_next) in zip(ratios, ratios[1:]):
+        assert p * g_next < p_next * g
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(GRID), st.integers(0, 300), st.integers(1, 300))
+@example(FibonacciFamily(), 0, 1)
+@example(FibonacciFamily(), 0, 2)
+def test_tail_brackets_nest(family, n, extra):
+    # the exact terms n < k <= m plus the bracket at m lie strictly inside
+    # the bracket at n, unless every one of those terms is peeled exactly
+    m = n + extra
+    a, b = family.terms(m)
+    head = sum(Fraction(1, den) for den in b[n:])
+    lo, hi = family.tail_bracket(n)
+    inner = family.tail_bracket(m)
+    if all(x < 2 for x in a[n:m]):
+        assert (lo, hi) == (head + inner[0], head + inner[1])
+    else:
+        assert lo < head + inner[0] < head + inner[1] < hi
+
+
+@pytest.mark.parametrize("family,n_terms", [
+    (GeometricFamily(2, 3), 40), (GeometricFamily(5, 2), 7),
+    (ArithmeticFamily(2, 1), 200), (ArithmeticFamily(3, 2), 1),
+    (FibonacciFamily(), 1), (FibonacciFamily(), 60), (FibonacciFamily(), 300),
+])
+def test_enclosure_rounds_the_tail_outward_onto_the_grid(family, n_terms):
+    scale = 2**96
+    _, b = family.terms(n_terms)
+    tail_lo, tail_hi = family.tail_bracket(n_terms)
+    exact_lo = Fraction(sum(scale // den for den in b), scale) + tail_lo
+    exact_hi = Fraction(sum(-(-scale // den) for den in b), scale) + tail_hi
+    iv = theta_partial(family, n_terms)
+    assert exact_lo - Fraction(1, scale) < iv.lo <= exact_lo
+    assert exact_hi <= iv.hi < exact_hi + Fraction(1, scale)
+    assert scale % iv.lo.denominator == 0
+    assert scale % iv.hi.denominator == 0
+
+
+def test_long_enclosure_prints_under_the_digit_limit():
+    # the exact tail's ends have about 2 * 7.9 kbit denominators here,
+    # past the default 4300-digit limit on int-to-str conversion
+    iv = theta_partial(GeometricFamily(2, 3), 5000)
+    for end in (iv.lo, iv.hi):
+        assert len(format_rational(end)) < 80
+
+
 # ------------------------------------------------------- certified sums
 
 def float_sum(family, n_terms):
@@ -212,7 +318,7 @@ def test_theta_enclosure_arithmetic():
 
 def test_family_command_evaluates_each_fibonacci_term_once(monkeypatch):
     # 1321 targets close 1320 brackets and come from the recurrence; only
-    # the tail bracket reads one b, so two targets, by index; the listing
+    # the tail bracket reads a(1321) and a(1322), by index; the listing
     # and the enclosure share the one term list
     calls = []
 
