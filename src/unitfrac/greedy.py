@@ -27,8 +27,9 @@ shadow is fixed by the residual alone. It subtracts each 1/b_n through
 one step kernel, ``_unit_step``. When the residual's numerator p and the
 step d = b_n - (a_n - 1) are both below ``_WORD_BOUND`` (2**64), the
 kernel builds the next residual from integers, so its one long product
-is the square m*m, which ``rational._square`` forms by Toom-3 once m is
-long; every other step is the stdlib ``r - Fraction(1, b_n)``.
+is the square m*m, which ``rational._square`` forms by Toom-3 once m
+passes 40 kbit and by a Schönhage–Strassen transform once it passes 250
+kbit; every other step is the stdlib ``r - Fraction(1, b_n)``.
 """
 from __future__ import annotations
 

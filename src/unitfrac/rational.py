@@ -6,9 +6,19 @@ rest of the package needs on top of that type: strict "P/Q" serialization,
 the greedy denominator map, the open bounded ``RationalInterval`` that
 every emitted enclosure takes, and the integer window kernel
 ``integer_bounds``, which finds the integers between two integer ratios
-by floor division alone. ``_square`` is the long square under every
-expansion step and the greedy growth check: exact, and by Toom-3 once its
-operand passes ``_TOOM_BITS``.
+by floor division alone.
+
+``_square`` is the long square under every expansion step and the greedy
+growth check, exact in three bands of operand length. Below
+``_TOOM_BITS`` (40 kbit) it is x*x, CPython's Karatsuba. Up to
+``_SSA_BITS`` (250 kbit) it is Toom-3, five squares of a third of the
+length, which wins from about 50 kbit on. From there on it is
+``_ssa_square``, a Schönhage–Strassen square: a transform of length
+2K over the ring Z/(2**n + 1), where 2**(n/K) is a root of unity of
+order 2K, so that every twiddle is a shift, with one short square per
+point. Its interpreter cost per butterfly is why it only wins past
+about 225 kbit. Both long methods keep their traced peak memory below
+that of x*x, about 0.8 times it at 1 Mbit.
 
 It also holds the input contract of every entry point. ``positive_int``
 and, for lists, ``positive_ints`` refuse a bool, a non-``int`` or a value
@@ -153,21 +163,40 @@ kbit, so below this length ``_square`` returns x*x.
 """
 
 
-def _square(x: int) -> int:
-    """x*x, by Toom-3 with Bodrato's evaluation and interpolation.
+_SSA_BITS = 250_000
+"""Operand length from which ``_square`` squares by Schönhage–Strassen.
 
-    x = x2*B**2 + x1*B + x0 with B = 2**k, 0 <= x0, x1 < B, and x2 of
-    x's sign: the identity needs no sign split. The square is the degree-4
-    polynomial with values r(0) = x0**2, r(1), r(-1), r(-2) and
-    r(inf) = x2**2, each a recursive square; Bodrato's sequence recovers
-    its coefficients with shifts, additions and one exact division by 3.
-    Each piece, point value and coefficient is dropped once it has been
-    read for the last time; so its traced peak memory at 1 and 2 Mbit is
-    below that of x*x (0.89 against 1.06 MB at 1 Mbit, CPython 3.11).
+Each of the transform's K*log K butterflies pays a fixed interpreter
+cost, so it only wins once the squares it saves are long. On CPython
+3.11 (x86-64) it is level with Toom-3 from about 212 to 240 kbit, and
+1.15x faster at 250 kbit, 1.6x at 500 kbit, 1.7-2x at 1 Mbit and 2.2x
+at 2 Mbit; below that Toom-3 wins (by 1.15-1.2x at 200 kbit). The
+cutoff is the first length measured with a clear lead. Between
+``_TOOM_BITS`` and here Toom-3 stays: at 64 kbit it beats x*x by about
+14 %.
+"""
+
+
+def _square(x: int) -> int:
+    """x*x, by one of three methods chosen by the length of x.
+
+    Below ``_TOOM_BITS`` it is x*x. From ``_SSA_BITS`` on it is
+    ``_ssa_square``. Between the two it is Toom-3 with Bodrato's
+    evaluation and interpolation: x = x2*B**2 + x1*B + x0 with B = 2**k,
+    0 <= x0, x1 < B, and x2 of x's sign, so the identity needs no sign
+    split. The square is the degree-4 polynomial with values
+    r(0) = x0**2, r(1), r(-1), r(-2) and r(inf) = x2**2, each a recursive
+    square; Bodrato's sequence recovers its coefficients with shifts,
+    additions and one exact division by 3. Each piece, point value and
+    coefficient is dropped once it has been read for the last time, so
+    the traced peak memory stays below that of x*x (0.22 against 0.26 MB
+    at 250 kbit, CPython 3.11).
     """
     n = x.bit_length()
     if n < _TOOM_BITS:
         return x * x
+    if n >= _SSA_BITS:
+        return _ssa_square(x)
     k = (n + 2) // 3
     mask = (1 << k) - 1
     x0, x1, x2 = x & mask, (x >> k) & mask, x >> 2 * k
@@ -196,6 +225,110 @@ def _square(x: int) -> int:
     out = (out << k) + c1
     del c1
     return (out << k) + r0
+
+
+def _ssa_shape(bits: int) -> tuple[int, int]:
+    """(k, bytes per piece) of ``_ssa_square`` for an operand of ``bits``
+    bits, bits >= 2: K = 2**k pieces of the fewest whole bytes that hold
+    it, where k grows by one for every two bits of the length of bits."""
+    k = bits.bit_length() // 2 - 1
+    return k, -(-bits // (8 << k))
+
+
+def _ssa_square(x: int) -> int:
+    """x*x by a Schönhage–Strassen transform over Z/(2**n + 1).
+
+    |x| of N bits is cut into K = 2**k pieces x_i of M bits, M a multiple
+    of 8 with K*M >= N, so x = sum x_i 2**(i*M) with 0 <= x_i < 2**M and
+    x*x = sum c_j 2**(j*M) over j < 2K - 1, where c_j = sum x_i x_l over
+    i + l = j. Each c_j has at most K terms below 2**(2M), so
+    0 <= c_j < K * 2**(2M) = 2**(2M + k) < 2**n with n >= 2M + k + 2.
+
+    In Z/(2**n + 1), 2**n = -1, so with n a multiple of K the element
+    w = 2**(n/K) has w**K = -1. For a power of two 2K that makes w a
+    principal root of unity of order 2K (sum over j of w**(i*j) is 0 for
+    0 < i < 2K), and 2 is a unit, so the length-2K transform by w is
+    inverted by the one by 1/w and a division by 2K. The pieces, padded
+    with K zeros, have the c_j as their cyclic convolution of length 2K,
+    since 2K - 1 coefficients do not wrap around; so the transform, a
+    square at each point and the inverse transform give each c_j modulo
+    2**n + 1, which is c_j itself by the bound above.
+
+    Every power of w is a shift, and t = hi * 2**n + lo is t = lo - hi
+    modulo 2**n + 1, so a product by a power of w is a shift and one
+    fold. Values are not brought into [0, 2**n] between levels, where
+    each level at most doubles them and adds 2**n, so the one ``%`` per
+    coefficient at the end reads a value at most about 3k + 7 bits
+    longer than 2**n + 1, which keeps it linear. The forward transform
+    runs in decimation-in-frequency order and the inverse in
+    decimation-in-time order, so the points stay in bit-reversed order
+    in between and no permutation is needed. Each point is squared in
+    place by ``_square``, and the coefficients are carried, M bits at a
+    time, into one byte buffer while the list of points is emptied.
+
+    ``_ssa_shape`` takes k = N.bit_length() // 2 - 1, so K lies between
+    sqrt(N/8) and sqrt(N)/2, each point has about 2N/K bits and the two
+    transforms run (k + 1)*2K butterflies. The traced peak memory is
+    about 0.8 times that of x*x from 0.25 to 2 Mbit (0.85 against 1.06
+    MB at 1 Mbit, CPython 3.11).
+    """
+    x = abs(x)
+    k, size = _ssa_shape(x.bit_length())
+    K, M = 1 << k, 8 * size
+    n = -(-(2 * M + k + 2) // K) * K
+    mask = (1 << n) - 1
+    modulus = mask + 2
+    view = memoryview(x.to_bytes(K * size, "little"))
+    a = [int.from_bytes(view[i * size:(i + 1) * size], "little")
+         for i in range(K)]
+    del view
+    # forward, decimation in frequency: at half-length h, the pair u, v at
+    # i, i + h of each block of 2h becomes u + v, (u - v) * 2**(j*n/h),
+    # where j is i's place in its block. The first level meets the zero
+    # half, so it only shifts.
+    for j in range(K):
+        t = a[j] << j * (n // K)
+        a.append((t & mask) - (t >> n))
+    h = K // 2
+    while h:
+        step = n // h
+        for s in range(0, 2 * K, 2 * h):
+            u, v = a[s], a[s + h]
+            a[s], a[s + h] = u + v, u - v
+            for i in range(s + 1, s + h):
+                u, v = a[i], a[i + h]
+                a[i] = u + v
+                t = (u - v) << (i - s) * step
+                a[i + h] = (t & mask) - (t >> n)
+        h //= 2
+    for i in range(2 * K):
+        t = _square(a[i])
+        a[i] = (t & mask) - (t >> n)
+    # inverse, decimation in time: w**-m = 2**(2n - m) = -2**(n - m)
+    h = 1
+    while h < 2 * K:
+        step = n // h
+        for s in range(0, 2 * K, 2 * h):
+            u, v = a[s], a[s + h]
+            a[s], a[s + h] = u + v, u - v
+            for i in range(s + 1, s + h):
+                t = a[i + h] << n - (i - s) * step
+                t = (t & mask) - (t >> n)
+                u = a[i]
+                a[i], a[i + h] = u - t, u + t
+        h *= 2
+    # c_j is a_j / 2K = -a_j * 2**(n - k - 1); x*x < 2**(2K*M), so the
+    # carry is spent by the last of the 2K pieces
+    out = bytearray(2 * K * size)
+    low = (1 << M) - 1
+    carry = 0
+    for j in range(2 * K):
+        t = a[j] << n - k - 1
+        a[j] = None
+        carry += ((t >> n) - (t & mask)) % modulus
+        out[j * size:(j + 1) * size] = (carry & low).to_bytes(size, "little")
+        carry >>= M
+    return int.from_bytes(out, "little")
 
 
 def integer_bounds(lo_n: int, lo_d: int, hi_n: int, hi_d: int,

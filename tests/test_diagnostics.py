@@ -36,7 +36,7 @@ from unitfrac.greedy import (
     recover_shadow,
     wgaa_expand,
 )
-from unitfrac.rational import _TOOM_BITS
+from unitfrac.rational import _SSA_BITS, _TOOM_BITS
 
 
 def F(p, q=1):
@@ -210,11 +210,13 @@ def test_greedy_growth_check_at_its_edge(b, offset):
     assert check.holds is (b_next >= b * (b - 1) + 1)
 
 
-@pytest.mark.parametrize("bits", [_TOOM_BITS + 1, 4 * _TOOM_BITS + 2])
+@pytest.mark.parametrize("bits", [_TOOM_BITS + 1, 4 * _TOOM_BITS + 2,
+                                  _SSA_BITS + 3])
 @pytest.mark.parametrize("offset", [-1, 0, 1])
 def test_greedy_growth_check_past_the_square_cutoff(bits, offset):
-    # b long enough that its square goes through one or two Toom-3 levels;
-    # the edge b' = b(b - 1) + 1 is formed here by the plain product
+    # b long enough that its square goes through one or two Toom-3 levels,
+    # or through the Schönhage–Strassen transform; the edge
+    # b' = b(b - 1) + 1 is formed here by the plain product
     b = 3 ** (bits * 631 // 1000)  # 3**k has about 1.585 k bits
     assert b.bit_length() >= bits
     b_next = b * (b - 1) + 1 + offset

@@ -28,7 +28,7 @@ from unitfrac.greedy import (
     telescoping_endpoints,
     wgaa_expand,
 )
-from unitfrac.rational import _TOOM_BITS, integer_bounds
+from unitfrac.rational import _SSA_BITS, _TOOM_BITS, integer_bounds
 from unitfrac.uniqueness import pair_uniqueness
 
 
@@ -432,11 +432,16 @@ def test_unit_step_at_the_guard():
 def test_deep_runs_match_fraction_replay(theta, selection):
     # squaring denominators: 14 to 16 steps carry the residual past 10 kbit,
     # and from 5/121 past four Toom-3 cutoffs, so the last steps' squares
-    # m*m take one or two levels of ``rational._square``
+    # m*m take one or two levels of ``rational._square``. From 5/121 a
+    # 17th step squares an m past the Schönhage–Strassen cutoff, in the
+    # expansion and in its replay; its first 16 steps are the 16-term run
     policy = WgaaPolicy(t=Fraction(2), selection=selection)
-    run = wgaa_expand(theta, policy, 16)
-    least = 4 * _TOOM_BITS if theta == Fraction(5, 121) else 10_000
+    deep = theta == Fraction(5, 121)
+    run = wgaa_expand(theta, policy, 17 if deep else 16)
+    least = 4 * _TOOM_BITS if deep else 10_000
     assert run.residuals[-1].denominator.bit_length() > least
+    if deep:
+        assert (run.a[-1] - 1).bit_length() >= _SSA_BITS  # the last m
     r = theta
     for a, b, got in zip(run.a, run.b, run.residuals):
         assert a == r.denominator // r.numerator + 1

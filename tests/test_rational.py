@@ -16,9 +16,12 @@ from hypothesis import strategies as st
 
 from unitfrac import cli
 from unitfrac.rational import (
+    _SSA_BITS,
     _TOOM_BITS,
     RationalInterval,
     _square,
+    _ssa_shape,
+    _ssa_square,
     format_rational,
     greedy_denominator,
     integer_bounds,
@@ -274,6 +277,96 @@ def test_square_small_operands():
        st.booleans())
 @example(4 * _TOOM_BITS, 0, False)
 def test_square_matches_plain_product(bits, seed, negative):
+    x = random.Random(seed).getrandbits(bits) | 1 << bits - 1
+    if negative:
+        x = -x
+    assert _square(x) == x * x
+
+
+# The Schönhage–Strassen band. Its structured operands have closed-form
+# squares, so only the random ones pay for x*x as the oracle.
+
+def _pieces(bits: int) -> tuple[int, int]:
+    """K and M of ``_ssa_square``'s split of a ``bits``-bit operand."""
+    k, size = _ssa_shape(bits)
+    return 1 << k, 8 * size
+
+
+# where N.bit_length() changes, from the cutoff's length up to 1 Mbit;
+# k steps at 2**19 bits
+_SSA_STEPS = (2**18 - 1, 2**18, 2**19 - 1, 2**19, 2**20 - 1, 2**20)
+
+
+def test_ssa_square_cutoff():
+    rng = random.Random(_SSA_BITS)
+    for n in (_SSA_BITS - 1, _SSA_BITS, _SSA_BITS + 1):
+        x = rng.getrandbits(n) | 1 << n - 1
+        assert _square(x) == x * x
+        assert _square(-x) == x * x
+
+
+@pytest.mark.parametrize("n", _SSA_STEPS)
+def test_ssa_square_all_ones_and_top_bit(n):
+    # all ones fills every piece, so the middle coefficient is at its
+    # bound K * (2**M - 1)**2
+    square = (1 << 2 * n) - (1 << n + 1) + 1
+    assert _square((1 << n) - 1) == square
+    assert _square(1 - (1 << n)) == square
+    assert _square(1 << n - 1) == 1 << 2 * n - 2
+    assert _square(-1 << n - 1) == 1 << 2 * n - 2
+
+
+def test_ssa_square_whole_pieces():
+    # an operand of exactly K*M bits fills its top piece; one bit more
+    # moves M up a byte and leaves the top pieces empty
+    least = -(-_SSA_BITS // 2048) * 2048  # 8K divides it at k = 8
+    K, M = _pieces(least)
+    assert K * M == least and _pieces(least + 1)[0] == K
+    for n in (least, least + 1, 2**18, 2**18 + 1, 2**19, 2**19 + 1):
+        K, M = _pieces(n)
+        assert K * M >= n > K * (M - 8)
+        x = random.Random(n).getrandbits(n) | 1 << n - 1
+        assert _square(x) == x * x
+        assert _square((1 << n) - 1) == (1 << 2 * n) - (1 << n + 1) + 1
+
+
+@pytest.mark.parametrize("n", [2**18, 2**18 + 1, 2**19 + 8])
+def test_ssa_square_one_nonzero_piece(n):
+    # only the top piece can be nonzero alone, since it holds the top bit
+    K, M = _pieces(n)
+    top = (n - 1) // M
+    width = n - top * M
+    rng = random.Random(n)
+    for p in ((1 << width) - 1, rng.getrandbits(width - 1) | 1 << width - 1):
+        x = p << top * M
+        assert x.bit_length() == n
+        assert _square(x) == p * p << 2 * top * M
+        assert _square(-x) == p * p << 2 * top * M
+
+
+def test_ssa_square_all_ones_short():
+    # the transform called directly at every short length, each at the
+    # coefficient bound: n = 2M + k - 1 would fail at 16 bits alone
+    for bits in range(2, 1025):
+        ones = (1 << bits) - 1
+        assert _ssa_square(ones) == ones * ones
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(2, 20_000), st.integers(0, 2**32))
+@example(2, 0)
+def test_ssa_square_small_shapes(bits, seed):
+    # the transform called directly: these lengths run k = 0 to 6
+    x = random.Random(seed).getrandbits(bits) | 1 << bits - 1
+    assert _ssa_square(x) == x * x
+    assert _ssa_square(-x) == x * x
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.integers(_SSA_BITS - 64, 4 * _SSA_BITS), st.integers(0, 2**32),
+       st.booleans())
+@example(4 * _SSA_BITS, 0, True)
+def test_ssa_square_matches_plain_product(bits, seed, negative):
     x = random.Random(seed).getrandbits(bits) | 1 << bits - 1
     if negative:
         x = -x
