@@ -18,7 +18,8 @@ length, which wins from about 50 kbit on. From there on it is
 order 2K, so that every twiddle is a shift, with one short square per
 point. Its interpreter cost per butterfly is why it only wins past
 about 225 kbit. Both long methods keep their traced peak memory below
-that of x*x, about 0.8 times it at 1 Mbit.
+that of x*x: Toom-3 about 0.85 times it at 250 kbit, the transform
+about 0.8 times it at 1 Mbit.
 
 It also holds the input contract of every entry point. ``positive_int``
 and, for lists, ``positive_ints`` refuse a bool, a non-``int`` or a value
