@@ -14,8 +14,9 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple, Optional
 
-from .greedy import WeakGreedyRun
-from .rational import _square, exact, greedy_denominator, positive_ints
+from .greedy import _WORD_BOUND, WeakGreedyRun
+from .rational import (_known_square, _square, exact, greedy_denominator,
+                       positive_ints)
 
 DEFAULT_T_GRID = (Fraction(1), Fraction(3, 2), Fraction(2), Fraction(3),
                   Fraction(5), Fraction(10))
@@ -102,9 +103,25 @@ def scaled_run_ratio_checks(run: WeakGreedyRun) -> list[RatioCheck]:
 
 
 def greedy_ratio_checks(run: WeakGreedyRun) -> list[GreedyGrowthCheck]:
-    """b_{n+1} >= b_n(b_n - 1) + 1, the greedy squared-growth bound."""
-    return [GreedyGrowthCheck(i + 1, b_next >= _square(b) - b + 1)
-            for i, (b, b_next) in enumerate(zip(run.b, run.b[1:]))]
+    """b_{n+1} >= b_n(b_n - 1) + 1, the greedy squared-growth bound.
+
+    The walk that made the run squared m = a_n - 1 at step n. With
+    d = b_n - m the bound is b*b - b + 1 = m*m + (2d - 1)*m + d*d - d + 1,
+    so where 0 <= d < 2**64 (greedy has d = 1, min-admissible d = 2) it is
+    written around m*m, which ``rational._known_square`` reads from the
+    walk's memo without adding to it, and the rest is linear. Where d lies
+    outside that range, or a_n is missing, it is ``_square(b) - b + 1``.
+    """
+    checks = []
+    for i, (b, b_next) in enumerate(zip(run.b, run.b[1:])):
+        d = b - run.a[i] + 1 if i < len(run.a) else -1
+        if 0 <= d < _WORD_BOUND:
+            m = b - d
+            bound = _known_square(m) + (2 * d - 1) * m + d * d - d + 1
+        else:
+            bound = _square(b) - b + 1
+        checks.append(GreedyGrowthCheck(i + 1, b_next >= bound))
+    return checks
 
 
 class ClassificationReport(NamedTuple):

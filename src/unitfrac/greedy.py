@@ -29,7 +29,12 @@ step d = b_n - (a_n - 1) are both below ``_WORD_BOUND`` (2**64), the
 kernel builds the next residual from integers, so its one long product
 is the square m*m, which ``rational._square`` forms by Toom-3 once m
 passes 40 kbit and by a Schönhage–Strassen transform once it passes 250
-kbit; every other step is the stdlib ``r - Fraction(1, b_n)``.
+kbit; every other step is the stdlib ``r - Fraction(1, b_n)``. The step
+takes m*m through ``rational._walk_square``, which keeps the long squares
+of one walk. The shadow depends on the residual alone, so the replay of a
+run by ``recover_shadow`` meets the same m at every step and reads each
+long square back instead of forming it again; the first long m a walk
+misses on starts the memo afresh.
 """
 from __future__ import annotations
 
@@ -37,7 +42,8 @@ import math
 from fractions import Fraction
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
-from .rational import _square, exact, parse_int, positive_int, positive_ints
+from .rational import (_start_walk, _walk_square, exact, parse_int,
+                       positive_int, positive_ints)
 
 _MAX_TERMS = 10**4
 
@@ -46,10 +52,10 @@ _WORD_BOUND = 1 << 64
 
 With p and d under one machine word, the new numerator p*d - s has at most
 128 bits, so the gcd that reduces the result is one linear remainder and
-the one long product is the square m*m, which ``rational._square``
-forms. A long p or d would make that numerator long and that gcd
-quadratic, while the stdlib subtraction only needs gcd(q, b), which stays
-cheap, so those steps are left to it.
+the one long product is the square m*m, which ``rational._walk_square``
+forms or reads back. A long p or d would make that numerator long and
+that gcd quadratic, while the stdlib subtraction only needs gcd(q, b),
+which stays cheap, so those steps are left to it.
 """
 
 _SELECTIONS = ("greedy", "ceil-t-a", "min-admissible")
@@ -234,7 +240,8 @@ def _unit_step(r: Fraction, m: int, b: int) -> Fraction:
 
     With s = q - p*m and d = b - m,
     p/q - 1/b = (p*d - s) / (p*m*m + (p*d + s)*m + s*d), whose denominator
-    is q*b written around the square m*m, formed by ``rational._square``.
+    is q*b written around the square m*m, which ``rational._walk_square``
+    forms or reads back from the walk's memo.
     That form is taken when p and d lie in a machine word (see
     ``_WORD_BOUND``). Greedy steps (d = 1) never raise the numerator and
     min-admissible steps (d = 2) at most double it, so from a word-sized
@@ -244,7 +251,8 @@ def _unit_step(r: Fraction, m: int, b: int) -> Fraction:
     d = b - m
     if p < _WORD_BOUND and 0 < d < _WORD_BOUND:
         s = q - p * m
-        return Fraction(p * d - s, p * _square(m) + (p * d + s) * m + s * d)
+        return Fraction(p * d - s,
+                        p * _walk_square(m) + (p * d + s) * m + s * d)
     return r - Fraction(1, b)
 
 
@@ -259,6 +267,7 @@ def _walk(theta: Fraction, n_terms: int,
     theta = exact(theta)
     if not 0 < theta <= 1:
         raise ValueError(f"target must lie in (0, 1], got {theta}")
+    _start_walk()
     shadows: list[int] = []
     chosen: list[int] = []
     residuals: list[Fraction] = []
@@ -304,6 +313,11 @@ def recover_shadow(b: Sequence[int], theta: Fraction) -> ShadowReplay:
     the replay starts. Weakness failures (b_n below the recovered shadow)
     are reported via ``first_weak_violation`` and do not abort the replay;
     a residual that is no longer positive aborts it (ReplayOverrunError).
+
+    Replaying the choices of the run the last walk expanded retraces its
+    residuals, so every long square m*m is read back from the walk's memo
+    (``rational._walk_square``) and the replay forms none; a list that
+    leaves that run forms its squares from there on.
     """
     b = positive_ints(b, "denominator")
     a, _, residuals = _walk(theta, len(b), lambda n, a_n: b[n - 1])

@@ -21,6 +21,16 @@ about 225 kbit. Both long methods keep their traced peak memory below
 that of x*x: Toom-3 about 0.85 times it at 250 kbit, the transform
 about 0.8 times it at 1 Mbit.
 
+A walk and the checks of its run square the same long operands, so
+``_walk_square`` keeps the squares of operands of at least
+``_TOOM_BITS`` that one walk forms, keyed by the operand, one memo per
+thread. ``_start_walk`` opens a walk; its first miss empties the memo and
+every miss after that adds to it, so the memo never holds more than one
+walk's squares. A replay of the run that filled it hits at every step and
+empties nothing, and a walk from another target misses at its first long
+square and starts afresh. ``_known_square`` reads the memo without adding
+to it. ``_square`` itself keeps nothing.
+
 It also holds the input contract of every entry point. ``positive_int``
 and, for lists, ``positive_ints`` refuse a bool, a non-``int`` or a value
 below the least one allowed, with a ValueError naming the argument and
@@ -33,6 +43,7 @@ No floating point is used anywhere here; every comparison is exact.
 from __future__ import annotations
 
 import re
+import threading
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -330,6 +341,44 @@ def _ssa_square(x: int) -> int:
         out[j * size:(j + 1) * size] = (carry & low).to_bytes(size, "little")
         carry >>= M
     return int.from_bytes(out, "little")
+
+
+class _WalkSquares(threading.local):
+    """The long squares of the last walk on this thread, by operand."""
+
+    def __init__(self) -> None:
+        self.squares: dict[int, int] = {}
+        self.fresh = True  # no miss yet in the current walk
+
+
+_memo = _WalkSquares()
+
+
+def _start_walk() -> None:
+    """Open a walk: its first miss in ``_walk_square`` empties the memo."""
+    _memo.fresh = True
+
+
+def _walk_square(x: int) -> int:
+    """x*x for a walk step. A square of at least ``_TOOM_BITS`` bits of
+    operand is read from the memo, or formed by ``_square`` and added."""
+    if x.bit_length() < _TOOM_BITS:
+        return x * x
+    square = _memo.squares.get(x)
+    if square is None:
+        if _memo.fresh:
+            _memo.squares.clear()
+            _memo.fresh = False
+        square = _memo.squares[x] = _square(x)
+    return square
+
+
+def _known_square(x: int) -> int:
+    """x*x, read from the memo if a walk formed it; adds nothing."""
+    if x.bit_length() < _TOOM_BITS:
+        return x * x
+    square = _memo.squares.get(x)
+    return _square(x) if square is None else square
 
 
 def integer_bounds(lo_n: int, lo_d: int, hi_n: int, hi_d: int,

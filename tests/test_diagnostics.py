@@ -216,12 +216,49 @@ def test_greedy_growth_check_at_its_edge(b, offset):
 def test_greedy_growth_check_past_the_square_cutoff(bits, offset):
     # b long enough that its square goes through one or two Toom-3 levels,
     # or through the Schönhage–Strassen transform; the edge
-    # b' = b(b - 1) + 1 is formed here by the plain product
+    # b' = b(b - 1) + 1 is formed here by the plain product. With
+    # a = b + 1 - d the check writes it around (a - 1)**2 for
+    # 0 <= d < 2**64 and squares b itself otherwise
     b = 3 ** (bits * 631 // 1000)  # 3**k has about 1.585 k bits
     assert b.bit_length() >= bits
     b_next = b * (b - 1) + 1 + offset
-    check, = greedy_ratio_checks(fake_run((b, b_next), (b, b_next)))
-    assert check.holds is (offset >= 0)
+    for d in (1, 2, 0, -3, 2**64 - 1, 2**64):
+        check, = greedy_ratio_checks(fake_run((b + 1 - d, b_next),
+                                              (b, b_next)))
+        assert check.holds is (offset >= 0)
+
+
+# b_n - (a_n - 1) on both sides of 0 and of the word bound 2**64
+gaps = st.one_of(st.integers(-2**8, 2**8), st.integers(2**64 - 2, 2**64 + 2),
+                 st.integers(-2**300, 2**300))
+
+
+@st.composite
+def hand_built_runs(draw):
+    """(a, b) of any lengths: each b_{n+1} either near the edge
+    b_n(b_n - 1) + 1 or arbitrary, each a_n = b_n + 1 - d_n for a gap d_n,
+    then a cut short or lengthened."""
+    b = [draw(st.integers(1, 2**100))]
+    for _ in range(draw(st.integers(0, 5))):
+        if draw(st.booleans()):
+            b.append(max(1, b[-1] * (b[-1] - 1) + 1
+                         + draw(st.integers(-2, 2))))
+        else:
+            b.append(draw(st.integers(1, 2**100)))
+    a = [x + 1 - draw(gaps) for x in b]
+    a = a[:draw(st.integers(0, len(a)))]
+    a += draw(st.lists(st.integers(-2**70, 2**70), max_size=2))
+    return a, b
+
+
+@settings(max_examples=300, deadline=None)
+@given(hand_built_runs())
+def test_greedy_growth_check_matches_the_plain_bound(run):
+    a, b = run
+    checks = greedy_ratio_checks(fake_run(a, b))
+    assert [(c.index, c.holds) for c in checks] == [
+        (n, b_next >= b_n * b_n - b_n + 1)
+        for n, (b_n, b_next) in enumerate(zip(b, b[1:]), start=1)]
 
 
 def test_scaled_checks_pinned_failure():

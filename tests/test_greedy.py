@@ -7,18 +7,22 @@ expected sequences frozen here were derived independently of the engine.
 from __future__ import annotations
 
 import math
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from unitfrac import cli
+from unitfrac import cli, diagnostics, rational
 from unitfrac.construct import choose_b_jump
+from unitfrac.diagnostics import greedy_ratio_checks
 from unitfrac.greedy import (
     _WORD_BOUND,
     IndexSet,
     ReplayOverrunError,
+    WeakGreedyRun,
     WgaaPolicy,
     _unit_step,
     admissible_endpoints,
@@ -449,3 +453,155 @@ def test_deep_runs_match_fraction_replay(theta, selection):
         assert (got.numerator, got.denominator) == (r.numerator, r.denominator)
     replay = recover_shadow(run.b, theta)
     assert replay.a == run.a and replay.residuals == run.residuals
+
+
+# ------------------------------------------------- long squares of a walk
+
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """Operand lengths of every call of the long square ``rational._square``,
+    under each name the package calls it by."""
+    calls = []
+    square = rational._square
+
+    def counted(x):
+        calls.append(x.bit_length())
+        return square(x)
+
+    monkeypatch.setattr(rational, "_square", counted)
+    monkeypatch.setattr(diagnostics, "_square", counted)
+    return calls
+
+
+@pytest.fixture
+def fresh_memo():
+    rational._memo.squares.clear()
+    return rational._memo.squares
+
+
+def long_operands(a):
+    """The operands m = a_n - 1 a walk with shadows a squares by the long
+    kernel."""
+    return {x - 1 for x in a if (x - 1).bit_length() >= _TOOM_BITS}
+
+
+def fraction_walk(theta, n_terms, choose):
+    """Shadows, choices and residuals by plain Fraction arithmetic."""
+    r, a, b, residuals = theta, [], [], []
+    for n in range(1, n_terms + 1):
+        a.append(r.denominator // r.numerator + 1)
+        b.append(choose(n, a[-1]))
+        r -= Fraction(1, b[-1])
+        residuals.append(r)
+    return tuple(a), tuple(b), tuple(residuals)
+
+
+def test_replay_and_growth_check_read_every_long_square_back(kernel_calls):
+    # from 3/7 the 18th greedy step squares an m past the
+    # Schönhage–Strassen cutoff
+    theta = Fraction(3, 7)
+    run = greedy_expand(theta, 18)
+    assert (run.a[-1] - 1).bit_length() >= _SSA_BITS
+    assert max(kernel_calls) >= _SSA_BITS
+    kernel_calls.clear()
+    replay = recover_shadow(run.b, theta)
+    checks = greedy_ratio_checks(run)
+    assert replay.a == run.a and replay.residuals == run.residuals
+    assert replay.first_weak_violation is None
+    assert len(checks) == 17 and all(c.holds for c in checks)
+    assert kernel_calls == []
+
+
+def test_a_walk_from_another_target_starts_afresh(fresh_memo):
+    first = greedy_expand(Fraction(3, 7), 17)
+    assert set(fresh_memo) == long_operands(first.a)
+    second = wgaa_expand(Fraction(2, 11),
+                         WgaaPolicy(t=Fraction(2), selection="min-admissible"),
+                         16)
+    assert long_operands(second.a)
+    assert set(fresh_memo) == long_operands(second.a)
+    assert not set(fresh_memo) & long_operands(first.a)
+
+
+def test_growth_checks_add_nothing(fresh_memo, kernel_calls):
+    run = greedy_expand(Fraction(4, 17), 17)
+    held = dict(fresh_memo)
+    assert held
+    kernel_calls.clear()
+    greedy_ratio_checks(run)
+    assert kernel_calls == []
+    # a run the memo knows nothing of: its squares are formed, not kept
+    b = 3 ** (_TOOM_BITS * 631 // 1000)
+    for d in (1, 2, 2**64):
+        greedy_ratio_checks(WeakGreedyRun(Fraction(1, 2), WgaaPolicy.greedy(),
+                                          (b + 1 - d,), (b, b * b), ()))
+    assert kernel_calls
+    assert fresh_memo == held
+
+
+def test_the_memo_holds_one_walks_squares_at_most(fresh_memo):
+    def bits(operands):
+        return sum(x.bit_length() for x in operands)
+
+    theta = Fraction(3, 7)
+    min_admissible = WgaaPolicy(t=Fraction(2), selection="min-admissible")
+    run = greedy_expand(theta, 17)
+    walked = [long_operands(run.a)]
+    for walk in (lambda: recover_shadow(run.b, theta),
+                 lambda: wgaa_expand(Fraction(4, 17), min_admissible, 16),
+                 lambda: greedy_expand(Fraction(1, 2), 8),  # no long square
+                 lambda: recover_shadow(run.b[:15] + (run.b[15] + 1,), theta),
+                 lambda: greedy_expand(Fraction(2, 11), 16)):
+        walked.append(long_operands(walk().a))
+        assert any(set(fresh_memo) <= operands for operands in walked)
+        assert bits(fresh_memo) <= max(map(bits, walked))
+
+
+@pytest.mark.parametrize("k", [15, 16])
+def test_a_replay_that_leaves_the_run_is_exact(fresh_memo, k):
+    # from 2/11 greedy steps 15 to 17 square m of 50, 99 and 198 kbit.
+    # The replayed list takes a_k + 1 at step k and greedy choices around
+    # it, so it meets the run's long squares up to step k and new ones
+    # after it
+    theta = Fraction(2, 11)
+    run = greedy_expand(theta, 17)
+    a, b, residuals = fraction_walk(theta, 17, lambda n, a_n: a_n + (n == k))
+    assert a[:k] == run.a[:k]
+    replay = recover_shadow(b, theta)
+    assert replay.a == a and replay.residuals == residuals
+    assert set(fresh_memo) == long_operands(a[k:])
+
+
+def test_threads_walking_different_targets_get_the_sequential_results():
+    # more threads than cores, each switching often, so walks interleave
+    # while their long squares are formed and read back
+    jobs = [(Fraction(3, 7), 17), (Fraction(2, 11), 16),
+            (Fraction(4, 17), 17), (Fraction(7, 13), 17)]
+
+    def work(theta, n_terms):
+        run = greedy_expand(theta, n_terms)
+        replay = recover_shadow(run.b, theta)
+        return run, replay, greedy_ratio_checks(run)
+
+    want = [work(*job) for job in jobs]
+    got = [None] * len(jobs)
+    barrier = threading.Barrier(len(jobs))
+
+    def target(i):
+        barrier.wait()
+        got[i] = [work(*jobs[i]) for _ in range(3)]
+
+    threads = [threading.Thread(target=target, args=(i,))
+               for i in range(len(jobs))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    for results, expected in zip(got, want):
+        assert results == [expected] * 3
