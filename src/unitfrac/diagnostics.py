@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import NamedTuple, Optional
 
 from .greedy import _WORD_BOUND, WeakGreedyRun
-from .rational import (_known_square, _square, exact, greedy_denominator,
+from .rational import (_known_square, exact, greedy_denominator,
                        positive_ints)
 
 DEFAULT_T_GRID = (Fraction(1), Fraction(3, 2), Fraction(2), Fraction(3),
@@ -107,19 +107,19 @@ def greedy_ratio_checks(run: WeakGreedyRun) -> list[GreedyGrowthCheck]:
 
     The walk that made the run squared m = a_n - 1 at step n. With
     d = b_n - m the bound is b*b - b + 1 = m*m + (2d - 1)*m + d*d - d + 1,
-    so where 0 <= d < 2**64 (greedy has d = 1, min-admissible d = 2) it is
-    written around m*m, which ``rational._known_square`` reads from the
-    walk's memo without adding to it, and the rest is linear. Where d lies
-    outside that range, or a_n is missing, it is ``_square(b) - b + 1``.
+    an identity for every m, written around m*m, which
+    ``rational._known_square`` reads from the walk's memo without adding
+    to it; the rest is linear. Greedy has d = 1 and min-admissible d = 2.
+    Where d lies outside [0, 2**64), or a_n is missing, m = b_n - 1 and
+    d = 1, whose square a memo miss forms.
     """
     checks = []
     for i, (b, b_next) in enumerate(zip(run.b, run.b[1:])):
-        d = b - run.a[i] + 1 if i < len(run.a) else -1
-        if 0 <= d < _WORD_BOUND:
-            m = b - d
-            bound = _known_square(m) + (2 * d - 1) * m + d * d - d + 1
-        else:
-            bound = _square(b) - b + 1
+        d = b - run.a[i] + 1 if i < len(run.a) else 1
+        if not 0 <= d < _WORD_BOUND:
+            d = 1
+        m = b - d
+        bound = _known_square(m) + (2 * d - 1) * m + d * d - d + 1
         checks.append(GreedyGrowthCheck(i + 1, b_next >= bound))
     return checks
 

@@ -23,13 +23,21 @@ about 0.8 times it at 1 Mbit.
 
 A walk and the checks of its run square the same long operands, so
 ``_walk_square`` keeps the squares of operands of at least
-``_TOOM_BITS`` that one walk forms, keyed by the operand, one memo per
-thread. ``_start_walk`` opens a walk; its first miss empties the memo and
-every miss after that adds to it, so the memo never holds more than one
-walk's squares. A replay of the run that filled it hits at every step and
-empties nothing, and a walk from another target misses at its first long
-square and starts afresh. ``_known_square`` reads the memo without adding
-to it. ``_square`` itself keeps nothing.
+``_TOOM_BITS`` that one walk forms, keyed by the operand. ``_start_walk``
+opens a walk; its first miss empties the memo and every miss after that
+adds to it, so while walks run one at a time the memo never holds more
+than one walk's squares. A replay of the run that filled it hits at
+every step and empties nothing, and a walk from another target misses
+at its first long square and starts afresh. ``_known_square`` reads the
+memo without adding to it. ``_square`` itself keeps nothing.
+
+The last walk's squares stay held until the next walk's first miss,
+after the caller has dropped its run: keys of about 2n bits and squares
+of about 4n, n being the last operand's length. That is 0.75 MB after a
+20-term greedy walk from 3/7 (n = 1 Mbit), doubling with each further
+step. Walks that overlap in time on threads share the one memo; a hit
+is keyed by the operand's value, so they stay exact, and the memo may
+then hold the squares of all of them.
 
 It also holds the input contract of every entry point. ``positive_int``
 and, for lists, ``positive_ints`` refuse a bool, a non-``int`` or a value
@@ -43,7 +51,6 @@ No floating point is used anywhere here; every comparison is exact.
 from __future__ import annotations
 
 import re
-import threading
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -343,33 +350,29 @@ def _ssa_square(x: int) -> int:
     return int.from_bytes(out, "little")
 
 
-class _WalkSquares(threading.local):
-    """The long squares of the last walk on this thread, by operand."""
-
-    def __init__(self) -> None:
-        self.squares: dict[int, int] = {}
-        self.fresh = True  # no miss yet in the current walk
-
-
-_memo = _WalkSquares()
+_squares: dict[int, int] = {}
+"""The long squares of the last walk, by operand."""
+_fresh = True  # no miss yet in the current walk
 
 
 def _start_walk() -> None:
     """Open a walk: its first miss in ``_walk_square`` empties the memo."""
-    _memo.fresh = True
+    global _fresh
+    _fresh = True
 
 
 def _walk_square(x: int) -> int:
     """x*x for a walk step. A square of at least ``_TOOM_BITS`` bits of
     operand is read from the memo, or formed by ``_square`` and added."""
+    global _fresh
     if x.bit_length() < _TOOM_BITS:
         return x * x
-    square = _memo.squares.get(x)
+    square = _squares.get(x)
     if square is None:
-        if _memo.fresh:
-            _memo.squares.clear()
-            _memo.fresh = False
-        square = _memo.squares[x] = _square(x)
+        if _fresh:
+            _squares.clear()
+            _fresh = False
+        square = _squares[x] = _square(x)
     return square
 
 
@@ -377,7 +380,7 @@ def _known_square(x: int) -> int:
     """x*x, read from the memo if a walk formed it; adds nothing."""
     if x.bit_length() < _TOOM_BITS:
         return x * x
-    square = _memo.squares.get(x)
+    square = _squares.get(x)
     return _square(x) if square is None else square
 
 

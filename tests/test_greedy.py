@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from unitfrac import cli, diagnostics, rational
+from unitfrac import cli, rational
 from unitfrac.construct import choose_b_jump
 from unitfrac.diagnostics import greedy_ratio_checks
 from unitfrac.greedy import (
@@ -459,8 +459,7 @@ def test_deep_runs_match_fraction_replay(theta, selection):
 
 @pytest.fixture
 def kernel_calls(monkeypatch):
-    """Operand lengths of every call of the long square ``rational._square``,
-    under each name the package calls it by."""
+    """Operand lengths of every call of the long square ``rational._square``."""
     calls = []
     square = rational._square
 
@@ -469,14 +468,13 @@ def kernel_calls(monkeypatch):
         return square(x)
 
     monkeypatch.setattr(rational, "_square", counted)
-    monkeypatch.setattr(diagnostics, "_square", counted)
     return calls
 
 
 @pytest.fixture
 def fresh_memo():
-    rational._memo.squares.clear()
-    return rational._memo.squares
+    rational._squares.clear()
+    return rational._squares
 
 
 def long_operands(a):
@@ -496,7 +494,8 @@ def fraction_walk(theta, n_terms, choose):
     return tuple(a), tuple(b), tuple(residuals)
 
 
-def test_replay_and_growth_check_read_every_long_square_back(kernel_calls):
+def test_replay_and_growth_check_read_every_long_square_back(fresh_memo,
+                                                             kernel_calls):
     # from 3/7 the 18th greedy step squares an m past the
     # Schönhage–Strassen cutoff
     theta = Fraction(3, 7)
