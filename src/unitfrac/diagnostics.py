@@ -15,8 +15,8 @@ from fractions import Fraction
 from typing import NamedTuple, Optional
 
 from .greedy import _WORD_BOUND, WeakGreedyRun
-from .rational import (_known_square, exact, greedy_denominator,
-                       positive_ints)
+from .rational import (_known_square, _unit_target, exact,
+                       greedy_denominator, positive_ints)
 
 DEFAULT_T_GRID = (Fraction(1), Fraction(3, 2), Fraction(2), Fraction(3),
                   Fraction(5), Fraction(10))
@@ -200,11 +200,11 @@ def shadow_bound_from_gap(b_prefix, theta: Fraction,
     If the full series is at most (prefix sum + tail_upper) and that
     still falls short of theta by a gap c > 0, every residual along the
     expansion stays at least c, so no shadow value can exceed the greedy
-    denominator of c.  Every b_n must be a positive integer.  Returns
-    (c, bound).
+    denominator of c.  theta must lie in (0, 1], as for every walk, and
+    every b_n must be a positive integer.  Returns (c, bound).
     """
+    theta = _unit_target(theta)
     b_prefix = positive_ints(b_prefix, "denominator")
-    theta = exact(theta)
     tail_upper = exact(tail_upper)
     if tail_upper < 0:
         raise ValueError("tail bound must be nonnegative")

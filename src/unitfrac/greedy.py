@@ -27,14 +27,15 @@ shadow is fixed by the residual alone. It subtracts each 1/b_n through
 one step kernel, ``_unit_step``. When the residual's numerator p and the
 step d = b_n - (a_n - 1) are both below ``_WORD_BOUND`` (2**64), the
 kernel builds the next residual from integers, so its one long product
-is the square m*m, which ``rational._square`` forms by Toom-3 once m
-passes 40 kbit and by a Schönhage–Strassen transform once it passes 250
-kbit; every other step is the stdlib ``r - Fraction(1, b_n)``. The step
-takes m*m through ``rational._walk_square``, which keeps the long squares
-of one walk. The shadow depends on the residual alone, so the replay of a
-run by ``recover_shadow`` meets the same m at every step and reads each
-long square back instead of forming it again; the first long m a walk
-misses on starts the memo afresh.
+is the square m*m, which ``rational._square`` forms by a
+Schönhage–Strassen transform once m passes 124 kbit; every other step is
+the stdlib ``r - Fraction(1, b_n)``. The step takes m*m through
+``rational._walk_square``, which keeps the long squares of the walks
+from one target. The shadow depends on the residual alone, so the replay
+of a run by ``recover_shadow``, and a longer walk from the same target,
+meet the same m at every shared step and read each long square back
+instead of forming it again; a walk from another target empties the
+memo.
 """
 from __future__ import annotations
 
@@ -42,8 +43,8 @@ import math
 from fractions import Fraction
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
-from .rational import (_start_walk, _walk_square, exact, parse_int,
-                       positive_int, positive_ints)
+from .rational import (_start_walk, _unit_target, _walk_square, exact,
+                       parse_int, positive_int, positive_ints)
 
 _MAX_TERMS = 10**4
 
@@ -241,7 +242,7 @@ def _unit_step(r: Fraction, m: int, b: int) -> Fraction:
     With s = q - p*m and d = b - m,
     p/q - 1/b = (p*d - s) / (p*m*m + (p*d + s)*m + s*d), whose denominator
     is q*b written around the square m*m, which ``rational._walk_square``
-    forms or reads back from the walk's memo.
+    forms, or reads back from the memo of the walks from this target.
     That form is taken when p and d lie in a machine word (see
     ``_WORD_BOUND``). Greedy steps (d = 1) never raise the numerator and
     min-admissible steps (d = 2) at most double it, so from a word-sized
@@ -264,10 +265,8 @@ def _walk(theta: Fraction, n_terms: int,
     soon as the running residual is no longer positive, because no shadow
     exists there; a weak choice (1/b_n <= 1/a_n < r) never gets there.
     """
-    theta = exact(theta)
-    if not 0 < theta <= 1:
-        raise ValueError(f"target must lie in (0, 1], got {theta}")
-    _start_walk()
+    theta = _unit_target(theta)
+    _start_walk(theta)
     shadows: list[int] = []
     chosen: list[int] = []
     residuals: list[Fraction] = []
@@ -314,10 +313,11 @@ def recover_shadow(b: Sequence[int], theta: Fraction) -> ShadowReplay:
     are reported via ``first_weak_violation`` and do not abort the replay;
     a residual that is no longer positive aborts it (ReplayOverrunError).
 
-    Replaying the choices of the run the last walk expanded retraces its
-    residuals, so every long square m*m is read back from the walk's memo
-    (``rational._walk_square``) and the replay forms none; a list that
-    leaves that run forms its squares from there on.
+    Replaying the choices of a run expanded from theta since the last
+    walk from another target retraces its residuals, so every long square
+    m*m is read back from the memo (``rational._walk_square``) and the
+    replay forms none; a list that leaves that run forms its squares from
+    there on, and keeps them for the next walk from theta.
     """
     b = positive_ints(b, "denominator")
     a, _, residuals = _walk(theta, len(b), lambda n, a_n: b[n - 1])

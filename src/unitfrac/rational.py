@@ -9,35 +9,35 @@ every emitted enclosure takes, and the integer window kernel
 by floor division alone.
 
 ``_square`` is the long square under every expansion step and the greedy
-growth check, exact in three bands of operand length. Below
-``_TOOM_BITS`` (40 kbit) it is x*x, CPython's Karatsuba. Up to
-``_SSA_BITS`` (250 kbit) it is Toom-3, five squares of a third of the
-length, which wins from about 50 kbit on. From there on it is
+growth check, exact in two bands of operand length. Below ``_SSA_BITS``
+(124 kbit) it is x*x, CPython's Karatsuba. From there on it is
 ``_ssa_square``, a Schönhage–Strassen square: a transform of length
 2K over the ring Z/(2**n + 1), where 2**(n/K) is a root of unity of
 order 2K, so that every twiddle is a shift, with one short square per
 point. Its interpreter cost per butterfly is why it only wins past
-about 225 kbit. Both long methods keep their traced peak memory below
-that of x*x: Toom-3 about 0.85 times it at 250 kbit, the transform
-about 0.8 times it at 1 Mbit.
+about 120 kbit, and, past the 131 kbit where its number of points
+doubles, again only from about 185 kbit. Its traced peak memory stays
+below that of x*x, about 0.8 times it at 1 Mbit.
 
 A walk and the checks of its run square the same long operands, so
-``_walk_square`` keeps the squares of operands of at least
-``_TOOM_BITS`` that one walk forms, keyed by the operand. ``_start_walk``
-opens a walk; its first miss empties the memo and every miss after that
-adds to it, so while walks run one at a time the memo never holds more
-than one walk's squares. A replay of the run that filled it hits at
-every step and empties nothing, and a walk from another target misses
-at its first long square and starts afresh. ``_known_square`` reads the
-memo without adding to it. ``_square`` itself keeps nothing.
+``_walk_square`` keeps every square of an operand of at least
+``_MEMO_BITS`` (8 kbit) bits that a walk forms, keyed by the operand.
+``_start_walk(theta)`` opens a walk and empties the memo when theta is
+not the last walk's target, so the memo holds the squares of the walks
+from the last target only. A replay of a run from that target, or a
+longer walk from it, hits at every step it shares with them, and a walk
+from another target, even one that forms no long square, releases
+them. ``_known_square`` reads the memo without adding to it.
+``_square`` itself keeps nothing.
 
-The last walk's squares stay held until the next walk's first miss,
-after the caller has dropped its run: keys of about 2n bits and squares
-of about 4n, n being the last operand's length. That is 0.75 MB after a
+The squares stay held until a walk from another target starts, after
+the caller has dropped its run: keys of about 2n bits and squares of
+about 4n, n being the last operand's length. That is 0.75 MB after a
 20-term greedy walk from 3/7 (n = 1 Mbit), doubling with each further
-step. Walks that overlap in time on threads share the one memo; a hit
-is keyed by the operand's value, so they stay exact, and the memo may
-then hold the squares of all of them.
+step; walks from one target under several policies add theirs up.
+Walks that overlap in time on threads share the one memo; a hit is
+keyed by the operand's value, so they stay exact, and the memo may then
+hold the squares of all of them.
 
 It also holds the input contract of every entry point. ``positive_int``
 and, for lists, ``positive_ints`` refuse a bool, a non-``int`` or a value
@@ -134,10 +134,17 @@ def greedy_denominator(theta: Fraction) -> int:
     Fraction is always reduced with positive denominator, floor(1/theta) is
     one exact integer division.
     """
+    theta = _unit_target(theta)
+    return theta.denominator // theta.numerator + 1
+
+
+def _unit_target(theta) -> Fraction:
+    """theta as a Fraction if it lies in (0, 1], else a ValueError naming
+    it."""
     theta = exact(theta)
     if not 0 < theta <= 1:
         raise ValueError(f"target must lie in (0, 1], got {theta}")
-    return theta.denominator // theta.numerator + 1
+    return theta
 
 
 class RationalInterval(NamedTuple("RationalInterval", [("lo", Fraction),
@@ -171,79 +178,30 @@ class RationalInterval(NamedTuple("RationalInterval", [("lo", Fraction),
         return (self.lo + self.hi) / 2
 
 
-_TOOM_BITS = 40_000
-"""Operand length from which ``_square`` splits its operand by Toom-3.
-
-CPython multiplies long integers by Karatsuba, whose square of n bits
-costs about n**1.58; one Toom-3 level costs five squares of n/3 bits and
-linear work, about n**1.46. On CPython 3.11 (x86-64) one level is within
-a few percent of x*x from 12 to 50 kbit and about 1.2x faster at 60
-kbit, so below this length ``_square`` returns x*x.
-"""
-
-
-_SSA_BITS = 250_000
+_SSA_BITS = 124_000
 """Operand length from which ``_square`` squares by Schönhage–Strassen.
 
-Each of the transform's K*log K butterflies pays a fixed interpreter
-cost, so it only wins once the squares it saves are long. On CPython
-3.11 (x86-64) it is level with Toom-3 from about 212 to 240 kbit, and
-1.15x faster at 250 kbit, 1.6x at 500 kbit, 1.7-2x at 1 Mbit and 2.2x
-at 2 Mbit; below that Toom-3 wins (by 1.15-1.2x at 200 kbit). The
-cutoff is the first length measured with a clear lead. Between
-``_TOOM_BITS`` and here Toom-3 stays: at 64 kbit it beats x*x by about
-14 %.
+CPython multiplies long integers by Karatsuba, whose square of n bits
+costs about n**1.58; the transform's arithmetic grows about as n log n,
+but each of its K*log K butterflies pays a fixed interpreter cost, so it
+only wins once the squares it saves are long. Timed against x*x on
+CPython 3.11.7 (x86-64, a shared 2-vCPU VM), alternated, as the medians
+of 123 squares of three operands per length: x*x leads up to about
+122 kbit (3.61 against 4.07 ms at 115 kbit, 3.70 against 3.79 at 120
+kbit), and the transform from 124 kbit (3.60 against 3.68 ms at 127
+kbit, 4.05 against 4.35 at 130 kbit). The cutoff is the first length
+measured with a lead. At 2**17 bits ``_ssa_shape`` doubles K, and from
+there to about 185 kbit x*x leads again (4.2 against 5.7 ms at 132
+kbit, 5.9 against 6.8 at 170 kbit); the transform leads from about 185
+kbit on, by 1.4x at 250 kbit. The deep benchmark's squares near the
+cutoff have 125 to 130 kbit.
 """
 
 
 def _square(x: int) -> int:
-    """x*x, by one of three methods chosen by the length of x.
-
-    Below ``_TOOM_BITS`` it is x*x. From ``_SSA_BITS`` on it is
-    ``_ssa_square``. Between the two it is Toom-3 with Bodrato's
-    evaluation and interpolation: x = x2*B**2 + x1*B + x0 with B = 2**k,
-    0 <= x0, x1 < B, and x2 of x's sign, so the identity needs no sign
-    split. The square is the degree-4 polynomial with values
-    r(0) = x0**2, r(1), r(-1), r(-2) and r(inf) = x2**2, each a recursive
-    square; Bodrato's sequence recovers its coefficients with shifts,
-    additions and one exact division by 3. Each piece, point value and
-    coefficient is dropped once it has been read for the last time, so
-    the traced peak memory stays below that of x*x (0.22 against 0.26 MB
-    at 250 kbit, CPython 3.11).
-    """
-    n = x.bit_length()
-    if n < _TOOM_BITS:
-        return x * x
-    if n >= _SSA_BITS:
-        return _ssa_square(x)
-    k = (n + 2) // 3
-    mask = (1 << k) - 1
-    x0, x1, x2 = x & mask, (x >> k) & mask, x >> 2 * k
-    s = x0 + x2
-    r1 = _square(s + x1)
-    s -= x1
-    rm2 = _square(((s + x2) << 1) - x0)
-    rm1 = _square(s)
-    del s
-    r0 = _square(x0)
-    r4 = _square(x2)
-    del x0, x1, x2
-    c3 = (rm2 - r1) // 3
-    del rm2
-    c1 = (r1 - rm1) >> 1
-    del r1
-    c2 = rm1 - r0
-    del rm1
-    c3 = ((c2 - c3) >> 1) + (r4 << 1)
-    c2 += c1 - r4
-    c1 -= c3
-    out = (r4 << k) + c3  # Horner in B, from the B**4 coefficient down
-    del r4, c3
-    out = (out << k) + c2
-    del c2
-    out = (out << k) + c1
-    del c1
-    return (out << k) + r0
+    """x*x: ``x * x`` below ``_SSA_BITS`` bits of x, ``_ssa_square(x)``
+    from there on."""
+    return x * x if x.bit_length() < _SSA_BITS else _ssa_square(x)
 
 
 def _ssa_shape(bits: int) -> tuple[int, int]:
@@ -350,35 +308,51 @@ def _ssa_square(x: int) -> int:
     return int.from_bytes(out, "little")
 
 
+_MEMO_BITS = 8_000
+"""Operand length from which a walk keeps its squares in ``_squares``.
+
+A walk that nobody replays pays for the memo on every square it keeps,
+one hash and one insertion beside the square, and a replay or growth
+check gains a read in place of a square. On CPython 3.11.7 (x86-64),
+medians over 200 random operands: x*x takes 4.2, 47 and 386 us at 2, 8
+and 40 kbit, a miss with its insertion 4.8, 49 and 399 us, and a read
+0.29, 0.81 and 3.6 us. From this length on a miss costs under 5 % more
+than the plain square, while a read is some 60 times cheaper. Over the
+deep benchmark's requests in process, each run under every threshold
+back to back, the median request took about the same with no threshold
+and at 2, 4, 8 and 16 kbit (2.0 to 2.4 ms at seeds 1 and 2, within the
+spread of the runs), and 3.0 to 3.2 ms at 40 kbit, which leaves out its
+16 and 31 kbit squares.
+"""
+
 _squares: dict[int, int] = {}
-"""The long squares of the last walk, by operand."""
-_fresh = True  # no miss yet in the current walk
+"""The long squares of the walks from the last target, by operand."""
+_target = None  # the target of the last walk
 
 
-def _start_walk() -> None:
-    """Open a walk: its first miss in ``_walk_square`` empties the memo."""
-    global _fresh
-    _fresh = True
+def _start_walk(theta: Fraction) -> None:
+    """Open a walk from theta: the memo is emptied unless the last walk
+    started from theta too."""
+    global _target
+    if theta != _target:
+        _squares.clear()
+        _target = theta
 
 
 def _walk_square(x: int) -> int:
-    """x*x for a walk step. A square of at least ``_TOOM_BITS`` bits of
+    """x*x for a walk step. A square of at least ``_MEMO_BITS`` bits of
     operand is read from the memo, or formed by ``_square`` and added."""
-    global _fresh
-    if x.bit_length() < _TOOM_BITS:
+    if x.bit_length() < _MEMO_BITS:
         return x * x
     square = _squares.get(x)
     if square is None:
-        if _fresh:
-            _squares.clear()
-            _fresh = False
         square = _squares[x] = _square(x)
     return square
 
 
 def _known_square(x: int) -> int:
     """x*x, read from the memo if a walk formed it; adds nothing."""
-    if x.bit_length() < _TOOM_BITS:
+    if x.bit_length() < _MEMO_BITS:
         return x * x
     square = _squares.get(x)
     return _square(x) if square is None else square

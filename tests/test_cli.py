@@ -134,6 +134,20 @@ def test_verify_overrun(tmp_path):
     assert doc["overrun-at"] == 3
 
 
+def test_verify_overrun_at_an_exact_zero_residual(tmp_path):
+    # 1/2 - 1/2 leaves exactly 0, so index 2 has no shadow
+    b_file = write_lines(tmp_path / "b.txt", [2, 3])
+    proc = run_cli("verify", "--b-file", b_file, "--theta", "1/2")
+    assert proc.returncode == 1
+    assert "FAIL: partial sums exhaust theta at index 2" in proc.stdout
+    proc = run_cli("verify", "--b-file", b_file, "--theta", "1/2",
+                   "--format", "json")
+    assert proc.returncode == 1
+    doc = json.loads(proc.stdout)
+    assert doc["ok"] is False
+    assert doc["overrun-at"] == 2
+
+
 def fib_b(count):
     fam = FibonacciFamily()
     return [fam.b(n) for n in range(1, count + 1)]

@@ -36,7 +36,7 @@ from unitfrac.greedy import (
     recover_shadow,
     wgaa_expand,
 )
-from unitfrac.rational import _SSA_BITS, _TOOM_BITS
+from unitfrac.rational import _MEMO_BITS, _SSA_BITS
 
 
 def F(p, q=1):
@@ -210,12 +210,13 @@ def test_greedy_growth_check_at_its_edge(b, offset):
     assert check.holds is (b_next >= b * (b - 1) + 1)
 
 
-@pytest.mark.parametrize("bits", [_TOOM_BITS + 1, 4 * _TOOM_BITS + 2,
-                                  _SSA_BITS + 3])
+@pytest.mark.parametrize("bits", [_MEMO_BITS + 1, 40_001, _SSA_BITS + 3,
+                                  160_002, 250_003])
 @pytest.mark.parametrize("offset", [-1, 0, 1])
 def test_greedy_growth_check_past_the_square_cutoff(bits, offset):
-    # b long enough that its square goes through one or two Toom-3 levels,
-    # or through the Schönhage–Strassen transform; the edge
+    # b past the memo's threshold, at and between the edges of the two
+    # bands of ``rational._square``: x*x below the Schönhage–Strassen
+    # cutoff, the transform from it on, with K doubled at 2**17 bits; the edge
     # b' = b(b - 1) + 1 is formed here by the plain product. With
     # a = b + 1 - d the check writes it around (a - 1)**2 for
     # 0 <= d < 2**64 and squares b itself otherwise
@@ -418,6 +419,22 @@ def test_shadow_bound_requires_gap():
                         (F(3, 4), 0.125), (F(3, 4), False)):
         with pytest.raises(ValueError, match="exact rational"):
             shadow_bound_from_gap([2], theta, tail)
+
+
+@pytest.mark.parametrize("b_prefix, theta, tail", [
+    pytest.param([1], F(2), F(1, 2), id="two"),
+    pytest.param([2], F(5, 4), F(1, 2), id="five-quarters"),
+    pytest.param([2], F(2), F(0), id="two-gap-three-halves"),
+    pytest.param([2], F(1) + F(1, 10**30), F(0), id="just-above-1"),
+    pytest.param([2], F(0), F(0), id="zero"),
+    pytest.param([2], F(-1, 2), F(0), id="minus-half")])
+def test_shadow_bound_refuses_targets_outside_the_unit_interval(b_prefix,
+                                                               theta, tail):
+    # the first two once returned a bound, (1/2, 3) and (1/4, 5), and the
+    # third failed naming its gap 3/2 instead of the target
+    with pytest.raises(ValueError,
+                       match=rf"^target must lie in \(0, 1\], got {theta}$"):
+        shadow_bound_from_gap(b_prefix, theta, tail)
 
 
 @pytest.mark.parametrize("b_prefix, index", [([0], 1), ([2.5], 1),

@@ -32,7 +32,7 @@ from unitfrac.greedy import (
     telescoping_endpoints,
     wgaa_expand,
 )
-from unitfrac.rational import _SSA_BITS, _TOOM_BITS, integer_bounds
+from unitfrac.rational import _MEMO_BITS, _SSA_BITS, integer_bounds
 from unitfrac.uniqueness import pair_uniqueness
 
 
@@ -145,6 +145,14 @@ def test_recover_shadow_weakness_report_and_overrun():
     with pytest.raises(ReplayOverrunError) as err:
         recover_shadow([2, 3, 10], theta)
     assert err.value.index == 3
+
+
+def test_recover_shadow_overruns_at_an_exact_zero_residual():
+    # 1/2 - 1/2 is exactly 0: the next step has no shadow, and must report
+    # the overrun there rather than divide by the zero numerator
+    with pytest.raises(ReplayOverrunError) as err:
+        recover_shadow([2, 3], Fraction(1, 2))
+    assert err.value.index == 2
 
 
 @pytest.mark.parametrize("b, index", [
@@ -435,14 +443,13 @@ def test_unit_step_at_the_guard():
     (Fraction(5, 121), "min-admissible")])
 def test_deep_runs_match_fraction_replay(theta, selection):
     # squaring denominators: 14 to 16 steps carry the residual past 10 kbit,
-    # and from 5/121 past four Toom-3 cutoffs, so the last steps' squares
-    # m*m take one or two levels of ``rational._square``. From 5/121 a
-    # 17th step squares an m past the Schönhage–Strassen cutoff, in the
+    # so the last steps' squares m*m pass the memo's threshold. From 5/121
+    # a 17th step squares an m past the Schönhage–Strassen cutoff, in the
     # expansion and in its replay; its first 16 steps are the 16-term run
     policy = WgaaPolicy(t=Fraction(2), selection=selection)
     deep = theta == Fraction(5, 121)
     run = wgaa_expand(theta, policy, 17 if deep else 16)
-    least = 4 * _TOOM_BITS if deep else 10_000
+    least = 2 * _SSA_BITS if deep else 10_000
     assert run.residuals[-1].denominator.bit_length() > least
     if deep:
         assert (run.a[-1] - 1).bit_length() >= _SSA_BITS  # the last m
@@ -474,13 +481,14 @@ def kernel_calls(monkeypatch):
 @pytest.fixture
 def fresh_memo():
     rational._squares.clear()
+    rational._target = None
     return rational._squares
 
 
 def long_operands(a):
     """The operands m = a_n - 1 a walk with shadows a squares by the long
     kernel."""
-    return {x - 1 for x in a if (x - 1).bit_length() >= _TOOM_BITS}
+    return {x - 1 for x in a if (x - 1).bit_length() >= _MEMO_BITS}
 
 
 def fraction_walk(theta, n_terms, choose):
@@ -511,6 +519,32 @@ def test_replay_and_growth_check_read_every_long_square_back(fresh_memo,
     assert kernel_calls == []
 
 
+def test_a_longer_walk_reads_the_shorter_walks_squares_back(fresh_memo,
+                                                            kernel_calls):
+    # the 20-term walk from 3/7 reads the 18-term walk's squares back and
+    # forms those of steps 19 and 20; its replay and growth checks then
+    # form none, though the longer walk missed on its 19th step
+    theta = Fraction(3, 7)
+    short = greedy_expand(theta, 18)
+    run = greedy_expand(theta, 20)
+    assert run.a[:18] == short.a
+    assert set(fresh_memo) == long_operands(run.a)
+    kernel_calls.clear()
+    replay = recover_shadow(run.b, theta)
+    checks = greedy_ratio_checks(run)
+    assert replay.a == run.a and replay.residuals == run.residuals
+    assert len(checks) == 19 and all(c.holds for c in checks)
+    assert kernel_calls == []
+
+
+def test_a_walk_that_forms_no_long_square_releases_the_memo(fresh_memo):
+    greedy_expand(Fraction(3, 7), 17)
+    assert fresh_memo
+    run = greedy_expand(Fraction(1, 2), 8)
+    assert not long_operands(run.a)
+    assert fresh_memo == {}
+
+
 def test_a_walk_from_another_target_starts_afresh(fresh_memo):
     first = greedy_expand(Fraction(3, 7), 17)
     assert set(fresh_memo) == long_operands(first.a)
@@ -530,7 +564,7 @@ def test_growth_checks_add_nothing(fresh_memo, kernel_calls):
     greedy_ratio_checks(run)
     assert kernel_calls == []
     # a run the memo knows nothing of: its squares are formed, not kept
-    b = 3 ** (_TOOM_BITS * 631 // 1000)
+    b = 3 ** (_MEMO_BITS * 631 // 1000)
     for d in (1, 2, 2**64):
         greedy_ratio_checks(WeakGreedyRun(Fraction(1, 2), WgaaPolicy.greedy(),
                                           (b + 1 - d,), (b, b * b), ()))
@@ -539,21 +573,26 @@ def test_growth_checks_add_nothing(fresh_memo, kernel_calls):
 
 
 def test_the_memo_holds_one_walks_squares_at_most(fresh_memo):
-    def bits(operands):
-        return sum(x.bit_length() for x in operands)
-
+    # at most the walks from one target: each walk from the last walk's
+    # target adds its long squares, and any other empties the memo first
     theta = Fraction(3, 7)
     min_admissible = WgaaPolicy(t=Fraction(2), selection="min-admissible")
     run = greedy_expand(theta, 17)
-    walked = [long_operands(run.a)]
-    for walk in (lambda: recover_shadow(run.b, theta),
-                 lambda: wgaa_expand(Fraction(4, 17), min_admissible, 16),
-                 lambda: greedy_expand(Fraction(1, 2), 8),  # no long square
-                 lambda: recover_shadow(run.b[:15] + (run.b[15] + 1,), theta),
-                 lambda: greedy_expand(Fraction(2, 11), 16)):
-        walked.append(long_operands(walk().a))
-        assert any(set(fresh_memo) <= operands for operands in walked)
-        assert bits(fresh_memo) <= max(map(bits, walked))
+    target, held = theta, long_operands(run.a)
+    assert set(fresh_memo) == held
+    for start, walk in (
+            (theta, lambda: recover_shadow(run.b, theta)),
+            (Fraction(4, 17),
+             lambda: wgaa_expand(Fraction(4, 17), min_admissible, 16)),
+            (Fraction(1, 2), lambda: greedy_expand(Fraction(1, 2), 8)),
+            (theta, lambda: recover_shadow(run.b[:15] + (run.b[15] + 1,),
+                                           theta)),
+            (theta, lambda: wgaa_expand(theta, min_admissible, 16)),
+            (Fraction(2, 11), lambda: greedy_expand(Fraction(2, 11), 16))):
+        operands = long_operands(walk().a)
+        held = held | operands if start == target else operands
+        target = start
+        assert set(fresh_memo) == held
 
 
 @pytest.mark.parametrize("k", [15, 16])
@@ -561,14 +600,14 @@ def test_a_replay_that_leaves_the_run_is_exact(fresh_memo, k):
     # from 2/11 greedy steps 15 to 17 square m of 50, 99 and 198 kbit.
     # The replayed list takes a_k + 1 at step k and greedy choices around
     # it, so it meets the run's long squares up to step k and new ones
-    # after it
+    # after it, which the memo keeps beside the run's
     theta = Fraction(2, 11)
     run = greedy_expand(theta, 17)
     a, b, residuals = fraction_walk(theta, 17, lambda n, a_n: a_n + (n == k))
     assert a[:k] == run.a[:k]
     replay = recover_shadow(b, theta)
     assert replay.a == a and replay.residuals == residuals
-    assert set(fresh_memo) == long_operands(a[k:])
+    assert set(fresh_memo) == long_operands(run.a) | long_operands(a)
 
 
 def test_threads_walking_different_targets_get_the_sequential_results():

@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 from unitfrac import cli
 from unitfrac.rational import (
     _SSA_BITS,
-    _TOOM_BITS,
     RationalInterval,
     _square,
     _ssa_shape,
@@ -230,39 +229,31 @@ def test_integer_bounds_match_enumeration(lo_n, lo_d, hi_n, hi_d,
 
 # ------------------------------------------------------------ long square
 #
-# The reference is the interpreter's own x * x. Operands run from just
-# below the Toom-3 cutoff to four times it, so one and two levels of
-# recursion are taken; each example stays in milliseconds.
-
-def _thirds(n: int, x0: int, x1: int, x2: int) -> int:
-    """The n-bit operand whose Toom-3 pieces are x0, x1 and x2."""
-    k = (n + 2) // 3
-    x = (x2 << 2 * k) | (x1 << k) | x0
-    assert x.bit_length() == n
-    return x
-
+# The reference is the interpreter's own x * x. Operands sit on both sides
+# of the Schönhage–Strassen cutoff and at four times it; each example
+# stays in milliseconds.
 
 def _structured(n: int) -> list[int]:
-    k = (n + 2) // 3
-    top = n - 2 * k
+    """n-bit operands: one bit, all ones, the two end bits, alternating
+    bits, ten scattered bits, a zero low half and random bits."""
     rng = random.Random(n)
-    full = [rng.getrandbits(k), rng.getrandbits(k),
-            rng.getrandbits(top) | 1 << top - 1]
-    ones = (1 << k) - 1
+    half = n // 2
+    sparse = 1 << n - 1 | 1
+    for i in rng.sample(range(1, n - 1), 8):
+        sparse |= 1 << i
     return [
-        1 << n - 1, (1 << n) - 1,
-        _thirds(n, 0, *full[1:]),                 # low third zero
-        _thirds(n, full[0], 0, full[2]),          # middle third zero
-        _thirds(n, *full[:2], 1 << top - 1),      # least top third
-        _thirds(n, 0, ones, 1 << top - 1),        # x0 - x1 + x2 < 0
-        _thirds(n, ones, 0, (1 << top) - 1),      # carries out of x0 + x2
+        1 << n - 1, (1 << n) - 1, 1 << n - 1 | 1,
+        int("10" * half + "1" * (n % 2), 2),
+        sparse,
+        (rng.getrandbits(n - half) | 1 << n - half - 1) << half,
+        rng.getrandbits(n) | 1 << n - 1,
     ]
 
 
-@pytest.mark.parametrize("n", [_TOOM_BITS - 1, _TOOM_BITS, _TOOM_BITS + 1,
-                               _TOOM_BITS + 2, 3 * _TOOM_BITS + 1])
+@pytest.mark.parametrize("n", [_SSA_BITS - 1, _SSA_BITS, 4 * _SSA_BITS])
 def test_square_structured_operands(n):
     for x in _structured(n):
+        assert x.bit_length() == n
         assert _square(x) == x * x
         assert _square(-x) == x * x
 
@@ -273,9 +264,10 @@ def test_square_small_operands():
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.integers(_TOOM_BITS - 64, 4 * _TOOM_BITS), st.integers(0, 2**32),
-       st.booleans())
-@example(4 * _TOOM_BITS, 0, False)
+@given(st.integers(1, 4 * _SSA_BITS), st.integers(0, 2**32), st.booleans())
+@example(_SSA_BITS - 1, 0, False)
+@example(_SSA_BITS, 0, True)
+@example(4 * _SSA_BITS, 0, False)
 def test_square_matches_plain_product(bits, seed, negative):
     x = random.Random(seed).getrandbits(bits) | 1 << bits - 1
     if negative:
@@ -293,8 +285,9 @@ def _pieces(bits: int) -> tuple[int, int]:
 
 
 # where N.bit_length() changes, from the cutoff's length up to 1 Mbit;
-# k steps at 2**19 bits
-_SSA_STEPS = (2**18 - 1, 2**18, 2**19 - 1, 2**19, 2**20 - 1, 2**20)
+# k steps at 2**17 and 2**19 bits
+_SSA_STEPS = (2**17 - 1, 2**17, 2**18 - 1, 2**18, 2**19 - 1, 2**19,
+              2**20 - 1, 2**20)
 
 
 def test_ssa_square_cutoff():
@@ -319,7 +312,7 @@ def test_ssa_square_all_ones_and_top_bit(n):
 def test_ssa_square_whole_pieces():
     # an operand of exactly K*M bits fills its top piece; one bit more
     # moves M up a byte and leaves the top pieces empty
-    least = -(-_SSA_BITS // 2048) * 2048  # 8K divides it at k = 8
+    least = -(-_SSA_BITS // 2048) * 2048  # 8K divides it at k = 7
     K, M = _pieces(least)
     assert K * M == least and _pieces(least + 1)[0] == K
     for n in (least, least + 1, 2**18, 2**18 + 1, 2**19, 2**19 + 1):
