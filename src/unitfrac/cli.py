@@ -10,7 +10,6 @@ has finished, so stdout stays empty when the exit code is 2.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import io
 import itertools
@@ -49,7 +48,8 @@ EXIT_VERIFY = 1
 EXIT_USAGE = 2
 # 128 + SIGPIPE, what a shell reports for a tool killed by a closed pipe
 EXIT_PIPE_CLOSED = 141
-# rows per csv piece: a few hundred rows make a piece of a few kilobytes
+# rows per csv piece: 256 rows of census or expansion make a few
+# kilobytes, 256 rows of exact construct margins about a megabyte
 _CSV_PIECE_ROWS = 256
 
 
@@ -98,13 +98,19 @@ class Report(NamedTuple):
 
 
 def _csv_pieces(columns, rows) -> Iterator[str]:
-    """csv text as the header, then pieces of ``_CSV_PIECE_ROWS`` rows."""
+    """csv text as the header, then pieces of ``_CSV_PIECE_ROWS`` rows.
+
+    Each row is its fields joined by commas, None as an empty field. This
+    is the stdlib csv writer's text for every row the CLI prints: each
+    field is an int, a bool, None, "P/Q" text or a hyphenated name, so
+    none needs quoting, and every row has more than one field.
+    """
     rows = iter(rows)
     piece = [columns]
     while piece:
-        buffer = io.StringIO()
-        csv.writer(buffer, lineterminator="\n").writerows(piece)
-        yield buffer.getvalue()
+        yield "".join(
+            ",".join("" if c is None else str(c) for c in row) + "\n"
+            for row in piece)
         piece = list(itertools.islice(rows, _CSV_PIECE_ROWS))
 
 
@@ -113,7 +119,8 @@ def _emit(report: Report, fmt: str) -> int:
 
     Returns the report's exit code. csv without a header of its own prints
     the table lines, as table does. json and csv are held as lists of
-    pieces, so their text is never copied whole.
+    pieces, so their text is never copied whole: a csv piece is the text
+    of ``_CSV_PIECE_ROWS`` rows, about a megabyte of construct margins.
     """
     csv_columns = report.csv_columns or report.columns
     if fmt == "json":
@@ -232,6 +239,28 @@ def _construct_summary(result) -> Iterator[str]:
     yield f"future filler bound {format_rational(result.future_filler_bound)}"
 
 
+def _margin_texts(certificates) -> Iterator[tuple]:
+    """Each certificate with its lower and upper margin as "P/Q" text.
+
+    Along a plateau every suffix sum carries the filler, so a margin often
+    has the denominator of the same margin one certificate before; its
+    text is then reused, not converted again. The memo lives in this
+    generator, for one command: a module-level one could return text made
+    under another ``sys.set_int_max_str_digits`` limit.
+    """
+    denominators, texts = [0, 0], ["", ""]
+
+    def text(side, x):
+        numerator = str(x.numerator)  # converted first, as format_rational
+        if x.denominator != denominators[side]:
+            texts[side] = str(x.denominator)
+            denominators[side] = x.denominator
+        return f"{numerator}/{texts[side]}"
+
+    for c in certificates:
+        yield c, text(0, c.lower_margin), text(1, c.upper_margin)
+
+
 def _construct_doc(result) -> dict:
     return {
         "a": list(result.a_prefix),
@@ -244,10 +273,8 @@ def _construct_doc(result) -> dict:
         "filler-values": list(result.filler_values),
         "future-filler-bound": format_rational(result.future_filler_bound),
         "certificates": [
-            {"index": c.index,
-             "lower-margin": format_rational(c.lower_margin),
-             "upper-margin": format_rational(c.upper_margin)}
-            for c in result.certificates],
+            {"index": c.index, "lower-margin": lower, "upper-margin": upper}
+            for c, lower, upper in _margin_texts(result.certificates)],
         "verification-depth": len(result.a_prefix),
     }
 
@@ -263,9 +290,8 @@ def _cmd_construct(args) -> Report:
         seq = TargetSequence.from_family(parse_family_spec(args.family))
     result = construct(seq, args.depth)
     rows = ((c.index, result.a_prefix[c.index - 1],
-             result.b_prefix[c.index - 1],
-             format_rational(c.lower_margin), format_rational(c.upper_margin))
-            for c in result.certificates)
+             result.b_prefix[c.index - 1], lower, upper)
+            for c, lower, upper in _margin_texts(result.certificates))
     return Report(functools.partial(_construct_doc, result),
                   ("n", "a", "b", "lower-margin", "upper-margin"), rows,
                   csv_columns=("index", "a", "b", "lower-margin",

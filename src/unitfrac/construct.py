@@ -199,11 +199,21 @@ def construct(seq: TargetSequence, depth: int) -> ConstructionResult:
     tail_lo_base = Fraction(1, next_value)
     # every filler past the built prefix spends less than B_depth
     tail_hi_base = Fraction(1, next_value - 1) + budget
+    # lower = suffix + (1/a' - 1/a_n), upper = (1/(a_n - 1) - 1/(a' - 1)
+    # - B) - suffix: the small constants change only with a_n and b_n, so
+    # each index costs three operations on the long suffix sum
+    a_here = b_here = None
     for idx in range(last_built, 0, -1):
-        suffix += Fraction(1, b_prefix[idx - 1])
-        a_here = a_prefix[idx - 1]
-        lower = suffix + tail_lo_base - Fraction(1, a_here)
-        upper = Fraction(1, a_here - 1) - (suffix + tail_hi_base)
+        if b_prefix[idx - 1] != b_here:
+            b_here = b_prefix[idx - 1]
+            unit = Fraction(1, b_here)
+        if a_prefix[idx - 1] != a_here:
+            a_here = a_prefix[idx - 1]
+            lower_base = tail_lo_base - Fraction(1, a_here)
+            upper_base = Fraction(1, a_here - 1) - tail_hi_base
+        suffix += unit
+        lower = suffix + lower_base
+        upper = upper_base - suffix
         if lower <= 0 or upper <= 0:
             raise ConstructionError(f"certificate failed at index {idx}")
         certs.append(StepCertificate(idx, lower, upper))

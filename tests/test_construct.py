@@ -119,6 +119,16 @@ def test_slacks_and_fillers_recomputed_from_the_result(start, runs):
     assert res.filler_values == tuple(fillers)
     assert res.future_filler_bound == budget
 
+    # every margin from scratch: the suffix sum of 1/b_i, with the tail
+    # ends 1/a' below and 1/(a' - 1) + B above
+    a_tail = res.next_jump_value
+    margins = []
+    for n, a in enumerate(res.a_prefix, 1):
+        suffix = sum((F(1, b) for b in res.b_prefix[n - 1:]), F(0))
+        margins.append((n, suffix + F(1, a_tail) - F(1, a),
+                        F(1, a - 1) - (suffix + F(1, a_tail - 1) + budget)))
+    assert [tuple(c) for c in res.certificates] == margins
+
     replay = recover_shadow(list(res.b_prefix), res.theta_enclosure.midpoint())
     assert tuple(replay.a) == res.a_prefix
     assert replay.first_weak_violation is None
@@ -164,6 +174,12 @@ def test_repeat_last_delta_extension():
     assert [seq.term(n) for n in range(1, 7)] == [2, 3, 5, 7, 9, 11]
     res = construct(seq, depth=5)
     assert res.b_prefix == (5, 7, 17, 31, 49)
+    # two terms are enough to give the difference; one is not
+    seq = TargetSequence.from_explicit((2, 4), "repeat-last-delta")
+    assert [seq.term(n) for n in range(1, 5)] == [2, 4, 6, 8]
+    assert construct(seq, depth=3).jump_indices == (1, 2, 3)
+    with pytest.raises(InvalidSequence, match="need two terms"):
+        TargetSequence.from_explicit((2,), "repeat-last-delta")
 
 
 def test_jump_set_scan():
@@ -209,6 +225,9 @@ def test_depth_exhaustion():
     seq = TargetSequence.from_explicit((2, 3, 3), "repeat-last-delta")
     with pytest.raises(DepthExhausted):
         construct(seq, depth=2)
+    # exactly depth jumps, then a plateau: the tail's jump is missing
+    with pytest.raises(DepthExhausted, match="only 2 jumps"):
+        construct(TargetSequence(lambda n: min(n + 1, 4)), depth=2)
 
 
 def test_long_given_plateau_is_scanned_whole():
