@@ -161,6 +161,15 @@ def _counts_doc(counts) -> list[dict]:
 
 # ---------------------------------------------------------------- commands
 
+def _walk_report(doc, a, b, residuals, **report) -> Report:
+    """The walk table of expand and verify, with the report's other
+    fields: per step n, a_n, b_n and the residual as "P/Q"."""
+    rows = ((n, a_n, b_n, format_rational(r)) for n, (a_n, b_n, r)
+            in enumerate(zip(a, b, residuals), start=1))
+    return Report(doc, ("n", "a", "b", "residual"), rows,
+                  csv_columns=("index", "a", "b", "residual"), **report)
+
+
 def _expand_doc(run) -> dict:
     return {
         "theta": format_rational(run.theta),
@@ -180,11 +189,8 @@ def _cmd_expand(args) -> Report:
     policy = WgaaPolicy(t=t, lam=lam, selection=selection)
     run = wgaa_expand(theta, policy, args.terms,
                       last_greedy=args.last_greedy)
-    rows = ((n + 1, run.a[n], run.b[n], format_rational(run.residuals[n]))
-            for n in range(len(run.a)))
-    return Report(functools.partial(_expand_doc, run),
-                  ("n", "a", "b", "residual"), rows,
-                  csv_columns=("index", "a", "b", "residual"))
+    return _walk_report(functools.partial(_expand_doc, run),
+                        run.a, run.b, run.residuals)
 
 
 def _cmd_verify(args) -> Report:
@@ -221,13 +227,10 @@ def _cmd_verify(args) -> Report:
         verdict = f"FAIL: b below the greedy shadow at index {violation}"
     else:
         verdict = f"FAIL: bracket misses at {failures}"
-    rows = ((n + 1, replay.a[n], b_values[n],
-             format_rational(replay.residuals[n]))
-            for n in range(len(b_values)))
-    return Report(functools.partial(doc, ok, replay.a, violation, failures),
-                  ("n", "a", "b", "residual"), rows,
-                  csv_columns=("index", "a", "b", "residual"),
-                  after=(verdict,), exit=EXIT_OK if ok else EXIT_VERIFY)
+    return _walk_report(
+        functools.partial(doc, ok, replay.a, violation, failures),
+        replay.a, b_values, replay.residuals, after=(verdict,),
+        exit=EXIT_OK if ok else EXIT_VERIFY)
 
 
 def _construct_summary(result) -> Iterator[str]:

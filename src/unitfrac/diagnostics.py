@@ -14,9 +14,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple, Optional
 
-from .greedy import _WORD_BOUND, WeakGreedyRun
-from .rational import (_known_square, _unit_target, exact,
-                       greedy_denominator, positive_ints)
+from .greedy import _WORD_BOUND, WeakGreedyRun, _known_square
+from .rational import _unit_target, exact, greedy_denominator, positive_ints
 
 DEFAULT_T_GRID = (Fraction(1), Fraction(3, 2), Fraction(2), Fraction(3),
                   Fraction(5), Fraction(10))
@@ -107,9 +106,9 @@ def greedy_ratio_checks(run: WeakGreedyRun) -> list[GreedyGrowthCheck]:
 
     The walk that made the run squared m = a_n - 1 at step n. With
     d = b_n - m the bound is b*b - b + 1 = m*m + (2d - 1)*m + d*d - d + 1,
-    an identity for every m, written around m*m, which
-    ``rational._known_square`` reads from the walk's memo without adding
-    to it; the rest is linear. Greedy has d = 1 and min-admissible d = 2.
+    an identity for every m, written around m*m, which ``_known_square``
+    reads from the walk's memo (see ``greedy``'s module docstring); the
+    rest is linear. Greedy has d = 1 and min-admissible d = 2.
     Where d lies outside [0, 2**64), or a_n is missing, m = b_n - 1 and
     d = 1, whose square a memo miss forms.
     """

@@ -29,13 +29,28 @@ step d = b_n - (a_n - 1) are both below ``_WORD_BOUND`` (2**64), the
 kernel builds the next residual from integers, so its one long product
 is the square m*m, which ``rational._square`` forms by a
 Schönhage–Strassen transform once m passes 124 kbit; every other step is
-the stdlib ``r - Fraction(1, b_n)``. The step takes m*m through
-``rational._walk_square``, which keeps the long squares of the walks
-from one target. The shadow depends on the residual alone, so the replay
-of a run by ``recover_shadow``, and a longer walk from the same target,
-meet the same m at every shared step and read each long square back
-instead of forming it again; a walk from another target empties the
-memo.
+the stdlib ``r - Fraction(1, b_n)``.
+
+The walk keeps its long squares. ``_walk_square`` holds every square
+m*m of an operand of at least ``_MEMO_BITS`` (8 kbit) bits that a walk
+forms, in the memo ``_squares``, keyed by the operand. ``_walk`` empties
+the memo when its target is not the last walk's, so the memo holds the
+squares of the walks from the last target only. The shadow depends on
+the residual alone, so a replay of a run from that target, or a longer
+walk from it, meets the same m at every step it shares with them and
+reads the square back instead of forming it again; a walk from another
+target, even one that forms no long square, releases them.
+``_known_square`` reads the memo without adding to it: the growth
+checks of ``diagnostics`` read squares but never keep them.
+
+The squares stay held until a walk from another target starts, after
+the caller has dropped its run: keys of about 2n bits and squares of
+about 4n, n being the last operand's length. That is 0.75 MB after a
+20-term greedy walk from 3/7 (n = 1 Mbit), doubling with each further
+step; walks from one target under several policies add theirs up.
+Walks that overlap in time on threads share the one memo; a hit is
+keyed by the operand's value, so they stay exact, and the memo may then
+hold the squares of all of them.
 """
 from __future__ import annotations
 
@@ -43,8 +58,9 @@ import math
 from fractions import Fraction
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
-from .rational import (_start_walk, _unit_target, _walk_square, exact,
-                       parse_int, positive_int, positive_ints)
+from . import rational
+from .rational import (_unit_target, exact, parse_int, positive_int,
+                       positive_ints)
 
 _MAX_TERMS = 10**4
 
@@ -53,10 +69,10 @@ _WORD_BOUND = 1 << 64
 
 With p and d under one machine word, the new numerator p*d - s has at most
 128 bits, so the gcd that reduces the result is one linear remainder and
-the one long product is the square m*m, which ``rational._walk_square``
-forms or reads back. A long p or d would make that numerator long and
-that gcd quadratic, while the stdlib subtraction only needs gcd(q, b),
-which stays cheap, so those steps are left to it.
+the one long product is the square m*m, which ``_walk_square`` forms or
+reads back. A long p or d would make that numerator long and that gcd
+quadratic, while the stdlib subtraction only needs gcd(q, b), which
+stays cheap, so those steps are left to it.
 """
 
 _SELECTIONS = ("greedy", "ceil-t-a", "min-admissible")
@@ -236,17 +252,65 @@ def _select_b(policy: WgaaPolicy, n: int, a_n: int) -> int:
     return a_n + 1
 
 
+_MEMO_BITS = 8_000
+"""Operand length from which a walk keeps its squares in ``_squares``.
+
+A walk that nobody replays pays for the memo on every square it keeps,
+one hash and one insertion beside the square, and a replay or growth
+check gains a read in place of a square. On CPython 3.11.7 (x86-64),
+medians over 200 random operands: x*x takes 4.2, 47 and 386 us at 2, 8
+and 40 kbit, a miss with its insertion 4.8, 49 and 399 us, and a read
+0.29, 0.81 and 3.6 us. From this length on a miss costs under 5 % more
+than the plain square, while a read is some 60 times cheaper. Over the
+deep benchmark's requests in process, each run under every threshold
+back to back, the median request took about the same with no threshold
+and at 2, 4, 8 and 16 kbit (2.0 to 2.4 ms at seeds 1 and 2, within the
+spread of the runs), and 3.0 to 3.2 ms at 40 kbit, which leaves out its
+16 and 31 kbit squares.
+
+The threshold is for certify, whose ``verify`` replays of 3500 to
+3700-term lists take the word-size step with short m: with none, over 3
+alternated 15 s benchmark pairs at seed 1 (CPython 3.11.7, 2 vCPUs,
+±30 %), its peak RSS read 40.3–41.1 against 39.5–40.4 MB and its tail
+114–181 against 78–101 ms, worse in every pair; deep stayed level.
+"""
+
+_squares: dict[int, int] = {}
+"""The long squares of the walks from the last target, by operand."""
+_target = None  # the target of the last walk
+
+
+def _walk_square(x: int) -> int:
+    """x*x for a walk step. A square of at least ``_MEMO_BITS`` bits of
+    operand is read from the memo, or formed by ``rational._square`` and
+    added. The kernel is looked up at each call, so a wrapper put on it
+    sees every long square the memo forms."""
+    if x.bit_length() < _MEMO_BITS:
+        return x * x
+    square = _squares.get(x)
+    if square is None:
+        square = _squares[x] = rational._square(x)
+    return square
+
+
+def _known_square(x: int) -> int:
+    """x*x, read from the memo if a walk formed it; adds nothing."""
+    if x.bit_length() < _MEMO_BITS:
+        return x * x
+    square = _squares.get(x)
+    return rational._square(x) if square is None else square
+
+
 def _unit_step(r: Fraction, m: int, b: int) -> Fraction:
     """r - 1/b, for a residual r = p/q > 0 in lowest terms and m = q // p.
 
     With s = q - p*m and d = b - m,
     p/q - 1/b = (p*d - s) / (p*m*m + (p*d + s)*m + s*d), whose denominator
-    is q*b written around the square m*m, which ``rational._walk_square``
-    forms, or reads back from the memo of the walks from this target.
-    That form is taken when p and d lie in a machine word (see
-    ``_WORD_BOUND``). Greedy steps (d = 1) never raise the numerator and
-    min-admissible steps (d = 2) at most double it, so from a word-sized
-    numerator they take it for dozens of steps.
+    is q*b written around the square m*m, which ``_walk_square`` forms or
+    reads back (see the module docstring). That form is taken when p and d
+    lie in a machine word (see ``_WORD_BOUND``). Greedy steps (d = 1) never
+    raise the numerator and min-admissible steps (d = 2) at most double it,
+    so from a word-sized numerator they take it for dozens of steps.
     """
     p, q = r.numerator, r.denominator
     d = b - m
@@ -265,8 +329,11 @@ def _walk(theta: Fraction, n_terms: int,
     soon as the running residual is no longer positive, because no shadow
     exists there; a weak choice (1/b_n <= 1/a_n < r) never gets there.
     """
+    global _target
     theta = _unit_target(theta)
-    _start_walk(theta)
+    if theta != _target:
+        _squares.clear()
+        _target = theta
     shadows: list[int] = []
     chosen: list[int] = []
     residuals: list[Fraction] = []
@@ -313,11 +380,8 @@ def recover_shadow(b: Sequence[int], theta: Fraction) -> ShadowReplay:
     are reported via ``first_weak_violation`` and do not abort the replay;
     a residual that is no longer positive aborts it (ReplayOverrunError).
 
-    Replaying the choices of a run expanded from theta since the last
-    walk from another target retraces its residuals, so every long square
-    m*m is read back from the memo (``rational._walk_square``) and the
-    replay forms none; a list that leaves that run forms its squares from
-    there on, and keeps them for the next walk from theta.
+    The replay reads back the long squares of the walks from theta (see
+    the module docstring).
     """
     b = positive_ints(b, "denominator")
     a, _, residuals = _walk(theta, len(b), lambda n, a_n: b[n - 1])

@@ -17,27 +17,9 @@ order 2K, so that every twiddle is a shift, with one short square per
 point. Its interpreter cost per butterfly is why it only wins past
 about 120 kbit, and, past the 131 kbit where its number of points
 doubles, again only from about 185 kbit. Its traced peak memory stays
-below that of x*x, about 0.8 times it at 1 Mbit.
-
-A walk and the checks of its run square the same long operands, so
-``_walk_square`` keeps every square of an operand of at least
-``_MEMO_BITS`` (8 kbit) bits that a walk forms, keyed by the operand.
-``_start_walk(theta)`` opens a walk and empties the memo when theta is
-not the last walk's target, so the memo holds the squares of the walks
-from the last target only. A replay of a run from that target, or a
-longer walk from it, hits at every step it shares with them, and a walk
-from another target, even one that forms no long square, releases
-them. ``_known_square`` reads the memo without adding to it.
-``_square`` itself keeps nothing.
-
-The squares stay held until a walk from another target starts, after
-the caller has dropped its run: keys of about 2n bits and squares of
-about 4n, n being the last operand's length. That is 0.75 MB after a
-20-term greedy walk from 3/7 (n = 1 Mbit), doubling with each further
-step; walks from one target under several policies add theirs up.
-Walks that overlap in time on threads share the one memo; a hit is
-keyed by the operand's value, so they stay exact, and the memo may then
-hold the squares of all of them.
+below that of x*x, about 0.8 times it at 1 Mbit. ``_square`` keeps
+nothing: the walks of ``greedy`` keep the long squares they form, under
+the rule written in that module's docstring.
 
 It also holds the input contract of every entry point. ``positive_int``
 and, for lists, ``positive_ints`` refuse a bool, a non-``int`` or a value
@@ -306,56 +288,6 @@ def _ssa_square(x: int) -> int:
         out[j * size:(j + 1) * size] = (carry & low).to_bytes(size, "little")
         carry >>= M
     return int.from_bytes(out, "little")
-
-
-_MEMO_BITS = 8_000
-"""Operand length from which a walk keeps its squares in ``_squares``.
-
-A walk that nobody replays pays for the memo on every square it keeps,
-one hash and one insertion beside the square, and a replay or growth
-check gains a read in place of a square. On CPython 3.11.7 (x86-64),
-medians over 200 random operands: x*x takes 4.2, 47 and 386 us at 2, 8
-and 40 kbit, a miss with its insertion 4.8, 49 and 399 us, and a read
-0.29, 0.81 and 3.6 us. From this length on a miss costs under 5 % more
-than the plain square, while a read is some 60 times cheaper. Over the
-deep benchmark's requests in process, each run under every threshold
-back to back, the median request took about the same with no threshold
-and at 2, 4, 8 and 16 kbit (2.0 to 2.4 ms at seeds 1 and 2, within the
-spread of the runs), and 3.0 to 3.2 ms at 40 kbit, which leaves out its
-16 and 31 kbit squares.
-"""
-
-_squares: dict[int, int] = {}
-"""The long squares of the walks from the last target, by operand."""
-_target = None  # the target of the last walk
-
-
-def _start_walk(theta: Fraction) -> None:
-    """Open a walk from theta: the memo is emptied unless the last walk
-    started from theta too."""
-    global _target
-    if theta != _target:
-        _squares.clear()
-        _target = theta
-
-
-def _walk_square(x: int) -> int:
-    """x*x for a walk step. A square of at least ``_MEMO_BITS`` bits of
-    operand is read from the memo, or formed by ``_square`` and added."""
-    if x.bit_length() < _MEMO_BITS:
-        return x * x
-    square = _squares.get(x)
-    if square is None:
-        square = _squares[x] = _square(x)
-    return square
-
-
-def _known_square(x: int) -> int:
-    """x*x, read from the memo if a walk formed it; adds nothing."""
-    if x.bit_length() < _MEMO_BITS:
-        return x * x
-    square = _squares.get(x)
-    return _square(x) if square is None else square
 
 
 def integer_bounds(lo_n: int, lo_d: int, hi_n: int, hi_d: int,

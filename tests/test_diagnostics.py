@@ -31,12 +31,13 @@ from unitfrac.families import (
     GeometricFamily,
 )
 from unitfrac.greedy import (
+    _MEMO_BITS,
     WeakGreedyRun,
     WgaaPolicy,
     recover_shadow,
     wgaa_expand,
 )
-from unitfrac.rational import _MEMO_BITS, _SSA_BITS
+from unitfrac.rational import _SSA_BITS
 
 
 def F(p, q=1):
@@ -335,6 +336,11 @@ def test_classify_short_input_inconclusive():
     assert classify((2, 3), (2, 3)).verdict == "inconclusive"
     assert classify((2,) * 7, (2,) * 7, family=GeometricFamily(2, 2)).verdict \
         == "inconclusive"
+    # eight terms are no longer short: their missing witnesses decide
+    a = tuple(range(2, 10))
+    b = tuple(100 * x for x in a)
+    assert classify(a[:7], b[:7]).verdict == "inconclusive"
+    assert classify(a, b).verdict == "not-producible-evidence"
 
 
 def test_classify_validation():
@@ -414,6 +420,10 @@ def test_shadow_bound_quadratic():
 def test_shadow_bound_requires_gap():
     with pytest.raises(ValueError):
         shadow_bound_from_gap([2], F(1, 2), F(1, 2))
+    # a gap of exactly 0 is refused, a tail bound of exactly 0 is not
+    with pytest.raises(ValueError, match="no gap to exploit$"):
+        shadow_bound_from_gap([2], F(3, 4), F(1, 4))
+    assert shadow_bound_from_gap([2], F(3, 4), F(0)) == (F(1, 4), 5)
     # each would leave a gap of 1/8 or more if it were converted
     for theta, tail in ((0.75, F(1, 8)), (True, F(1, 8)),
                         (F(3, 4), 0.125), (F(3, 4), False)):

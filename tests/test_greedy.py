@@ -15,10 +15,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from unitfrac import cli, rational
+from unitfrac import cli, greedy, rational
 from unitfrac.construct import choose_b_jump
 from unitfrac.diagnostics import greedy_ratio_checks
 from unitfrac.greedy import (
+    _MEMO_BITS,
     _WORD_BOUND,
     IndexSet,
     ReplayOverrunError,
@@ -32,7 +33,7 @@ from unitfrac.greedy import (
     telescoping_endpoints,
     wgaa_expand,
 )
-from unitfrac.rational import _MEMO_BITS, _SSA_BITS, integer_bounds
+from unitfrac.rational import _SSA_BITS, integer_bounds
 from unitfrac.uniqueness import pair_uniqueness
 
 
@@ -166,11 +167,16 @@ def test_recover_shadow_rejects_non_integers(b, index):
         recover_shadow(b, Fraction(2, 3))
 
 
-def test_term_cap():
+def test_term_cap(monkeypatch):
     with pytest.raises(ValueError, match="10000"):
         greedy_expand(Fraction(2, 3), 10**4 + 1)
+    # exactly the cap runs, shown at a cap of 4 rather than by walking 10**4
+    # terms
+    monkeypatch.setattr(greedy, "_MAX_TERMS", 4)
     run = greedy_expand(Fraction(355, 452), 4)
     assert len(run.b) == 4
+    with pytest.raises(ValueError, match="at most 4 terms, got 5$"):
+        greedy_expand(Fraction(355, 452), 5)
 
 
 # ---------------------------------------------------------------- intervals
@@ -480,9 +486,9 @@ def kernel_calls(monkeypatch):
 
 @pytest.fixture
 def fresh_memo():
-    rational._squares.clear()
-    rational._target = None
-    return rational._squares
+    greedy._squares.clear()
+    greedy._target = None
+    return greedy._squares
 
 
 def long_operands(a):

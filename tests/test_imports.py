@@ -7,10 +7,11 @@ environment variable: its settings come from arguments only.  A third
 keeps the integer input check in one place: only ``rational.py`` tests
 whether a value is a bool.  A fourth keeps every output document in the
 command line: no library type serialises itself, and only ``cli.py`` and
-the package namespace import ``format_rational``. The last two keep every
-process start light: no module of the package imports ``dataclasses``,
-and importing the package and its command line loads none of
-``dataclasses``, ``inspect`` and ``csv``.
+the package namespace import ``format_rational``. A fifth keeps module
+state with the walk that owns it: only ``greedy.py`` has a ``global``
+statement. The last two keep every process start light: no module of
+the package imports ``dataclasses``, and importing the package and its
+command line loads none of ``dataclasses``, ``inspect`` and ``csv``.
 """
 from __future__ import annotations
 
@@ -112,6 +113,17 @@ def test_documents_only_in_cli():
             formatters.append(path.name)
     assert methods == []
     assert formatters == ["__init__.py", "cli.py"]
+
+
+def test_global_statements_only_in_greedy():
+    """The walk's square memo is the package's one rebound module state."""
+    hits = []
+    for path in sorted((REPO / "src/unitfrac").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Global):
+                hits.append(f"{path.relative_to(REPO)}:{node.lineno}")
+    assert hits and all(hit.startswith("src/unitfrac/greedy.py:")
+                        for hit in hits), hits
 
 
 def test_no_dataclasses_import():

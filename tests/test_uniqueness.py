@@ -144,6 +144,9 @@ def test_consequences_pinned():
     }
     cons = uniqueness_consequences(3, 5)
     assert cons["pred_square_indivisible"] is False
+    # the ratio must be strictly above 3
+    assert uniqueness_consequences(3, 9)["ratio_above_3"] is False
+    assert uniqueness_consequences(3, 10)["ratio_above_3"] is True
 
 
 # ------------------------------------------------------------------- sweep
