@@ -10,9 +10,11 @@ has finished, so stdout stays empty when the exit code is 2.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import io
 import itertools
+import operator
 import os
 import sys
 from collections import Counter
@@ -30,7 +32,8 @@ from .greedy import (
     recover_shadow,
     wgaa_expand,
 )
-from .rational import format_rational, parse_int, parse_rational, positive_int
+from .rational import (_INT_RE, format_rational, parse_int, parse_rational,
+                       positive_int)
 from .uniqueness import (
     CensusRow,
     _closed_criterion,
@@ -60,15 +63,19 @@ def _read_sequence_file(path: str) -> list[int]:
             text = handle.read()
     except OSError as exc:
         raise ValueError(f"cannot read {path}: {exc}")
-    values = []
-    for lineno, line in enumerate(text.splitlines(), 1):
+    lines = text.splitlines()
+    stripped = list(map(str.strip, lines))
+    # every line is checked in one pass at C speed; the loop runs only to
+    # name the first line refused, by parse_int's message (digit limit too)
+    with contextlib.suppress(ValueError):
+        if stripped and all(map(_INT_RE.fullmatch, stripped)):
+            return list(map(int, stripped))
+    for lineno, line in enumerate(lines, 1):
         try:
-            values.append(parse_int(line))
+            parse_int(line)
         except ValueError as exc:
             raise ValueError(f"{path}:{lineno}: {exc}") from None
-    if not values:
-        raise ValueError(f"{path}: empty sequence file")
-    return values
+    raise ValueError(f"{path}: empty sequence file")
 
 
 def _table_lines(header, rows) -> list[str]:
@@ -109,7 +116,7 @@ def _csv_pieces(columns, rows) -> Iterator[str]:
     piece = [columns]
     while piece:
         yield "".join(
-            ",".join("" if c is None else str(c) for c in row) + "\n"
+            ",".join(["" if c is None else str(c) for c in row]) + "\n"
             for row in piece)
         piece = list(itertools.islice(rows, _CSV_PIECE_ROWS))
 
@@ -302,36 +309,39 @@ def _cmd_construct(args) -> Report:
                   before=_construct_summary(result))
 
 
+_CENSUS_KEY = operator.itemgetter(*map(CensusRow._fields.index, (
+    "open_unique", "open_case", "closed_unique", "closed_case",
+    "open_agrees", "closed_agrees", "consequences_ok")))
+
+
 def _census_report(rows: Iterator[CensusRow]) -> Report:
     """Summary of census rows, folded in the one pass that produces them.
 
-    json and table print the summary alone and hold no rows; csv prints
-    each row as it is read. The exit code is known once every row is.
+    The fold is a ``Counter`` of ``_CENSUS_KEY``s fed by ``map``: by each
+    csv piece as it streams out, or by the whole row iterator for json and
+    table, which hold no rows. The summary is read off its few keys.
     """
-    pairs = open_unique = closed_unique = bad = 0
-    cases = Counter()
+    tally = Counter()
 
-    def counted() -> Iterator[CensusRow]:
-        nonlocal pairs, open_unique, closed_unique, bad
-        for row in rows:
-            pairs += 1
-            open_unique += row.open_unique
-            closed_unique += row.closed_unique
-            bad += not (row.open_agrees and row.closed_agrees
-                        and row.consequences_ok)
-            cases[row.open_case] += 1
-            cases[row.closed_case] += 1
-            yield row
+    def pieces() -> Iterator[list]:
+        for piece in iter(lambda: list(itertools.islice(
+                rows, _CSV_PIECE_ROWS)), []):
+            tally.update(map(_CENSUS_KEY, piece))
+            yield piece
 
     def summary():
-        for _ in counted():  # reads the rows no format has read yet
-            pass
+        tally.update(map(_CENSUS_KEY, rows))
+        items = tally.items()
+        cases = Counter()
+        for (_, open_case, _, closed_case, *_), n in items:
+            cases[open_case] += n
+            cases[closed_case] += n
         return {
-            "pairs": pairs,
-            "open-unique": open_unique,
-            "closed-unique": closed_unique,
-            "disagreements": bad,
-            "cases": {k: cases[k] for k in sorted(cases)},
+            "pairs": tally.total(),
+            "open-unique": sum(n for key, n in items if key[0]),
+            "closed-unique": sum(n for key, n in items if key[2]),
+            "disagreements": sum(n for key, n in items if not all(key[4:])),
+            "cases": dict(sorted(cases.items())),
         }
 
     def lines():
@@ -341,8 +351,9 @@ def _census_report(rows: Iterator[CensusRow]) -> Report:
     def exit_code():
         return EXIT_VERIFY if summary()["disagreements"] else EXIT_OK
 
-    return Report(summary, rows=counted(), csv_columns=CensusRow._fields,
-                  after=lines(), exit=exit_code)
+    return Report(summary, rows=itertools.chain.from_iterable(pieces()),
+                  csv_columns=CensusRow._fields, after=lines(),
+                  exit=exit_code)
 
 
 def _cmd_unique(args) -> Report:
@@ -446,7 +457,9 @@ def _add_format(sub) -> None:
                      default="table")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process and shared by every ``main``."""
     parser = argparse.ArgumentParser(
         prog="unitfrac",
         description="Exact greedy and weak-greedy unit fraction expansions")

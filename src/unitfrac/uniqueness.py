@@ -7,6 +7,18 @@ sequence all of whose pairs are forced has exactly one expansion.  The
 closed telescoping window [(a-1)(a'-1)/(a'-a), a a'/(a'-a)] is the
 outer necessary bound: a unique expansion requires it to hold exactly
 one integer at every pair.  Both counts reduce to integer arithmetic.
+
+Each criterion reads one q, r = divmod(a^2, gap) and decides the pair by
+one of three rules:
+- closed, gap delta = a' - a: a a' = a^2 + a delta, so delta divides a a'
+  exactly when r = 0, and then the pair is not unique.  Otherwise it is
+  unique exactly when r >= 2a, since q delta = a^2 - r, and
+  a^2 - r < (a-1)^2 is r > 2a - 1.  Either way k = a + q.
+- open, gap d = a' - a - 1, r = 0: a(a'-1)/d = q + a, so k = a + q - 1.
+  The pair is unique exactly when d + 3 >= 2(q + a), since
+  a'^2 - (4a-1)a' + a^2 + a - 2 = d (d + 3 - 2(q + a)) once a^2 = q d.
+- open, r > 0: k = a + q, and the pair is unique exactly when
+  r + 1 >= 2(q + a), since q (d + 2) = a^2 - r + 2q <= (a-1)^2 is that.
 """
 from __future__ import annotations
 
@@ -49,23 +61,17 @@ def _open_criterion(a: int, a_next: int) -> tuple[bool, int, str]:
         lo_n, lo_d, _, _ = _admissible_ends(a, a_next)
         return False, lo_n // lo_d + 1, "unbounded"
     d = a_next - a - 1
-    if (a * a) % d == 0:
-        k = a * (a_next - 1) // d - 1
-        unique = (a_next * a_next - (4 * a - 1) * a_next
-                  + (a * a + a - 2)) >= 0
-        return unique, k, "open-divisible"
-    floor_part = (a * a) // d
-    unique = floor_part * (a_next - a + 1) <= (a - 1) * (a - 1)
-    return unique, a + floor_part, "open-nondivisible"
+    q, r = divmod(a * a, d)
+    if r == 0:
+        return d + 3 >= 2 * (q + a), a + q - 1, "open-divisible"
+    return r + 1 >= 2 * (q + a), a + q, "open-nondivisible"
 
 
 def _closed_criterion(a: int, a_next: int) -> tuple[bool, int, str]:
-    delta = a_next - a
-    floor_part = (a * a) // delta
-    if (a * a_next) % delta == 0:
-        return False, a + floor_part, "closed-divisible"
-    unique = floor_part * delta < (a - 1) * (a - 1)
-    return unique, a + floor_part, "closed-nondivisible"
+    q, r = divmod(a * a, a_next - a)
+    if r == 0:
+        return False, a + q, "closed-divisible"
+    return r >= 2 * a, a + q, "closed-nondivisible"
 
 
 def pair_uniqueness(a: int, a_next: int, index: int = 0) -> UniquenessVerdict:

@@ -25,7 +25,7 @@ import unitfrac
 from unitfrac import cli
 from unitfrac.construct import ConstructionError
 from unitfrac.families import FibonacciFamily, theta_partial
-from unitfrac.rational import format_rational
+from unitfrac.rational import format_rational, parse_int
 from unitfrac.uniqueness import sweep
 
 REPO = Path(__file__).resolve().parent.parent
@@ -183,12 +183,44 @@ def test_verify_bracket_flags_oversized_choice(tmp_path):
     assert proc.returncode == 0
 
 
-@pytest.mark.parametrize("content", ["", "12\nabc\n", "3.5\n"])
+# what follows the file's path on stderr
+MALFORMED_FILES = {
+    "": ": empty sequence file",
+    "12\nabc\n": ":2: not an integer: 'abc'",
+    "3.5\n": ":1: not an integer: '3.5'",
+    # int() takes each of the first three; a blank line is no integer
+    "7\n1_0\n+5\n\u0663\n\n": ":2: not an integer: '1_0'",
+}
+
+
+@pytest.mark.parametrize("content", list(MALFORMED_FILES))
 def test_verify_rejects_malformed_files(tmp_path, content):
     path = tmp_path / "b.txt"
-    path.write_text(content)
+    path.write_text(content, encoding="utf-8")
     proc = run_cli("verify", "--b-file", str(path), "--theta", "1/2")
     assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == f"error: {path}{MALFORMED_FILES[content]}\n"
+
+
+@pytest.mark.parametrize("bad", ["1_0", "+5", "\u0663", "", " ", "3.5",
+                                 "9" * 5000])
+def test_sequence_file_names_its_first_bad_line(tmp_path, bad):
+    # every line is checked in one pass; the message is parse_int's, with
+    # the number of the first line it refuses. 5000 digits pass the check
+    # but not int() past the interpreter's digit limit, where there is one
+    path = tmp_path / "a.txt"
+    path.write_text(f"7\n{bad}\n1_0\n", encoding="utf-8")
+    try:
+        parse_int(bad)
+        expected = f"{path}:3: not an integer: '1_0'"
+    except ValueError as exc:
+        expected = f"{path}:2: {exc}"
+    with pytest.raises(ValueError) as info:
+        cli._read_sequence_file(str(path))
+    assert str(info.value) == expected
+    path.write_text(" 7\n-3 \n\t12\n")
+    assert cli._read_sequence_file(str(path)) == [7, -3, 12]
 
 
 def test_verify_rejects_nonpositive_denominator_before_replay(tmp_path):
@@ -443,6 +475,26 @@ def test_help_and_unknown_command():
         assert sub in proc.stdout
     proc = run_cli("frobnicate")
     assert proc.returncode == 2
+
+
+def test_parser_is_built_once_per_process(capsys):
+    # a usage error, a good request, the same usage error: the one parser
+    # serves all three, and carries nothing from one call to the next
+    def call(*argv):
+        try:
+            code = cli.main(list(argv))
+        except SystemExit as exc:  # argparse's usage errors
+            code = exc.code
+        return (code, *capsys.readouterr())
+
+    usage_error = ("unique", "--pair", "2", "7", "--range", "10")
+    first = call(*usage_error)
+    assert first[0] == 2 and first[1] == ""
+    assert "not allowed with argument" in first[2]
+    code, out, _ = call("unique", "--pair", "2", "7")
+    assert code == 0 and out.startswith("open: unique=True k=2")
+    assert call(*usage_error) == first
+    assert cli.build_parser() is cli.build_parser()
 
 
 @pytest.mark.parametrize("unbuffered", ["", "1"])

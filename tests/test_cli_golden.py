@@ -22,7 +22,7 @@ from pathlib import Path
 
 import pytest
 
-from unitfrac import cli
+from unitfrac import cli, uniqueness
 from unitfrac.uniqueness import CensusRow, sample_pairs, sweep
 
 GOLDEN = Path(__file__).with_name("cli_golden.json")
@@ -222,6 +222,8 @@ CENSUS = {
     "range": (["--range", "40"], lambda: list(sweep(40))),
     "sample": (["--sample", "400", "--seed", "11"],
                lambda: list(sample_pairs(400, 11))),
+    "sample-seed-5": (["--sample", "300", "--seed", "5"],
+                      lambda: list(sample_pairs(300, 5))),
 }
 
 
@@ -243,6 +245,25 @@ def test_census_reads_its_rows_once(monkeypatch, fmt):
     monkeypatch.setattr(cli, "sweep", lambda limit: iter(rows))
     code, stdout, _ = run_main(["unique", "--range", "30", "--format", fmt])
     check_census_output(fmt, code, stdout, rows)
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_census_counts_a_wrong_criterion_once(monkeypatch, fmt):
+    # one pair's open verdict is flipped, so it disagrees with its window
+    # count: json, the table lines and the exit code each read the folded
+    # summary, and each must count that pair once
+    criterion = uniqueness._open_criterion
+
+    def flipped(a, a_next):
+        unique, k, case = criterion(a, a_next)
+        return unique != ((a, a_next) == (2, 7)), k, case
+
+    monkeypatch.setattr(uniqueness, "_open_criterion", flipped)
+    rows = list(sweep(40))
+    assert census_recount(rows)["disagreements"] == 1
+    code, stdout, _ = run_main(["unique", "--range", "40", "--format", fmt])
+    check_census_output(fmt, code, stdout, rows)
+
 
 if __name__ == "__main__":
     import tempfile

@@ -7,6 +7,7 @@ the integer-arithmetic criteria under test.
 """
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -229,3 +230,115 @@ def test_census_row_matches_the_verdicts(a, gap):
     assert row.consequences_ok == (
         not v_closed.unique
         or all(uniqueness_consequences(a, a_next).values()))
+
+
+# ------------------------------------------- criteria against the long form
+
+def long_open_criterion(a, a_next):
+    """The open criterion as first written: six to eight long operations."""
+    if a_next - a <= 1:
+        return False, (a - 1) * a_next // (a_next - a + 1) + 1, "unbounded"
+    d = a_next - a - 1
+    if (a * a) % d == 0:
+        k = a * (a_next - 1) // d - 1
+        unique = (a_next * a_next - (4 * a - 1) * a_next
+                  + (a * a + a - 2)) >= 0
+        return unique, k, "open-divisible"
+    floor_part = (a * a) // d
+    unique = floor_part * (a_next - a + 1) <= (a - 1) * (a - 1)
+    return unique, a + floor_part, "open-nondivisible"
+
+
+def long_closed_criterion(a, a_next):
+    """The closed criterion as first written."""
+    delta = a_next - a
+    floor_part = (a * a) // delta
+    if (a * a_next) % delta == 0:
+        return False, a + floor_part, "closed-divisible"
+    unique = floor_part * delta < (a - 1) * (a - 1)
+    return unique, a + floor_part, "closed-nondivisible"
+
+
+def assert_long_form(a, a_next):
+    assert pair_uniqueness(a, a_next)[3:] == long_open_criterion(a, a_next)
+    assert pair_necessary_closed(a, a_next)[3:] == long_closed_criterion(
+        a, a_next)
+
+
+def divisible_quadratic_pairs(e, bits):
+    """Pairs whose open gap d divides a^2 with d + 3 - 2(q + a) = e, where
+    q = a^2 / d, for e in (-1, 0, 1), up to ``bits`` bits of a.
+
+    Such a d solves d^2 + (3 - e - 2a) d - 2a^2 = 0.  Its a satisfy
+    a_{n+1} = 14 a_n - a_{n-1} - 6 + 2e from the two smallest; every fact
+    the criteria rely on is checked here, not assumed.
+    """
+    pairs = []
+    a, after = {-1: (4, 48), 0: (10, 133), 1: (2, 24)}[e]
+    while a.bit_length() <= bits:
+        b = 2 * a + e - 3
+        d = (b + math.isqrt(b * b + 8 * a * a)) // 2
+        assert d * d - b * d == 2 * a * a and (a * a) % d == 0
+        assert d + 3 - 2 * (a * a // d + a) == e
+        pairs.append((a, a + d + 1))
+        a, after = after, 14 * after - a - 6 + 2 * e
+    return pairs
+
+
+@pytest.mark.parametrize("e", [-1, 0, 1])
+def test_open_divisible_quadratic_at_its_root(e):
+    # the quadratic is d (d + 3 - 2(q + a)): at e = 0 the pair is unique
+    # with the quadratic exactly zero, at e = -1 it is not
+    pairs = divisible_quadratic_pairs(e, 4096)
+    assert len(pairs) > 1000
+    for a, a_next in pairs:
+        v = pair_uniqueness(a, a_next)
+        assert v.case == "open-divisible" and v.unique == (e >= 0)
+        assert_long_form(a, a_next)
+    assert pairs[:2] == {-1: [(4, 13), (48, 177)], 0: [(10, 36), (133, 495)],
+                         1: [(2, 7), (24, 89)]}[e]
+
+
+_LONG = st.integers(min_value=2, max_value=2**4096)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_LONG, _LONG)
+def test_criteria_match_the_long_form(a, gap):
+    assert_long_form(a, a + gap)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_LONG, st.integers(min_value=1, max_value=2**2048))
+def test_criteria_match_the_long_form_at_divisible_gaps(x, y):
+    # x^2 and x divide (x y)^2: as the closed gap, and as the open d
+    a = x * y
+    for gap in (x, x * x, x * y):
+        assert_long_form(a, a + gap)
+        assert_long_form(a, a + gap + 1)
+    assert pair_necessary_closed(a, a + x * x).case == "closed-divisible"
+    assert pair_uniqueness(a, a + x * x + 1).case == "open-divisible"
+
+
+@settings(max_examples=150, deadline=None)
+@given(_LONG, st.integers(min_value=1, max_value=8))
+def test_criteria_match_the_long_form_at_remainder_boundaries(a, m):
+    # a gap of (a^2 - r) / m has quotient m and remainder r when it
+    # exceeds r: the closed rule turns at r = 2a, the open one at
+    # r + 1 = 2(m + a)
+    seen = 0
+    for r, shift in ((2 * a - 1, 0), (2 * a, 0),
+                     (2 * (m + a) - 2, 1), (2 * (m + a) - 1, 1)):
+        gap, rest = divmod(a * a - r, m)
+        if rest or gap <= r:
+            continue
+        assert divmod(a * a, gap) == (m, r)
+        assert_long_form(a, a + gap + shift)
+        seen += 1
+    if m == 1 and a >= 5:
+        assert seen == 4
+        assert not pair_necessary_closed(a, a + (a - 1) ** 2).unique
+        assert pair_necessary_closed(a, a + a * a - 2 * a).unique
+        # open gaps d = a^2 - 2a and a^2 - 2a - 1, remainders 2a and 2a + 1
+        assert not pair_uniqueness(a, a + a * a - 2 * a + 1).unique
+        assert pair_uniqueness(a, a + a * a - 2 * a).unique
