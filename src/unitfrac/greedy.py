@@ -339,7 +339,7 @@ def _walk(theta: Fraction, n_terms: int,
     residuals: list[Fraction] = []
     r = theta
     for n in range(1, n_terms + 1):
-        if r <= 0:
+        if r.numerator <= 0:  # a Fraction has its numerator's sign
             raise ReplayOverrunError(n)
         m = r.denominator // r.numerator
         b_n = choose(n, m + 1)

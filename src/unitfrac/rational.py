@@ -21,6 +21,14 @@ below that of x*x, about 0.8 times it at 1 Mbit. ``_square`` keeps
 nothing: the walks of ``greedy`` keep the long squares they form, under
 the rule written in that module's docstring.
 
+For loops that keep rationals as plain int pairs (numerator, denominator)
+in lowest terms with a positive denominator, ``_pair_sum`` adds two
+such pairs with ``Fraction``'s own two gcds, and ``_coprime`` turns a
+finished pair into a ``Fraction`` without reducing it again, by setting
+the two slots ``Fraction`` sets itself (``_numerator`` and
+``_denominator``, on CPython 3.10 to 3.13). ``construct`` is their
+caller.
+
 It also holds the input contract of every entry point. ``positive_int``
 and, for lists, ``positive_ints`` refuse a bool, a non-``int`` or a value
 below the least one allowed, with a ValueError naming the argument and
@@ -32,6 +40,7 @@ No floating point is used anywhere here; every comparison is exact.
 """
 from __future__ import annotations
 
+import math
 import re
 from fractions import Fraction
 from typing import NamedTuple
@@ -98,6 +107,8 @@ def parse_rational(text: str) -> Fraction:
 def exact(x) -> Fraction:
     """x as a Fraction. Floats and bools are refused: Fraction(0.1) is the
     binary value of the float, not 1/10, and Fraction(True) is 1."""
+    if type(x) is Fraction:
+        return x
     if isinstance(x, (float, bool)):
         raise ValueError(f"need an exact rational, got {x!r}")
     return Fraction(x)
@@ -105,8 +116,42 @@ def exact(x) -> Fraction:
 
 def format_rational(x: Fraction) -> str:
     """Serialize as "P/Q", reduced, with Q >= 1. Integers render as "P/1"."""
-    x = Fraction(x)
+    if type(x) is not Fraction:
+        x = Fraction(x)
     return f"{x.numerator}/{x.denominator}"
+
+
+def _coprime(numerator: int, denominator: int) -> Fraction:
+    """The Fraction numerator/denominator, for ints already in lowest terms
+    with denominator >= 1, built without a gcd.
+
+    ``Fraction(n, d)`` would reduce the pair again, and a gcd of two
+    coprime 10 kbit ints costs quadratic time; so its two slots are set
+    directly, as ``Fraction`` sets them itself.
+    """
+    x = object.__new__(Fraction)
+    x._numerator = numerator
+    x._denominator = denominator
+    return x
+
+
+def _pair_sum(na: int, da: int, nb: int, db: int) -> tuple[int, int]:
+    """na/da + nb/db as a pair in lowest terms with a positive denominator,
+    for two such pairs.
+
+    It takes the two gcds of ``Fraction``'s own addition: g of the
+    denominators, and then only g's gcd with the new numerator, which is
+    all a common factor can come from.
+    """
+    g = math.gcd(da, db)
+    if g == 1:
+        return na * db + da * nb, da * db
+    s = da // g
+    t = na * (db // g) + nb * s
+    g2 = math.gcd(t, g)
+    if g2 == 1:
+        return t, s * db
+    return t // g2, s * (db // g2)
 
 
 def greedy_denominator(theta: Fraction) -> int:

@@ -87,17 +87,21 @@ plateau_runs = st.lists(st.tuples(st.integers(1, 4), st.integers(1, 3)),
                         min_size=2, max_size=13)
 
 
-@settings(max_examples=150, deadline=None)
-@given(st.integers(min_value=2, max_value=9), plateau_runs)
-def test_slacks_and_fillers_recomputed_from_the_result(start, runs):
-    values, a = [], start
-    for length, step in runs:
-        values += [a] * length
-        a += step
-    values.append(a)
-    depth = len(runs) - 1
-    res = construct(TargetSequence.from_explicit(values), depth)
+def assert_lowest_terms(res):
+    """Every Fraction of the result is reduced with a positive denominator:
+    one that is not compares unequal to its own value."""
+    iv = res.theta_enclosure
+    values = [*res.theta_choices, res.future_filler_bound, iv.lo, iv.hi]
+    for c in res.certificates:
+        values += [c.lower_margin, c.upper_margin]
+    for x in values:
+        assert type(x) is Fraction
+        assert x.denominator > 0 and math.gcd(x.numerator, x.denominator) == 1
 
+
+def assert_recomputed_by_fractions(res):
+    """Slacks, fillers, budget, margins and enclosure of the result,
+    recomputed from its a, b and jumps with stdlib Fraction arithmetic."""
     jumps = res.jump_indices
     shadows = [res.a_prefix[n - 1] for n in jumps] + [res.next_jump_value]
     thetas, fillers = [], []
@@ -119,19 +123,59 @@ def test_slacks_and_fillers_recomputed_from_the_result(start, runs):
     assert res.filler_values == tuple(fillers)
     assert res.future_filler_bound == budget
 
-    # every margin from scratch: the suffix sum of 1/b_i, with the tail
-    # ends 1/a' below and 1/(a' - 1) + B above
+    # every margin from the suffix sum of 1/b_i, built from the end, with
+    # the tail ends 1/a' below and 1/(a' - 1) + B above
     a_tail = res.next_jump_value
-    margins = []
-    for n, a in enumerate(res.a_prefix, 1):
-        suffix = sum((F(1, b) for b in res.b_prefix[n - 1:]), F(0))
+    suffix, margins = F(0), []
+    for n in range(len(res.b_prefix), 0, -1):
+        a = res.a_prefix[n - 1]
+        suffix += F(1, res.b_prefix[n - 1])
         margins.append((n, suffix + F(1, a_tail) - F(1, a),
                         F(1, a - 1) - (suffix + F(1, a_tail - 1) + budget)))
-    assert [tuple(c) for c in res.certificates] == margins
+    assert [tuple(c) for c in res.certificates] == margins[::-1]
+    assert res.theta_enclosure.lo == suffix + F(1, a_tail)
+    assert res.theta_enclosure.hi == suffix + F(1, a_tail - 1) + budget
+    assert_lowest_terms(res)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(min_value=2, max_value=9), plateau_runs)
+def test_slacks_and_fillers_recomputed_from_the_result(start, runs):
+    values, a = [], start
+    for length, step in runs:
+        values += [a] * length
+        a += step
+    values.append(a)
+    depth = len(runs) - 1
+    res = construct(TargetSequence.from_explicit(values), depth)
+    assert_recomputed_by_fractions(res)
 
     replay = recover_shadow(list(res.b_prefix), res.theta_enclosure.midpoint())
     assert tuple(replay.a) == res.a_prefix
     assert replay.first_weak_violation is None
+
+
+def _plateau_targets(jumps):
+    """2, 3, 3, 5, 5, 5, 8, ...: plateau lengths cycle through 1..4 and
+    steps through 1..3."""
+    values, value = [], 2
+    for j in range(jumps):
+        values.extend([value] * (1 + j % 4))
+        value += 1 + j % 3
+    values.append(value)
+    return values
+
+
+@pytest.mark.parametrize("seq, depth, bits", [
+    (lambda: TargetSequence.from_family(GeometricFamily(2, 3)), 160, 12_000),
+    (lambda: TargetSequence.from_explicit(_plateau_targets(155),
+                                          "repeat-last-delta"), 150, 9_000),
+], ids=["geometric", "plateau"])
+def test_long_operands_recomputed_by_fractions(seq, depth, bits):
+    # margins of thousands of bits, far past what the drawn targets reach
+    res = construct(seq(), depth)
+    assert res.certificates[0].lower_margin.denominator.bit_length() > bits
+    assert_recomputed_by_fractions(res)
 
 
 def test_certificates_positive():

@@ -7,6 +7,7 @@ comparisons, so it shares no code with the counting kernel under test.
 from __future__ import annotations
 
 import enum
+import math
 import random
 from fractions import Fraction
 
@@ -18,6 +19,8 @@ from unitfrac import cli
 from unitfrac.rational import (
     _SSA_BITS,
     RationalInterval,
+    _coprime,
+    _pair_sum,
     _square,
     _ssa_shape,
     _ssa_square,
@@ -97,6 +100,46 @@ def test_addition_is_exact(x, y):
 @given(st.fractions(), st.fractions().filter(lambda v: v != 0))
 def test_multiplication_is_exact(x, y):
     assert (x * y) / y == x
+
+
+# both denominators share the factor k, so all three reductions are drawn:
+# no common factor (k = 1), a common factor that leaves the sum reduced,
+# and one that divides the sum's numerator too
+@settings(max_examples=400)
+@given(st.integers(-60, 60), st.integers(1, 30), st.integers(-60, 60),
+       st.integers(1, 30), st.integers(1, 12), st.booleans())
+@example(1, 2, 1, 3, 1, False)    # gcd of the denominators 1
+@example(1, 2, 1, 5, 3, False)    # 1/6 + 1/15 = 7/30: second gcd 1
+@example(1, 2, 1, 2, 3, False)    # 1/6 + 1/6 = 1/3: second gcd 2
+@example(1, 4, 1, 2, 3, False)    # 1/12 + 1/6 = 1/4: second gcd 3
+@example(5, 3, 0, 1, 2, True)     # 5/6 - 5/6 = 0
+@example(0, 1, 0, 1, 1, True)     # 0 + 0
+def test_pair_sum_matches_fraction(n1, d1, n2, d2, k, opposite):
+    x = Fraction(n1, d1 * k)
+    y = -x if opposite else Fraction(n2, d2 * k)
+    total = _pair_sum(x.numerator, x.denominator, y.numerator, y.denominator)
+    assert total == ((x + y).numerator, (x + y).denominator)
+
+
+@settings(max_examples=300)
+@given(st.integers(-2**80, 2**80), st.integers(1, 2**80),
+       st.fractions(), st.integers(0, 12_000))
+@example(0, 7, Fraction(1, 3), 0)
+@example(-3, 1, Fraction(0), 0)
+@example(1, 3**6000, Fraction(-5, 7), 9000)
+def test_coprime_is_the_reduced_fraction(n, d, other, shift):
+    n <<= shift  # long operands too, where the hash reduces modulo a prime
+    g = math.gcd(n, d)
+    n, d = n // g, d // g
+    x, ref = _coprime(n, d), Fraction(n, d)
+    assert type(x) is Fraction
+    assert (x.numerator, x.denominator) == (n, d)
+    assert x == ref and hash(x) == hash(ref)
+    assert x + other == ref + other and x - other == ref - other
+    assert x * other == ref * other and (x < other) == (ref < other)
+    if other:
+        assert x / other == ref / other
+    assert format_rational(x) == format_rational(ref) == f"{n}/{d}"
 
 
 # ----------------------------------------------------------- input checks

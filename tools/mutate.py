@@ -1,0 +1,161 @@
+"""Mutation run over the comparisons of one module.
+
+    python tools/mutate.py src/unitfrac/construct.py
+    python tools/mutate.py src/unitfrac/greedy.py --function _walk
+    python tools/mutate.py src/unitfrac/greedy.py -- tests/test_greedy.py
+
+Each ``<``, ``<=``, ``>``, ``>=``, ``==`` and ``!=`` in the module, or in
+the functions named by ``--function``, is flipped to its boundary partner
+(``<`` and ``<=``, ``>`` and ``>=``, ``==`` and ``!=``), one at a time,
+through ``ast``. Each mutant is written into a copy of the source tree in a
+temporary directory (``TMPDIR`` chooses where), and the tests run against
+it with ``--hypothesis-seed=0``: the test files given after ``--``, or else
+``tests/test_<module>.py``, ``tests/test_acceptance.py`` and
+``tests/test_cli_golden.py``. A mutant is killed when the tests fail or
+time out. The tests must pass on the unmutated copy first.
+
+A survivor listed in ``EQUIVALENT`` is reported with its reason there;
+any other survivor makes the exit status 1. A mutant is named by its
+function and by the comparison before and after the flip, as
+``ast.unparse`` writes them, so the list outlives changes of line numbers.
+Standard library only.
+"""
+from __future__ import annotations
+
+import argparse
+import ast
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+FLIP = {ast.Lt: ast.LtE, ast.LtE: ast.Lt, ast.Gt: ast.GtE, ast.GtE: ast.Gt,
+        ast.Eq: ast.NotEq, ast.NotEq: ast.Eq}
+TIMEOUT_S = 600  # per mutant; a mutant can loop for ever
+
+EQUIVALENT = {
+    "construct": {
+        ("choose_b_jump", "b * gap <= lo_n", "b * gap < lo_n"):
+            "b = (a*a' - 1) // gap gives b*gap - lo_n >= 2a - 1 >= 3, so "
+            "the check never fires, at equality or below",
+        ("construct", "tn <= 0", "tn < 0"):
+            "tn = b*gap - lo_n >= 2a - 1 >= 3, as in choose_b_jump, so tn "
+            "is never 0",
+        ("construct", "tn * bd < bn * td", "tn * bd <= bn * td"):
+            "at equal values both sides are the same reduced pair",
+        ("construct", "lower[0] <= 0", "lower[0] < 0"):
+            "the lower margin telescopes over strict brackets "
+            "1/a - 1/a' < 1/b, so it is never 0",
+        ("construct", "upper[0] <= 0", "upper[0] < 0"):
+            "the fillers from plateau J on and the tail budget spend at "
+            "most theta_J, so the upper margin exceeds theta_J > 0",
+    },
+}
+
+
+def _comparisons(tree: ast.Module, functions: set[str]):
+    """(function, node, op index) of every flippable comparison, in
+    source order, inside one of ``functions`` when any are named."""
+    found = []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            inner = where
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                inner = child.name
+            if (isinstance(child, ast.Compare)
+                    and (not functions or inner in functions)):
+                found.extend((inner, child, i)
+                             for i, op in enumerate(child.ops)
+                             if type(op) in FLIP)
+            visit(child, inner)
+
+    visit(tree, "<module>")
+    return found
+
+
+def _one_comparison(node: ast.Compare, i: int) -> ast.Compare:
+    """The i-th comparison of a chain, as a node of its own."""
+    return ast.Compare(node.comparators[i - 1] if i else node.left,
+                       [node.ops[i]], [node.comparators[i]])
+
+
+def _first_failure(tree_dir: Path, tests: list[str]):
+    """None when the tests pass in tree_dir, else the first failing test
+    as pytest names it, or "timeout"."""
+    env = dict(os.environ, PYTHONPATH=str(tree_dir / "src"),
+               PYTHONDONTWRITEBYTECODE="1")
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-x", "-p",
+             "no:cacheprovider", "--hypothesis-seed=0", *tests],
+            cwd=tree_dir, env=env, capture_output=True, text=True,
+            timeout=TIMEOUT_S)
+    except subprocess.TimeoutExpired:
+        return "timeout"
+    if proc.returncode == 0:
+        return None
+    for line in proc.stdout.splitlines():
+        if line.startswith(("FAILED ", "ERROR ")):
+            return line.split(" ")[1]
+    return f"exit {proc.returncode}"
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("module",
+                        help="source file, e.g. src/unitfrac/greedy.py")
+    parser.add_argument("--function", action="append", default=[],
+                        help="mutate only this function (repeatable)")
+    parser.add_argument("tests", nargs="*", help="test files, after --")
+    args = parser.parse_intermixed_args(argv)
+
+    path = Path(args.module).resolve()
+    rel = path.relative_to(ROOT)
+    name = path.stem
+    tests = args.tests or [f"tests/test_{name}.py", "tests/test_acceptance.py",
+                           "tests/test_cli_golden.py"]
+    source = path.read_text()
+    tree = ast.parse(source)
+    sites = _comparisons(tree, set(args.function))
+    known = EQUIVALENT.get(name, {})
+
+    with tempfile.TemporaryDirectory(prefix="mutate-") as tmp:
+        copy = Path(tmp) / "tree"
+        shutil.copytree(ROOT, copy, ignore=shutil.ignore_patterns(
+            ".git", "__pycache__", ".hypothesis", ".pytest_cache",
+            ".bench_build"))
+        target = copy / rel
+        if _first_failure(copy, tests) is not None:
+            print("the tests fail on the unmutated tree", file=sys.stderr)
+            return 2
+        survivors = 0
+        for function, node, i in sites:
+            before = ast.unparse(_one_comparison(node, i))
+            op = node.ops[i]
+            node.ops[i] = FLIP[type(op)]()
+            after = ast.unparse(_one_comparison(node, i))
+            target.write_text(ast.unparse(tree))
+            node.ops[i] = op
+            failure = _first_failure(copy, tests)
+            reason = known.get((function, before, after))
+            if failure is not None:
+                verdict = f"killed by {failure}" + (
+                    " (listed as equivalent)" if reason else "")
+            elif reason:
+                verdict = f"equivalent: {reason}"
+            else:
+                verdict = "SURVIVED"
+                survivors += 1
+            print(f"{rel}:{node.lineno} {function}: {before} -> {after}: "
+                  f"{verdict}", flush=True)
+        target.write_text(source)
+    print(f"{len(sites)} mutants, {survivors} unexplained survivors")
+    return 1 if survivors else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
