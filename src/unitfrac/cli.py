@@ -25,7 +25,6 @@ from .construct import ConstructionError, TargetSequence, construct
 from .diagnostics import DEFAULT_T_GRID, classify
 from .families import _enclosure, parse_family_spec
 from .greedy import (
-    IndexSet,
     ReplayOverrunError,
     WgaaPolicy,
     bracket_misses,
@@ -181,7 +180,7 @@ def _expand_doc(run) -> dict:
     return {
         "theta": format_rational(run.theta),
         "t": format_rational(run.policy.t),
-        "lambda": run.policy.lam.spec_string(),
+        "selection": run.policy.selection,
         "a": list(run.a),
         "b": list(run.b),
         "residuals": [format_rational(r) for r in run.residuals],
@@ -191,9 +190,8 @@ def _expand_doc(run) -> dict:
 def _cmd_expand(args) -> Report:
     theta = parse_rational(args.theta)
     t = parse_rational(args.t)
-    lam = IndexSet.parse(args.lam)
     selection = args.selection or ("greedy" if t == 1 else "ceil-t-a")
-    policy = WgaaPolicy(t=t, lam=lam, selection=selection)
+    policy = WgaaPolicy(t=t, selection=selection)
     run = wgaa_expand(theta, policy, args.terms,
                       last_greedy=args.last_greedy)
     return _walk_report(functools.partial(_expand_doc, run),
@@ -469,8 +467,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--theta", required=True, help="target in (0, 1], as P/Q")
     p.add_argument("--terms", type=parse_int, required=True)
     p.add_argument("--t", default="1", help="weakness level, rational >= 1")
-    p.add_argument("--lambda", dest="lam", default="all",
-                   help="index set: all, set:..., cofinite:..., periodic:p:r")
     p.add_argument("--selection",
                    choices=("greedy", "ceil-t-a", "min-admissible"))
     p.add_argument("--last-greedy", action="store_true",

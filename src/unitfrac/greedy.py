@@ -3,8 +3,9 @@
 A run tracks two integer sequences. The shadow sequence a_n is the greedy
 denominator of the running residual before each subtraction; the chosen
 sequence b_n is what actually gets subtracted, and weakness means
-b_n >= a_n at every step. A policy fixes how b_n is chosen and where the
-cap b_n <= ceil(t * a_n) is enforced (the index set Lambda).
+b_n >= a_n at every step. A policy fixes how b_n is chosen; the cap
+b_n <= ceil(t * a_n) holds at every index, so the paper's index set is
+all of N, and min-admissible at t == 1 is greedy (see ``WgaaPolicy``).
 
 Two denominator windows derived from consecutive shadow values live here
 because several modules share them. Their ends are integer ratios,
@@ -56,11 +57,10 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Callable, Iterable, NamedTuple, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from . import rational
-from .rational import (_unit_target, exact, parse_int, positive_int,
-                       positive_ints)
+from .rational import _unit_target, exact, positive_int, positive_ints
 
 _MAX_TERMS = 10**4
 
@@ -89,126 +89,33 @@ class ReplayOverrunError(ValueError):
         self.index = index
 
 
-class IndexSet(NamedTuple("IndexSet", [("kind", str),
-                                       ("members", frozenset),
-                                       ("period", int),
-                                       ("residues", frozenset)])):
-    """Set of step indices where the cap applies.
-
-    Kinds: "all" (every index), "finite" (exactly the listed indices),
-    "cofinite" (every index except the listed ones), and "periodic"
-    (indices n with n mod period in residues). An immutable named tuple;
-    ``_make`` and ``_replace`` go through the constructor's checks.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, kind: str, members: Iterable[int] = frozenset(),
-                period: int = 0,
-                residues: Iterable[int] = frozenset()) -> "IndexSet":
-        if kind not in ("all", "finite", "cofinite", "periodic"):
-            raise ValueError(f"unknown index set kind: {kind!r}")
-        # checked before the sets are built, where True == 1 would merge
-        members = frozenset(positive_ints(members, "member"))
-        residues = frozenset(positive_ints(residues, "residue", 0))
-        if kind == "periodic":
-            positive_int(period, "period")
-            if not residues:
-                raise ValueError("periodic index set needs at least one residue")
-            if any(not 0 <= r < period for r in residues):
-                raise ValueError("residues must lie in [0, period)")
-        return tuple.__new__(cls, (kind, members, period, residues))
-
-    @classmethod
-    def _make(cls, iterable) -> "IndexSet":
-        return cls(*iterable)
-
-    @classmethod
-    def all(cls) -> "IndexSet":
-        return cls("all")
-
-    @classmethod
-    def finite(cls, members: Iterable[int]) -> "IndexSet":
-        return cls("finite", members=members)
-
-    @classmethod
-    def cofinite(cls, excluded: Iterable[int]) -> "IndexSet":
-        return cls("cofinite", members=excluded)
-
-    @classmethod
-    def periodic(cls, period: int, residues: Iterable[int]) -> "IndexSet":
-        return cls("periodic", period=period, residues=residues)
-
-    def contains(self, n: int) -> bool:
-        if self.kind == "all":
-            return True
-        if self.kind == "finite":
-            return n in self.members
-        if self.kind == "cofinite":
-            return n not in self.members
-        return n % self.period in self.residues
-
-    def spec_string(self) -> str:
-        if self.kind == "all":
-            return "all"
-        if self.kind == "finite":
-            return "set:" + ",".join(str(m) for m in sorted(self.members))
-        if self.kind == "cofinite":
-            return "cofinite:" + ",".join(str(m) for m in sorted(self.members))
-        return f"periodic:{self.period}:" + ",".join(
-            str(r) for r in sorted(self.residues))
-
-    @classmethod
-    def parse(cls, text: str) -> "IndexSet":
-        text = text.strip()
-        if text == "all":
-            return cls.all()
-        head, _, rest = text.partition(":")
-        if head == "periodic":
-            period_text, _, rest = rest.partition(":")
-        try:
-            values = [parse_int(part) for part in rest.split(",")
-                      if rest.strip()]
-            if head == "set":
-                return cls.finite(values)
-            if head == "cofinite":
-                return cls.cofinite(values)
-            if head == "periodic":
-                return cls.periodic(parse_int(period_text), values)
-        except ValueError as exc:
-            raise ValueError(f"bad index set spec {text!r}: {exc}") from exc
-        raise ValueError(f"bad index set spec {text!r}")
-
-
 class WgaaPolicy(NamedTuple("WgaaPolicy", [("t", Fraction),
-                                           ("lam", IndexSet),
                                            ("selection", str)])):
-    """How b_n is chosen: scale factor t, cap index set, selection rule.
+    """How b_n is chosen: scale factor t and selection rule.
 
     Selections:
       greedy          b_n = a_n
       ceil-t-a        b_n = ceil(t * a_n)
       min-admissible  smallest strictly weak choice, a_n + 1, unless the
-                      cap at that index forces a_n
+                      cap forces a_n
 
-    As t >= 1 and a_n >= 1, ceil(t * a_n) >= a_n + 1 exactly when t > 1:
-    the min-admissible cap can force a_n only at t == 1, on Lambda. An
-    immutable named tuple; ``_make`` and ``_replace`` go through the
-    constructor's checks.
+    The cap b_n <= ceil(t * a_n) holds at every index (the paper's index
+    set is all of N). As t >= 1 and a_n >= 1, ceil(t * a_n) >= a_n + 1
+    exactly when t > 1, so no rule goes past it then, and min-admissible
+    at t == 1 is greedy. An immutable named tuple; ``_make`` and
+    ``_replace`` go through the constructor's checks.
     """
 
     __slots__ = ()
 
-    def __new__(cls, t: Fraction = Fraction(1), lam: IndexSet = IndexSet.all(),
+    def __new__(cls, t: Fraction = Fraction(1),
                 selection: str = "greedy") -> "WgaaPolicy":
         t = exact(t)
         if t < 1:
             raise ValueError(f"scale factor t must be >= 1, got {t}")
-        if not isinstance(lam, IndexSet):
-            raise ValueError(f"lam must be an IndexSet, got {lam!r}")
         if selection not in _SELECTIONS:
             raise ValueError(f"unknown selection rule: {selection!r}")
-        return tuple.__new__(cls, (t, lam, selection))
+        return tuple.__new__(cls, (t, selection))
 
     @classmethod
     def _make(cls, iterable) -> "WgaaPolicy":
@@ -220,7 +127,7 @@ class WgaaPolicy(NamedTuple("WgaaPolicy", [("t", Fraction),
 
     @classmethod
     def scaled(cls, t: Fraction) -> "WgaaPolicy":
-        return cls(t=t, lam=IndexSet.all(), selection="ceil-t-a")
+        return cls(t=t, selection="ceil-t-a")
 
 
 class WeakGreedyRun(NamedTuple):
@@ -241,15 +148,13 @@ class ShadowReplay(NamedTuple):
     first_weak_violation: Optional[int]
 
 
-def _select_b(policy: WgaaPolicy, n: int, a_n: int) -> int:
+def _select_b(policy: WgaaPolicy, a_n: int) -> int:
     if policy.selection == "greedy":
         return a_n
     if policy.selection == "ceil-t-a":
         return math.ceil(policy.t * a_n)
     # min-admissible: the cap binds only at t == 1 (see WgaaPolicy)
-    if policy.t == 1 and policy.lam.contains(n):
-        return a_n
-    return a_n + 1
+    return a_n if policy.t == 1 else a_n + 1
 
 
 _MEMO_BITS = 8_000
@@ -362,7 +267,7 @@ def wgaa_expand(theta: Fraction, policy: WgaaPolicy, n_terms: int,
         raise ValueError(f"need at most {_MAX_TERMS} terms, got {n_terms}")
     a, b, residuals = _walk(
         theta, n_terms, lambda n, a_n: a_n if last_greedy and n == n_terms
-        else _select_b(policy, n, a_n))
+        else _select_b(policy, a_n))
     return WeakGreedyRun(theta=Fraction(theta), policy=policy, a=a, b=b,
                          residuals=residuals)
 

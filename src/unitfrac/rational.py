@@ -30,9 +30,10 @@ the two slots ``Fraction`` sets itself (``_numerator`` and
 caller.
 
 It also holds the input contract of every entry point. ``positive_int``
-and, for lists, ``positive_ints`` refuse a bool, a non-``int`` or a value
-below the least one allowed, with a ValueError naming the argument and
-the 1-based list index; ``checked_int`` only the first two. ``parse_int``
+refuses a bool, a non-``int`` or a value below the least one allowed,
+and ``positive_ints`` the same in a list with 1 as the least, with a
+ValueError naming the argument and the 1-based list index;
+``checked_int`` refuses only the first two. ``parse_int``
 reads ASCII digits after an optional minus, whitespace around stripped,
 and ``parse_rational`` reads its numerator and denominator the same way.
 
@@ -65,17 +66,17 @@ def checked_int(x, what: str) -> int:
     return x
 
 
-def positive_ints(values, what: str, least: int = 1) -> tuple:
+def positive_ints(values, what: str) -> tuple:
     """The values as a tuple, each checked by ``positive_int``; the error
     ends with the 1-based index of the first bad value."""
     values = tuple(values)
-    # plain ints at or above least pass in one C pass; anything else (a
-    # bool, another int subclass, a bad value) is judged by the loop
-    if set(map(type, values)) == {int} and min(values) >= least:
+    # plain ints from 1 pass in one C pass; anything else (a bool,
+    # another int subclass, a bad value) is judged by the loop
+    if set(map(type, values)) == {int} and min(values) >= 1:
         return values
     for n, x in enumerate(values, start=1):
         try:
-            positive_int(x, what, least)
+            positive_int(x, what)
         except ValueError as exc:
             raise ValueError(f"{exc} at {n}") from None
     return values

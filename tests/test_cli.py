@@ -62,10 +62,15 @@ def test_expand_greedy_json():
                    "--format", "json")
     assert proc.returncode == 0, proc.stderr
     doc = json.loads(proc.stdout)
-    assert set(doc) == {"theta", "t", "lambda", "a", "b", "residuals"}
+    assert set(doc) == {"theta", "t", "selection", "a", "b", "residuals"}
     assert doc["theta"] == "19/48"
+    assert doc["selection"] == "greedy"
     assert doc["a"] == [3, 17] and doc["b"] == [3, 17]
     assert doc["residuals"] == ["1/16", "1/272"]
+    # there is no index set to give: the cap holds at every index
+    gone = run_cli("expand", "--theta", "19/48", "--terms", "2",
+                   "--lambda", "all")
+    assert (gone.returncode, gone.stdout) == (2, "")
 
 
 def test_expand_scaled_last_greedy():

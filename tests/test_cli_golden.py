@@ -52,8 +52,7 @@ CASES = {
     "expand-scaled-last-greedy": ["expand", "--theta", "19/48", "--terms", "2",
                                   "--t", "4/3", "--last-greedy"],
     "expand-min-admissible": ["expand", "--theta", "2/3", "--terms", "4",
-                              "--t", "2", "--lambda", "periodic:2:0",
-                              "--selection", "min-admissible"],
+                              "--t", "2", "--selection", "min-admissible"],
     "verify-ok": ["verify", "--b-file", "@quadratic", "--theta", "3/4"],
     "verify-weak-violation": ["verify", "--b-file", "@weak", "--theta", "1/2"],
     "verify-overrun": ["verify", "--b-file", "@overrun", "--theta", "51/100"],

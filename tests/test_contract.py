@@ -34,7 +34,6 @@ from unitfrac.families import (
     theta_partial,
 )
 from unitfrac.greedy import (
-    IndexSet,
     WgaaPolicy,
     bracket_misses,
     greedy_expand,
@@ -89,15 +88,10 @@ ENTRY_POINTS = {
     "classify b": lambda x: classify((2, 3), (x, 3)),
     "shadow_bound_from_gap": lambda x: shadow_bound_from_gap(
         [2, x], Fraction(3, 4), Fraction(1, 8)),
-    "IndexSet.finite": lambda x: IndexSet.finite([x]),
-    "IndexSet.cofinite": lambda x: IndexSet.cofinite([1, x]),
-    "IndexSet.periodic period": lambda x: IndexSet.periodic(x, [0]),
 }
 
-# a residue, a Fibonacci index, the terms a tail follows and a pair's
-# index may be 0
+# a Fibonacci index, the terms a tail follows and a pair's index may be 0
 FROM_ZERO = {
-    "IndexSet.periodic residues": lambda x: IndexSet.periodic(3, [x]),
     "fibonacci_number": fibonacci_number,
     "pair_uniqueness index": lambda x: pair_uniqueness(2, 7, x),
     "pair_necessary_closed index": lambda x: pair_necessary_closed(2, 7, x),
@@ -162,8 +156,6 @@ def integer_text(high: int):
 RATIONALS = st.sampled_from(["19/48", "1/2", "1", "2/3", "0", "5/4", "-1/2",
                              "1/0", "1_0/3", "١/٢", "x"])
 LEVELS = st.sampled_from(["1", "3/2", "2", "1/2", "0.5"])
-LAMBDAS = st.sampled_from(["all", "set:1,3", "set:0", "cofinite:2",
-                           "periodic:2:0", "periodic:0:0", "set:1_0", "junk"])
 SPECS = st.sampled_from(["fibonacci", "geometric:a=2,r=3",
                          "arithmetic:a=3,d=2", "geometric:a=1,r=3",
                          "geometric:a=٢,r=3", "arithmetic:a=2,d=0",
@@ -202,7 +194,7 @@ def argv_strategy():
     expand = joined(
         st.just(["expand"]), RATIONALS.map(lambda v: ["--theta", v]),
         integer_text(12).map(lambda v: ["--terms", v]),
-        flag("--t", LEVELS), flag("--lambda", LAMBDAS),
+        flag("--t", LEVELS),
         flag("--selection", st.sampled_from(
             ["greedy", "ceil-t-a", "min-admissible"])),
         switch("--last-greedy"))
@@ -261,8 +253,6 @@ def test_integer_text_is_ascii_digits_only(tmp_path, text):
     for argv in (
             ["expand", "--theta", "1/2", "--terms", text],
             ["expand", "--theta", f"{text}/9", "--terms", "2"],
-            ["expand", "--theta", "1/2", "--terms", "2",
-             "--lambda", f"set:{text}"],
             ["verify", "--b-file", str(b_file), "--theta", "1/2"],
             ["construct", "--family", "fibonacci", "--depth", text],
             ["unique", "--pair", "2", text],

@@ -21,7 +21,6 @@ from unitfrac.diagnostics import greedy_ratio_checks
 from unitfrac.greedy import (
     _MEMO_BITS,
     _WORD_BOUND,
-    IndexSet,
     ReplayOverrunError,
     WeakGreedyRun,
     WgaaPolicy,
@@ -96,23 +95,18 @@ def test_explicit_replay_frozen():
 
 
 def test_min_admissible_is_smallest_strictly_weak_choice():
-    run = wgaa_expand(Fraction(2, 3), WgaaPolicy(t=Fraction(2), lam=IndexSet.all(),
+    run = wgaa_expand(Fraction(2, 3), WgaaPolicy(t=Fraction(2),
                                                  selection="min-admissible"), 3)
     assert list(run.a) == oracle_shadow(Fraction(2, 3), run.b)
     assert list(run.b) == [a + 1 for a in run.a]
     # with t = 1 the cap pins the choice back to greedy
-    flat = wgaa_expand(Fraction(2, 3), WgaaPolicy(t=Fraction(1), lam=IndexSet.all(),
+    flat = wgaa_expand(Fraction(2, 3), WgaaPolicy(t=Fraction(1),
                                                   selection="min-admissible"), 3)
     assert list(flat.b) == list(flat.a)
-    # capped on index 1 only, the cap pins index 1 and leaves the rest weak
-    part = wgaa_expand(Fraction(2, 3), WgaaPolicy(t=Fraction(1), lam=IndexSet.finite({1}),
-                                                  selection="min-admissible"), 3)
-    assert list(part.b) == [part.a[0]] + [a + 1 for a in part.a[1:]]
     # any t above 1 leaves room for a_n + 1 under ceil(t * a_n), however close
-    near_one = WgaaPolicy(t=1 + Fraction(1, 10**30), lam=IndexSet.finite({1}),
-                          selection="min-admissible")
+    near_one = WgaaPolicy(t=1 + Fraction(1, 10**30), selection="min-admissible")
     near = wgaa_expand(Fraction(2, 3), near_one, 3)
-    assert near.b[0] == near.a[0] + 1
+    assert list(near.b) == [a + 1 for a in near.a]
 
 
 # ------------------------------------------------------------- validation
@@ -261,51 +255,14 @@ def test_telescoping_interval_length_identity():
             assert lo == hi - 1 - Fraction(2 * a - 1, nxt - a)
 
 
+def test_bracket_misses_skips_a_plateau():
+    # a_1 = a_2 has no bracket: b_1 = 7 is skipped, not reported, though
+    # with gap 0 it would miss; b_2 = 5 lies in (2, 6)
+    assert bracket_misses([2, 2, 3], [7, 5]) == []
+    assert bracket_misses([2, 2, 3], [7, 6]) == [2]
+
+
 # ---------------------------------------------------------------- policies
-
-def test_index_set_round_trip_and_membership():
-    cases = [
-        IndexSet.all(),
-        IndexSet.finite({1, 3, 9}),
-        IndexSet.finite(set()),
-        IndexSet.cofinite({2, 4}),
-        IndexSet.periodic(3, {0, 2}),
-    ]
-    for lam in cases:
-        assert IndexSet.parse(lam.spec_string()) == lam
-    assert IndexSet.all().contains(17)
-    assert IndexSet.finite({1, 3}).contains(3)
-    assert not IndexSet.finite({1, 3}).contains(2)
-    assert IndexSet.cofinite({2, 4}).contains(3)
-    assert not IndexSet.cofinite({2, 4}).contains(4)
-    per = IndexSet.periodic(3, {0, 2})
-    assert per.contains(3) and per.contains(2) and not per.contains(4)
-
-
-def test_index_set_validation():
-    with pytest.raises(ValueError):
-        IndexSet.periodic(0, {0})
-    with pytest.raises(ValueError):
-        IndexSet.periodic(3, {3})
-    with pytest.raises(ValueError):
-        IndexSet.parse("junk:1")
-
-
-@pytest.mark.parametrize("make", [
-    lambda: IndexSet.finite({1.5, True}),
-    lambda: IndexSet.finite([3, 2.0]),
-    lambda: IndexSet.cofinite([True]),
-    lambda: IndexSet.periodic(3, {0, 1.0}),
-    lambda: IndexSet.periodic(3, [False]),
-    lambda: IndexSet.periodic(2.5, {0}),
-    lambda: IndexSet.periodic(True, {0}),
-    lambda: IndexSet.finite([0, -1]),  # members are step indices, from 1
-])
-def test_index_set_rejects_non_integers(make):
-    # int() would turn {1.5, True} into {1}, and True == 1 would merge
-    with pytest.raises(ValueError, match="integer"):
-        make()
-
 
 def test_policy_validation():
     # replaying a given list is recover_shadow's job, not a selection rule
@@ -316,9 +273,6 @@ def test_policy_validation():
     for inexact in (1.1, True):
         with pytest.raises(ValueError, match="exact rational"):
             WgaaPolicy(t=inexact)
-    # a spec string is not an index set: min-admissible would fail on it
-    with pytest.raises(ValueError, match="IndexSet"):
-        WgaaPolicy(lam="all", selection="min-admissible")
     with pytest.raises(ValueError):
         WgaaPolicy(selection="nope")
 
@@ -328,7 +282,7 @@ def test_run_serialization_round_trip():
     blob = cli._expand_doc(run)
     assert blob["theta"] == "19/48"
     assert blob["t"] == "4/3"
-    assert blob["lambda"] == "all"
+    assert blob["selection"] == "ceil-t-a"
     assert blob["a"] == list(run.a)
     assert blob["residuals"][0] == "7/48"
 
@@ -361,13 +315,15 @@ def test_greedy_run_invariants(theta, n):
        st.integers(min_value=2, max_value=10),
        st.sampled_from(["greedy", "ceil-t-a", "min-admissible"]))
 def test_wgaa_run_invariants(theta, t, n, selection):
-    policy = WgaaPolicy(t=t, lam=IndexSet.all(), selection=selection)
+    policy = WgaaPolicy(t=t, selection=selection)
     run = wgaa_expand(theta, policy, n)
     r_prev = theta
     for k in range(n):
         a, b = run.a[k], run.b[k]
         assert b >= a
-        assert b <= math.ceil(t * a)  # cap applies everywhere, Lambda is all indices
+        # the cap holds at every index, whatever the rule: this is why a
+        # policy carries no index set (the paper's set is all of N)
+        assert b <= math.ceil(t * a)
         assert Fraction(1, a) < r_prev <= Fraction(1, a - 1)
         r_prev = run.residuals[k]
         assert r_prev > 0

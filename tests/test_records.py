@@ -1,8 +1,8 @@
 """The result records, value types and families keep their contract.
 
 Results are immutable named tuples with the field names and order they
-always had. The three validated value types check their fields however
-a value is built, through ``_make`` and ``_replace`` too. Families are
+always had. The two validated value types check their fields however a
+value is built, through ``_make`` and ``_replace`` too. Families are
 immutable and compare, hash, print, copy and pickle by their spec.
 """
 from __future__ import annotations
@@ -27,7 +27,6 @@ from unitfrac.families import (
     parse_family_spec,
 )
 from unitfrac.greedy import (
-    IndexSet,
     WgaaPolicy,
     greedy_expand,
     recover_shadow,
@@ -37,8 +36,7 @@ from unitfrac.rational import RationalInterval
 
 FIELDS = {
     "RationalInterval": ("lo", "hi"),
-    "IndexSet": ("kind", "members", "period", "residues"),
-    "WgaaPolicy": ("t", "lam", "selection"),
+    "WgaaPolicy": ("t", "selection"),
     "WeakGreedyRun": ("theta", "policy", "a", "b", "residuals"),
     "ShadowReplay": ("a", "residuals", "first_weak_violation"),
     "RatioCheck": ("index", "lower_holds", "upper_holds"),
@@ -64,7 +62,7 @@ def _instances() -> dict:
     result = construct(
         TargetSequence.from_explicit([2, 3], "repeat-last-delta"), 2)
     values = [
-        RationalInterval(1, 2), IndexSet.periodic(3, {0}), run.policy, run,
+        RationalInterval(1, 2), run.policy, run,
         recover_shadow([2, 7], Fraction(2, 3)),
         scaled_run_ratio_checks(run)[0],
         greedy_ratio_checks(greedy_expand(Fraction(2, 3), 3))[0],
@@ -93,8 +91,8 @@ BAD_VALUES = [
     # the constructor's call, and the fields _make and _replace are given
     (lambda: RationalInterval(1, 1), RationalInterval(1, 2),
      {"hi": Fraction(1)}),
-    (lambda: IndexSet.periodic(3, {0, 3}), IndexSet.periodic(3, {0}),
-     {"residues": {0, 3}}),
+    (lambda: WgaaPolicy(t=True), WgaaPolicy.scaled(Fraction(2)),
+     {"t": True}),
     (lambda: WgaaPolicy(t=Fraction(1, 2)), WgaaPolicy.scaled(Fraction(2)),
      {"t": Fraction(1, 2)}),
     (lambda: WgaaPolicy(selection="nope"), WgaaPolicy.scaled(Fraction(2)),
@@ -118,16 +116,12 @@ def test_make_and_replace_convert_like_the_constructor():
     iv = RationalInterval._make((1, 2))._replace(hi=3)
     assert iv == (Fraction(1), Fraction(3))
     assert type(iv) is RationalInterval and type(iv.hi) is Fraction
-    assert IndexSet.all()._replace(kind="finite", members=[2, 1]) \
-        == IndexSet.finite({1, 2})
     assert WgaaPolicy()._replace(t=2).t == Fraction(2)
 
 
 def test_policy_defaults():
-    assert WgaaPolicy() == (Fraction(1), IndexSet.all(), "greedy")
-    assert WgaaPolicy().lam == IndexSet.all()
-    with pytest.raises(ValueError, match="lam must be an IndexSet"):
-        WgaaPolicy(lam=None)
+    assert WgaaPolicy() == (Fraction(1), "greedy")
+    assert WgaaPolicy.scaled(2) == (Fraction(2), "ceil-t-a")
 
 
 def test_families_compare_by_spec():

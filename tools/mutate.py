@@ -53,6 +53,21 @@ EQUIVALENT = {
             "the fillers from plateau J on and the tail budget spend at "
             "most theta_J, so the upper margin exceeds theta_J > 0",
     },
+    "greedy": {
+        ("_walk_square", "x.bit_length() < _MEMO_BITS",
+         "x.bit_length() <= _MEMO_BITS"):
+            "memo or not, the square is the same",
+        ("_known_square", "x.bit_length() < _MEMO_BITS",
+         "x.bit_length() <= _MEMO_BITS"):
+            "memo or not, the square is the same",
+        ("_unit_step", "p < _WORD_BOUND", "p <= _WORD_BOUND"):
+            "the identity for p/q - 1/b holds on either path",
+        ("_unit_step", "0 < d", "0 <= d"):
+            "the identity holds on either path, including d = 0, where it "
+            "gives -s/(q*m) = p/q - 1/m",
+        ("_unit_step", "d < _WORD_BOUND", "d <= _WORD_BOUND"):
+            "the identity for p/q - 1/b holds on either path",
+    },
 }
 
 
