@@ -12,10 +12,10 @@ from unitfrac import (
     ArithmeticFamily,
     FibonacciFamily,
     GeometricFamily,
+    bracket_misses,
     format_rational,
     theta_partial,
 )
-from unitfrac.families import bracket_failures
 
 families = [
     ("geometric a0=2 r=3", GeometricFamily(2, 3), 40),
@@ -28,7 +28,7 @@ families = [
 print("first denominators and certified series values:")
 for label, family, terms in families:
     b_head = [family.b(n) for n in range(1, 6)]
-    assert not bracket_failures(family, 30)
+    assert not bracket_misses(*family.terms(30))
     enclosure = theta_partial(family, terms)
     mid = enclosure.midpoint()
     print(f"  {label:20s} b: {b_head}")

@@ -60,7 +60,7 @@ def _read_sequence_file(path: str) -> list[int]:
     try:
         with open(path, "r", encoding="utf-8") as handle:
             text = handle.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ValueError(f"cannot read {path}: {exc}")
     lines = text.splitlines()
     stripped = list(map(str.strip, lines))

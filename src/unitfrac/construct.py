@@ -29,7 +29,7 @@ from typing import Callable, Iterator, NamedTuple, Optional
 
 from .rational import (RationalInterval, _coprime, _pair_sum, positive_int,
                        positive_ints)
-from .greedy import _companion, telescoping_endpoints
+from .greedy import _companion
 
 
 class InvalidSequence(ValueError):
@@ -111,15 +111,6 @@ def jump_set(seq: TargetSequence, horizon: int) -> Iterator[int]:
             if seq.term(n) < seq.term(n + 1))
 
 
-def choose_b_jump(a_cur: int, a_next: int) -> int:
-    """Largest integer strictly inside the telescoping bracket."""
-    lo_n, gap, _, _ = telescoping_endpoints(a_cur, a_next)
-    b = _companion(a_cur, a_next)
-    if b * gap <= lo_n:
-        raise ConstructionError("telescoping bracket held no integer")
-    return b
-
-
 class StepCertificate(NamedTuple):
     """Margins by which the residual window holds at one index.
 
@@ -184,7 +175,7 @@ def construct(seq: TargetSequence, depth: int) -> ConstructionResult:
     prev = 0
     for j in range(depth):
         a, a_next = values[j], values[j + 1]
-        b = choose_b_jump(a, a_next)
+        b = _companion(a, a_next)
         # half the room left under 1/(a-1) by 1/b and a tail below 1/(a'-1),
         # theta_j = (b*gap - (a-1)*(a'-1)) / (2*(a-1)*b*(a'-1))
         tn = b * (a_next - a) - (a - 1) * (a_next - 1)

@@ -15,7 +15,7 @@ import math
 import re
 from fractions import Fraction
 
-from .greedy import _companion, bracket_misses
+from .greedy import _companion
 from .rational import RationalInterval, positive_int
 
 # grid of every enclosure end: terms and tail are rounded outward to it
@@ -207,15 +207,6 @@ class FibonacciFamily(SequenceFamily):
         # a(n+1)/a(n) tends to the golden ratio, which is not rational,
         # so there is no exact limit to report
         return True
-
-
-def bracket_failures(family: SequenceFamily, horizon: int) -> list[int]:
-    """Indices n <= horizon where 1/b(n) leaves its telescoping bracket.
-
-    Indices with a(n) < 2, such as the Fibonacci a_1 = 1, have no bracket
-    and are skipped.
-    """
-    return bracket_misses(*family.terms(positive_int(horizon, "horizon")))
 
 
 def theta_partial(family: SequenceFamily, n_terms: int) -> RationalInterval:

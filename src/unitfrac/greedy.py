@@ -7,20 +7,13 @@ b_n >= a_n at every step. A policy fixes how b_n is chosen; the cap
 b_n <= ceil(t * a_n) holds at every index, so the paper's index set is
 all of N, and min-admissible at t == 1 is greedy (see ``WgaaPolicy``).
 
-Two denominator windows derived from consecutive shadow values live here
-because several modules share them. Their ends are integer ratios,
-written once as (lo_n, lo_d, hi_n, hi_d) and read through
-``rational.integer_bounds``:
-
-* ``admissible_endpoints(a, a_next)``: the open window every weak choice
-  b_n lands in when the shadow moves from a to a_next. It is unbounded
-  above when the shadow moves by at most one.
-* ``telescoping_endpoints(a, a_next)``: the strictly smaller open window
-  1/a - 1/a_next < 1/b < 1/(a-1) - 1/(a_next-1), whose reciprocal bounds
-  telescope across indices and so certify tail enclosures. Its length is
-  1 + (2a - 1)/(a_next - a), so it always contains an integer.
-  ``bracket_misses(a, b)`` is the one check of whole sequences against it,
-  and ``_companion``, its largest integer, the one companion rule.
+Consecutive shadows a < a' bound the choice between them by the
+telescoping bracket 1/a - 1/a' < 1/b < 1/(a-1) - 1/(a'-1), in integers
+(a-1)(a'-1) < b (a'-a) < a a'. Its length is 1 + (2a - 1)/(a' - a), so it
+always holds an integer. ``bracket_misses(a, b)`` is the one check of
+whole sequences against it, which ``verify --bracket`` and ``classify``
+run, and ``_companion``, its largest integer, the one companion rule,
+which ``construct`` and ``families`` take.
 
 One walk, ``_walk``, serves both the chosen denominators of
 ``wgaa_expand`` and the given ones of ``recover_shadow``, because the
@@ -296,41 +289,8 @@ def recover_shadow(b: Sequence[int], theta: Fraction) -> ShadowReplay:
                         first_weak_violation=violation)
 
 
-def admissible_endpoints(a_cur: int,
-                         a_next: int) -> tuple[int, int, int, int]:
-    """Integer ends (lo_n, lo_d, hi_n, hi_d) of the admissible window.
-
-    The window is the open interval (lo_n/lo_d, hi_n/hi_d), with ends
-    (a-1)*a'/(a'-a+1) and a*(a'-1)/(a'-a-1) for integers 2 <= a <= a'.
-    When a' <= a + 1, hi_d < 1 and the window is unbounded above.
-    """
-    positive_int(a_next, "a_next", positive_int(a_cur, "a_cur", 2))
-    return _admissible_ends(a_cur, a_next)
-
-
-def _admissible_ends(a_cur: int, a_next: int) -> tuple[int, int, int, int]:
-    return ((a_cur - 1) * a_next, a_next - a_cur + 1,
-            a_cur * (a_next - 1), a_next - a_cur - 1)
-
-
-def telescoping_endpoints(a_cur: int,
-                          a_next: int) -> tuple[int, int, int, int]:
-    """Integer ends (lo_n, lo_d, hi_n, hi_d) of the telescoping window.
-
-    The ends are (a-1)(a'-1)/(a'-a) and a*a'/(a'-a); both denominators
-    are the gap a' - a. Needs integers 2 <= a_cur < a_next.
-    """
-    positive_int(a_next, "a_next", positive_int(a_cur, "a_cur", 2) + 1)
-    return _telescoping_ends(a_cur, a_next)
-
-
-def _telescoping_ends(a_cur: int, a_next: int) -> tuple[int, int, int, int]:
-    gap = a_next - a_cur
-    return (a_cur - 1) * (a_next - 1), gap, a_cur * a_next, gap
-
-
 def _companion(a_cur: int, a_next: int) -> int:
-    """The largest integer strictly inside the telescoping window."""
+    """The largest integer strictly inside the telescoping bracket."""
     return (a_cur * a_next - 1) // (a_next - a_cur)
 
 
@@ -347,8 +307,8 @@ def bracket_misses(a: Sequence[int], b: Sequence[int]) -> list[int]:
     misses = []
     for n in range(1, min(len(a) - 1, len(b)) + 1):
         a_cur, a_next = a[n - 1], a[n]
-        if 2 <= a_cur < a_next:
-            lo_n, gap, hi_n, _ = _telescoping_ends(a_cur, a_next)
-            if not lo_n < b[n - 1] * gap < hi_n:
-                misses.append(n)
+        if 2 <= a_cur < a_next and not (
+                (a_cur - 1) * (a_next - 1) < b[n - 1] * (a_next - a_cur)
+                < a_cur * a_next):
+            misses.append(n)
     return misses

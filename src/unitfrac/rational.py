@@ -1,12 +1,10 @@
-"""Exact rational scalars, open enclosures, and the integer window kernel.
+"""Exact rational scalars, open enclosures and the long square.
 
 Scalars are stdlib ``fractions.Fraction`` values, which already guarantee
 reduced form and a positive denominator. This module adds the pieces the
 rest of the package needs on top of that type: strict "P/Q" serialization,
-the greedy denominator map, the open bounded ``RationalInterval`` that
-every emitted enclosure takes, and the integer window kernel
-``integer_bounds``, which finds the integers between two integer ratios
-by floor division alone.
+the greedy denominator map, and the open bounded ``RationalInterval``
+that every emitted enclosure takes.
 
 ``_square`` is the long square under every expansion step and the greedy
 growth check, exact in two bands of operand length. Below ``_SSA_BITS``
@@ -335,14 +333,3 @@ def _ssa_square(x: int) -> int:
         carry >>= M
     return int.from_bytes(out, "little")
 
-
-def integer_bounds(lo_n: int, lo_d: int, hi_n: int, hi_d: int,
-                   lo_open: bool, hi_open: bool) -> tuple[int, int]:
-    """First and last integer between lo_n/lo_d and hi_n/hi_d.
-
-    Both denominators must be positive. Each flag says whether its side
-    is open. There is no integer between the ends when first > last.
-    """
-    first = lo_n // lo_d + 1 if lo_open else -(-lo_n // lo_d)
-    last = -(-hi_n // hi_d) - 1 if hi_open else hi_n // hi_d
-    return first, last

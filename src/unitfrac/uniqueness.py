@@ -1,10 +1,11 @@
 """When do consecutive greedy values force the weak choice.
 
-Two windows matter for a pair a < a'.  The open admissible window holds
-every b realizable by some theta whose consecutive greedy values are a
-and a'; when it contains exactly one integer the choice is forced, and a
-sequence all of whose pairs are forced has exactly one expansion.  The
-closed telescoping window [(a-1)(a'-1)/(a'-a), a a'/(a'-a)] is the
+Two windows matter for a pair a < a'.  The open admissible window
+((a-1)a'/(a'-a+1), a(a'-1)/(a'-a-1)), unbounded above when a' = a + 1,
+holds every b realizable by some theta whose consecutive greedy values
+are a and a'; when it contains exactly one integer the choice is forced,
+and a sequence all of whose pairs are forced has exactly one expansion.
+The closed telescoping window [(a-1)(a'-1)/(a'-a), a a'/(a'-a)] is the
 outer necessary bound: a unique expansion requires it to hold exactly
 one integer at every pair.  Both counts reduce to integer arithmetic.
 
@@ -25,8 +26,7 @@ from __future__ import annotations
 import random
 from typing import Iterator, NamedTuple, Optional
 
-from .greedy import _admissible_ends, _telescoping_ends
-from .rational import checked_int, integer_bounds, positive_int
+from .rational import checked_int, positive_int
 
 # range of the random pairs behind `unique --sample`
 _SAMPLE_MAX_START = 50
@@ -58,8 +58,8 @@ def _validate_pair(a: int, a_next: int) -> None:
 
 def _open_criterion(a: int, a_next: int) -> tuple[bool, int, str]:
     if a_next - a <= 1:
-        lo_n, lo_d, _, _ = _admissible_ends(a, a_next)
-        return False, lo_n // lo_d + 1, "unbounded"
+        # a' = a + 1: the window is ((a-1)(a+1)/2, infinity)
+        return False, (a * a - 1) // 2 + 1, "unbounded"
     d = a_next - a - 1
     q, r = divmod(a * a, d)
     if r == 0:
@@ -158,19 +158,20 @@ class CensusRow(NamedTuple):
 
 
 def _row(a: int, a_next: int) -> CensusRow:
-    # sweep and sample_pairs make only valid pairs; the counts come from
-    # the window ends alone, never from the criteria, so each row checks a
-    # criterion against an independent count.  Both windows are nonempty,
-    # so last >= first - 1 and a count is never negative.
-    lo_n, lo_d, hi_n, hi_d = _admissible_ends(a, a_next)
-    if hi_d < 1:
+    # sweep and sample_pairs make only valid pairs; each count comes from
+    # its window's ends alone by floor division, never from the criteria,
+    # so each row checks a criterion against an independent count.  Both
+    # windows are nonempty, so last >= first - 1 and a count is never
+    # negative.
+    gap = a_next - a
+    if gap <= 1:
         open_count = None
     else:
-        first, last = integer_bounds(lo_n, lo_d, hi_n, hi_d, True, True)
+        first = (a - 1) * a_next // (gap + 1) + 1
+        last = -(-a * (a_next - 1) // (gap - 1)) - 1
         open_count = last - first + 1
-    lo_n, lo_d, hi_n, hi_d = _telescoping_ends(a, a_next)
-    first, last = integer_bounds(lo_n, lo_d, hi_n, hi_d, False, False)
-    closed_count = last - first + 1
+    first = -(-(a - 1) * (a_next - 1) // gap)
+    closed_count = a * a_next // gap - first + 1
     open_unique, open_k, open_case = _open_criterion(a, a_next)
     closed_unique, closed_k, closed_case = _closed_criterion(a, a_next)
     # the facts of uniqueness_consequences, tested where they must hold

@@ -27,10 +27,9 @@ from unitfrac import (
     theta_partial,
     wgaa_expand,
 )
-from unitfrac.construct import choose_b_jump
 from unitfrac.diagnostics import greedy_ratio_checks
-from unitfrac.families import bracket_failures, fibonacci_number
-from unitfrac.greedy import telescoping_endpoints
+from unitfrac.families import fibonacci_number
+from unitfrac.greedy import _companion
 from unitfrac.uniqueness import _row, uniqueness_consequences
 
 
@@ -102,10 +101,10 @@ def test_criterion_3_series_constants_certified():
 
 
 def test_criterion_4_bracket_verification_four_families():
-    assert bracket_failures(GeometricFamily(2, 3), 30) == []
-    assert bracket_failures(GeometricFamily(2, 4), 30) == []
-    assert bracket_failures(ArithmeticFamily(2, 1), 50) == []
-    assert bracket_failures(ArithmeticFamily(3, 2), 50) == []
+    assert bracket_misses(*GeometricFamily(2, 3).terms(30)) == []
+    assert bracket_misses(*GeometricFamily(2, 4).terms(30)) == []
+    assert bracket_misses(*ArithmeticFamily(2, 1).terms(50)) == []
+    assert bracket_misses(*ArithmeticFamily(3, 2).terms(50)) == []
     _report(4, "strict bracket containment: geometric to 30, "
                "arithmetic to 50")
 
@@ -118,14 +117,15 @@ def test_criterion_5_fibonacci_identities():
 
     family = FibonacciFamily()
     for n in range(2, 51):
-        assert family.b(n) == choose_b_jump(family.a(n), family.a(n + 1))
+        assert family.b(n) == _companion(family.a(n), family.a(n + 1))
 
     # at n = 2 the window is (2, 6); flooring the open upper endpoint
     # lands on 6, which the window excludes, while 5 is admissible
     a_pair = [family.a(2), family.a(3)]
-    lo_n, gap, hi_n, _ = telescoping_endpoints(*a_pair)
-    assert (lo_n, gap, hi_n) == (2, 1, 6)
-    assert hi_n // gap == 6
+    a, a_next = a_pair
+    gap = a_next - a
+    assert ((a - 1) * (a_next - 1), gap, a * a_next) == (2, 1, 6)
+    assert a * a_next // gap == 6
     assert bracket_misses(a_pair, [6]) == [1]
     assert bracket_misses(a_pair, [5]) == []
     assert family.b(2) == 5

@@ -472,6 +472,16 @@ def test_classify_rejects_empty_family(tmp_path):
     assert proc.stderr == "error: unrecognized family spec: ''\n"
 
 
+def test_classify_names_a_file_that_is_not_utf8(tmp_path):
+    a_file = write_lines(tmp_path / "a.txt", [2, 3, 4])
+    b_file = tmp_path / "b.txt"
+    b_file.write_bytes(b"\xff7\n13\n21\n")
+    proc = run_cli("classify", "--a-file", a_file, "--b-file", str(b_file))
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith(f"error: cannot read {b_file}: 'utf-8'")
+
+
 def test_help_and_unknown_command():
     proc = run_cli("--help")
     assert proc.returncode == 0

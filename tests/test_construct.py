@@ -20,12 +20,11 @@ from unitfrac.construct import (
     DepthExhausted,
     InvalidSequence,
     TargetSequence,
-    choose_b_jump,
     construct,
     jump_set,
 )
 from unitfrac.families import ArithmeticFamily, GeometricFamily
-from unitfrac.greedy import recover_shadow
+from unitfrac.greedy import _companion, recover_shadow
 
 
 def F(p, q=1):
@@ -34,12 +33,13 @@ def F(p, q=1):
 
 # ----------------------------------------------------------- small pieces
 
-def test_choose_b_jump_pinned():
-    assert choose_b_jump(2, 3) == 5
-    assert choose_b_jump(3, 5) == 7
-    assert choose_b_jump(2, 7) == 2
-    assert choose_b_jump(2, 6) == 2
-    assert choose_b_jump(3, 4) == 11
+def test_companion_pinned():
+    # the jump choice: the largest b with (a-1)(a'-1) < b (a'-a) < a a'
+    assert _companion(2, 3) == 5
+    assert _companion(3, 5) == 7
+    assert _companion(2, 7) == 2
+    assert _companion(2, 6) == 2
+    assert _companion(3, 4) == 11
 
 
 # ------------------------------------------------------- full construction

@@ -29,7 +29,6 @@ from unitfrac.families import (
     ArithmeticFamily,
     FibonacciFamily,
     GeometricFamily,
-    bracket_failures,
     fibonacci_number,
     theta_partial,
 )
@@ -65,7 +64,6 @@ ENTRY_POINTS = {
         TargetSequence.from_explicit([2, x]),
     "TargetSequence.term": lambda x: TargetSequence(lambda n: n + 1).term(x),
     "theta_partial": lambda x: theta_partial(GeometricFamily(2, 3), x),
-    "bracket_failures": lambda x: bracket_failures(FibonacciFamily(), x),
     "GeometricFamily a0": lambda x: GeometricFamily(x, 3),
     "GeometricFamily r": lambda x: GeometricFamily(2, x),
     "ArithmeticFamily a0": lambda x: ArithmeticFamily(x, 1),

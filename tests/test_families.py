@@ -14,17 +14,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from unitfrac import cli, families
-from unitfrac.construct import choose_b_jump
 from unitfrac.families import (
     ArithmeticFamily,
     FibonacciFamily,
     GeometricFamily,
-    bracket_failures,
     fibonacci_number,
     parse_family_spec,
     theta_partial,
 )
-from unitfrac.greedy import bracket_misses
+from unitfrac.greedy import _companion, bracket_misses
 from unitfrac.rational import format_rational
 
 
@@ -125,7 +123,7 @@ def test_dichotomy_identities():
     (FibonacciFamily(), 50),
 ])
 def test_bracket_verification(family, horizon):
-    assert bracket_failures(family, horizon) == []
+    assert bracket_misses(*family.terms(horizon)) == []
     for n in range(1, horizon + 1):
         if family.a(n) >= 2:
             assert bracket_holds(family.a(n), family.a(n + 1), family.b(n))
@@ -134,7 +132,7 @@ def test_bracket_verification(family, horizon):
 def test_fibonacci_bracket_starts_at_two():
     # a_1 = 1 sits below the greedy range, so index 1 has no bracket and
     # is skipped; from a_1 = 2 on, index 1 is checked
-    assert bracket_failures(FibonacciFamily(), 1) == []
+    assert bracket_misses(*FibonacciFamily().terms(1)) == []
     assert bracket_misses([1, 2], [99]) == []
     assert bracket_misses([2, 6], [99]) == [1]
 
@@ -164,8 +162,11 @@ def test_b_is_largest_admissible(family):
     # b_n is the construction's jump choice wherever a_n has a bracket;
     # for Fibonacci that is the parity form from n = 2 on
     for n in range(1, 51):
-        if family.a(n) >= 2:
-            assert family.b(n) == choose_b_jump(family.a(n), family.a(n + 1))
+        a, a_next, b = family.a(n), family.a(n + 1), family.b(n)
+        if a >= 2:
+            assert b == _companion(a, a_next)
+            assert bracket_holds(a, a_next, b)
+            assert not bracket_holds(a, a_next, b + 1)
 
 
 @pytest.mark.parametrize("family", GRID, ids=lambda f: f.spec_string())

@@ -16,7 +16,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from unitfrac import cli, greedy, rational
-from unitfrac.construct import choose_b_jump
 from unitfrac.diagnostics import greedy_ratio_checks
 from unitfrac.greedy import (
     _MEMO_BITS,
@@ -24,15 +23,14 @@ from unitfrac.greedy import (
     ReplayOverrunError,
     WeakGreedyRun,
     WgaaPolicy,
+    _companion,
     _unit_step,
-    admissible_endpoints,
     bracket_misses,
     greedy_expand,
     recover_shadow,
-    telescoping_endpoints,
     wgaa_expand,
 )
-from unitfrac.rational import _SSA_BITS, integer_bounds
+from unitfrac.rational import _SSA_BITS
 from unitfrac.uniqueness import pair_uniqueness
 
 
@@ -175,23 +173,8 @@ def test_term_cap(monkeypatch):
 
 # ---------------------------------------------------------------- intervals
 
-def test_admissible_interval_pinned():
-    lo_n, lo_d, hi_n, hi_d = admissible_endpoints(2, 7)
-    assert (Fraction(lo_n, lo_d), Fraction(hi_n, hi_d)) == (Fraction(7, 6),
-                                                           Fraction(3))
-    assert integer_bounds(lo_n, lo_d, hi_n, hi_d, True, True) == (2, 2)
-    lo_n, lo_d, hi_n, hi_d = admissible_endpoints(3, 17)
-    assert (Fraction(lo_n, lo_d), Fraction(hi_n, hi_d)) == (Fraction(34, 15),
-                                                           Fraction(48, 13))
-    # small or zero gap leaves the window unbounded above: hi_d < 1
-    lo_n, lo_d, _, hi_d = admissible_endpoints(4, 4)
-    assert Fraction(lo_n, lo_d) == Fraction(12) and hi_d < 1
-    lo_n, lo_d, _, hi_d = admissible_endpoints(4, 5)
-    assert Fraction(lo_n, lo_d) == Fraction(15, 2) and hi_d < 1
-
-
 def test_integer_routes_match_reciprocal_oracle():
-    # bracket_misses, choose_b_jump and the unbounded k read integer window
+    # bracket_misses, _companion and the unbounded k read integer window
     # ends; the reference is the reciprocal definition, cross-multiplied
     for a in range(2, 150):
         for a_next in range(a + 1, 151):
@@ -215,7 +198,7 @@ def test_integer_routes_match_reciprocal_oracle():
             best = hi + 1
             while not inside(best):
                 best -= 1
-            assert choose_b_jump(a, a_next) == best
+            assert _companion(a, a_next) == best
             # the admissible window is unbounded above exactly when its
             # lower reciprocal bound 1/a - 1/(a_next - 1) is not positive
             if Fraction(1, a) <= Fraction(1, a_next - 1):
@@ -225,34 +208,18 @@ def test_integer_routes_match_reciprocal_oracle():
                 assert td < tn * k and not td < tn * (k - 1), (a, a_next)
 
 
-def test_telescoping_interval_pinned():
-    assert telescoping_endpoints(2, 3) == (2, 1, 6, 1)
-    assert telescoping_endpoints(3, 5) == (8, 2, 15, 2)
-    with pytest.raises(ValueError):
-        telescoping_endpoints(2, 2)
-
-
-@pytest.mark.parametrize("window", [admissible_endpoints,
-                                    telescoping_endpoints, choose_b_jump])
-@pytest.mark.parametrize("bad", [2.5, True, 1])
-def test_windows_refuse_non_integers(window, bad):
-    # a float ran through the formulas as a float, and True as 1
-    with pytest.raises(ValueError, match="^a_cur must be an integer >= 2"):
-        window(bad, 4)
-    with pytest.raises(ValueError, match="^a_next must be an integer >= "):
-        window(2, bad)
-
-
 def test_telescoping_interval_length_identity():
-    # window length is 1 + (2a - 1)/(a_next - a), hence always holds an integer
+    # the bracket on b, reciprocal to 1/a - 1/a' < 1/b < 1/(a-1) - 1/(a'-1),
+    # is 1 + (2a - 1)/(a' - a) long, hence always holds an integer
     for a in range(2, 40):
         for nxt in range(a + 1, a + 40):
-            lo_n, lo_d, hi_n, hi_d = telescoping_endpoints(a, nxt)
-            lo, hi = Fraction(lo_n, lo_d), Fraction(hi_n, hi_d)
+            lo = 1 / (Fraction(1, a - 1) - Fraction(1, nxt - 1))
+            hi = 1 / (Fraction(1, a) - Fraction(1, nxt))
             assert hi - lo == 1 + Fraction(2 * a - 1, nxt - a)
-            # verbose endpoint forms agree with the factored ones
+            # the integer ends that bracket_misses and _companion read
+            assert lo == Fraction((a - 1) * (nxt - 1), nxt - a)
             assert hi == Fraction(a * nxt, nxt - a)
-            assert lo == hi - 1 - Fraction(2 * a - 1, nxt - a)
+            assert lo < _companion(a, nxt) < hi <= _companion(a, nxt) + 1
 
 
 def test_bracket_misses_skips_a_plateau():

@@ -1,9 +1,4 @@
-"""Exact scalar helpers, open intervals, and integer counting.
-
-The enumeration oracle here is deliberately naive: it walks candidate
-integers one by one and tests membership with cross-multiplied
-comparisons, so it shares no code with the counting kernel under test.
-"""
+"""Exact scalar helpers, open intervals, and the long square."""
 from __future__ import annotations
 
 import enum
@@ -26,7 +21,6 @@ from unitfrac.rational import (
     _ssa_square,
     format_rational,
     greedy_denominator,
-    integer_bounds,
     parse_rational,
     positive_int,
     positive_ints,
@@ -212,61 +206,6 @@ def test_interval_midpoint_and_width():
     iv = RationalInterval(Fraction(1, 3), Fraction(1, 2))
     assert iv.width() == Fraction(1, 6)
     assert iv.midpoint() == Fraction(5, 12)
-
-
-def _count(lo_n, lo_d, hi_n, hi_d, lo_open, hi_open):
-    first, last = integer_bounds(lo_n, lo_d, hi_n, hi_d, lo_open, hi_open)
-    return max(0, last - first + 1)
-
-
-def _largest(lo_n, lo_d, hi_n, hi_d, lo_open, hi_open):
-    first, last = integer_bounds(lo_n, lo_d, hi_n, hi_d, lo_open, hi_open)
-    return last if last >= first else None
-
-
-def test_count_integers_pinned_values():
-    assert _count(7, 6, 3, 1, True, True) == 1
-    assert _count(7, 6, 3, 1, False, False) == 2
-    assert _count(2, 1, 3, 1, True, True) == 0
-    assert _count(2, 1, 2, 1, False, False) == 1
-    assert _count(5, 2, 8, 3, True, True) == 0
-
-
-def test_largest_integer_pinned_values():
-    assert _largest(2, 1, 6, 1, True, True) == 5
-    assert _largest(7, 6, 3, 1, True, True) == 2
-    assert _largest(4, 1, 15, 2, True, True) == 7
-    assert _largest(2, 1, 6, 1, False, False) == 6
-    assert _largest(5, 2, 8, 3, True, True) is None
-
-
-# ---------------------------------------------------------------- kernel
-
-numerators = st.integers(min_value=-60, max_value=60)
-denominators = st.integers(min_value=1, max_value=12)
-
-
-@settings(max_examples=600)
-@given(numerators, denominators, numerators, denominators,
-       st.booleans(), st.booleans())
-@example(6, 2, 9, 3, False, False)    # lo == hi == 3, closed
-@example(6, 2, 9, 3, True, False)     # lo == hi, open below
-@example(6, 2, 9, 3, False, True)     # lo == hi, open above
-@example(-7, 2, -4, 1, True, True)    # negative ends
-@example(-8, 4, 10, 5, True, True)    # integer-valued ends, open
-@example(-8, 4, 10, 5, False, False)  # integer-valued ends, closed
-def test_integer_bounds_match_enumeration(lo_n, lo_d, hi_n, hi_d,
-                                          lo_open, hi_open):
-    # membership by cross-multiplication; |n/d| <= |n| bounds both ends
-    reach = max(abs(lo_n), abs(hi_n)) + 2
-    inside = [k for k in range(-reach, reach + 1)
-              if (k * lo_d > lo_n if lo_open else k * lo_d >= lo_n)
-              and (k * hi_d < hi_n if hi_open else k * hi_d <= hi_n)]
-    first, last = integer_bounds(lo_n, lo_d, hi_n, hi_d, lo_open, hi_open)
-    if inside:
-        assert (first, last) == (inside[0], inside[-1])
-    else:
-        assert first > last
 
 
 # ------------------------------------------------------------ long square

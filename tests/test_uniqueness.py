@@ -116,6 +116,9 @@ def test_sufficient_uniqueness_sequences():
     ok, verdicts = sufficient_uniqueness((2, 7, 43))
     assert not ok
     assert verdicts[1].unique is False
+    # two terms are the shortest sequence: one pair, one verdict
+    ok, verdicts = sufficient_uniqueness([2, 3])
+    assert not ok and len(verdicts) == 1
 
 
 def test_necessary_uniqueness_sequences():
@@ -207,7 +210,11 @@ def test_formulas_match_enumeration(a, gap):
     oc = open_window_count(a, a_next)
     assert v_open.unique == (oc == 1)
     v_closed = pair_necessary_closed(a, a_next)
-    assert v_closed.unique == (closed_window_count(a, a_next) == 1)
+    cc = closed_window_count(a, a_next)
+    assert v_closed.unique == (cc == 1)
+    # the census counts, past test_sweep_against_oracle's limit of 120
+    row = _row(a, a_next)
+    assert (row.open_count, row.closed_count) == (oc, cc)
     if v_closed.unique:
         assert all(uniqueness_consequences(a, a_next).values())
 

@@ -38,12 +38,9 @@ TIMEOUT_S = 600  # per mutant; a mutant can loop for ever
 
 EQUIVALENT = {
     "construct": {
-        ("choose_b_jump", "b * gap <= lo_n", "b * gap < lo_n"):
-            "b = (a*a' - 1) // gap gives b*gap - lo_n >= 2a - 1 >= 3, so "
-            "the check never fires, at equality or below",
         ("construct", "tn <= 0", "tn < 0"):
-            "tn = b*gap - lo_n >= 2a - 1 >= 3, as in choose_b_jump, so tn "
-            "is never 0",
+            "b = (a*a' - 1) // gap gives tn = b*gap - lo_n >= 2a - 1 >= 3, "
+            "so tn is never 0",
         ("construct", "tn * bd < bn * td", "tn * bd <= bn * td"):
             "at equal values both sides are the same reduced pair",
         ("construct", "lower[0] <= 0", "lower[0] < 0"):
