@@ -62,7 +62,11 @@ def _read_sequence_file(path: str) -> list[int]:
             text = handle.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise ValueError(f"cannot read {path}: {exc}")
-    lines = text.splitlines()
+    # text mode reads "\r\n" as "\n", and str.splitlines would also split
+    # at "\v", "\f" and other separators inside a line
+    lines = text.split("\n")
+    if not lines[-1]:
+        del lines[-1]  # the newline that ends the last line
     stripped = list(map(str.strip, lines))
     # every line is checked in one pass at C speed; the loop runs only to
     # name the first line refused, by parse_int's message (digit limit too)

@@ -195,6 +195,9 @@ MALFORMED_FILES = {
     "3.5\n": ":1: not an integer: '3.5'",
     # int() takes each of the first three; a blank line is no integer
     "7\n1_0\n+5\n\u0663\n\n": ":2: not an integer: '1_0'",
+    # only "\n" ends a line: str.splitlines also splits at "\v" and "\f"
+    "2\n3\n5\x0b8\n13\n": ":3: not an integer: '5\\x0b8'",
+    "2\n3\x0c\n5x\n": ":3: not an integer: '5x'",
 }
 
 

@@ -6,8 +6,9 @@ intended change to the output, rewrite that record with
 
     PYTHONPATH=src python3 tests/test_cli_golden.py
 
-The later tests check that a format evaluates only what it prints, and that
-a census summary is counted in one pass over rows it does not hold.
+The later tests check that longer outputs keep the json and csv contracts,
+that a format evaluates only what it prints, and that a census summary is
+counted in one pass over rows it does not hold.
 """
 from __future__ import annotations
 
@@ -45,6 +46,11 @@ FILES = {
     "shifted": [n + 1 for n in range(1, 13)],
     "geometric-a": [2 * 3 ** (n - 1) for n in range(1, 11)],
     "geometric-a-b": [3 ** n - 1 for n in range(1, 11)],
+    "arithmetic": list(range(2, 998, 5)),
+    "classify-a": list(range(2, 22)),
+    "classify-b": list(range(3, 23)),
+    "plateaus-uneven": [2, 2, 3, 3, 3, 5],
+    "verify-b": [25, 757, 763309],
 }
 
 CASES = {
@@ -102,15 +108,20 @@ def run_main(argv: list[str]) -> tuple[int, str, str]:
     return code, out.getvalue(), err.getvalue()
 
 
-def run_case(name: str, fmt: str, directory: Path) -> tuple[int, str, str]:
+def run_args(args: list[str], fmt: str,
+             directory: Path) -> tuple[int, str, str]:
     argv = []
-    for arg in CASES[name]:
+    for arg in args:
         if arg.startswith("@"):
             path = directory / f"{arg[1:]}.txt"
             path.write_text("".join(f"{v}\n" for v in FILES[arg[1:]]))
             arg = str(path)
         argv.append(arg)
     return run_main(argv + ["--format", fmt])
+
+
+def run_case(name: str, fmt: str, directory: Path) -> tuple[int, str, str]:
+    return run_args(CASES[name], fmt, directory)
 
 
 def case_id(name: str, fmt: str) -> str:
@@ -135,12 +146,55 @@ def test_golden_covers_every_case(golden):
     assert set(golden) == {case_id(n, f) for n in CASES for f in FORMATS}
 
 
+def canonical(fmt: str, text: str) -> str:
+    """The text the stdlib writes for what it reads back from ``text``:
+    the json contract is its indent-2 text of the document and a newline,
+    the csv contract its writer's text, with "\\n" line ends, of the rows,
+    whatever code renders them."""
+    if fmt == "json":
+        return json.dumps(json.loads(text), indent=2) + "\n"
+    buffer = io.StringIO()
+    csv.writer(buffer, lineterminator="\n").writerows(
+        csv.reader(io.StringIO(text)))
+    return buffer.getvalue()
+
+
 @pytest.mark.parametrize("name", CASES)
 def test_json_records_are_canonical(golden, name):
-    # the json contract: the stdlib's indent-2 text of the document and a
-    # newline, whatever code renders it
     stdout = golden[case_id(name, "json")]["stdout"]
-    assert stdout == json.dumps(json.loads(stdout), indent=2) + "\n"
+    assert stdout == canonical("json", stdout)
+
+
+# longer outputs, held to each format's contract and not recorded: an
+# a-file census, a long construct and a classify report, and more rows of
+# each command
+CONTRACT_CASES = {
+    "unique-a-file-arithmetic": ["unique", "--a-file", "@arithmetic"],
+    "construct-arithmetic-deep": ["construct", "--family",
+                                  "arithmetic:a=3,d=1", "--depth", "40"],
+    "classify-family": ["classify", "--a-file", "@classify-a",
+                        "--b-file", "@classify-b",
+                        "--family", "arithmetic:a=2,d=1"],
+    "expand-greedy-5-121": ["expand", "--theta", "5/121", "--terms", "5"],
+    "verify-bracket-5-121": ["verify", "--b-file", "@verify-b",
+                             "--theta", "5/121", "--bracket"],
+    "construct-plateaus-uneven": ["construct", "--a-file", "@plateaus-uneven",
+                                  "--repeat-last-delta", "--depth", "12"],
+    "unique-range-60": ["unique", "--range", "60"],
+    "family-fibonacci-60": ["family", "--spec", "fibonacci", "--terms", "60"],
+}
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("name", CONTRACT_CASES)
+def test_outputs_are_canonical(tmp_path, name, fmt):
+    code, stdout, _ = run_args(CONTRACT_CASES[name], fmt, tmp_path)
+    assert code == 0
+    # as lines, so that a failure reports the first line that differs
+    # instead of diffing every line
+    lines = stdout.splitlines(keepends=True)
+    assert lines
+    assert lines == canonical(fmt, stdout).splitlines(keepends=True)
 
 
 @pytest.mark.parametrize("fmt", FORMATS)
@@ -219,6 +273,7 @@ def check_census_output(fmt: str, code: int, stdout: str,
 
 CENSUS = {
     "range": (["--range", "40"], lambda: list(sweep(40))),
+    "range-80": (["--range", "80"], lambda: list(sweep(80))),
     "sample": (["--sample", "400", "--seed", "11"],
                lambda: list(sample_pairs(400, 11))),
     "sample-seed-5": (["--sample", "300", "--seed", "5"],

@@ -451,12 +451,16 @@ def test_replay_and_growth_check_read_every_long_square_back(fresh_memo,
 def test_a_longer_walk_reads_the_shorter_walks_squares_back(fresh_memo,
                                                             kernel_calls):
     # the 20-term walk from 3/7 reads the 18-term walk's squares back and
-    # forms those of steps 19 and 20; its replay and growth checks then
-    # form none, though the longer walk missed on its 19th step
+    # forms those of steps 19 and 20, the last of an m past 1 Mbit; its
+    # replay and growth checks then form none, though the longer walk
+    # missed on its 19th step
     theta = Fraction(3, 7)
     short = greedy_expand(theta, 18)
+    kernel_calls.clear()
     run = greedy_expand(theta, 20)
     assert run.a[:18] == short.a
+    assert (run.a[-1] - 1).bit_length() > 1_000_000
+    assert kernel_calls
     assert set(fresh_memo) == long_operands(run.a)
     kernel_calls.clear()
     replay = recover_shadow(run.b, theta)

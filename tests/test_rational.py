@@ -290,6 +290,29 @@ def test_ssa_square_all_ones_and_top_bit(n):
     assert _square(-1 << n - 1) == 1 << 2 * n - 2
 
 
+def _kernel_operands() -> dict[str, int]:
+    """Random operands drawn in turn from one seed: on both sides of the
+    cutoff and of 2**17 bits, at the lengths the deep benchmark squares
+    (63 and 127 kbit, 0.25, 0.5 and 1.01 Mbit) and at 2 Mbit; then 1 Mbit
+    of ones."""
+    rng = random.Random(19)
+    operands = {str(bits): rng.getrandbits(bits) | 1 << bits - 1
+                for bits in (_SSA_BITS - 1, _SSA_BITS, 63_000, 127_000,
+                             2**17 - 1, 2**17, 250_000, 500_000, 1_010_000,
+                             2_000_000)}
+    operands["1000000-ones"] = (1 << 1_000_000) - 1
+    return operands
+
+
+_KERNEL_OPERANDS = _kernel_operands()
+
+
+@pytest.mark.parametrize("label", _KERNEL_OPERANDS)
+def test_square_at_long_operands(label):
+    x = _KERNEL_OPERANDS[label]
+    assert _square(x) == x * x
+
+
 def test_ssa_square_whole_pieces():
     # an operand of exactly K*M bits fills its top piece; one bit more
     # moves M up a byte and leaves the top pieces empty

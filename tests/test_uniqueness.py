@@ -7,6 +7,8 @@ the integer-arithmetic criteria under test.
 """
 from __future__ import annotations
 
+import itertools
+import json
 import math
 from fractions import Fraction
 
@@ -27,6 +29,8 @@ from unitfrac.uniqueness import (
     sweep,
     uniqueness_consequences,
 )
+
+from test_cli_golden import run_main
 
 
 def F(p, q=1):
@@ -156,7 +160,10 @@ def test_consequences_pinned():
 # ------------------------------------------------------------------- sweep
 
 def test_sweep_against_oracle():
-    rows = sweep(120)
+    rows = list(sweep(120))
+    # each pair 2 <= a < a_next <= 120 once
+    assert sorted((row.a, row.a_next) for row in rows) == list(
+        itertools.combinations(range(2, 121), 2))
     cases_seen = set()
     for row in rows:
         a, a_next = row.a, row.a_next
@@ -173,6 +180,31 @@ def test_sweep_against_oracle():
             assert all(uniqueness_consequences(a, a_next).values())
     assert cases_seen == {"unbounded", "open-divisible", "open-nondivisible",
                           "closed-divisible", "closed-nondivisible"}
+
+
+def test_a_file_census_at_long_operands(tmp_path):
+    # every verdict over a 2000-term Fibonacci prefix from 2, up to about
+    # 1.4 kbit, says whether the oracles count exactly one integer in its
+    # window, and so do the two sequence verdicts
+    fib = [2, 3]
+    while len(fib) < 2000:
+        fib.append(fib[-2] + fib[-1])
+    path = tmp_path / "fibonacci.txt"
+    path.write_text("".join(f"{v}\n" for v in fib))
+    code, stdout, _ = run_main(["unique", "--a-file", str(path),
+                                "--format", "json"])
+    doc = json.loads(stdout)
+    pairs = list(zip(fib, fib[1:]))
+    assert code == 0
+    for key, count in (("open-verdicts", open_window_count),
+                       ("closed-verdicts", closed_window_count)):
+        verdicts = doc[key]
+        assert [(v["a"], v["a-next"]) for v in verdicts] == pairs
+        assert [v["unique"] for v in verdicts] == [
+            count(a, a_next) == 1 for a, a_next in pairs]
+    assert doc["sufficient"] == all(v["unique"] for v in doc["open-verdicts"])
+    assert doc["necessary"] == all(
+        v["unique"] for v in doc["closed-verdicts"])
 
 
 def test_sample_pairs_deterministic():

@@ -65,6 +65,26 @@ EQUIVALENT = {
         ("_unit_step", "d < _WORD_BOUND", "d <= _WORD_BOUND"):
             "the identity for p/q - 1/b holds on either path",
     },
+    "diagnostics": {
+        ("_product_gap_below", "(lo1 << e1 - e) - (hi2 << e2 - e) >= c_units",
+         "(lo1 << e1 - e) - (hi2 << e2 - e) > c_units"):
+            "at equality the bounds decide nothing and the exact products "
+            "below decide the same",
+        ("greedy_ratio_checks", "0 <= d", "0 < d"):
+            "b*b - b + 1 = m*m + (2d - 1)*m + d*d - d + 1 holds for every d, "
+            "so either path gives the same bound",
+        ("greedy_ratio_checks", "d < _WORD_BOUND", "d <= _WORD_BOUND"):
+            "b*b - b + 1 = m*m + (2d - 1)*m + d*d - d + 1 holds for every d, "
+            "so either path gives the same bound",
+    },
+    "rational": {
+        ("positive_ints", "min(values) >= 1", "min(values) > 1"):
+            "a list holding 1 goes to the per-element loop, which accepts "
+            "it: the same tuple, only slower",
+        ("_square", "x.bit_length() < _SSA_BITS",
+         "x.bit_length() <= _SSA_BITS"):
+            "both bands are exact at the cutoff",
+    },
 }
 
 
@@ -93,6 +113,15 @@ def _one_comparison(node: ast.Compare, i: int) -> ast.Compare:
     """The i-th comparison of a chain, as a node of its own."""
     return ast.Compare(node.comparators[i - 1] if i else node.left,
                        [node.ops[i]], [node.comparators[i]])
+
+
+def _names(node: ast.Compare, i: int) -> tuple[str, str]:
+    """The i-th comparison of a chain before and after its flip, as
+    ``ast.unparse`` writes them: the mutant's name in ``EQUIVALENT``."""
+    one = _one_comparison(node, i)
+    before = ast.unparse(one)
+    one.ops = [FLIP[type(one.ops[0])]()]
+    return before, ast.unparse(one)
 
 
 def _first_failure(tree_dir: Path, tests: list[str]):
@@ -146,10 +175,9 @@ def main(argv=None) -> int:
             return 2
         survivors = 0
         for function, node, i in sites:
-            before = ast.unparse(_one_comparison(node, i))
+            before, after = _names(node, i)
             op = node.ops[i]
             node.ops[i] = FLIP[type(op)]()
-            after = ast.unparse(_one_comparison(node, i))
             target.write_text(ast.unparse(tree))
             node.ops[i] = op
             failure = _first_failure(copy, tests)
