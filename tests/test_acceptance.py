@@ -5,6 +5,7 @@ One test per headline capability.  Each prints a single
 assertion makes pytest report the matching FAILED line instead.
 Timing bounds are asserted where a capability is only useful fast.
 """
+import itertools
 import math
 import random
 import time
@@ -30,7 +31,9 @@ from unitfrac import (
 from unitfrac.diagnostics import greedy_ratio_checks
 from unitfrac.families import fibonacci_number
 from unitfrac.greedy import _companion
-from unitfrac.uniqueness import _row, uniqueness_consequences
+from unitfrac.uniqueness import sweep, uniqueness_consequences
+
+from test_uniqueness import closed_window_count, open_window_count
 
 
 def _report(n: int, detail: str) -> None:
@@ -133,72 +136,36 @@ def test_criterion_5_fibonacci_identities():
                "n = 2 floor overshoot shown")
 
 
-def _floor(x: F) -> int:
-    return x.numerator // x.denominator
-
-
-def _ceil(x: F) -> int:
-    return -((-x.numerator) // x.denominator)
-
-
-def _open_count(a: int, a_next: int):
-    """Admissible b count straight from the reciprocal inequalities.
-
-    Membership of each candidate is decided by integer cross
-    multiplication: lower < 1/b is lower.num * b < lower.den, and
-    1/b < upper is upper.den < upper.num * b.
-    """
-    lower = F(1, a) - F(1, a_next - 1)
-    upper = F(1, a - 1) - F(1, a_next)
-    if lower <= 0:
-        return None
-    ln, ld = lower.numerator, lower.denominator
-    un, ud = upper.numerator, upper.denominator
-    count = 0
-    for b in range(max(1, _floor(1 / upper)), _ceil(1 / lower) + 1):
-        if ln * b < ld and ud < un * b:
-            count += 1
-    return count
-
-
-def _closed_count(a: int, a_next: int) -> int:
-    lower = F(1, a) - F(1, a_next)
-    upper = F(1, a - 1) - F(1, a_next - 1)
-    ln, ld = lower.numerator, lower.denominator
-    un, ud = upper.numerator, upper.denominator
-    count = 0
-    for b in range(max(1, _ceil(1 / upper) - 1), _floor(1 / lower) + 2):
-        if ln * b <= ld and ud <= un * b:
-            count += 1
-    return count
-
-
 def test_criterion_6_uniqueness_oracle_equivalence():
     start = time.perf_counter()
-    pairs = 0
+    seen = []
     cases = set()
-    for a in range(2, 300):
-        for a_next in range(a + 1, 301):
-            pairs += 1
-            row = _row(a, a_next)
-            oracle_open = _open_count(a, a_next)
-            open_verdict = pair_uniqueness(a, a_next)
-            assert open_verdict.unique == (oracle_open == 1), (a, a_next)
-            assert row.open_count == oracle_open
+    for row in sweep(300):
+        a, a_next = row.a, row.a_next
+        seen.append((a, a_next))
+        oracle_open = open_window_count(a, a_next)
+        open_verdict = pair_uniqueness(a, a_next)
+        assert open_verdict.unique == (oracle_open == 1), (a, a_next)
+        assert row.open_count == oracle_open
 
-            oracle_closed = _closed_count(a, a_next)
-            closed_verdict = pair_necessary_closed(a, a_next)
-            assert closed_verdict.unique == (oracle_closed == 1), (a, a_next)
-            assert row.closed_count == oracle_closed
+        oracle_closed = closed_window_count(a, a_next)
+        closed_verdict = pair_necessary_closed(a, a_next)
+        assert closed_verdict.unique == (oracle_closed == 1), (a, a_next)
+        assert row.closed_count == oracle_closed
 
-            if closed_verdict.unique:
-                assert all(uniqueness_consequences(a, a_next).values())
-            cases.add(open_verdict.case)
-            cases.add(closed_verdict.case)
+        assert row.open_agrees and row.closed_agrees, (a, a_next)
+        if closed_verdict.unique:
+            assert all(uniqueness_consequences(a, a_next).values())
+        cases.update((open_verdict.case, closed_verdict.case,
+                      row.open_case, row.closed_case))
     elapsed = time.perf_counter() - start
+    pairs = len(seen)
 
+    # each pair 2 <= a < a_next <= 300 once
+    assert sorted(seen) == list(itertools.combinations(range(2, 301), 2))
     assert pairs == 44551
-    assert len(cases) == 5
+    assert cases == {"unbounded", "open-divisible", "open-nondivisible",
+                     "closed-divisible", "closed-nondivisible"}
     assert elapsed < 30.0
     _report(6, f"{pairs} pairs, both criteria match brute counts, "
                f"consequences hold, {elapsed:.1f} s")

@@ -1,7 +1,12 @@
-"""End-to-end command line checks via subprocess.
+"""End-to-end command line checks.
 
 Exit codes: 0 success, 1 verification failure, 2 malformed input or
 internal error.  Output must be byte-identical across repeat runs.
+
+Each command runs ``cli.main`` in-process through ``run_main``.  A test
+spawns ``python -m unitfrac`` only where the process is under test: the
+exit code it returns, a closed pipe, its peak memory, and its bytes under
+two hash seeds.  The demos run as scripts.
 
 Each demo's stdout is compared with the record in ``demo_golden.json``
 next to this file.  After an intended change to a demo's output, rewrite
@@ -26,7 +31,8 @@ from unitfrac import cli
 from unitfrac.construct import ConstructionError
 from unitfrac.families import FibonacciFamily, theta_partial
 from unitfrac.rational import format_rational, parse_int
-from unitfrac.uniqueness import sweep
+
+from test_cli_golden import run_main
 
 REPO = Path(__file__).resolve().parent.parent
 DEMOS = sorted((REPO / "demos").glob("*.py"))
@@ -44,10 +50,21 @@ def child_env(extra=None) -> dict:
     return env
 
 
-def run_cli(*args):
-    return subprocess.run(
-        [sys.executable, "-m", "unitfrac.cli", *args],
-        capture_output=True, text=True, env=child_env())
+def run_module(argv, **env):
+    """One ``python -m unitfrac`` process; stdout and stderr are bytes."""
+    return subprocess.run([sys.executable, "-m", "unitfrac", *argv],
+                          capture_output=True, env=child_env(env))
+
+
+def run_under_two_hash_seeds(argv):
+    """The stdout of two processes, one under each of PYTHONHASHSEED 0
+    and 1, which must be the same bytes: only separate processes can
+    differ in hash order."""
+    first, second = (run_module(argv, PYTHONHASHSEED=seed)
+                     for seed in ("0", "1"))
+    assert first.returncode == second.returncode == 0
+    assert first.stdout == second.stdout
+    return first.stdout.decode()
 
 
 def write_lines(path, values):
@@ -58,8 +75,8 @@ def write_lines(path, values):
 # ------------------------------------------------------------------ expand
 
 def test_expand_greedy_json():
-    proc = run_cli("expand", "--theta", "19/48", "--terms", "2",
-                   "--format", "json")
+    proc = run_main(["expand", "--theta", "19/48", "--terms", "2",
+                     "--format", "json"])
     assert proc.returncode == 0, proc.stderr
     doc = json.loads(proc.stdout)
     assert set(doc) == {"theta", "t", "selection", "a", "b", "residuals"}
@@ -68,37 +85,35 @@ def test_expand_greedy_json():
     assert doc["a"] == [3, 17] and doc["b"] == [3, 17]
     assert doc["residuals"] == ["1/16", "1/272"]
     # there is no index set to give: the cap holds at every index
-    gone = run_cli("expand", "--theta", "19/48", "--terms", "2",
-                   "--lambda", "all")
+    gone = run_main(["expand", "--theta", "19/48", "--terms", "2",
+                     "--lambda", "all"])
     assert (gone.returncode, gone.stdout) == (2, "")
 
 
 def test_expand_scaled_last_greedy():
-    proc = run_cli("expand", "--theta", "19/48", "--t", "4/3",
-                   "--terms", "2", "--last-greedy", "--format", "json")
+    proc = run_main(["expand", "--theta", "19/48", "--t", "4/3",
+                     "--terms", "2", "--last-greedy", "--format", "json"])
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["b"] == [4, 7]
-    proc = run_cli("expand", "--theta", "19/48", "--t", "4/3",
-                   "--terms", "2", "--format", "json")
+    proc = run_main(["expand", "--theta", "19/48", "--t", "4/3",
+                     "--terms", "2", "--format", "json"])
     assert json.loads(proc.stdout)["b"] == [4, 10]
 
 
 @pytest.mark.parametrize("theta", ["0/1", "5/4", "-1/2", "abc", "1/0"])
 def test_expand_rejects_bad_theta(theta):
-    proc = run_cli("expand", "--theta", theta, "--terms", "3")
+    proc = run_main(["expand", "--theta", theta, "--terms", "3"])
     assert proc.returncode == 2
 
 
 def test_expand_table_deterministic():
-    first = run_cli("expand", "--theta", "2/3", "--terms", "4")
-    second = run_cli("expand", "--theta", "2/3", "--terms", "4")
-    assert first.returncode == 0
-    assert first.stdout == second.stdout
-    assert "1/6" in first.stdout
+    stdout = run_under_two_hash_seeds(["expand", "--theta", "2/3",
+                                       "--terms", "4"])
+    assert "1/6" in stdout
 
 
 def test_expand_term_cap_env():
-    proc = run_cli("expand", "--theta", "2/3", "--terms", "10001")
+    proc = run_main(["expand", "--theta", "2/3", "--terms", "10001"])
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert "10000" in proc.stderr
@@ -109,8 +124,8 @@ def test_expand_term_cap_env():
 def test_verify_long_quadratic_file(tmp_path):
     b_file = write_lines(tmp_path / "b.txt",
                          (n * (n + 2) for n in range(1, 501)))
-    proc = run_cli("verify", "--b-file", b_file, "--theta", "3/4",
-                   "--format", "json")
+    proc = run_main(["verify", "--b-file", b_file, "--theta", "3/4",
+                     "--format", "json"])
     assert proc.returncode == 0, proc.stderr
     doc = json.loads(proc.stdout)
     assert doc["ok"] is True
@@ -121,8 +136,8 @@ def test_verify_long_quadratic_file(tmp_path):
 
 def test_verify_weakness_violation(tmp_path):
     b_file = write_lines(tmp_path / "b.txt", [2])
-    proc = run_cli("verify", "--b-file", b_file, "--theta", "1/2",
-                   "--format", "json")
+    proc = run_main(["verify", "--b-file", b_file, "--theta", "1/2",
+                     "--format", "json"])
     assert proc.returncode == 1
     doc = json.loads(proc.stdout)
     assert doc["ok"] is False
@@ -131,8 +146,8 @@ def test_verify_weakness_violation(tmp_path):
 
 def test_verify_overrun(tmp_path):
     b_file = write_lines(tmp_path / "b.txt", [2, 3, 10])
-    proc = run_cli("verify", "--b-file", b_file, "--theta", "51/100",
-                   "--format", "json")
+    proc = run_main(["verify", "--b-file", b_file, "--theta", "51/100",
+                     "--format", "json"])
     assert proc.returncode == 1
     doc = json.loads(proc.stdout)
     assert doc["ok"] is False
@@ -142,11 +157,11 @@ def test_verify_overrun(tmp_path):
 def test_verify_overrun_at_an_exact_zero_residual(tmp_path):
     # 1/2 - 1/2 leaves exactly 0, so index 2 has no shadow
     b_file = write_lines(tmp_path / "b.txt", [2, 3])
-    proc = run_cli("verify", "--b-file", b_file, "--theta", "1/2")
+    proc = run_main(["verify", "--b-file", b_file, "--theta", "1/2"])
     assert proc.returncode == 1
     assert "FAIL: partial sums exhaust theta at index 2" in proc.stdout
-    proc = run_cli("verify", "--b-file", b_file, "--theta", "1/2",
-                   "--format", "json")
+    proc = run_main(["verify", "--b-file", b_file, "--theta", "1/2",
+                     "--format", "json"])
     assert proc.returncode == 1
     doc = json.loads(proc.stdout)
     assert doc["ok"] is False
@@ -164,8 +179,8 @@ def fib_theta_string():
 
 def test_verify_bracket_clean(tmp_path):
     b_file = write_lines(tmp_path / "b.txt", fib_b(6))
-    proc = run_cli("verify", "--b-file", b_file, "--theta",
-                   fib_theta_string(), "--bracket", "--format", "json")
+    proc = run_main(["verify", "--b-file", b_file, "--theta",
+                     fib_theta_string(), "--bracket", "--format", "json"])
     assert proc.returncode == 0, proc.stderr
     doc = json.loads(proc.stdout)
     assert doc["bracket-checked"] is True
@@ -176,15 +191,15 @@ def test_verify_bracket_flags_oversized_choice(tmp_path):
     values = fib_b(6)
     values[1] = 6
     b_file = write_lines(tmp_path / "b.txt", values)
-    proc = run_cli("verify", "--b-file", b_file, "--theta",
-                   fib_theta_string(), "--bracket", "--format", "json")
+    proc = run_main(["verify", "--b-file", b_file, "--theta",
+                     fib_theta_string(), "--bracket", "--format", "json"])
     assert proc.returncode == 1
     doc = json.loads(proc.stdout)
     assert doc["ok"] is False
     assert doc["bracket-failures"] == [2]
     # without the bracket check the same file verifies
-    proc = run_cli("verify", "--b-file", b_file, "--theta",
-                   fib_theta_string(), "--format", "json")
+    proc = run_main(["verify", "--b-file", b_file, "--theta",
+                     fib_theta_string(), "--format", "json"])
     assert proc.returncode == 0
 
 
@@ -205,7 +220,7 @@ MALFORMED_FILES = {
 def test_verify_rejects_malformed_files(tmp_path, content):
     path = tmp_path / "b.txt"
     path.write_text(content, encoding="utf-8")
-    proc = run_cli("verify", "--b-file", str(path), "--theta", "1/2")
+    proc = run_main(["verify", "--b-file", str(path), "--theta", "1/2"])
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert proc.stderr == f"error: {path}{MALFORMED_FILES[content]}\n"
@@ -235,15 +250,15 @@ def test_verify_rejects_nonpositive_denominator_before_replay(tmp_path):
     # the partial sums pass 2/3 at index 3, but the 0 at index 4 is
     # malformed input and is reported first
     b_file = write_lines(tmp_path / "b.txt", [2, 2, 7, 0])
-    proc = run_cli("verify", "--b-file", b_file, "--theta", "2/3")
+    proc = run_main(["verify", "--b-file", b_file, "--theta", "2/3"])
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert "at 4" in proc.stderr
 
 
 def test_verify_missing_file():
-    proc = run_cli("verify", "--b-file", "/nonexistent/b.txt",
-                   "--theta", "1/2")
+    proc = run_main(["verify", "--b-file", "/nonexistent/b.txt",
+                     "--theta", "1/2"])
     assert proc.returncode == 2
 
 
@@ -251,8 +266,8 @@ def test_verify_missing_file():
 
 def test_construct_from_file_with_rule(tmp_path):
     a_file = write_lines(tmp_path / "a.txt", [2, 3, 5])
-    proc = run_cli("construct", "--a-file", a_file, "--repeat-last-delta",
-                   "--depth", "5", "--format", "json")
+    proc = run_main(["construct", "--a-file", a_file, "--repeat-last-delta",
+                     "--depth", "5", "--format", "json"])
     assert proc.returncode == 0, proc.stderr
     doc = json.loads(proc.stdout)
     assert doc["b"] == [5, 7, 17, 31, 49]
@@ -261,31 +276,28 @@ def test_construct_from_file_with_rule(tmp_path):
 
 
 def test_construct_from_family():
-    proc = run_cli("construct", "--family", "geometric:a=2,r=3",
-                   "--depth", "6", "--format", "json")
+    proc = run_main(["construct", "--family", "geometric:a=2,r=3",
+                     "--depth", "6", "--format", "json"])
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["b"] == [2, 8, 26, 80, 242, 728]
 
 
 def test_construct_exhaustion_is_malformed(tmp_path):
     a_file = write_lines(tmp_path / "a.txt", [2, 2, 3, 3, 4, 4])
-    proc = run_cli("construct", "--a-file", a_file, "--repeat-last-delta",
-                   "--depth", "4")
+    proc = run_main(["construct", "--a-file", a_file, "--repeat-last-delta",
+                     "--depth", "4"])
     assert proc.returncode == 2
-    proc = run_cli("construct", "--a-file", a_file, "--depth", "4")
+    proc = run_main(["construct", "--a-file", a_file, "--depth", "4"])
     assert proc.returncode == 2
 
 
-def test_construct_internal_error_exits_2(monkeypatch, capsys):
+def test_construct_internal_error_exits_2(monkeypatch):
     # a failed certificate check is a bug, not a failed verification
     def fail(seq, depth):
         raise ConstructionError("certificate failed at index 1")
     monkeypatch.setattr(cli, "construct", fail)
-    code = cli.main(["construct", "--family", "fibonacci", "--depth", "3"])
-    out, err = capsys.readouterr()
-    assert code == 2
-    assert out == ""
-    assert err == "error: certificate failed at index 1\n"
+    proc = run_main(["construct", "--family", "fibonacci", "--depth", "3"])
+    assert proc == (2, "", "error: certificate failed at index 1\n")
 
 
 def assert_usage_error(proc, *flags):
@@ -299,13 +311,13 @@ def assert_usage_error(proc, *flags):
 
 def test_construct_source_flags_exclusive(tmp_path):
     a_file = write_lines(tmp_path / "a.txt", [2, 3, 5])
-    proc = run_cli("construct", "--a-file", a_file, "--family", "fibonacci",
-                   "--depth", "3")
+    proc = run_main(["construct", "--a-file", a_file, "--family", "fibonacci",
+                     "--depth", "3"])
     assert_usage_error(proc, "--a-file", "--family")
-    proc = run_cli("construct", "--depth", "3")
+    proc = run_main(["construct", "--depth", "3"])
     assert_usage_error(proc, "--a-file", "--family")
-    proc = run_cli("construct", "--family", "fibonacci",
-                   "--repeat-last-delta", "--depth", "3")
+    proc = run_main(["construct", "--family", "fibonacci",
+                     "--repeat-last-delta", "--depth", "3"])
     assert_usage_error(proc, "--repeat-last-delta")
 
 
@@ -313,16 +325,16 @@ def test_construct_source_flags_exclusive(tmp_path):
 
 def test_unique_mode_flags_exclusive(tmp_path):
     a_file = write_lines(tmp_path / "a.txt", [2, 7, 57])
-    proc = run_cli("unique")
+    proc = run_main(["unique"])
     assert_usage_error(proc, "--pair", "--a-file", "--range", "--sample")
-    proc = run_cli("unique", "--pair", "2", "7", "--range", "10")
+    proc = run_main(["unique", "--pair", "2", "7", "--range", "10"])
     assert_usage_error(proc, "--pair", "--range")
-    proc = run_cli("unique", "--a-file", a_file, "--sample", "5")
+    proc = run_main(["unique", "--a-file", a_file, "--sample", "5"])
     assert_usage_error(proc, "--a-file", "--sample")
 
 
 def test_unique_pair_json():
-    proc = run_cli("unique", "--pair", "2", "7", "--format", "json")
+    proc = run_main(["unique", "--pair", "2", "7", "--format", "json"])
     assert proc.returncode == 0, proc.stderr
     doc = json.loads(proc.stdout)
     assert doc["open"]["unique"] is True and doc["open"]["k"] == 2
@@ -330,43 +342,28 @@ def test_unique_pair_json():
     assert doc["consequences"]["ratio_above_3"] is True
 
 
-def test_unique_range_summary():
-    proc = run_cli("unique", "--range", "60", "--format", "json")
-    assert proc.returncode == 0, proc.stderr
-    doc = json.loads(proc.stdout)
-    rows = list(sweep(60))
-    assert doc["pairs"] == len(rows)
-    assert doc["open-unique"] == sum(r.open_unique for r in rows)
-    assert doc["closed-unique"] == sum(r.closed_unique for r in rows)
-    assert doc["disagreements"] == 0
-
-
 def test_unique_sample_deterministic():
-    first = run_cli("unique", "--sample", "10", "--seed", "3",
-                    "--format", "csv")
-    second = run_cli("unique", "--sample", "10", "--seed", "3",
-                     "--format", "csv")
-    assert first.returncode == 0
-    assert first.stdout == second.stdout
-    assert first.stdout.count("\n") == 11
+    stdout = run_under_two_hash_seeds(["unique", "--sample", "10",
+                                       "--seed", "3", "--format", "csv"])
+    assert stdout.count("\n") == 11
 
 
 def test_unique_file_reports(tmp_path):
     a_file = write_lines(tmp_path / "a.txt", [2, 7, 57])
-    proc = run_cli("unique", "--a-file", a_file, "--format", "json")
+    proc = run_main(["unique", "--a-file", a_file, "--format", "json"])
     assert proc.returncode == 0, proc.stderr
     doc = json.loads(proc.stdout)
     assert doc["sufficient"] is True and doc["necessary"] is True
     a_file = write_lines(tmp_path / "a2.txt", [2, 4, 20])
-    doc = json.loads(run_cli("unique", "--a-file", a_file,
-                             "--format", "json").stdout)
+    doc = json.loads(run_main(["unique", "--a-file", a_file,
+                               "--format", "json"]).stdout)
     assert doc["sufficient"] is False
 
 
 def test_unique_file_names_the_pair_that_does_not_increase(tmp_path):
     # a plateau is a natural shadow, but no pair criterion takes it
     a_file = write_lines(tmp_path / "a.txt", [2, 3, 3, 5])
-    proc = run_cli("unique", "--a-file", a_file)
+    proc = run_main(["unique", "--a-file", a_file])
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert "a_next must be an integer >= 4, got 3" in proc.stderr
@@ -408,23 +405,23 @@ def test_unique_range_summary_holds_no_rows():
 # ------------------------------------------------------------------ family
 
 def test_family_table_and_enclosure():
-    proc = run_cli("family", "--spec", "fibonacci", "--terms", "6",
-                   "--format", "json")
+    proc = run_main(["family", "--spec", "fibonacci", "--terms", "6",
+                     "--format", "json"])
     assert proc.returncode == 0, proc.stderr
     doc = json.loads(proc.stdout)
     assert doc["a"] == [1, 2, 3, 5, 8, 13]
     assert doc["b"] == [3, 5, 7, 13, 20, 34]
     assert doc["bracket-ok"] is True
     assert "theta-enclosure" not in doc
-    proc = run_cli("family", "--spec", "geometric:a=2,r=3", "--terms", "30",
-                   "--theta-enclosure", "--format", "json")
+    proc = run_main(["family", "--spec", "geometric:a=2,r=3", "--terms", "30",
+                     "--theta-enclosure", "--format", "json"])
     doc = json.loads(proc.stdout)
     lo = Fraction(doc["theta-enclosure"]["lo"])
     assert abs(float(lo) - 0.68215) < 1e-4
 
 
 def test_family_rejects_unknown_spec():
-    proc = run_cli("family", "--spec", "explicit", "--terms", "4")
+    proc = run_main(["family", "--spec", "explicit", "--terms", "4"])
     assert proc.returncode == 2
 
 
@@ -435,8 +432,8 @@ def test_classify_cli(tmp_path):
                          (n + 1 for n in range(1, 201)))
     b_file = write_lines(tmp_path / "b.txt",
                          (n * (n + 2) for n in range(1, 201)))
-    proc = run_cli("classify", "--a-file", a_file, "--b-file", b_file,
-                   "--format", "json")
+    proc = run_main(["classify", "--a-file", a_file, "--b-file", b_file,
+                     "--format", "json"])
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["verdict"] == "not-producible-evidence"
 
@@ -444,13 +441,13 @@ def test_classify_cli(tmp_path):
                         (2 * 3 ** (n - 1) for n in range(1, 21)))
     geo_b = write_lines(tmp_path / "gb.txt",
                         (3**n - 1 for n in range(1, 21)))
-    proc = run_cli("classify", "--a-file", geo_a, "--b-file", geo_b,
-                   "--family", "geometric:a=2,r=3", "--format", "json")
+    proc = run_main(["classify", "--a-file", geo_a, "--b-file", geo_b,
+                     "--family", "geometric:a=2,r=3", "--format", "json"])
     doc = json.loads(proc.stdout)
     assert doc["verdict"] == "producible-evidence"
     assert doc["closed-form-limit"] == "3/1"
-    proc = run_cli("classify", "--a-file", geo_a, "--b-file", geo_b,
-                   "--t-grid", "1,3/2", "--format", "json")
+    proc = run_main(["classify", "--a-file", geo_a, "--b-file", geo_b,
+                     "--t-grid", "1,3/2", "--format", "json"])
     doc = json.loads(proc.stdout)
     assert [w["t"] for w in doc["witness-counts"]] == ["1/1", "3/2"]
 
@@ -458,8 +455,8 @@ def test_classify_cli(tmp_path):
 def test_classify_rejects_empty_t_grid(tmp_path):
     a_file = write_lines(tmp_path / "a.txt", [2, 3, 4])
     b_file = write_lines(tmp_path / "b.txt", [7, 13, 21])
-    proc = run_cli("classify", "--a-file", a_file, "--b-file", b_file,
-                   "--t-grid", "")
+    proc = run_main(["classify", "--a-file", a_file, "--b-file", b_file,
+                     "--t-grid", ""])
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert proc.stderr == "error: not a rational literal: ''\n"
@@ -468,8 +465,8 @@ def test_classify_rejects_empty_t_grid(tmp_path):
 def test_classify_rejects_empty_family(tmp_path):
     a_file = write_lines(tmp_path / "a.txt", [2, 3, 4])
     b_file = write_lines(tmp_path / "b.txt", [7, 13, 21])
-    proc = run_cli("classify", "--a-file", a_file, "--b-file", b_file,
-                   "--family", "")
+    proc = run_main(["classify", "--a-file", a_file, "--b-file", b_file,
+                     "--family", ""])
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert proc.stderr == "error: unrecognized family spec: ''\n"
@@ -479,39 +476,32 @@ def test_classify_names_a_file_that_is_not_utf8(tmp_path):
     a_file = write_lines(tmp_path / "a.txt", [2, 3, 4])
     b_file = tmp_path / "b.txt"
     b_file.write_bytes(b"\xff7\n13\n21\n")
-    proc = run_cli("classify", "--a-file", a_file, "--b-file", str(b_file))
+    proc = run_main(["classify", "--a-file", a_file, "--b-file", str(b_file)])
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert proc.stderr.startswith(f"error: cannot read {b_file}: 'utf-8'")
 
 
 def test_help_and_unknown_command():
-    proc = run_cli("--help")
+    proc = run_main(["--help"])
     assert proc.returncode == 0
     for sub in ("expand", "verify", "construct", "unique", "family",
                 "classify"):
         assert sub in proc.stdout
-    proc = run_cli("frobnicate")
+    proc = run_main(["frobnicate"])
     assert proc.returncode == 2
 
 
-def test_parser_is_built_once_per_process(capsys):
+def test_parser_is_built_once_per_process():
     # a usage error, a good request, the same usage error: the one parser
     # serves all three, and carries nothing from one call to the next
-    def call(*argv):
-        try:
-            code = cli.main(list(argv))
-        except SystemExit as exc:  # argparse's usage errors
-            code = exc.code
-        return (code, *capsys.readouterr())
-
-    usage_error = ("unique", "--pair", "2", "7", "--range", "10")
-    first = call(*usage_error)
-    assert first[0] == 2 and first[1] == ""
-    assert "not allowed with argument" in first[2]
-    code, out, _ = call("unique", "--pair", "2", "7")
+    usage_error = ["unique", "--pair", "2", "7", "--range", "10"]
+    first = run_main(usage_error)
+    assert first.returncode == 2 and first.stdout == ""
+    assert "not allowed with argument" in first.stderr
+    code, out, _ = run_main(["unique", "--pair", "2", "7"])
     assert code == 0 and out.startswith("open: unique=True k=2")
-    assert call(*usage_error) == first
+    assert run_main(usage_error) == first
     assert cli.build_parser() is cli.build_parser()
 
 
@@ -521,7 +511,7 @@ def test_closed_pipe_exits_quietly(unbuffered):
     # writing when the reader closes its end, as `| head -1` does; stdout
     # is buffered or not by PYTHONUNBUFFERED, and both must notice
     proc = subprocess.Popen(
-        [sys.executable, "-m", "unitfrac.cli", "unique", "--range", "120",
+        [sys.executable, "-m", "unitfrac", "unique", "--range", "120",
          "--format", "csv"],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE,
         env=child_env({"PYTHONUNBUFFERED": unbuffered}))
@@ -532,6 +522,18 @@ def test_closed_pipe_exits_quietly(unbuffered):
     assert proc.wait(timeout=60) == 141
     assert first.startswith(b"a,a_next,")
     assert stderr == b""
+
+
+def test_module_entry_exits_with_mains_code(tmp_path):
+    # in-process runs read main's return value; only a process shows that
+    # `python -m unitfrac` makes it the exit code
+    b_file = write_lines(tmp_path / "b.txt", [2, 3, 10])
+    assert run_module(["unique", "--pair", "2", "7"]).returncode == 0
+    assert run_module(["verify", "--b-file", b_file,
+                       "--theta", "51/100"]).returncode == 1
+    proc = run_module(["expand", "--theta", "0/1", "--terms", "3"])
+    assert (proc.returncode, proc.stdout) == (2, b"")
+    assert proc.stderr == b"error: target must lie in (0, 1], got 0\n"
 
 
 # ------------------------------------------------------------------- demos

@@ -8,7 +8,7 @@ oracle for the whole pipeline.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
+from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings
@@ -25,10 +25,6 @@ from unitfrac.construct import (
 )
 from unitfrac.families import ArithmeticFamily, GeometricFamily
 from unitfrac.greedy import _companion, recover_shadow
-
-
-def F(p, q=1):
-    return Fraction(p, q)
 
 
 # ----------------------------------------------------------- small pieces
@@ -95,7 +91,7 @@ def assert_lowest_terms(res):
     for c in res.certificates:
         values += [c.lower_margin, c.upper_margin]
     for x in values:
-        assert type(x) is Fraction
+        assert type(x) is F
         assert x.denominator > 0 and math.gcd(x.numerator, x.denominator) == 1
 
 

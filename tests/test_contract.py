@@ -14,15 +14,12 @@ terms, depth 20 and range 40. Sizes that run away (a large --terms,
 """
 from __future__ import annotations
 
-import contextlib
-import io
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from unitfrac import cli
 from unitfrac.construct import TargetSequence, construct
 from unitfrac.diagnostics import classify, shadow_bound_from_gap
 from unitfrac.families import (
@@ -48,6 +45,8 @@ from unitfrac.uniqueness import (
     sweep,
     uniqueness_consequences,
 )
+
+from test_cli_golden import run_main
 
 HALF = Fraction(1, 2)
 FAMILIES = (GeometricFamily(2, 3), ArithmeticFamily(2, 1), FibonacciFamily())
@@ -172,18 +171,6 @@ def switch(name):
 
 def joined(*parts):
     return st.tuples(*parts).map(lambda lists: sum(lists, []))
-
-
-def run_main(argv):
-    """Exit code, stdout and stderr of one in-process run."""
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            code = cli.main(argv)
-        except SystemExit as exc:
-            # argparse refuses an argv outside the grammar by exiting 2
-            code = exc.code
-    return code, out.getvalue(), err.getvalue()
 
 
 def argv_strategy():

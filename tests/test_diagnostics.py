@@ -7,7 +7,7 @@ real check rather than an echo.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
+from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings
@@ -38,10 +38,6 @@ from unitfrac.greedy import (
     wgaa_expand,
 )
 from unitfrac.rational import _SSA_BITS
-
-
-def F(p, q=1):
-    return Fraction(p, q)
 
 
 def fake_run(a, b, t=F(1)):

@@ -5,15 +5,13 @@ written out inline, independent of the interval helpers.
 """
 from __future__ import annotations
 
-import contextlib
-import io
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from unitfrac import cli, families
+from unitfrac import families
 from unitfrac.families import (
     ArithmeticFamily,
     FibonacciFamily,
@@ -24,6 +22,8 @@ from unitfrac.families import (
 )
 from unitfrac.greedy import _companion, bracket_misses
 from unitfrac.rational import format_rational
+
+from test_cli_golden import run_main
 
 
 def bracket_holds(a, a_next, b):
@@ -328,9 +328,8 @@ def test_family_command_evaluates_each_fibonacci_term_once(monkeypatch):
         return fibonacci_number(k)
 
     monkeypatch.setattr(families, "fibonacci_number", counting)
-    with contextlib.redirect_stdout(io.StringIO()):
-        code = cli.main(["family", "--spec", "fibonacci", "--terms", "1320",
-                         "--theta-enclosure", "--format", "json"])
+    code = run_main(["family", "--spec", "fibonacci", "--terms", "1320",
+                     "--theta-enclosure", "--format", "json"]).returncode
     assert code == 0
     assert len(calls) <= 2
 

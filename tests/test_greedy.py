@@ -1,8 +1,9 @@
 """Greedy and weak greedy expansion engine.
 
-The replay oracle below recomputes every shadow value from scratch with
-raw Fraction arithmetic and asserts the defining window on each step, so
-expected sequences frozen here were derived independently of the engine.
+The walk ``fraction_walk`` below recomputes every shadow value from
+scratch with raw Fraction arithmetic and asserts the defining window on
+each step, so expected sequences frozen here were derived independently
+of the engine.
 """
 from __future__ import annotations
 
@@ -34,17 +35,21 @@ from unitfrac.rational import _SSA_BITS
 from unitfrac.uniqueness import pair_uniqueness
 
 
-def oracle_shadow(theta, b_list):
-    """Replay b against theta step by step, checking the greedy window."""
-    r = Fraction(theta)
-    shadows = []
-    for b in b_list:
-        assert r > 0, "partial sums reached the target inside the oracle"
-        a = r.denominator // r.numerator + 1
-        assert Fraction(1, a) < r <= Fraction(1, a - 1)
-        shadows.append(a)
-        r -= Fraction(1, b)
-    return shadows
+def fraction_walk(theta, n_terms, choose):
+    """Shadows, choices and residuals by plain Fraction arithmetic.
+
+    Each shadow a_n is checked against its window 1/a_n < r <= 1/(a_n - 1),
+    and ``choose(n, a_n)`` gives b_n.
+    """
+    r, a, b, residuals = theta, [], [], []
+    for n in range(1, n_terms + 1):
+        assert r > 0, "partial sums reached the target inside the walk"
+        a.append(r.denominator // r.numerator + 1)
+        assert Fraction(1, a[-1]) < r <= Fraction(1, a[-1] - 1)
+        b.append(choose(n, a[-1]))
+        r -= Fraction(1, b[-1])
+        residuals.append(r)
+    return tuple(a), tuple(b), tuple(residuals)
 
 
 # ------------------------------------------------------------ pinned runs
@@ -54,13 +59,15 @@ def test_greedy_two_terms_19_48():
     assert list(run.a) == [3, 17]
     assert list(run.b) == [3, 17]
     assert list(run.residuals) == [Fraction(1, 16), Fraction(1, 272)]
-    assert oracle_shadow(Fraction(19, 48), run.b) == [3, 17]
+    assert fraction_walk(Fraction(19, 48), 2, lambda n, a_n: a_n) == (
+        run.a, run.b, run.residuals)
 
 
 def test_greedy_from_one_gives_sylvester_prefix():
     run = greedy_expand(Fraction(1), 4)
     assert list(run.a) == [2, 3, 7, 43]
-    assert oracle_shadow(Fraction(1), run.b) == [2, 3, 7, 43]
+    assert fraction_walk(Fraction(1), 4, lambda n, a_n: a_n) == (
+        run.a, run.b, run.residuals)
 
 
 def test_greedy_single_term_one_half():
@@ -84,18 +91,20 @@ def test_scaled_policy_without_last_greedy():
 
 
 def test_explicit_replay_frozen():
-    # derived by the oracle: residuals 3/4 -> 5/12 -> 7/24
-    want = oracle_shadow(Fraction(3, 4), [3, 8, 120])
-    assert want == [2, 3, 4]
-    rec = recover_shadow([3, 8, 120], Fraction(3, 4))
-    assert list(rec.a) == want
+    # derived by the walk: residuals 3/4 -> 5/12 -> 7/24
+    b = [3, 8, 120]
+    want, _, _ = fraction_walk(Fraction(3, 4), 3, lambda n, _: b[n - 1])
+    assert want == (2, 3, 4)
+    rec = recover_shadow(b, Fraction(3, 4))
+    assert rec.a == want
     assert rec.first_weak_violation is None
 
 
 def test_min_admissible_is_smallest_strictly_weak_choice():
     run = wgaa_expand(Fraction(2, 3), WgaaPolicy(t=Fraction(2),
                                                  selection="min-admissible"), 3)
-    assert list(run.a) == oracle_shadow(Fraction(2, 3), run.b)
+    assert fraction_walk(Fraction(2, 3), 3, lambda n, a_n: a_n + 1) == (
+        run.a, run.b, run.residuals)
     assert list(run.b) == [a + 1 for a in run.a]
     # with t = 1 the cap pins the choice back to greedy
     flat = wgaa_expand(Fraction(2, 3), WgaaPolicy(t=Fraction(1),
@@ -382,11 +391,9 @@ def test_deep_runs_match_fraction_replay(theta, selection):
     assert run.residuals[-1].denominator.bit_length() > least
     if deep:
         assert (run.a[-1] - 1).bit_length() >= _SSA_BITS  # the last m
-    r = theta
-    for a, b, got in zip(run.a, run.b, run.residuals):
-        assert a == r.denominator // r.numerator + 1
-        r -= Fraction(1, b)
-        assert (got.numerator, got.denominator) == (r.numerator, r.denominator)
+    a, _, residuals = fraction_walk(theta, len(run.b),
+                                    lambda n, _: run.b[n - 1])
+    assert a == run.a and residuals == run.residuals
     replay = recover_shadow(run.b, theta)
     assert replay.a == run.a and replay.residuals == run.residuals
 
@@ -418,17 +425,6 @@ def long_operands(a):
     """The operands m = a_n - 1 a walk with shadows a squares by the long
     kernel."""
     return {x - 1 for x in a if (x - 1).bit_length() >= _MEMO_BITS}
-
-
-def fraction_walk(theta, n_terms, choose):
-    """Shadows, choices and residuals by plain Fraction arithmetic."""
-    r, a, b, residuals = theta, [], [], []
-    for n in range(1, n_terms + 1):
-        a.append(r.denominator // r.numerator + 1)
-        b.append(choose(n, a[-1]))
-        r -= Fraction(1, b[-1])
-        residuals.append(r)
-    return tuple(a), tuple(b), tuple(residuals)
 
 
 def test_replay_and_growth_check_read_every_long_square_back(fresh_memo,

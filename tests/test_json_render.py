@@ -7,8 +7,6 @@ strings that look like the separators the renderer rewrites.
 """
 from __future__ import annotations
 
-import contextlib
-import io
 import json
 import sys
 
@@ -18,6 +16,8 @@ from hypothesis import strategies as st
 
 from unitfrac import cli
 from unitfrac._json import render
+
+from test_cli_golden import run_main
 
 
 class DictSubclass(dict):
@@ -85,10 +85,9 @@ def test_integer_past_the_digit_limit_exits_2(tmp_path):
     with pytest.raises(ValueError) as limit:
         str(a * a)
     message = str(limit.value)
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = cli.main(["unique", "--a-file", str(path), "--format", "json"])
+    code, out, err = run_main(["unique", "--a-file", str(path),
+                               "--format", "json"])
     assert code == cli.EXIT_USAGE
-    assert out.getvalue() == ""
-    assert err.getvalue() == f"error: {message}\n"
+    assert out == ""
+    assert err == f"error: {message}\n"
     assert "Exceeds the limit (" in message

@@ -10,9 +10,11 @@ the functions named by ``--function``, is flipped to its boundary partner
 through ``ast``. Each mutant is written into a copy of the source tree in a
 temporary directory (``TMPDIR`` chooses where), and the tests run against
 it with ``--hypothesis-seed=0``: the test files given after ``--``, or else
-``tests/test_<module>.py``, ``tests/test_acceptance.py`` and
-``tests/test_cli_golden.py``. A mutant is killed when the tests fail or
-time out. The tests must pass on the unmutated copy first.
+the files ``tests/test_<module>*.py`` (the module's name without leading
+underscores, so ``_json`` is tested by ``tests/test_json_render.py``),
+``tests/test_acceptance.py`` and ``tests/test_cli_golden.py``. A mutant is
+killed when the tests fail or time out. The tests must pass on the
+unmutated copy first.
 
 A survivor listed in ``EQUIVALENT`` is reported with its reason there;
 any other survivor makes the exit status 1. A mutant is named by its
@@ -157,8 +159,10 @@ def main(argv=None) -> int:
     path = Path(args.module).resolve()
     rel = path.relative_to(ROOT)
     name = path.stem
-    tests = args.tests or [f"tests/test_{name}.py", "tests/test_acceptance.py",
-                           "tests/test_cli_golden.py"]
+    own = sorted(str(test.relative_to(ROOT)) for test in
+                 (ROOT / "tests").glob(f"test_{name.lstrip('_')}*.py"))
+    tests = args.tests or list(dict.fromkeys(
+        own + ["tests/test_acceptance.py", "tests/test_cli_golden.py"]))
     source = path.read_text()
     tree = ast.parse(source)
     sites = _comparisons(tree, set(args.function))
