@@ -25,6 +25,7 @@ from .construct import ConstructionError, TargetSequence, construct
 from .diagnostics import DEFAULT_T_GRID, classify
 from .families import _enclosure, parse_family_spec
 from .greedy import (
+    _SELECTIONS,
     ReplayOverrunError,
     WgaaPolicy,
     bracket_misses,
@@ -471,8 +472,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--theta", required=True, help="target in (0, 1], as P/Q")
     p.add_argument("--terms", type=parse_int, required=True)
     p.add_argument("--t", default="1", help="weakness level, rational >= 1")
-    p.add_argument("--selection",
-                   choices=("greedy", "ceil-t-a", "min-admissible"))
+    p.add_argument("--selection", choices=_SELECTIONS)
     p.add_argument("--last-greedy", action="store_true",
                    help="force the final term to the greedy choice")
     _add_format(p)
@@ -547,7 +547,3 @@ def main(argv: Optional[list[str]] = None) -> int:
     except (ValueError, OSError, ConstructionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -36,6 +36,7 @@ _SAMPLE_MAX_GAP = 400
 class UniquenessVerdict(NamedTuple):
     """Outcome for one consecutive pair.
 
+    index is the pair's place in its sequence, from 1; a lone pair has 0.
     k is the forced value when unique; otherwise a representative
     candidate (the largest in the window, or the smallest when the
     window is unbounded above).
@@ -74,21 +75,22 @@ def _closed_criterion(a: int, a_next: int) -> tuple[bool, int, str]:
     return r >= 2 * a, a + q, "closed-nondivisible"
 
 
-def pair_uniqueness(a: int, a_next: int, index: int = 0) -> UniquenessVerdict:
+def _verdict(index: int, a: int, a_next: int, criterion) -> UniquenessVerdict:
+    # tuple.__new__ skips the field-by-field __new__ NamedTuple generates
+    return tuple.__new__(UniquenessVerdict,
+                         (index, a, a_next, *criterion(a, a_next)))
+
+
+def pair_uniqueness(a: int, a_next: int) -> UniquenessVerdict:
     """Open-window criterion: is the weak choice forced for this pair?"""
     _validate_pair(a, a_next)
-    positive_int(index, "index", 0)
-    return tuple.__new__(UniquenessVerdict,
-                         (index, a, a_next, *_open_criterion(a, a_next)))
+    return _verdict(0, a, a_next, _open_criterion)
 
 
-def pair_necessary_closed(a: int, a_next: int,
-                          index: int = 0) -> UniquenessVerdict:
+def pair_necessary_closed(a: int, a_next: int) -> UniquenessVerdict:
     """Closed-window criterion each pair must pass for a unique expansion."""
     _validate_pair(a, a_next)
-    positive_int(index, "index", 0)
-    return tuple.__new__(UniquenessVerdict,
-                         (index, a, a_next, *_closed_criterion(a, a_next)))
+    return _verdict(0, a, a_next, _closed_criterion)
 
 
 def _pairwise(a_seq, *criteria):
@@ -104,8 +106,7 @@ def _pairwise(a_seq, *criteria):
             raise ValueError(
                 f"pair {index} (a={a}, a_next={a_next}): {exc}") from exc
         for verdicts, criterion in zip(columns, criteria):
-            verdicts.append(tuple.__new__(
-                UniquenessVerdict, (index, a, a_next, *criterion(a, a_next))))
+            verdicts.append(_verdict(index, a, a_next, criterion))
     return [(all(v.unique for v in c), tuple(c)) for c in columns]
 
 

@@ -3,6 +3,13 @@
 Exit codes: 0 success, 1 verification failure, 2 malformed input or
 internal error.  Output must be byte-identical across repeat runs.
 
+A command's stdout bytes live in ``cli_golden.json`` (see
+``test_cli_golden.py``), and a fact pinned there is not asserted again
+here.  This file holds exit-code and stderr contracts, process-level
+behaviour, and what no record pins: outputs too long to record, runs
+under patched internals, the parser's reuse across calls, and inputs no
+golden case reads.
+
 Each command runs ``cli.main`` in-process through ``run_main``.  A test
 spawns ``python -m unitfrac`` only where the process is under test: the
 exit code it returns, a closed pipe, its peak memory, and its bytes under
@@ -21,7 +28,6 @@ import os
 import re
 import subprocess
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -74,30 +80,11 @@ def write_lines(path, values):
 
 # ------------------------------------------------------------------ expand
 
-def test_expand_greedy_json():
-    proc = run_main(["expand", "--theta", "19/48", "--terms", "2",
-                     "--format", "json"])
-    assert proc.returncode == 0, proc.stderr
-    doc = json.loads(proc.stdout)
-    assert set(doc) == {"theta", "t", "selection", "a", "b", "residuals"}
-    assert doc["theta"] == "19/48"
-    assert doc["selection"] == "greedy"
-    assert doc["a"] == [3, 17] and doc["b"] == [3, 17]
-    assert doc["residuals"] == ["1/16", "1/272"]
+def test_expand_has_no_lambda_option():
     # there is no index set to give: the cap holds at every index
-    gone = run_main(["expand", "--theta", "19/48", "--terms", "2",
+    proc = run_main(["expand", "--theta", "19/48", "--terms", "2",
                      "--lambda", "all"])
-    assert (gone.returncode, gone.stdout) == (2, "")
-
-
-def test_expand_scaled_last_greedy():
-    proc = run_main(["expand", "--theta", "19/48", "--t", "4/3",
-                     "--terms", "2", "--last-greedy", "--format", "json"])
-    assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout)["b"] == [4, 7]
-    proc = run_main(["expand", "--theta", "19/48", "--t", "4/3",
-                     "--terms", "2", "--format", "json"])
-    assert json.loads(proc.stdout)["b"] == [4, 10]
+    assert (proc.returncode, proc.stdout) == (2, "")
 
 
 @pytest.mark.parametrize("theta", ["0/1", "5/4", "-1/2", "abc", "1/0"])
@@ -120,39 +107,6 @@ def test_expand_term_cap_env():
 
 
 # ------------------------------------------------------------------ verify
-
-def test_verify_long_quadratic_file(tmp_path):
-    b_file = write_lines(tmp_path / "b.txt",
-                         (n * (n + 2) for n in range(1, 501)))
-    proc = run_main(["verify", "--b-file", b_file, "--theta", "3/4",
-                     "--format", "json"])
-    assert proc.returncode == 0, proc.stderr
-    doc = json.loads(proc.stdout)
-    assert doc["ok"] is True
-    assert doc["a"][:4] == [2, 3, 4, 5]
-    assert doc["first-weak-violation"] is None
-    assert doc["bracket-checked"] is False
-
-
-def test_verify_weakness_violation(tmp_path):
-    b_file = write_lines(tmp_path / "b.txt", [2])
-    proc = run_main(["verify", "--b-file", b_file, "--theta", "1/2",
-                     "--format", "json"])
-    assert proc.returncode == 1
-    doc = json.loads(proc.stdout)
-    assert doc["ok"] is False
-    assert doc["first-weak-violation"] == 1
-
-
-def test_verify_overrun(tmp_path):
-    b_file = write_lines(tmp_path / "b.txt", [2, 3, 10])
-    proc = run_main(["verify", "--b-file", b_file, "--theta", "51/100",
-                     "--format", "json"])
-    assert proc.returncode == 1
-    doc = json.loads(proc.stdout)
-    assert doc["ok"] is False
-    assert doc["overrun-at"] == 3
-
 
 def test_verify_overrun_at_an_exact_zero_residual(tmp_path):
     # 1/2 - 1/2 leaves exactly 0, so index 2 has no shadow
@@ -264,24 +218,6 @@ def test_verify_missing_file():
 
 # --------------------------------------------------------------- construct
 
-def test_construct_from_file_with_rule(tmp_path):
-    a_file = write_lines(tmp_path / "a.txt", [2, 3, 5])
-    proc = run_main(["construct", "--a-file", a_file, "--repeat-last-delta",
-                     "--depth", "5", "--format", "json"])
-    assert proc.returncode == 0, proc.stderr
-    doc = json.loads(proc.stdout)
-    assert doc["b"] == [5, 7, 17, 31, 49]
-    assert doc["verification-depth"] == 5
-    assert doc["theta-enclosure"]["lo_open"] is True
-
-
-def test_construct_from_family():
-    proc = run_main(["construct", "--family", "geometric:a=2,r=3",
-                     "--depth", "6", "--format", "json"])
-    assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout)["b"] == [2, 8, 26, 80, 242, 728]
-
-
 def test_construct_exhaustion_is_malformed(tmp_path):
     a_file = write_lines(tmp_path / "a.txt", [2, 2, 3, 3, 4, 4])
     proc = run_main(["construct", "--a-file", a_file, "--repeat-last-delta",
@@ -331,15 +267,6 @@ def test_unique_mode_flags_exclusive(tmp_path):
     assert_usage_error(proc, "--pair", "--range")
     proc = run_main(["unique", "--a-file", a_file, "--sample", "5"])
     assert_usage_error(proc, "--a-file", "--sample")
-
-
-def test_unique_pair_json():
-    proc = run_main(["unique", "--pair", "2", "7", "--format", "json"])
-    assert proc.returncode == 0, proc.stderr
-    doc = json.loads(proc.stdout)
-    assert doc["open"]["unique"] is True and doc["open"]["k"] == 2
-    assert doc["closed"]["unique"] is True
-    assert doc["consequences"]["ratio_above_3"] is True
 
 
 def test_unique_sample_deterministic():
@@ -404,53 +331,12 @@ def test_unique_range_summary_holds_no_rows():
 
 # ------------------------------------------------------------------ family
 
-def test_family_table_and_enclosure():
-    proc = run_main(["family", "--spec", "fibonacci", "--terms", "6",
-                     "--format", "json"])
-    assert proc.returncode == 0, proc.stderr
-    doc = json.loads(proc.stdout)
-    assert doc["a"] == [1, 2, 3, 5, 8, 13]
-    assert doc["b"] == [3, 5, 7, 13, 20, 34]
-    assert doc["bracket-ok"] is True
-    assert "theta-enclosure" not in doc
-    proc = run_main(["family", "--spec", "geometric:a=2,r=3", "--terms", "30",
-                     "--theta-enclosure", "--format", "json"])
-    doc = json.loads(proc.stdout)
-    lo = Fraction(doc["theta-enclosure"]["lo"])
-    assert abs(float(lo) - 0.68215) < 1e-4
-
-
 def test_family_rejects_unknown_spec():
     proc = run_main(["family", "--spec", "explicit", "--terms", "4"])
     assert proc.returncode == 2
 
 
 # ---------------------------------------------------------------- classify
-
-def test_classify_cli(tmp_path):
-    a_file = write_lines(tmp_path / "a.txt",
-                         (n + 1 for n in range(1, 201)))
-    b_file = write_lines(tmp_path / "b.txt",
-                         (n * (n + 2) for n in range(1, 201)))
-    proc = run_main(["classify", "--a-file", a_file, "--b-file", b_file,
-                     "--format", "json"])
-    assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout)["verdict"] == "not-producible-evidence"
-
-    geo_a = write_lines(tmp_path / "ga.txt",
-                        (2 * 3 ** (n - 1) for n in range(1, 21)))
-    geo_b = write_lines(tmp_path / "gb.txt",
-                        (3**n - 1 for n in range(1, 21)))
-    proc = run_main(["classify", "--a-file", geo_a, "--b-file", geo_b,
-                     "--family", "geometric:a=2,r=3", "--format", "json"])
-    doc = json.loads(proc.stdout)
-    assert doc["verdict"] == "producible-evidence"
-    assert doc["closed-form-limit"] == "3/1"
-    proc = run_main(["classify", "--a-file", geo_a, "--b-file", geo_b,
-                     "--t-grid", "1,3/2", "--format", "json"])
-    doc = json.loads(proc.stdout)
-    assert [w["t"] for w in doc["witness-counts"]] == ["1/1", "3/2"]
-
 
 def test_classify_rejects_empty_t_grid(tmp_path):
     a_file = write_lines(tmp_path / "a.txt", [2, 3, 4])

@@ -87,11 +87,9 @@ ENTRY_POINTS = {
         [2, x], Fraction(3, 4), Fraction(1, 8)),
 }
 
-# a Fibonacci index, the terms a tail follows and a pair's index may be 0
+# a Fibonacci index and the terms a tail follows may be 0
 FROM_ZERO = {
     "fibonacci_number": fibonacci_number,
-    "pair_uniqueness index": lambda x: pair_uniqueness(2, 7, x),
-    "pair_necessary_closed index": lambda x: pair_necessary_closed(2, 7, x),
     **{f"{type(f).__name__}.tail_bracket": f.tail_bracket for f in FAMILIES},
 }
 

@@ -135,9 +135,10 @@ def test_necessary_uniqueness_sequences():
 
 
 def test_verdict_json():
-    doc = cli._verdict_doc(pair_uniqueness(2, 7, index=3))
-    assert doc == {"index": 3, "a": 2, "a-next": 7, "unique": True,
-                   "k": 2, "case": "open-divisible"}
+    _, verdicts = sufficient_uniqueness([2, 7, 57, 3263])
+    doc = cli._verdict_doc(verdicts[2])
+    assert doc == {"index": 3, "a": 57, "a-next": 3263, "unique": False,
+                   "k": 58, "case": "open-nondivisible"}
     assert isinstance(pair_uniqueness(2, 7), UniquenessVerdict)
 
 
