@@ -1,39 +1,53 @@
 """Exact arithmetic for greedy and weak greedy unit-fraction approximation.
 
 The package namespace holds the names the README and the demos use; every
-other public name is imported from its own module.
+other public name is imported from its own module. Each name is resolved
+on first use (PEP 562), so importing the package, as every command does,
+loads none of its modules.
 """
 
-from .rational import format_rational
-from .greedy import (
-    ReplayOverrunError,
-    WgaaPolicy,
-    bracket_misses,
-    greedy_expand,
-    recover_shadow,
-    wgaa_expand,
-)
-from .families import (
-    ArithmeticFamily,
-    FibonacciFamily,
-    GeometricFamily,
-    theta_partial,
-)
-from .construct import TargetSequence, construct
-from .uniqueness import (
-    necessary_uniqueness,
-    pair_necessary_closed,
-    pair_uniqueness,
-    sufficient_uniqueness,
-    sweep,
-)
-from .diagnostics import (
-    DEFAULT_T_GRID,
-    classify,
-    scaled_run_ratio_checks,
-    shadow_bound_from_gap,
-)
+import sys
+from importlib import import_module
+from types import ModuleType
 
+# the names of __all__, by the module that defines each
+_HOMES = {
+    "rational": ("format_rational",),
+    "greedy": ("ReplayOverrunError", "WgaaPolicy", "bracket_misses",
+               "greedy_expand", "recover_shadow", "wgaa_expand"),
+    "families": ("ArithmeticFamily", "FibonacciFamily", "GeometricFamily",
+                 "theta_partial"),
+    "construct": ("TargetSequence", "construct"),
+    "uniqueness": ("necessary_uniqueness", "pair_necessary_closed",
+                   "pair_uniqueness", "sufficient_uniqueness", "sweep"),
+    "diagnostics": ("DEFAULT_T_GRID", "classify", "scaled_run_ratio_checks",
+                    "shadow_bound_from_gap"),
+}
+
+
+def __getattr__(name):
+    for module, names in _HOMES.items():
+        if name in names:
+            value = getattr(import_module(f".{module}", __name__), name)
+            globals()[name] = value
+            return value
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+class _Package(ModuleType):
+    """The package module's class. Python binds a submodule as an
+    attribute of its package when the submodule is first imported, by
+    whatever importer, so ``unitfrac.construct`` would become the module
+    where the function ``construct`` belongs; this class keeps the
+    function there."""
+
+    def __setattr__(self, name, value):
+        if name == "construct" and isinstance(value, ModuleType):
+            value = value.construct
+        super().__setattr__(name, value)
+
+
+sys.modules[__name__].__class__ = _Package
 
 __all__ = [
     "format_rational",

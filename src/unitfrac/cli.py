@@ -7,8 +7,6 @@ reader closes the output pipe early.  Output is deterministic: the same
 invocation produces identical bytes.  It is written whole once the command
 has finished, so stdout stays empty when the exit code is 2.
 """
-from __future__ import annotations
-
 import argparse
 import contextlib
 import functools
@@ -20,31 +18,10 @@ import sys
 from collections import Counter
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
-from . import _json
-from .construct import ConstructionError, TargetSequence, construct
-from .diagnostics import DEFAULT_T_GRID, classify
-from .families import _enclosure, parse_family_spec
-from .greedy import (
-    _SELECTIONS,
-    ReplayOverrunError,
-    WgaaPolicy,
-    bracket_misses,
-    recover_shadow,
-    wgaa_expand,
-)
+# a command imports the modules it runs, so only rational, which reads
+# and prints the numbers of every command, is imported here
 from .rational import (_INT_RE, format_rational, parse_int, parse_rational,
                        positive_int)
-from .uniqueness import (
-    CensusRow,
-    _closed_criterion,
-    _open_criterion,
-    _pairwise,
-    pair_necessary_closed,
-    pair_uniqueness,
-    sample_pairs,
-    sweep,
-    uniqueness_consequences,
-)
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -135,6 +112,7 @@ def _emit(report: Report, fmt: str) -> int:
     """
     csv_columns = report.csv_columns or report.columns
     if fmt == "json":
+        from . import _json
         pieces = _json.render(report.doc()) + ["\n"]
     elif fmt == "csv" and csv_columns:
         pieces = list(_csv_pieces(csv_columns, report.rows))
@@ -193,17 +171,19 @@ def _expand_doc(run) -> dict:
 
 
 def _cmd_expand(args) -> Report:
+    from .greedy import WgaaPolicy, wgaa_expand
     theta = parse_rational(args.theta)
     t = parse_rational(args.t)
     selection = args.selection or ("greedy" if t == 1 else "ceil-t-a")
     policy = WgaaPolicy(t=t, selection=selection)
-    run = wgaa_expand(theta, policy, args.terms,
+    run = wgaa_expand(theta, policy, positive_int(args.terms, "--terms"),
                       last_greedy=args.last_greedy)
     return _walk_report(functools.partial(_expand_doc, run),
                         run.a, run.b, run.residuals)
 
 
 def _cmd_verify(args) -> Report:
+    from .greedy import ReplayOverrunError, bracket_misses, recover_shadow
     b_values = _read_sequence_file(args.b_file)
     theta = parse_rational(args.theta)
 
@@ -293,6 +273,8 @@ def _construct_doc(result) -> dict:
 
 
 def _cmd_construct(args) -> Report:
+    from .construct import ConstructionError, TargetSequence, construct
+    from .families import parse_family_spec
     if args.family is not None and args.repeat_last_delta:
         raise ValueError("--repeat-last-delta applies only to --a-file")
     if args.a_file is not None:
@@ -301,7 +283,12 @@ def _cmd_construct(args) -> Report:
         seq = TargetSequence.from_explicit(values, rule)
     else:
         seq = TargetSequence.from_family(parse_family_spec(args.family))
-    result = construct(seq, args.depth)
+    depth = positive_int(args.depth, "--depth")
+    try:
+        result = construct(seq, depth)
+    except ConstructionError as exc:
+        # a failed internal check: exit 2, as main gives malformed input
+        raise ValueError(exc) from exc
     rows = ((c.index, result.a_prefix[c.index - 1],
              result.b_prefix[c.index - 1], lower, upper)
             for c, lower, upper in _margin_texts(result.certificates))
@@ -312,28 +299,28 @@ def _cmd_construct(args) -> Report:
                   before=_construct_summary(result))
 
 
-_CENSUS_KEY = operator.itemgetter(*map(CensusRow._fields.index, (
-    "open_unique", "open_case", "closed_unique", "closed_case",
-    "open_agrees", "closed_agrees", "consequences_ok")))
+def _census_report(rows: Iterator[tuple]) -> Report:
+    """Summary of ``CensusRow``s, folded in the one pass that produces them.
 
-
-def _census_report(rows: Iterator[CensusRow]) -> Report:
-    """Summary of census rows, folded in the one pass that produces them.
-
-    The fold is a ``Counter`` of ``_CENSUS_KEY``s fed by ``map``: by each
-    csv piece as it streams out, or by the whole row iterator for json and
-    table, which hold no rows. The summary is read off its few keys.
+    The fold is a ``Counter`` of each row's ``key``, the fields the summary
+    reads, fed by ``map``: by each csv piece as it streams out, or by the
+    whole row iterator for json and table, which hold no rows. The summary
+    is read off its few keys.
     """
+    from .uniqueness import CensusRow
+    key = operator.itemgetter(*map(CensusRow._fields.index, (
+        "open_unique", "open_case", "closed_unique", "closed_case",
+        "open_agrees", "closed_agrees", "consequences_ok")))
     tally = Counter()
 
     def pieces() -> Iterator[list]:
         for piece in iter(lambda: list(itertools.islice(
                 rows, _CSV_PIECE_ROWS)), []):
-            tally.update(map(_CENSUS_KEY, piece))
+            tally.update(map(key, piece))
             yield piece
 
     def summary():
-        tally.update(map(_CENSUS_KEY, rows))
+        tally.update(map(key, rows))
         items = tally.items()
         cases = Counter()
         for (_, open_case, _, closed_case, *_), n in items:
@@ -360,6 +347,9 @@ def _census_report(rows: Iterator[CensusRow]) -> Report:
 
 
 def _cmd_unique(args) -> Report:
+    from .uniqueness import (_closed_criterion, _open_criterion, _pairwise,
+                             pair_necessary_closed, pair_uniqueness,
+                             sample_pairs, sweep, uniqueness_consequences)
     if args.pair is not None:
         a, a_next = args.pair
         verdicts = (("open", pair_uniqueness(a, a_next)),
@@ -390,11 +380,14 @@ def _cmd_unique(args) -> Report:
              "closed-unique", "closed-case"), rows,
             after=(f"sufficient: {suff}", f"necessary: {nec}"))
     if args.range is not None:
-        return _census_report(sweep(args.range))
-    return _census_report(sample_pairs(args.sample, args.seed))
+        return _census_report(sweep(positive_int(args.range, "--range", 3)))
+    return _census_report(
+        sample_pairs(positive_int(args.sample, "--sample"), args.seed))
 
 
 def _cmd_family(args) -> Report:
+    from .families import _enclosure, parse_family_spec
+    from .greedy import bracket_misses
     family = parse_family_spec(args.spec)
     # one target past the last term closes the last bracket
     a_vals, b_vals = family.terms(positive_int(args.terms, "--terms"))
@@ -439,6 +432,8 @@ def _classify_doc(report) -> dict:
 
 
 def _cmd_classify(args) -> Report:
+    from .diagnostics import DEFAULT_T_GRID, classify
+    from .families import parse_family_spec
     a_values = _read_sequence_file(args.a_file)
     b_values = _read_sequence_file(args.b_file)
     t_grid = (tuple(map(parse_rational, args.t_grid.split(",")))
@@ -463,6 +458,7 @@ def _add_format(sub) -> None:
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The parser, built once per process and shared by every ``main``."""
+    from .greedy import _SELECTIONS
     parser = argparse.ArgumentParser(
         prog="unitfrac",
         description="Exact greedy and weak-greedy unit fraction expansions")
@@ -544,6 +540,6 @@ def main(argv: Optional[list[str]] = None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return EXIT_PIPE_CLOSED
-    except (ValueError, OSError, ConstructionError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

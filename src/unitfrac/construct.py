@@ -20,8 +20,6 @@ plateau j onward spend less than every banked slack theta_k, k <= j.
 Exact suffix sums turn the claim into per-index certificates with
 strictly positive margins.
 """
-from __future__ import annotations
-
 import itertools
 import math
 from fractions import Fraction

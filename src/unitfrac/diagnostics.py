@@ -9,8 +9,6 @@ could come from a fixed-t process, but only a declared ratio limit above
 one upgrades that to producible: when a_{n+1}/a_n tends to 1 the bracket
 forces b_n/a_n to blow up, so any finite window of witnesses is transient.
 """
-from __future__ import annotations
-
 from fractions import Fraction
 from typing import NamedTuple, Optional
 

@@ -46,8 +46,6 @@ Walks that overlap in time on threads share the one memo; a hit is
 keyed by the operand's value, so they stay exact, and the memo may then
 hold the squares of all of them.
 """
-from __future__ import annotations
-
 import math
 from fractions import Fraction
 from typing import Callable, NamedTuple, Optional, Sequence

@@ -37,8 +37,6 @@ and ``parse_rational`` reads its numerator and denominator the same way.
 
 No floating point is used anywhere here; every comparison is exact.
 """
-from __future__ import annotations
-
 import math
 import re
 from fractions import Fraction

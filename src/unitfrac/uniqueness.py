@@ -21,8 +21,6 @@ one of three rules:
 - open, r > 0: k = a + q, and the pair is unique exactly when
   r + 1 >= 2(q + a), since q (d + 2) = a^2 - r + 2q <= (a-1)^2 is that.
 """
-from __future__ import annotations
-
 import random
 from typing import Iterator, NamedTuple, Optional
 

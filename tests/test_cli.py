@@ -23,6 +23,7 @@ that record with
 """
 from __future__ import annotations
 
+import importlib
 import json
 import os
 import re
@@ -231,7 +232,10 @@ def test_construct_internal_error_exits_2(monkeypatch):
     # a failed certificate check is a bug, not a failed verification
     def fail(seq, depth):
         raise ConstructionError("certificate failed at index 1")
-    monkeypatch.setattr(cli, "construct", fail)
+    # the module, which ``import unitfrac.construct as m`` would not give:
+    # that binds the function the package exports under the same name
+    monkeypatch.setattr(importlib.import_module("unitfrac.construct"),
+                        "construct", fail)
     proc = run_main(["construct", "--family", "fibonacci", "--depth", "3"])
     assert proc == (2, "", "error: certificate failed at index 1\n")
 
@@ -243,6 +247,18 @@ def assert_usage_error(proc, *flags):
     assert "error" in proc.stderr
     for flag in flags:
         assert flag in proc.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ["expand", "--theta", "19/48", "--terms", "0"],
+    ["construct", "--family", "fibonacci", "--depth", "0"],
+    ["unique", "--range", "2"],
+    ["unique", "--sample", "0"],
+    ["family", "--spec", "fibonacci", "--terms", "0"],
+], ids=lambda argv: f"{argv[0]}{argv[-2]}")
+def test_out_of_range_option_is_named(argv):
+    # the message names the option, not the library's parameter
+    assert_usage_error(run_main(argv), f"{argv[-2]} must be an integer >= ")
 
 
 def test_construct_source_flags_exclusive(tmp_path):

@@ -311,7 +311,7 @@ def test_census_reads_its_rows_once(monkeypatch, fmt):
     # counted and turn the exit code to 1
     rows = list(sweep(30))
     rows[7] = rows[7]._replace(closed_agrees=False)
-    monkeypatch.setattr(cli, "sweep", lambda limit: iter(rows))
+    monkeypatch.setattr(uniqueness, "sweep", lambda limit: iter(rows))
     code, stdout, _ = run_main(["unique", "--range", "30", "--format", fmt])
     check_census_output(fmt, code, stdout, rows)
 

@@ -6,23 +6,35 @@ imported to be exported.  A second scan checks that the package reads no
 environment variable: its settings come from arguments only.  A third
 keeps the integer input check in one place: only ``rational.py`` tests
 whether a value is a bool.  A fourth keeps every output document in the
-command line: no library type serialises itself, and only ``cli.py`` and
-the package namespace import ``format_rational``. A fifth keeps module
-state with the walk that owns it: only ``greedy.py`` has a ``global``
-statement. The last two keep every process start light: no module of
-the package imports ``dataclasses``, and importing the package and its
-command line loads none of ``dataclasses``, ``inspect`` and ``csv``.
+command line: no library type serialises itself, and only ``cli.py``
+imports ``format_rational``. A fifth keeps module state with the walk
+that owns it: only ``greedy.py`` has a ``global`` statement.
+
+The rest keep every process start light. No module of the package
+imports ``dataclasses``, and no record's field types are strings, which
+typing compiles into ``ForwardRef``s at import. In a fresh interpreter,
+importing the package and its command line loads none of its algorithm
+modules, nor ``json``, ``dataclasses``, ``inspect`` and ``csv``: the
+namespace resolves its names on first use, and each command imports the
+modules it runs and no others. The package's ``construct`` stays the
+function however its submodule was imported first.
 """
 from __future__ import annotations
 
 import ast
+import importlib
 import os
 import subprocess
 import sys
+import typing
 from pathlib import Path
+
+import pytest
 
 REPO = Path(__file__).resolve().parent.parent
 SCANNED = ("src/unitfrac", "tests", "demos")
+MODULES = sorted(path.stem for path in (REPO / "src/unitfrac").glob("*.py")
+                 if path.stem not in ("__init__", "__main__"))
 
 
 def imported_names(tree: ast.Module) -> dict[str, int]:
@@ -112,7 +124,7 @@ def test_documents_only_in_cli():
         if "format_rational" in imported_names(tree):
             formatters.append(path.name)
     assert methods == []
-    assert formatters == ["__init__.py", "cli.py"]
+    assert formatters == ["cli.py"]
 
 
 def test_global_statements_only_in_greedy():
@@ -141,19 +153,115 @@ def test_no_dataclasses_import():
     assert hits == []
 
 
+def test_records_hold_no_string_annotations():
+    """Under ``from __future__ import annotations`` each field type of a
+    ``NamedTuple`` is a string that typing compiles into a ``ForwardRef``
+    while the module is imported: 59 compiles, once most of this
+    package's import time."""
+    hints = {}
+    for name in MODULES:
+        module = importlib.import_module(f"unitfrac.{name}")
+        for record in vars(module).values():
+            if (isinstance(record, type) and issubclass(record, tuple)
+                    and record.__module__ == module.__name__):
+                for cls in record.__mro__:
+                    for field, hint in vars(cls).get(
+                            "__annotations__", {}).items():
+                        hints[f"{name}.{record.__name__}.{field}"] = hint
+    assert "cli.Report.doc" in hints and "rational.RationalInterval.lo" in hints
+    assert [key for key, hint in hints.items()
+            if isinstance(hint, (str, typing.ForwardRef))] == []
+
+
+def fresh_modules(script: str, *argv: str) -> list[str]:
+    """The names ``script`` prints last, run with ``argv`` in a fresh
+    interpreter that imports this unitfrac."""
+    proc = subprocess.run(
+        [sys.executable, "-c", script, *argv], capture_output=True,
+        text=True, check=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": str(REPO / "src")})
+    return proc.stdout.splitlines()[-1].split()
+
+
 def test_start_up_import_graph():
     """The modules ``import unitfrac, unitfrac.cli`` adds to a fresh
     interpreter. ``dataclasses`` brings ``inspect``, and the two were most
     of the start-up time of every command; the csv output joins its fields
-    itself, so ``csv`` is not needed either. Modules the interpreter loaded
-    before, as a site hook may, are not counted."""
-    script = ("import sys\n"
-              "before = set(sys.modules)\n"
-              "import unitfrac, unitfrac.cli\n"
-              "print(*sorted(set(sys.modules) - before))\n")
-    added = subprocess.run(
-        [sys.executable, "-c", script], capture_output=True, text=True,
-        check=True, timeout=60,
-        env={**os.environ, "PYTHONPATH": str(REPO / "src")}).stdout.split()
+    itself, so ``csv`` is not needed either; ``json`` is for json output
+    alone, and each algorithm module for the commands that run it. Modules
+    the interpreter loaded before, as a site hook may, are not counted."""
+    added = fresh_modules("import sys\n"
+                          "before = set(sys.modules)\n"
+                          "import unitfrac, unitfrac.cli\n"
+                          "print(*sorted(set(sys.modules) - before))\n")
     assert "unitfrac.cli" in added
-    assert {"dataclasses", "inspect", "csv"}.isdisjoint(added), added
+    assert {"dataclasses", "inspect", "csv", "json", "unitfrac._json",
+            "unitfrac.greedy", "unitfrac.construct", "unitfrac.families",
+            "unitfrac.uniqueness", "unitfrac.diagnostics",
+            }.isdisjoint(added), added
+
+
+COMMAND_MODULES = {
+    "expand": (["expand", "--theta", "19/48", "--terms", "4"], ["greedy"]),
+    "expand-json": (["expand", "--theta", "19/48", "--terms", "4",
+                     "--format", "json"], ["_json", "greedy"]),
+    "verify": (["verify", "--b-file", "@b", "--theta", "19/48"],
+               ["greedy"]),
+    "construct": (["construct", "--family", "arithmetic:a=2,d=1",
+                   "--depth", "3", "--format", "json"],
+                  ["_json", "construct", "families", "greedy"]),
+    "unique-pair": (["unique", "--pair", "2", "7"], ["greedy", "uniqueness"]),
+    "unique-file": (["unique", "--a-file", "@b"], ["greedy", "uniqueness"]),
+    "unique-range": (["unique", "--range", "10", "--format", "csv"],
+                     ["greedy", "uniqueness"]),
+    "unique-sample": (["unique", "--sample", "3"], ["greedy", "uniqueness"]),
+    "family": (["family", "--spec", "fibonacci", "--terms", "4"],
+               ["families", "greedy"]),
+    "classify": (["classify", "--a-file", "@b", "--b-file", "@b"],
+                 ["diagnostics", "families", "greedy"]),
+}
+
+
+@pytest.mark.parametrize("case", COMMAND_MODULES)
+def test_command_imports_what_it_runs(case, tmp_path):
+    """The package modules one ``cli.main`` call loads, besides the
+    package, ``cli`` and ``rational``; ``json`` comes with ``_json``, unless
+    the interpreter loaded it before."""
+    argv, modules = COMMAND_MODULES[case]
+    # "@b" stands for a file of the greedy denominators of 19/48
+    b_file = tmp_path / "b.txt"
+    b_file.write_text("3\n17\n273\n")
+    argv = [str(b_file) if arg == "@b" else arg for arg in argv]
+    loaded = fresh_modules(
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "from unitfrac import cli\n"
+        "assert cli.main(sys.argv[1:]) == 0\n"
+        "print()\n"
+        "print(*sorted(m for m in set(sys.modules) - before\n"
+        "              if m.startswith('unitfrac') or m == 'json'))\n", *argv)
+    expected = ["cli", "rational", *modules]
+    assert loaded == sorted(["unitfrac", *(f"unitfrac.{m}" for m in expected),
+                             *(["json"] if "_json" in modules else [])])
+
+
+def test_namespace_resolves_every_public_name():
+    import unitfrac
+    homes = {name: module for module, names in unitfrac._HOMES.items()
+             for name in names}
+    assert sorted(homes) == sorted(unitfrac.__all__)
+    for name, module in homes.items():
+        home = importlib.import_module(f"unitfrac.{module}")
+        assert getattr(unitfrac, name) is getattr(home, name), name
+
+
+def test_package_construct_is_the_function():
+    """Importing the submodule ``unitfrac.construct`` binds the module as
+    the package's ``construct``, over the function of that name; the
+    package keeps the function, whichever is imported first."""
+    names = fresh_modules(
+        "from unitfrac.construct import TargetSequence\n"
+        "from unitfrac import construct\n"
+        "import unitfrac\n"
+        "print(type(construct).__name__, type(unitfrac.construct).__name__)\n")
+    assert names == ["function", "function"]
