@@ -10,7 +10,8 @@ import sys
 from importlib import import_module
 from types import ModuleType
 
-# the names of __all__, by the module that defines each
+# the public names, by the module that defines each, in the order of
+# __all__
 _HOMES = {
     "rational": ("format_rational",),
     "greedy": ("ReplayOverrunError", "WgaaPolicy", "bracket_misses",
@@ -49,29 +50,6 @@ class _Package(ModuleType):
 
 sys.modules[__name__].__class__ = _Package
 
-__all__ = [
-    "format_rational",
-    "ReplayOverrunError",
-    "WgaaPolicy",
-    "bracket_misses",
-    "greedy_expand",
-    "recover_shadow",
-    "wgaa_expand",
-    "ArithmeticFamily",
-    "FibonacciFamily",
-    "GeometricFamily",
-    "theta_partial",
-    "TargetSequence",
-    "construct",
-    "necessary_uniqueness",
-    "pair_necessary_closed",
-    "pair_uniqueness",
-    "sufficient_uniqueness",
-    "sweep",
-    "DEFAULT_T_GRID",
-    "classify",
-    "scaled_run_ratio_checks",
-    "shadow_bound_from_gap",
-]
+__all__ = [name for names in _HOMES.values() for name in names]
 
 __version__ = "0.1.0"

@@ -350,6 +350,8 @@ def _cmd_unique(args) -> Report:
     from .uniqueness import (_closed_criterion, _open_criterion, _pairwise,
                              pair_necessary_closed, pair_uniqueness,
                              sample_pairs, sweep, uniqueness_consequences)
+    if args.seed is not None and args.sample is None:
+        raise ValueError("--seed applies only to --sample")
     if args.pair is not None:
         a, a_next = args.pair
         verdicts = (("open", pair_uniqueness(a, a_next)),
@@ -382,7 +384,7 @@ def _cmd_unique(args) -> Report:
     if args.range is not None:
         return _census_report(sweep(positive_int(args.range, "--range", 3)))
     return _census_report(
-        sample_pairs(positive_int(args.sample, "--sample"), args.seed))
+        sample_pairs(positive_int(args.sample, "--sample"), args.seed or 0))
 
 
 def _cmd_family(args) -> Report:
@@ -505,7 +507,8 @@ def build_parser() -> argparse.ArgumentParser:
     mode.add_argument("--range", type=parse_int,
                       help="check all pairs up to this bound")
     mode.add_argument("--sample", type=parse_int, help="check random pairs")
-    p.add_argument("--seed", type=parse_int, default=0)
+    p.add_argument("--seed", type=parse_int,
+                   help="seed of --sample's pairs (default 0)")
     _add_format(p)
     p.set_defaults(func=_cmd_unique)
 

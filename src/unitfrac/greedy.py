@@ -11,7 +11,7 @@ Consecutive shadows a < a' bound the choice between them by the
 telescoping bracket 1/a - 1/a' < 1/b < 1/(a-1) - 1/(a'-1), in integers
 (a-1)(a'-1) < b (a'-a) < a a'. Its length is 1 + (2a - 1)/(a' - a), so it
 always holds an integer. ``bracket_misses(a, b)`` is the one check of
-whole sequences against it, which ``verify --bracket`` and ``classify``
+whole sequences against it, which ``verify --bracket`` and ``family``
 run, and ``_companion``, its largest integer, the one companion rule,
 which ``construct`` and ``families`` take.
 

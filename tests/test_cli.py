@@ -283,12 +283,20 @@ def test_unique_mode_flags_exclusive(tmp_path):
     assert_usage_error(proc, "--pair", "--range")
     proc = run_main(["unique", "--a-file", a_file, "--sample", "5"])
     assert_usage_error(proc, "--a-file", "--sample")
+    # a seed is read by --sample alone, so no other mode takes one
+    for mode in (["--pair", "2", "7"], ["--a-file", a_file],
+                 ["--range", "10"]):
+        proc = run_main(["unique", *mode, "--seed", "5"])
+        assert_usage_error(proc, "--seed applies only to --sample")
 
 
 def test_unique_sample_deterministic():
     stdout = run_under_two_hash_seeds(["unique", "--sample", "10",
                                        "--seed", "3", "--format", "csv"])
     assert stdout.count("\n") == 11
+    # without --seed a sample is drawn from seed 0
+    argv = ["unique", "--sample", "10", "--format", "csv"]
+    assert run_main(argv) == run_main([*argv, "--seed", "0"])
 
 
 def test_unique_file_reports(tmp_path):

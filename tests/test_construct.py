@@ -14,9 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from unitfrac import cli
 from unitfrac.construct import (
-    ConstructionResult,
     DepthExhausted,
     InvalidSequence,
     TargetSequence,
@@ -177,8 +175,6 @@ def test_long_operands_recomputed_by_fractions(seq, depth, bits):
 def test_certificates_positive():
     seq = TargetSequence(lambda n: 2 + (n - 1) // 2)
     res = construct(seq, depth=2)
-    assert (cli._construct_doc(res)["verification-depth"]
-            == len(res.b_prefix) == 4)
     assert len(res.certificates) == 4
     for cert in res.certificates:
         assert cert.lower_margin > 0
@@ -275,29 +271,3 @@ def test_long_given_plateau_is_scanned_whole():
     # plateau may take; a plateau inside given terms is scanned to its end
     seq = TargetSequence.from_explicit([2] * 1200 + [3, 4])
     assert construct(seq, 1).jump_indices == (1200,)
-
-
-def test_depth_must_be_positive():
-    seq = TargetSequence(lambda n: n + 1)
-    with pytest.raises(ValueError):
-        construct(seq, depth=0)
-
-
-def test_result_json_shape():
-    seq = TargetSequence(lambda n: 2 + (n - 1) // 2)
-    res = construct(seq, depth=2)
-    doc = cli._construct_doc(res)
-    assert set(doc) == {
-        "a", "b", "jump-indices", "next-jump-index", "next-jump-value",
-        "theta-enclosure", "theta-choices", "filler-values",
-        "future-filler-bound", "certificates", "verification-depth",
-    }
-    assert doc["a"] == [2, 2, 3, 3]
-    assert doc["b"] == [14, 5, 53, 11]
-    assert doc["theta-choices"] == ["3/20", "5/132"]
-    assert doc["future-filler-bound"] == "5/264"
-    assert doc["certificates"][0]["index"] == 1
-    assert set(doc["certificates"][0]) == {"index", "lower-margin",
-                                           "upper-margin"}
-    assert doc["theta-enclosure"]["lo_open"] is True
-    assert isinstance(res, ConstructionResult)

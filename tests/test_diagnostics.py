@@ -13,11 +13,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from unitfrac import cli
 from unitfrac.diagnostics import (
     _K,
-    DEFAULT_T_GRID,
-    ClassificationReport,
     _product_bounds,
     _product_gap_below,
     classify,
@@ -45,10 +42,6 @@ def fake_run(a, b, t=F(1)):
     residuals = tuple(F(1, x * x) for x in b)
     return WeakGreedyRun(theta=F(1, 2), policy=policy,
                          a=tuple(a), b=tuple(b), residuals=residuals)
-
-
-def test_default_grid():
-    assert DEFAULT_T_GRID == (F(1), F(3, 2), F(2), F(3), F(5), F(10))
 
 
 # ----------------------------------------------------------- ratio checks
@@ -376,16 +369,6 @@ def test_classify_counts_match_fraction_ceiling(pairs, grid):
         assert full == sum(hits)
         assert second == sum(hits[len(pairs) // 2:])
 
-
-def test_report_json():
-    a, b = quadratic_pair(12)
-    doc = cli._classify_doc(classify(a, b))
-    assert doc["verdict"] == "not-producible-evidence"
-    assert doc["n-terms"] == 12
-    assert doc["witness-counts"][0] == {"t": "1/1", "count": 0}
-    assert doc["closed-form-limit"] is None
-    assert len(doc["ratio-samples"]) == 8
-    assert isinstance(classify(a, b), ClassificationReport)
 
 
 # ------------------------------------------------------------ shadow bound

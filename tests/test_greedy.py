@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from unitfrac import cli, greedy, rational
+from unitfrac import greedy, rational
 from unitfrac.diagnostics import greedy_ratio_checks
 from unitfrac.greedy import (
     _MEMO_BITS,
@@ -74,23 +74,12 @@ def test_greedy_single_term_one_half():
     assert list(greedy_expand(Fraction(1, 2), 1).a) == [3]
 
 
-def test_scaled_policy_two_terms_last_greedy():
-    run = wgaa_expand(Fraction(19, 48), WgaaPolicy.scaled(Fraction(4, 3)), 2,
-                      last_greedy=True)
-    assert list(run.b) == [4, 7]
-    assert list(run.a) == [3, 7]
-    # weak two-term sum lands closer to theta than the greedy two-term sum
-    greedy_sum = Fraction(1, 3) + Fraction(1, 17)
-    weak_sum = Fraction(1, 4) + Fraction(1, 7)
-    assert greedy_sum < weak_sum < Fraction(19, 48)
-
-
 def test_scaled_policy_without_last_greedy():
     run = wgaa_expand(Fraction(19, 48), WgaaPolicy.scaled(Fraction(4, 3)), 2)
     assert list(run.b) == [4, 10]
 
 
-def test_explicit_replay_frozen():
+def test_recover_shadow_frozen():
     # derived by the walk: residuals 3/4 -> 5/12 -> 7/24
     b = [3, 8, 120]
     want, _, _ = fraction_walk(Fraction(3, 4), 3, lambda n, _: b[n - 1])
@@ -130,7 +119,7 @@ def test_theta_domain_errors():
             recover_shadow([3], inexact)
 
 
-def test_explicit_below_shadow_is_policy_violation():
+def test_recover_shadow_flags_b_below_the_shadow():
     # shadow of 1/2 is 3, so b = 2 is not a weak choice
     assert recover_shadow([2], Fraction(1, 2)).first_weak_violation == 1
 
@@ -217,7 +206,7 @@ def test_integer_routes_match_reciprocal_oracle():
                 assert td < tn * k and not td < tn * (k - 1), (a, a_next)
 
 
-def test_telescoping_interval_length_identity():
+def test_bracket_length_identity():
     # the bracket on b, reciprocal to 1/a - 1/a' < 1/b < 1/(a-1) - 1/(a'-1),
     # is 1 + (2a - 1)/(a' - a) long, hence always holds an integer
     for a in range(2, 40):
@@ -251,16 +240,6 @@ def test_policy_validation():
             WgaaPolicy(t=inexact)
     with pytest.raises(ValueError):
         WgaaPolicy(selection="nope")
-
-
-def test_run_serialization_round_trip():
-    run = wgaa_expand(Fraction(19, 48), WgaaPolicy.scaled(Fraction(4, 3)), 3)
-    blob = cli._expand_doc(run)
-    assert blob["theta"] == "19/48"
-    assert blob["t"] == "4/3"
-    assert blob["selection"] == "ceil-t-a"
-    assert blob["a"] == list(run.a)
-    assert blob["residuals"][0] == "7/48"
 
 
 # -------------------------------------------------------------- properties
@@ -311,14 +290,6 @@ def test_wgaa_run_invariants(theta, t, n, selection):
                 < Fraction(1, a - 1) - Fraction(1, a_next))
     # replay is idempotent
     assert list(recover_shadow(run.b, theta).a) == list(run.a)
-
-
-@settings(max_examples=60, deadline=None)
-@given(thetas, st.integers(min_value=2, max_value=5))
-def test_residuals_strictly_decreasing(theta, n):
-    run = greedy_expand(theta, n)
-    seq = [theta] + list(run.residuals)
-    assert all(x > y for x, y in zip(seq, seq[1:]))
 
 
 def test_desk_scale_residual_decay():

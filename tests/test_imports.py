@@ -1,14 +1,15 @@
 """Every name a module imports is read somewhere in that module.
 
 A deletion elsewhere can leave an import behind that nothing uses; this
-scan finds it.  Names listed in ``__all__`` count as read, since they are
-imported to be exported.  A second scan checks that the package reads no
+scan finds it.  A second scan checks that the package reads no
 environment variable: its settings come from arguments only.  A third
 keeps the integer input check in one place: only ``rational.py`` tests
 whether a value is a bool.  A fourth keeps every output document in the
 command line: no library type serialises itself, and only ``cli.py``
-imports ``format_rational``. A fifth keeps module state with the walk
-that owns it: only ``greedy.py`` has a ``global`` statement.
+imports ``format_rational``; and no test file of a library module
+imports ``unitfrac.cli``, since a document's bytes are pinned by its
+golden record. A fifth keeps module state with the walk that owns it:
+only ``greedy.py`` has a ``global`` statement.
 
 The rest keep every process start light. No module of the package
 imports ``dataclasses``, and no record's field types are strings, which
@@ -16,8 +17,9 @@ typing compiles into ``ForwardRef``s at import. In a fresh interpreter,
 importing the package and its command line loads none of its algorithm
 modules, nor ``json``, ``dataclasses``, ``inspect`` and ``csv``: the
 namespace resolves its names on first use, and each command imports the
-modules it runs and no others. The package's ``construct`` stays the
-function however its submodule was imported first.
+modules it runs, ``greedy`` for the parser, and no others. The package's
+``construct`` stays the function however its submodule was imported
+first.
 """
 from __future__ import annotations
 
@@ -53,15 +55,9 @@ def imported_names(tree: ast.Module) -> dict[str, int]:
 
 
 def read_names(tree: ast.Module) -> set[str]:
-    """Names loaded anywhere in the module, and the strings in __all__."""
-    read = {node.id for node in ast.walk(tree)
+    """Names loaded anywhere in the module."""
+    return {node.id for node in ast.walk(tree)
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
-    for node in ast.walk(tree):
-        if (isinstance(node, ast.Assign)
-                and any(isinstance(t, ast.Name) and t.id == "__all__"
-                        for t in node.targets)):
-            read.update(ast.literal_eval(node.value))
-    return read
 
 
 def test_no_unused_imports():
@@ -125,6 +121,26 @@ def test_documents_only_in_cli():
             formatters.append(path.name)
     assert methods == []
     assert formatters == ["cli.py"]
+
+
+def test_library_tests_import_no_cli():
+    """A library module's test file reaches the command line only through
+    ``test_cli_golden.run_main``; the documents ``cli`` builds are pinned
+    by ``tests/cli_golden.json``."""
+    import unitfrac
+    hits = []
+    for module in unitfrac._HOMES:
+        path = REPO / "tests" / f"test_{module}.py"
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [f"{node.module}.{alias.name}" for alias in node.names]
+            else:
+                continue
+            if any(f"{name}.".startswith("unitfrac.cli.") for name in names):
+                hits.append(f"{path.relative_to(REPO)}:{node.lineno}")
+    assert hits == []
 
 
 def test_global_statements_only_in_greedy():
@@ -201,32 +217,34 @@ def test_start_up_import_graph():
             }.isdisjoint(added), added
 
 
+# build_parser imports greedy for the choices of expand --selection, so
+# every command loads it, whatever it runs
+PARSER_MODULE = "greedy"
 COMMAND_MODULES = {
-    "expand": (["expand", "--theta", "19/48", "--terms", "4"], ["greedy"]),
+    "expand": (["expand", "--theta", "19/48", "--terms", "4"], []),
     "expand-json": (["expand", "--theta", "19/48", "--terms", "4",
-                     "--format", "json"], ["_json", "greedy"]),
-    "verify": (["verify", "--b-file", "@b", "--theta", "19/48"],
-               ["greedy"]),
+                     "--format", "json"], ["_json"]),
+    "verify": (["verify", "--b-file", "@b", "--theta", "19/48"], []),
     "construct": (["construct", "--family", "arithmetic:a=2,d=1",
                    "--depth", "3", "--format", "json"],
-                  ["_json", "construct", "families", "greedy"]),
-    "unique-pair": (["unique", "--pair", "2", "7"], ["greedy", "uniqueness"]),
-    "unique-file": (["unique", "--a-file", "@b"], ["greedy", "uniqueness"]),
+                  ["_json", "construct", "families"]),
+    "unique-pair": (["unique", "--pair", "2", "7"], ["uniqueness"]),
+    "unique-file": (["unique", "--a-file", "@b"], ["uniqueness"]),
     "unique-range": (["unique", "--range", "10", "--format", "csv"],
-                     ["greedy", "uniqueness"]),
-    "unique-sample": (["unique", "--sample", "3"], ["greedy", "uniqueness"]),
+                     ["uniqueness"]),
+    "unique-sample": (["unique", "--sample", "3"], ["uniqueness"]),
     "family": (["family", "--spec", "fibonacci", "--terms", "4"],
-               ["families", "greedy"]),
+               ["families"]),
     "classify": (["classify", "--a-file", "@b", "--b-file", "@b"],
-                 ["diagnostics", "families", "greedy"]),
+                 ["diagnostics", "families"]),
 }
 
 
 @pytest.mark.parametrize("case", COMMAND_MODULES)
 def test_command_imports_what_it_runs(case, tmp_path):
     """The package modules one ``cli.main`` call loads, besides the
-    package, ``cli`` and ``rational``; ``json`` comes with ``_json``, unless
-    the interpreter loaded it before."""
+    package, ``cli``, ``rational`` and ``PARSER_MODULE``; ``json`` comes
+    with ``_json``, unless the interpreter loaded it before."""
     argv, modules = COMMAND_MODULES[case]
     # "@b" stands for a file of the greedy denominators of 19/48
     b_file = tmp_path / "b.txt"
@@ -240,19 +258,17 @@ def test_command_imports_what_it_runs(case, tmp_path):
         "print()\n"
         "print(*sorted(m for m in set(sys.modules) - before\n"
         "              if m.startswith('unitfrac') or m == 'json'))\n", *argv)
-    expected = ["cli", "rational", *modules]
+    expected = ["cli", "rational", PARSER_MODULE, *modules]
     assert loaded == sorted(["unitfrac", *(f"unitfrac.{m}" for m in expected),
                              *(["json"] if "_json" in modules else [])])
 
 
 def test_namespace_resolves_every_public_name():
     import unitfrac
-    homes = {name: module for module, names in unitfrac._HOMES.items()
-             for name in names}
-    assert sorted(homes) == sorted(unitfrac.__all__)
-    for name, module in homes.items():
+    for module, names in unitfrac._HOMES.items():
         home = importlib.import_module(f"unitfrac.{module}")
-        assert getattr(unitfrac, name) is getattr(home, name), name
+        for name in names:
+            assert getattr(unitfrac, name) is getattr(home, name), name
 
 
 def test_package_construct_is_the_function():

@@ -33,6 +33,7 @@ from unitfrac.greedy import (
     wgaa_expand,
 )
 from unitfrac.rational import RationalInterval
+from unitfrac.uniqueness import pair_uniqueness, sweep
 
 FIELDS = {
     "RationalInterval": ("lo", "hi"),
@@ -50,6 +51,11 @@ FIELDS = {
         "a_prefix", "b_prefix", "jump_indices", "next_jump_index",
         "next_jump_value", "theta_enclosure", "theta_choices",
         "filler_values", "future_filler_bound", "certificates"),
+    "UniquenessVerdict": ("index", "a", "a_next", "unique", "k", "case"),
+    "CensusRow": (
+        "a", "a_next", "open_unique", "open_case", "open_k", "open_count",
+        "open_agrees", "closed_unique", "closed_case", "closed_k",
+        "closed_count", "closed_agrees", "consequences_ok"),
 }
 FAMILIES = (GeometricFamily(2, 3), GeometricFamily(3, 2),
             ArithmeticFamily(2, 3), ArithmeticFamily(2, 1),
@@ -66,7 +72,8 @@ def _instances() -> dict:
         recover_shadow([2, 7], Fraction(2, 3)),
         scaled_run_ratio_checks(run)[0],
         greedy_ratio_checks(greedy_expand(Fraction(2, 3), 3))[0],
-        classify([2, 3], [3, 4]), result.certificates[0], result, *FAMILIES]
+        classify([2, 3], [3, 4]), result.certificates[0], result,
+        pair_uniqueness(2, 7), next(sweep(3)), *FAMILIES]
     return {type(v).__name__: v for v in values}
 
 

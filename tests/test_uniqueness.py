@@ -17,10 +17,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from unitfrac import cli
 from unitfrac.uniqueness import (
     CensusRow,
-    UniquenessVerdict,
     _row,
     necessary_uniqueness,
     pair_necessary_closed,
@@ -132,14 +130,6 @@ def test_necessary_uniqueness_sequences():
     ok, verdicts = necessary_uniqueness((2, 4, 20))
     assert not ok
     assert verdicts[0].index == 1 and not verdicts[0].unique
-
-
-def test_verdict_json():
-    _, verdicts = sufficient_uniqueness([2, 7, 57, 3263])
-    doc = cli._verdict_doc(verdicts[2])
-    assert doc == {"index": 3, "a": 57, "a-next": 3263, "unique": False,
-                   "k": 58, "case": "open-nondivisible"}
-    assert isinstance(pair_uniqueness(2, 7), UniquenessVerdict)
 
 
 # ------------------------------------------------------------ consequences
