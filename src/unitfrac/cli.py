@@ -235,8 +235,8 @@ def _construct_summary(result) -> Iterator[str]:
 def _margin_texts(certificates) -> Iterator[tuple]:
     """Each certificate with its lower and upper margin as "P/Q" text.
 
-    Along a plateau every suffix sum carries the filler, so a margin often
-    has the denominator of the same margin one certificate before; its
+    Along a plateau consecutive margins differ by 1/filler, so a margin
+    often has the denominator of the same margin one certificate before; its
     text is then reused, not converted again. The memo lives in this
     generator, for one command: a module-level one could return text made
     under another ``sys.set_int_max_str_digits`` limit.

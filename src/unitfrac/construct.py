@@ -17,8 +17,8 @@ may spend the running budget B_j = min(B_{j-1}, theta_j)/2, which equals
 min over k <= j of theta_k/2^(j+1-k).  Its interior positions get the
 constant filler floor(gap/B_j) + 1 (at least a), so all fillers from
 plateau j onward spend less than every banked slack theta_k, k <= j.
-Exact suffix sums turn the claim into per-index certificates with
-strictly positive margins.
+Two exact margins per index, run back from the end of the prefix, turn
+the claim into certificates; each margin must be strictly positive.
 """
 import itertools
 import math
@@ -112,8 +112,11 @@ def jump_set(seq: TargetSequence, horizon: int) -> Iterator[int]:
 class StepCertificate(NamedTuple):
     """Margins by which the residual window holds at one index.
 
-    lower_margin is (suffix sum lower bound) - 1/a_n, upper_margin is
-    1/(a_n - 1) - (suffix sum upper bound); both strictly positive.
+    lower_margin is (suffix sum lower bound) - 1/a_n and upper_margin
+    1/(a_n - 1) - (suffix sum upper bound), the suffix sum being 1/b_k over
+    the built k >= n plus a tail in (1/a', 1/(a' - 1) + B); both are > 0.
+    So lower_n - lower_{n+1} = 1/b_n + 1/a_{n+1} - 1/a_n and
+    upper_n - upper_{n+1} = 1/(a_n - 1) - 1/(a_{n+1} - 1) - 1/b_n.
     """
 
     index: int
@@ -142,19 +145,18 @@ def construct(seq: TargetSequence, depth: int) -> ConstructionResult:
     within the scan horizon of given + 64*(depth+1) + 1024 indices, where
     given counts the terms passed to ``from_explicit`` (0 otherwise).
 
-    The arithmetic runs on plain ints: each rational, theta_j, the budget
-    B_j, the suffix sum and both margins, is a pair (numerator,
-    denominator) in lowest terms with a positive denominator. B_j is
-    halved by the parity of its numerator, the min is a cross-product,
-    the filler is gap * B_den // B_num + 1, and sums are reduced by
-    ``rational._pair_sum``. Each Fraction of the result is made once, at
-    the end of its value's computation, by ``rational._coprime``, which
-    takes the reduced pair as it is. ``Fraction(n, d)`` would reduce it
-    again, and a gcd of two coprime 10 kbit ints costs quadratic time.
-    On the plateau targets 2, 3, 3, 5, 5, 5, 8, ... at depth 152, the
-    pairs with ``Fraction(n, d)`` took 134 ms, ``Fraction`` arithmetic
-    23 ms and the pairs with ``_coprime`` 17 ms (medians of 15 calls,
-    CPython 3.11.7, 2 vCPUs).
+    The arithmetic runs on plain ints: theta_j, the budget B_j and both
+    margins are pairs (numerator, denominator) in lowest terms with a
+    positive denominator. B_j is halved by the parity of its numerator,
+    the min is a cross-product, the filler is gap * B_den // B_num + 1,
+    and sums are reduced by ``rational._pair_sum``. Each Fraction of the
+    result is made once, at the end of its value's computation, by
+    ``rational._coprime``, which takes the reduced pair as it is.
+    ``Fraction(n, d)`` would reduce it again, and a gcd of two coprime
+    10 kbit ints costs quadratic time. On the plateau targets 2, 3, 3, 5,
+    5, 5, 8, ... at depth 152, the pairs with ``Fraction(n, d)`` took
+    157 ms, ``Fraction`` arithmetic 22 ms and the pairs with ``_coprime``
+    14 ms (medians of 15 calls, CPython 3.11.7, 2 vCPUs).
     """
     positive_int(depth, "depth")
     horizon = seq._given + 64 * (depth + 1) + 1024
@@ -207,24 +209,21 @@ def construct(seq: TargetSequence, depth: int) -> ConstructionResult:
     a_prefix = seq.prefix(last_built)
 
     certs: list[StepCertificate] = []
-    sn, sd = 0, 1  # the suffix sum
-    # every filler past the built prefix spends less than B_depth
-    hn, hd = _pair_sum(1, next_value - 1, bn, bd)
-    # lower = suffix + (1/a' - 1/a_n), upper = (1/(a_n - 1) - 1/(a' - 1)
-    # - B) - suffix: the small constants change only with a_n, so each
-    # index costs three additions on the long suffix sum
-    a_here = None
+    # StepCertificate's steps, from lower = 0, upper = -B and a_{n+1} = a'
+    lower, upper, a_next = (0, 1), (-bn, bd), next_value
     for idx in range(last_built, 0, -1):
-        if a_prefix[idx - 1] != a_here:
-            a_here = a_prefix[idx - 1]
-            ln, ld = _pair_sum(1, next_value, -1, a_here)
-            un, ud = _pair_sum(1, a_here - 1, -hn, hd)
-        sn, sd = _pair_sum(sn, sd, 1, b_prefix[idx - 1])
-        lower = _pair_sum(sn, sd, ln, ld)
-        upper = _pair_sum(un, ud, -sn, sd)
+        a, b = a_prefix[idx - 1], b_prefix[idx - 1]
+        # at a jump, the numerators are the gaps in the companion's bracket
+        mid = b * (a_next - a)
+        ln, ld = a * a_next - mid, b * a * a_next
+        un, ud = mid - (a - 1) * (a_next - 1), b * (a - 1) * (a_next - 1)
+        g, h = math.gcd(ln, ld), math.gcd(un, ud)
+        lower = _pair_sum(*lower, ln // g, ld // g)
+        upper = _pair_sum(*upper, un // h, ud // h)
         if lower[0] <= 0 or upper[0] <= 0:
             raise ConstructionError(f"certificate failed at index {idx}")
         certs.append(StepCertificate(idx, _coprime(*lower), _coprime(*upper)))
+        a_next = a
     certs.reverse()
 
     return ConstructionResult(
@@ -233,9 +232,10 @@ def construct(seq: TargetSequence, depth: int) -> ConstructionResult:
         jump_indices=tuple(jumps[:depth]),
         next_jump_index=jumps[depth],
         next_jump_value=next_value,
+        # the index-1 window (1/a_1, 1/(a_1 - 1)) narrowed by its margins
         theta_enclosure=RationalInterval(
-            _coprime(*_pair_sum(sn, sd, 1, next_value)),
-            _coprime(*_pair_sum(sn, sd, hn, hd))),
+            _coprime(*_pair_sum(*lower, 1, a_prefix[0])),
+            _coprime(*_pair_sum(1, a_prefix[0] - 1, -upper[0], upper[1]))),
         theta_choices=tuple(thetas),
         filler_values=tuple(fillers),
         future_filler_bound=_coprime(bn, bd),

@@ -129,6 +129,12 @@ def assert_recomputed_by_fractions(res):
     assert [tuple(c) for c in res.certificates] == margins[::-1]
     assert res.theta_enclosure.lo == suffix + F(1, a_tail)
     assert res.theta_enclosure.hi == suffix + F(1, a_tail - 1) + budget
+    # the identity construct relies on: the index-1 window narrowed by its
+    # margins
+    first = res.certificates[0]
+    a = res.a_prefix[0]
+    assert res.theta_enclosure.lo == first.lower_margin + F(1, a)
+    assert res.theta_enclosure.hi == F(1, a - 1) - first.upper_margin
     assert_lowest_terms(res)
 
 
