@@ -20,10 +20,9 @@ plateau j onward spend less than every banked slack theta_k, k <= j.
 Two exact margins per index, run back from the end of the prefix, turn
 the claim into certificates; each margin must be strictly positive.
 """
-import itertools
 import math
 from fractions import Fraction
-from typing import Callable, Iterator, NamedTuple, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .rational import (RationalInterval, _coprime, _pair_sum, positive_int,
                        positive_ints)
@@ -45,13 +44,13 @@ class ConstructionError(RuntimeError):
 class TargetSequence:
     """Lazily evaluated non-decreasing integer targets, 1-indexed.
 
-    Terms are cached and validated in order: the first must be at least 2
-    and later ones may never decrease.
+    ``construct`` reads the targets once, in order, and checks each one
+    as it reads it: the first must be at least 2 and later ones may never
+    decrease.
     """
 
     def __init__(self, fn: Callable[[int], int], _given: int = 0):
         self._fn = fn
-        self._cache: list[int] = []
         self._given = _given  # terms given as data, by from_explicit
 
     @classmethod
@@ -80,33 +79,6 @@ class TargetSequence:
     @classmethod
     def from_family(cls, family):
         return cls(family.a)
-
-    def term(self, n: int) -> int:
-        positive_int(n, "n")
-        while len(self._cache) < n:
-            k = len(self._cache) + 1
-            least = self._cache[-1] if self._cache else 2
-            value = self._fn(k)  # may raise DepthExhausted, a ValueError
-            try:
-                self._cache.append(positive_int(value, "target", least))
-            except ValueError as exc:
-                raise InvalidSequence(f"{exc} at {k}") from None
-        return self._cache[n - 1]
-
-    def prefix(self, n: int) -> tuple[int, ...]:
-        self.term(n)
-        return tuple(self._cache[:n])
-
-
-def jump_set(seq: TargetSequence, horizon: int) -> Iterator[int]:
-    """Indices n <= horizon where the targets strictly increase, in order.
-
-    The scan is lazy: when it yields jump n it has evaluated the targets
-    through index n + 1 and no further.
-    """
-    positive_int(horizon, "horizon", 0)
-    return (n for n in range(1, horizon + 1)
-            if seq.term(n) < seq.term(n + 1))
 
 
 class StepCertificate(NamedTuple):
@@ -161,13 +133,26 @@ def construct(seq: TargetSequence, depth: int) -> ConstructionResult:
     positive_int(depth, "depth")
     horizon = seq._given + 64 * (depth + 1) + 1024
 
-    # stop at the (depth+1)-th jump: targets past it are never evaluated
-    jumps = list(itertools.islice(jump_set(seq, horizon - 1), depth + 1))
-    if len(jumps) <= depth:
+    # one checked pass; jump n is the last index before a_n < a_{n+1}, and
+    # the pass stops at the (depth+1)-th, so no later target is evaluated
+    a_seen: list[int] = []
+    jumps: list[int] = []
+    for n in range(1, horizon + 1):
+        value = seq._fn(n)  # may raise DepthExhausted, a ValueError
+        try:
+            positive_int(value, "target", a_seen[-1] if a_seen else 2)
+        except ValueError as exc:
+            raise InvalidSequence(f"{exc} at {n}") from None
+        if a_seen and a_seen[-1] < value:
+            jumps.append(n - 1)
+            if len(jumps) > depth:
+                break
+        a_seen.append(value)
+    else:
         raise DepthExhausted(
             f"only {len(jumps)} jumps within horizon {horizon}")
 
-    values = [seq.term(idx) for idx in jumps]
+    values = [a_seen[idx - 1] for idx in jumps]
     b_prefix: list[int] = []
     thetas: list[Fraction] = []
     fillers: list[Optional[int]] = []
@@ -206,7 +191,7 @@ def construct(seq: TargetSequence, depth: int) -> ConstructionResult:
 
     last_built = jumps[depth - 1]
     next_value = values[depth]
-    a_prefix = seq.prefix(last_built)
+    a_prefix = tuple(a_seen[:last_built])
 
     certs: list[StepCertificate] = []
     # StepCertificate's steps, from lower = 0, upper = -B and a_{n+1} = a'

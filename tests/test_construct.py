@@ -19,7 +19,6 @@ from unitfrac.construct import (
     InvalidSequence,
     TargetSequence,
     construct,
-    jump_set,
 )
 from unitfrac.families import ArithmeticFamily, GeometricFamily
 from unitfrac.greedy import _companion, recover_shadow
@@ -213,38 +212,32 @@ def test_monotone_deepening():
 
 def test_repeat_last_delta_extension():
     seq = TargetSequence.from_explicit((2, 3, 5), "repeat-last-delta")
-    assert [seq.term(n) for n in range(1, 7)] == [2, 3, 5, 7, 9, 11]
     res = construct(seq, depth=5)
+    assert (res.a_prefix, res.next_jump_value) == ((2, 3, 5, 7, 9), 11)
     assert res.b_prefix == (5, 7, 17, 31, 49)
     # two terms are enough to give the difference; one is not
     seq = TargetSequence.from_explicit((2, 4), "repeat-last-delta")
-    assert [seq.term(n) for n in range(1, 5)] == [2, 4, 6, 8]
-    assert construct(seq, depth=3).jump_indices == (1, 2, 3)
+    res = construct(seq, depth=3)
+    assert (res.a_prefix, res.next_jump_value) == ((2, 4, 6), 8)
+    assert res.jump_indices == (1, 2, 3)
     with pytest.raises(InvalidSequence, match="need two terms"):
         TargetSequence.from_explicit((2,), "repeat-last-delta")
 
 
-def test_jump_set_scan():
-    seq = TargetSequence(lambda n: 2 + (n - 1) // 2)
-    assert list(jump_set(seq, 7)) == [2, 4, 6]
-    strict = TargetSequence(lambda n: n + 1)
-    assert list(jump_set(strict, 4)) == [1, 2, 3, 4]
-    assert list(jump_set(strict, 0)) == []
-    # refused at the call, not when the scan is first read
-    for horizon in (2.5, True, -1):
-        with pytest.raises(ValueError, match="horizon must be an integer"):
-            jump_set(strict, horizon)
-
-
 def test_construct_reads_targets_only_through_the_last_jump():
-    # depth 3 needs jumps 1..4, so only targets 1..5 may be evaluated
+    # depth 3 needs jumps 1..4, so only targets 1..5 may be evaluated,
+    # each of them once and in order
+    calls = []
+
     def targets(n):
         if n > 5:
             raise RuntimeError(f"target {n} evaluated")
+        calls.append(n)
         return n + 1
     res = construct(TargetSequence(targets), depth=3)
     assert res.jump_indices == (1, 2, 3)
     assert res.next_jump_index == 4
+    assert calls == [1, 2, 3, 4, 5]
 
 
 def test_sequence_validation():

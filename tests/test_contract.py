@@ -61,7 +61,6 @@ ENTRY_POINTS = {
         TargetSequence.from_explicit([2, 3], "repeat-last-delta"), x),
     "TargetSequence.from_explicit": lambda x:
         TargetSequence.from_explicit([2, x]),
-    "TargetSequence.term": lambda x: TargetSequence(lambda n: n + 1).term(x),
     "theta_partial": lambda x: theta_partial(GeometricFamily(2, 3), x),
     "GeometricFamily a0": lambda x: GeometricFamily(x, 3),
     "GeometricFamily r": lambda x: GeometricFamily(2, x),
