@@ -353,7 +353,8 @@ def _cmd_unique(args) -> Report:
     if args.seed is not None and args.sample is None:
         raise ValueError("--seed applies only to --sample")
     if args.pair is not None:
-        a, a_next = args.pair
+        a = positive_int(args.pair[0], "--pair A", 2)
+        a_next = positive_int(args.pair[1], "--pair A_NEXT", a + 1)
         verdicts = (("open", pair_uniqueness(a, a_next)),
                     ("closed", pair_necessary_closed(a, a_next)))
         consequences = uniqueness_consequences(a, a_next)

@@ -8,10 +8,11 @@ residual r inside (1/a_n, 1/(a_n - 1)) at every built index.  The shadow
 of the b sequence is then exactly the target prefix, for every admissible
 theta at once.
 
-The construction makes one pass over the jumps (the last index of each
-plateau).  At jump j, from target a to the next jump's target a', b is the
-largest integer whose reciprocal fits the telescoping bracket, and half
-the leftover slack, theta_j = (1/(a-1) - 1/b - 1/(a'-1))/2, is banked.
+The pass that reads the targets builds each jump (the last index of a
+plateau) as it reaches it.  At jump j, from target a to the next jump's
+target a', b is the largest integer whose reciprocal fits the
+telescoping bracket, and half the leftover slack,
+theta_j = (1/(a-1) - 1/b - 1/(a'-1))/2, is banked.
 Each slack is split dyadically over plateaus j, j+1, ..., so plateau j
 may spend the running budget B_j = min(B_{j-1}, theta_j)/2, which equals
 min over k <= j of theta_k/2^(j+1-k).  Its interior positions get the
@@ -133,10 +134,16 @@ def construct(seq: TargetSequence, depth: int) -> ConstructionResult:
     positive_int(depth, "depth")
     horizon = seq._given + 64 * (depth + 1) + 1024
 
-    # one checked pass; jump n is the last index before a_n < a_{n+1}, and
-    # the pass stops at the (depth+1)-th, so no later target is evaluated
+    # one forward pass reads each target once, in order, and checks it;
+    # a rise a_{n-1} < a_n marks jump n-1, which is built at once from
+    # a = a_{n-1} and a' = a_n. The pass stops at the (depth+1)-th rise,
+    # which anchors the tail, so no later target is evaluated
     a_seen: list[int] = []
     jumps: list[int] = []
+    b_prefix: list[int] = []
+    thetas: list[Fraction] = []
+    fillers: list[Optional[int]] = []
+    bn, bd = 1, 0  # the budget B_j as a pair; B_0 = 1/0 is above every slack
     for n in range(1, horizon + 1):
         value = seq._fn(n)  # may raise DepthExhausted, a ValueError
         try:
@@ -144,58 +151,48 @@ def construct(seq: TargetSequence, depth: int) -> ConstructionResult:
         except ValueError as exc:
             raise InvalidSequence(f"{exc} at {n}") from None
         if a_seen and a_seen[-1] < value:
-            jumps.append(n - 1)
-            if len(jumps) > depth:
+            if len(jumps) == depth:
                 break
+            a, a_next = a_seen[-1], value
+            b = _companion(a, a_next)
+            # half the room left under 1/(a-1) by 1/b and a tail below
+            # 1/(a'-1), theta_j = (b*(a'-a) - (a-1)*(a'-1))/(2*(a-1)*b*(a'-1))
+            tn = b * (a_next - a) - (a - 1) * (a_next - 1)
+            if tn <= 0:
+                raise ConstructionError(f"no bracket slack at jump {n - 1}")
+            td = 2 * (a - 1) * b * (a_next - 1)
+            g = math.gcd(tn, td)
+            tn, td = tn // g, td // g
+            thetas.append(_coprime(tn, td))
+            # B_j = min(B_{j-1}, theta_j)/2 = min_{k<=j} theta_k/2^(j+1-k)
+            if tn * bd < bn * td:
+                bn, bd = tn, td
+            if bn % 2:
+                bd *= 2
+            else:
+                bn //= 2
+            gap = n - 2 - (jumps[-1] if jumps else 0)
+            if gap > 0:
+                # the budget keeps certificates alive; the plateau value
+                # keeps each filler a legal weak choice (b_n >= a_n)
+                filler = max(gap * bd // bn + 1, a)
+                fillers.append(filler)
+                b_prefix.extend([filler] * gap)
+            else:
+                fillers.append(None)
+            b_prefix.append(b)
+            jumps.append(n - 1)
         a_seen.append(value)
     else:
         raise DepthExhausted(
             f"only {len(jumps)} jumps within horizon {horizon}")
 
-    values = [a_seen[idx - 1] for idx in jumps]
-    b_prefix: list[int] = []
-    thetas: list[Fraction] = []
-    fillers: list[Optional[int]] = []
-    bn, bd = 1, 0  # the budget B_j as a pair; B_0 = 1/0 is above every slack
-    prev = 0
-    for j in range(depth):
-        a, a_next = values[j], values[j + 1]
-        b = _companion(a, a_next)
-        # half the room left under 1/(a-1) by 1/b and a tail below 1/(a'-1),
-        # theta_j = (b*gap - (a-1)*(a'-1)) / (2*(a-1)*b*(a'-1))
-        tn = b * (a_next - a) - (a - 1) * (a_next - 1)
-        if tn <= 0:
-            raise ConstructionError(f"no bracket slack at jump {jumps[j]}")
-        td = 2 * (a - 1) * b * (a_next - 1)
-        g = math.gcd(tn, td)
-        tn, td = tn // g, td // g
-        thetas.append(_coprime(tn, td))
-        # B_j = min(B_{j-1}, theta_j)/2 = min over k <= j of theta_k/2^(j+1-k)
-        if tn * bd < bn * td:
-            bn, bd = tn, td
-        if bn % 2:
-            bd *= 2
-        else:
-            bn //= 2
-        gap = jumps[j] - prev - 1
-        if gap > 0:
-            # the budget keeps certificates alive; the plateau value
-            # keeps each filler a legal weak choice (b_n >= a_n)
-            filler = max(gap * bd // bn + 1, a)
-            fillers.append(filler)
-            b_prefix.extend([filler] * gap)
-        else:
-            fillers.append(None)
-        b_prefix.append(b)
-        prev = jumps[j]
-
-    last_built = jumps[depth - 1]
-    next_value = values[depth]
+    # the margins run back from the end: StepCertificate's steps, from
+    # lower = 0, upper = -B and a_{n+1} = a', the last target before the break
+    last_built = jumps[-1]
     a_prefix = tuple(a_seen[:last_built])
-
     certs: list[StepCertificate] = []
-    # StepCertificate's steps, from lower = 0, upper = -B and a_{n+1} = a'
-    lower, upper, a_next = (0, 1), (-bn, bd), next_value
+    lower, upper, a_next = (0, 1), (-bn, bd), a_seen[-1]
     for idx in range(last_built, 0, -1):
         a, b = a_prefix[idx - 1], b_prefix[idx - 1]
         # at a jump, the numerators are the gaps in the companion's bracket
@@ -214,9 +211,9 @@ def construct(seq: TargetSequence, depth: int) -> ConstructionResult:
     return ConstructionResult(
         a_prefix=a_prefix,
         b_prefix=tuple(b_prefix),
-        jump_indices=tuple(jumps[:depth]),
-        next_jump_index=jumps[depth],
-        next_jump_value=next_value,
+        jump_indices=tuple(jumps),
+        next_jump_index=n - 1,
+        next_jump_value=a_seen[-1],
         # the index-1 window (1/a_1, 1/(a_1 - 1)) narrowed by its margins
         theta_enclosure=RationalInterval(
             _coprime(*_pair_sum(*lower, 1, a_prefix[0])),

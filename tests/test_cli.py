@@ -249,16 +249,24 @@ def assert_usage_error(proc, *flags):
         assert flag in proc.stderr
 
 
-@pytest.mark.parametrize("argv", [
-    ["expand", "--theta", "19/48", "--terms", "0"],
-    ["construct", "--family", "fibonacci", "--depth", "0"],
-    ["unique", "--range", "2"],
-    ["unique", "--sample", "0"],
-    ["family", "--spec", "fibonacci", "--terms", "0"],
-], ids=lambda argv: f"{argv[0]}{argv[-2]}")
-def test_out_of_range_option_is_named(argv):
-    # the message names the option, not the library's parameter
-    assert_usage_error(run_main(argv), f"{argv[-2]} must be an integer >= ")
+OUT_OF_RANGE = [
+    (["expand", "--theta", "19/48", "--terms", "0"], "--terms"),
+    (["construct", "--family", "fibonacci", "--depth", "0"], "--depth"),
+    (["unique", "--range", "2"], "--range"),
+    (["unique", "--sample", "0"], "--sample"),
+    (["family", "--spec", "fibonacci", "--terms", "0"], "--terms"),
+    (["unique", "--pair", "1", "5"], "--pair A"),
+    (["unique", "--pair", "4", "4"], "--pair A_NEXT"),
+]
+
+
+@pytest.mark.parametrize("argv, option", OUT_OF_RANGE,
+                         ids=[argv[0] + option.replace(" ", "-")
+                              for argv, option in OUT_OF_RANGE])
+def test_out_of_range_option_is_named(argv, option):
+    # the message names the option, as argparse prints it, not the
+    # library's parameter
+    assert_usage_error(run_main(argv), f"{option} must be an integer >= ")
 
 
 def test_construct_source_flags_exclusive(tmp_path):

@@ -7,6 +7,7 @@ oracle for the whole pipeline.
 """
 from __future__ import annotations
 
+import importlib
 import math
 from fractions import Fraction as F
 
@@ -15,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from unitfrac.construct import (
+    ConstructionError,
     DepthExhausted,
     InvalidSequence,
     TargetSequence,
@@ -238,6 +240,24 @@ def test_construct_reads_targets_only_through_the_last_jump():
     assert res.jump_indices == (1, 2, 3)
     assert res.next_jump_index == 4
     assert calls == [1, 2, 3, 4, 5]
+
+
+def test_internal_checks_catch_a_wrong_companion(monkeypatch):
+    # the two ConstructionError checks, each failing by 1 and not by 0:
+    # one below the bracket's lower integer end leaves slack -1, and two
+    # above the companion leaves a lower margin below 0 late in the prefix
+    seq = TargetSequence(lambda n: 2 + (n - 1) // 2)
+    module = importlib.import_module("unitfrac.construct")
+    monkeypatch.setattr(module, "_companion",
+                        lambda a, a2: (a - 1) * (a2 - 1) // (a2 - a) - 1)
+    with pytest.raises(ConstructionError,
+                       match=r"^no bracket slack at jump 2$"):
+        construct(seq, depth=3)
+    monkeypatch.setattr(module, "_companion",
+                        lambda a, a2: _companion(a, a2) + 2)
+    with pytest.raises(ConstructionError,
+                       match=r"^certificate failed at index 6$"):
+        construct(seq, depth=3)
 
 
 def test_sequence_validation():

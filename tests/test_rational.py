@@ -85,16 +85,6 @@ def test_greedy_denominator_sandwich(theta):
 
 # --------------------------------------------------------- exact arithmetic
 
-@given(st.fractions(), st.fractions())
-def test_addition_is_exact(x, y):
-    assert (x + y) - y == x
-
-
-@given(st.fractions(), st.fractions().filter(lambda v: v != 0))
-def test_multiplication_is_exact(x, y):
-    assert (x * y) / y == x
-
-
 # both denominators share the factor k, so all three reductions are drawn:
 # no common factor (k = 1), a common factor that leaves the sum reduced,
 # and one that divides the sum's numerator too
@@ -228,7 +218,8 @@ def _structured(n: int) -> list[int]:
     ]
 
 
-@pytest.mark.parametrize("n", [_SSA_BITS - 1, _SSA_BITS, 4 * _SSA_BITS])
+@pytest.mark.parametrize("n", [_SSA_BITS - 1, _SSA_BITS, _SSA_BITS + 1,
+                               4 * _SSA_BITS])
 def test_square_structured_operands(n):
     for x in _structured(n):
         assert x.bit_length() == n
@@ -266,14 +257,6 @@ def _pieces(bits: int) -> tuple[int, int]:
 # k steps at 2**17 and 2**19 bits
 _SSA_STEPS = (2**17 - 1, 2**17, 2**18 - 1, 2**18, 2**19 - 1, 2**19,
               2**20 - 1, 2**20)
-
-
-def test_ssa_square_cutoff():
-    rng = random.Random(_SSA_BITS)
-    for n in (_SSA_BITS - 1, _SSA_BITS, _SSA_BITS + 1):
-        x = rng.getrandbits(n) | 1 << n - 1
-        assert _square(x) == x * x
-        assert _square(-x) == x * x
 
 
 @pytest.mark.parametrize("n", _SSA_STEPS)
