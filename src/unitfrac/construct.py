@@ -18,8 +18,10 @@ may spend the running budget B_j = min(B_{j-1}, theta_j)/2, which equals
 min over k <= j of theta_k/2^(j+1-k).  Its interior positions get the
 constant filler floor(gap/B_j) + 1 (at least a), so all fillers from
 plateau j onward spend less than every banked slack theta_k, k <= j.
-Two exact margins per index, run back from the end of the prefix, turn
-the claim into certificates; each margin must be strictly positive.
+Two exact margins per index, run back from the end of the prefix by
+``_margins``, turn the claim into certificates; each margin must be
+strictly positive. The command line prints the margins from the same
+recurrence, run on exact ``decimal.Decimal`` integers.
 """
 import math
 from fractions import Fraction
@@ -122,7 +124,9 @@ def construct(seq: TargetSequence, depth: int) -> ConstructionResult:
     margins are pairs (numerator, denominator) in lowest terms with a
     positive denominator. B_j is halved by the parity of its numerator,
     the min is a cross-product, the filler is gap * B_den // B_num + 1,
-    and sums are reduced by ``rational._pair_sum``. Each Fraction of the
+    and sums are reduced by ``rational._pair_sum``. The margins come from
+    ``_margins``, which the command line runs again on exact decimal
+    integers, whose text takes linear time. Each Fraction of the
     result is made once, at the end of its value's computation, by
     ``rational._coprime``, which takes the reduced pair as it is.
     ``Fraction(n, d)`` would reduce it again, and a gcd of two coprime
@@ -187,25 +191,12 @@ def construct(seq: TargetSequence, depth: int) -> ConstructionResult:
         raise DepthExhausted(
             f"only {len(jumps)} jumps within horizon {horizon}")
 
-    # the margins run back from the end: StepCertificate's steps, from
-    # lower = 0, upper = -B and a_{n+1} = a', the last target before the break
     last_built = jumps[-1]
     a_prefix = tuple(a_seen[:last_built])
     certs: list[StepCertificate] = []
-    lower, upper, a_next = (0, 1), (-bn, bd), a_seen[-1]
-    for idx in range(last_built, 0, -1):
-        a, b = a_prefix[idx - 1], b_prefix[idx - 1]
-        # at a jump, the numerators are the gaps in the companion's bracket
-        mid = b * (a_next - a)
-        ln, ld = a * a_next - mid, b * a * a_next
-        un, ud = mid - (a - 1) * (a_next - 1), b * (a - 1) * (a_next - 1)
-        g, h = math.gcd(ln, ld), math.gcd(un, ud)
-        lower = _pair_sum(*lower, ln // g, ld // g)
-        upper = _pair_sum(*upper, un // h, ud // h)
-        if lower[0] <= 0 or upper[0] <= 0:
-            raise ConstructionError(f"certificate failed at index {idx}")
+    for idx, lower, upper in _margins(a_prefix, b_prefix, a_seen[-1],
+                                      bn, bd, int):
         certs.append(StepCertificate(idx, _coprime(*lower), _coprime(*upper)))
-        a_next = a
     certs.reverse()
 
     return ConstructionResult(
@@ -223,3 +214,31 @@ def construct(seq: TargetSequence, depth: int) -> ConstructionResult:
         future_filler_bound=_coprime(bn, bd),
         certificates=tuple(certs),
     )
+
+
+def _margins(a_prefix, b_prefix, a_last, bn, bd, number):
+    """(index, lower, upper) for each built index, from the last one back:
+    StepCertificate's margins as pairs in lowest terms, run from lower = 0,
+    upper = -B and a_{n+1} = a_last, the target that anchors the tail.
+
+    Only the running sums pass through ``number``: ``construct`` gives
+    int, and the command line gives ``decimal.Decimal`` in an exact
+    context, whose digits print in linear time. The constant added at
+    each index is reduced in ints of a's size, and ``_pair_sum`` reads
+    the same integers either way.
+    """
+    lower, upper = (number(0), number(1)), (number(-bn), number(bd))
+    a_next = a_last
+    for idx in range(len(a_prefix), 0, -1):
+        a, b = a_prefix[idx - 1], b_prefix[idx - 1]
+        # at a jump, the numerators are the gaps in the companion's bracket
+        mid = b * (a_next - a)
+        ln, ld = a * a_next - mid, b * a * a_next
+        un, ud = mid - (a - 1) * (a_next - 1), b * (a - 1) * (a_next - 1)
+        g, h = math.gcd(ln, ld), math.gcd(un, ud)
+        lower = _pair_sum(*lower, ln // g, ld // g)
+        upper = _pair_sum(*upper, un // h, ud // h)
+        if lower[0] <= 0 or upper[0] <= 0:
+            raise ConstructionError(f"certificate failed at index {idx}")
+        yield idx, lower, upper
+        a_next = a

@@ -135,12 +135,19 @@ def classify(a, b, t_grid=DEFAULT_T_GRID,
              family=None) -> ClassificationReport:
     """Screen (a, b) data for fixed-weakness producibility evidence.
 
-    A declared ``family`` settles persistent witnesses by its ratio limit.
+    A declared ``family`` settles persistent witnesses by its ratio limit,
+    so a must be its first len(a) targets; a ValueError names the first
+    index where they differ.
     """
     a = positive_ints(a, "a")
     b = positive_ints(b, "b")
     if not a or len(a) != len(b):
         raise ValueError("need equal-length nonempty sequences")
+    if family is not None:
+        for n, (x, y) in enumerate(zip(a, family._targets(len(a))), 1):
+            if x != y:
+                raise ValueError(
+                    f"a differs from {family.spec_string()} at index {n}")
     t_grid = tuple(t_grid)
     if not t_grid:
         raise ValueError("need at least one weakness level")

@@ -25,7 +25,8 @@ such pairs with ``Fraction``'s own two gcds, and ``_coprime`` turns a
 finished pair into a ``Fraction`` without reducing it again, by setting
 the two slots ``Fraction`` sets itself (``_numerator`` and
 ``_denominator``, on CPython 3.10 to 3.13). ``construct`` is their
-caller.
+caller, and its margins also run through ``_pair_sum`` on exact
+``decimal.Decimal`` integers, for the command line's text.
 
 It also holds the input contract of every entry point. ``positive_int``
 refuses a bool, a non-``int`` or a value below the least one allowed,
@@ -132,20 +133,25 @@ def _coprime(numerator: int, denominator: int) -> Fraction:
     return x
 
 
-def _pair_sum(na: int, da: int, nb: int, db: int) -> tuple[int, int]:
+def _pair_sum(na, da, nb, db):
     """na/da + nb/db as a pair in lowest terms with a positive denominator,
     for two such pairs.
 
     It takes the two gcds of ``Fraction``'s own addition: g of the
     denominators, and then only g's gcd with the new numerator, which is
-    all a common factor can come from.
+    all a common factor can come from. Each gcd reads a remainder by the
+    second denominator or by g, which are short in construct's margin
+    sums, so the pairs may also be exact ``decimal.Decimal`` integers:
+    only db and the remainders pass through ``int`` for ``math.gcd``.
+    Decimal ``%`` keeps the dividend's sign, which gcd ignores, so the
+    integers come out the same.
     """
-    g = math.gcd(da, db)
+    g = math.gcd(int(db), int(da % db))
     if g == 1:
         return na * db + da * nb, da * db
     s = da // g
     t = na * (db // g) + nb * s
-    g2 = math.gcd(t, g)
+    g2 = math.gcd(g, int(t % g))
     if g2 == 1:
         return t, s * db
     return t // g2, s * (db // g2)

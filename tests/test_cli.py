@@ -23,20 +23,25 @@ that record with
 """
 from __future__ import annotations
 
+import contextlib
+import decimal
 import importlib
 import json
 import os
 import re
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import unitfrac
 from unitfrac import cli
-from unitfrac.construct import ConstructionError
-from unitfrac.families import FibonacciFamily, theta_partial
+from unitfrac.construct import ConstructionError, TargetSequence, construct
+from unitfrac.families import FibonacciFamily, GeometricFamily, theta_partial
 from unitfrac.rational import format_rational, parse_int
 
 from test_cli_golden import run_main
@@ -240,6 +245,106 @@ def test_construct_internal_error_exits_2(monkeypatch):
     assert proc == (2, "", "error: certificate failed at index 1\n")
 
 
+# plateaus of 1 to 4 indices, each followed by a rise of 1 to 3 or a gap
+# of thousands to billions
+rises = st.one_of(st.integers(1, 3), st.integers(10**3, 10**9))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(2, 9), st.lists(st.tuples(st.integers(1, 4), rises),
+                                   min_size=2, max_size=12))
+@example(2, [(2, 1), (2, 1)])  # each of _pair_sum's three returns
+def test_margin_texts_are_the_certificates(start, runs):
+    # the decimal run prints the integers construct's int run certified
+    values, a = [], start
+    for length, step in runs:
+        values += [a] * length
+        a += step
+    values.append(a)
+    res = construct(TargetSequence.from_explicit(values), len(runs) - 1)
+    assert cli._margin_texts(res) == [
+        (c.index, format_rational(c.lower_margin),
+         format_rational(c.upper_margin)) for c in res.certificates]
+
+
+@contextlib.contextmanager
+def digit_limit(limit):
+    """Run under this int-to-str digit limit, then restore the old one."""
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(saved)
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="no int-to-str digit limit in this Python")
+@pytest.mark.parametrize("fmt", ["table", "json", "csv"])
+def test_margins_print_up_to_the_digit_limit(fmt):
+    # Decimal text does not heed the limit, so the command holds each
+    # margin to it and lets str() refuse the first one past it
+    res = construct(TargetSequence.from_family(GeometricFamily(2, 3)), 62)
+    terms = [x for c in res.certificates
+             for m in (c.lower_margin, c.upper_margin)
+             for x in (m.numerator, m.denominator)]
+    longest = max(terms)
+    digits = len(str(longest))
+    assert digits > 640  # the lowest limit Python accepts, plus one
+    argv = ["construct", "--family", "geometric:a=2,r=3", "--depth", "62",
+            "--format", fmt]
+    with digit_limit(digits):
+        assert run_main(argv).returncode == 0
+    with digit_limit(digits - 1):
+        proc = run_main(argv)
+        with pytest.raises(ValueError) as refused:
+            str(longest)
+    assert proc == (2, "", f"error: {refused.value}\n")
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="no int-to-str digit limit in this Python")
+def test_a_margin_of_one_digit_past_the_limit_is_refused():
+    # 10**640 is the least value past a 640-digit limit; only a value
+    # crafted into the certificates can sit exactly there
+    res = construct(TargetSequence.from_family(GeometricFamily(2, 3)), 3)
+    first = res.certificates[0]._replace(lower_margin=Fraction(10**640))
+    res = res._replace(certificates=(first, *res.certificates[1:]))
+    with digit_limit(640):
+        with pytest.raises(ValueError, match="640"):
+            cli._margin_texts(res)
+
+
+def poison_the_local_context(real):
+    """A ``_margins`` whose decimal run changes its context and fails."""
+    def margins(*args):
+        if args[-1] is int:
+            return real(*args)
+        decimal.getcontext().prec = 7
+        raise ValueError("failed in the decimal run")
+    return margins
+
+
+@pytest.mark.parametrize("depth, patch, code", [
+    (20, False, 0),
+    (175, False, 2),  # past the 4300-digit limit
+    (20, True, 2),
+], ids=["printed", "digit-limit", "failed-run"])
+def test_construct_leaves_the_decimal_context_as_it_was(monkeypatch, depth,
+                                                       patch, code):
+    if patch:
+        module = importlib.import_module("unitfrac.construct")
+        monkeypatch.setattr(module, "_margins",
+                            poison_the_local_context(module._margins))
+    context = decimal.getcontext()
+    before = repr(context)
+    proc = run_main(["construct", "--family", "geometric:a=2,r=3",
+                     "--depth", str(depth), "--format", "csv"])
+    assert proc.returncode == code
+    assert decimal.getcontext() is context
+    assert repr(context) == before
+
+
 def assert_usage_error(proc, *flags):
     """Exit 2 with nothing on stdout and every given flag named on stderr."""
     assert proc.returncode == 2
@@ -388,6 +493,17 @@ def test_classify_rejects_empty_family(tmp_path):
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert proc.stderr == "error: unrecognized family spec: ''\n"
+
+
+def test_classify_names_where_the_data_leaves_the_declared_family(tmp_path):
+    a_file = write_lines(tmp_path / "a.txt", range(2, 42))
+    b_file = write_lines(tmp_path / "b.txt", range(3, 43))
+    proc = run_main(["classify", "--a-file", a_file, "--b-file", b_file,
+                     "--family", "geometric:a=2,r=3"])
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == ("error: a differs from geometric:a=2,r=3 "
+                           "at index 2\n")
 
 
 def test_classify_names_a_file_that_is_not_utf8(tmp_path):

@@ -310,7 +310,8 @@ def test_classify_geometric_producible():
     # without any declared growth the data alone cannot settle it
     assert classify(a, b).verdict == "inconclusive"
     # a family whose ratio tends to an irrational limit above one
-    flagged = classify(a, b, family=FibonacciFamily())
+    a, b = FibonacciFamily().terms(20)
+    flagged = classify(a[:-1], b, family=FibonacciFamily())
     assert flagged.verdict == "producible-evidence"
 
 
@@ -323,7 +324,8 @@ def test_classify_declared_limit_one():
 
 def test_classify_short_input_inconclusive():
     assert classify((2, 3), (2, 3)).verdict == "inconclusive"
-    assert classify((2,) * 7, (2,) * 7, family=GeometricFamily(2, 2)).verdict \
+    a, b = GeometricFamily(2, 2).terms(7)
+    assert classify(a[:-1], b, family=GeometricFamily(2, 2)).verdict \
         == "inconclusive"
     # eight terms are no longer short: their missing witnesses decide
     a = tuple(range(2, 10))

@@ -1,6 +1,7 @@
 """Exact scalar helpers, open intervals, and the long square."""
 from __future__ import annotations
 
+import decimal
 import enum
 import math
 import random
@@ -85,6 +86,11 @@ def test_greedy_denominator_sandwich(theta):
 
 # --------------------------------------------------------- exact arithmetic
 
+# integer arithmetic in decimal that raises rather than round
+EXACT = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX,
+                        traps=[decimal.InvalidOperation, decimal.Inexact,
+                               decimal.Rounded])
+
 # both denominators share the factor k, so all three reductions are drawn:
 # no common factor (k = 1), a common factor that leaves the sum reduced,
 # and one that divides the sum's numerator too
@@ -100,8 +106,14 @@ def test_greedy_denominator_sandwich(theta):
 def test_pair_sum_matches_fraction(n1, d1, n2, d2, k, opposite):
     x = Fraction(n1, d1 * k)
     y = -x if opposite else Fraction(n2, d2 * k)
-    total = _pair_sum(x.numerator, x.denominator, y.numerator, y.denominator)
+    terms = (x.numerator, x.denominator, y.numerator, y.denominator)
+    total = _pair_sum(*terms)
     assert total == ((x + y).numerator, (x + y).denominator)
+    # the same integers from exact decimal operands
+    with decimal.localcontext(EXACT):
+        in_decimal = _pair_sum(*map(decimal.Decimal, terms))
+    assert all(type(v) is decimal.Decimal for v in in_decimal)
+    assert tuple(map(int, in_decimal)) == total
 
 
 @settings(max_examples=300)

@@ -45,10 +45,10 @@ EQUIVALENT = {
             "so tn is never 0",
         ("construct", "tn * bd < bn * td", "tn * bd <= bn * td"):
             "at equal values both sides are the same reduced pair",
-        ("construct", "lower[0] <= 0", "lower[0] < 0"):
+        ("_margins", "lower[0] <= 0", "lower[0] < 0"):
             "the lower margin telescopes over strict brackets "
             "1/a - 1/a' < 1/b, so it is never 0",
-        ("construct", "upper[0] <= 0", "upper[0] < 0"):
+        ("_margins", "upper[0] <= 0", "upper[0] < 0"):
             "the fillers from plateau J on and the tail budget spend at "
             "most theta_J, so the upper margin exceeds theta_J > 0",
     },
