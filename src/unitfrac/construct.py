@@ -20,8 +20,14 @@ constant filler floor(gap/B_j) + 1 (at least a), so all fillers from
 plateau j onward spend less than every banked slack theta_k, k <= j.
 Two exact margins per index, run back from the end of the prefix by
 ``_margins``, turn the claim into certificates; each margin must be
-strictly positive. The command line prints the margins from the same
-recurrence, run on exact ``decimal.Decimal`` integers.
+strictly positive.
+
+``construct`` is the forward scan ``_scan`` and one run of ``_margins``
+on int, whose pairs become the result's Fractions. The command line runs
+the same scan and one run of ``_margins`` on exact ``decimal.Decimal``
+integers instead, whose digits print in linear time; it makes no
+Fraction margin. ``_enclosure`` narrows the index-1 window by its margins
+on either number type.
 """
 import math
 from fractions import Fraction
@@ -112,6 +118,19 @@ class ConstructionResult(NamedTuple):
     certificates: tuple[StepCertificate, ...]
 
 
+class _Prefix(NamedTuple):
+    """The built prefix of one ``_scan``, which ``_margins`` certifies."""
+
+    a_prefix: tuple[int, ...]
+    b_prefix: tuple[int, ...]
+    jump_indices: tuple[int, ...]
+    next_jump_index: int
+    next_jump_value: int
+    theta_choices: tuple[Fraction, ...]
+    filler_values: tuple[Optional[int], ...]
+    future_filler_bound: Fraction  # B_j of the last jump
+
+
 def construct(seq: TargetSequence, depth: int) -> ConstructionResult:
     """Run the construction through `depth` jumps.
 
@@ -124,9 +143,10 @@ def construct(seq: TargetSequence, depth: int) -> ConstructionResult:
     margins are pairs (numerator, denominator) in lowest terms with a
     positive denominator. B_j is halved by the parity of its numerator,
     the min is a cross-product, the filler is gap * B_den // B_num + 1,
-    and sums are reduced by ``rational._pair_sum``. The margins come from
-    ``_margins``, which the command line runs again on exact decimal
-    integers, whose text takes linear time. Each Fraction of the
+    and sums are reduced by ``rational._pair_sum``. ``_scan`` builds the
+    prefix and ``_margins`` certifies it, here on int; the command line
+    calls the two itself and runs ``_margins`` on exact decimal integers
+    alone, whose text takes linear time. Each Fraction of the
     result is made once, at the end of its value's computation, by
     ``rational._coprime``, which takes the reduced pair as it is.
     ``Fraction(n, d)`` would reduce it again, and a gcd of two coprime
@@ -135,6 +155,19 @@ def construct(seq: TargetSequence, depth: int) -> ConstructionResult:
     157 ms, ``Fraction`` arithmetic 22 ms and the pairs with ``_coprime``
     14 ms (medians of 15 calls, CPython 3.11.7, 2 vCPUs).
     """
+    prefix = _scan(seq, depth)
+    certs: list[StepCertificate] = []
+    for idx, lower, upper in _margins(prefix, int):
+        certs.append(StepCertificate(idx, _coprime(*lower), _coprime(*upper)))
+    certs.reverse()
+    lo, hi = _enclosure(prefix.a_prefix[0], lower, upper)
+    return ConstructionResult(
+        theta_enclosure=RationalInterval(_coprime(*lo), _coprime(*hi)),
+        certificates=tuple(certs), **prefix._asdict())
+
+
+def _scan(seq: TargetSequence, depth: int) -> _Prefix:
+    """The prefix ``construct`` certifies, built in one forward pass."""
     positive_int(depth, "depth")
     horizon = seq._given + 64 * (depth + 1) + 1024
 
@@ -191,35 +224,23 @@ def construct(seq: TargetSequence, depth: int) -> ConstructionResult:
         raise DepthExhausted(
             f"only {len(jumps)} jumps within horizon {horizon}")
 
-    last_built = jumps[-1]
-    a_prefix = tuple(a_seen[:last_built])
-    certs: list[StepCertificate] = []
-    for idx, lower, upper in _margins(a_prefix, b_prefix, a_seen[-1],
-                                      bn, bd, int):
-        certs.append(StepCertificate(idx, _coprime(*lower), _coprime(*upper)))
-    certs.reverse()
-
-    return ConstructionResult(
-        a_prefix=a_prefix,
+    return _Prefix(
+        a_prefix=tuple(a_seen[:jumps[-1]]),
         b_prefix=tuple(b_prefix),
         jump_indices=tuple(jumps),
         next_jump_index=n - 1,
         next_jump_value=a_seen[-1],
-        # the index-1 window (1/a_1, 1/(a_1 - 1)) narrowed by its margins
-        theta_enclosure=RationalInterval(
-            _coprime(*_pair_sum(*lower, 1, a_prefix[0])),
-            _coprime(*_pair_sum(1, a_prefix[0] - 1, -upper[0], upper[1]))),
         theta_choices=tuple(thetas),
         filler_values=tuple(fillers),
         future_filler_bound=_coprime(bn, bd),
-        certificates=tuple(certs),
     )
 
 
-def _margins(a_prefix, b_prefix, a_last, bn, bd, number):
+def _margins(prefix: _Prefix, number):
     """(index, lower, upper) for each built index, from the last one back:
     StepCertificate's margins as pairs in lowest terms, run from lower = 0,
-    upper = -B and a_{n+1} = a_last, the target that anchors the tail.
+    upper = -B and a_{n+1} = next_jump_value, the target that anchors the
+    tail.
 
     Only the running sums pass through ``number``: ``construct`` gives
     int, and the command line gives ``decimal.Decimal`` in an exact
@@ -227,10 +248,12 @@ def _margins(a_prefix, b_prefix, a_last, bn, bd, number):
     each index is reduced in ints of a's size, and ``_pair_sum`` reads
     the same integers either way.
     """
-    lower, upper = (number(0), number(1)), (number(-bn), number(bd))
-    a_next = a_last
-    for idx in range(len(a_prefix), 0, -1):
-        a, b = a_prefix[idx - 1], b_prefix[idx - 1]
+    budget = prefix.future_filler_bound
+    lower = number(0), number(1)
+    upper = number(-budget.numerator), number(budget.denominator)
+    a_next = prefix.next_jump_value
+    for idx in range(len(prefix.a_prefix), 0, -1):
+        a, b = prefix.a_prefix[idx - 1], prefix.b_prefix[idx - 1]
         # at a jump, the numerators are the gaps in the companion's bracket
         mid = b * (a_next - a)
         ln, ld = a * a_next - mid, b * a * a_next
@@ -242,3 +265,14 @@ def _margins(a_prefix, b_prefix, a_last, bn, bd, number):
             raise ConstructionError(f"certificate failed at index {idx}")
         yield idx, lower, upper
         a_next = a
+
+
+def _enclosure(a_1, lower, upper):
+    """The theta enclosure (lo, hi) as pairs: the index-1 window
+    (1/a_1, 1/(a_1 - 1)) narrowed by that index's margins, lo = lower +
+    1/a_1 and hi = 1/(a_1 - 1) - upper, on the margins' number type.
+    Each margin is ``_pair_sum``'s first pair, so that only the short
+    a_1 passes through ``int``.
+    """
+    return (_pair_sum(*lower, 1, a_1),
+            _pair_sum(-upper[0], upper[1], 1, a_1 - 1))

@@ -25,8 +25,9 @@ such pairs with ``Fraction``'s own two gcds, and ``_coprime`` turns a
 finished pair into a ``Fraction`` without reducing it again, by setting
 the two slots ``Fraction`` sets itself (``_numerator`` and
 ``_denominator``, on CPython 3.10 to 3.13). ``construct`` is their
-caller, and its margins also run through ``_pair_sum`` on exact
-``decimal.Decimal`` integers, for the command line's text.
+caller. Its margins run through ``_pair_sum`` once per call: on int in
+the library's ``construct``, and on exact ``decimal.Decimal`` integers
+alone in the command line, which prints them and makes no Fraction.
 
 It also holds the input contract of every entry point. ``positive_int``
 refuses a bool, a non-``int`` or a value below the least one allowed,

@@ -31,7 +31,6 @@ import os
 import re
 import subprocess
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -41,7 +40,7 @@ from hypothesis import strategies as st
 import unitfrac
 from unitfrac import cli
 from unitfrac.construct import ConstructionError, TargetSequence, construct
-from unitfrac.families import FibonacciFamily, GeometricFamily, theta_partial
+from unitfrac.families import FibonacciFamily, theta_partial
 from unitfrac.rational import format_rational, parse_int
 
 from test_cli_golden import run_main
@@ -240,7 +239,7 @@ def test_construct_internal_error_exits_2(monkeypatch):
     # the module, which ``import unitfrac.construct as m`` would not give:
     # that binds the function the package exports under the same name
     monkeypatch.setattr(importlib.import_module("unitfrac.construct"),
-                        "construct", fail)
+                        "_scan", fail)
     proc = run_main(["construct", "--family", "fibonacci", "--depth", "3"])
     assert proc == (2, "", "error: certificate failed at index 1\n")
 
@@ -254,17 +253,27 @@ rises = st.one_of(st.integers(1, 3), st.integers(10**3, 10**9))
 @given(st.integers(2, 9), st.lists(st.tuples(st.integers(1, 4), rises),
                                    min_size=2, max_size=12))
 @example(2, [(2, 1), (2, 1)])  # each of _pair_sum's three returns
-def test_margin_texts_are_the_certificates(start, runs):
-    # the decimal run prints the integers construct's int run certified
+def test_margin_texts_are_the_certificates(tmp_path_factory, start, runs):
+    # the command's decimal run prints the integers construct's int run
+    # certified: each margin, and the enclosure made from index 1's pair
     values, a = [], start
     for length, step in runs:
         values += [a] * length
         a += step
     values.append(a)
     res = construct(TargetSequence.from_explicit(values), len(runs) - 1)
-    assert cli._margin_texts(res) == [
-        (c.index, format_rational(c.lower_margin),
-         format_rational(c.upper_margin)) for c in res.certificates]
+    a_file = write_lines(tmp_path_factory.mktemp("targets") / "a.txt", values)
+    proc = run_main(["construct", "--a-file", a_file,
+                     "--depth", str(len(runs) - 1), "--format", "json"])
+    assert proc.returncode == 0
+    doc = json.loads(proc.stdout)
+    assert doc["certificates"] == [
+        {"index": c.index, "lower-margin": format_rational(c.lower_margin),
+         "upper-margin": format_rational(c.upper_margin)}
+        for c in res.certificates]
+    iv = res.theta_enclosure
+    assert (doc["theta-enclosure"]["lo"], doc["theta-enclosure"]["hi"]) == (
+        format_rational(iv.lo), format_rational(iv.hi))
 
 
 @contextlib.contextmanager
@@ -278,41 +287,97 @@ def digit_limit(limit):
         sys.set_int_max_str_digits(saved)
 
 
+def refusal(x) -> str:
+    """The stderr of a command in which str() refuses x, under the digit
+    limit in force."""
+    with pytest.raises(ValueError) as refused:
+        str(x)
+    return f"error: {refused.value}\n"
+
+
 @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
                     reason="no int-to-str digit limit in this Python")
 @pytest.mark.parametrize("fmt", ["table", "json", "csv"])
 def test_margins_print_up_to_the_digit_limit(fmt):
     # Decimal text does not heed the limit, so the command holds each
-    # margin to it and lets str() refuse the first one past it
-    res = construct(TargetSequence.from_family(GeometricFamily(2, 3)), 62)
-    terms = [x for c in res.certificates
-             for m in (c.lower_margin, c.upper_margin)
-             for x in (m.numerator, m.denominator)]
-    longest = max(terms)
+    # integer it prints to it, enclosure ends included, and lets str()
+    # refuse the first one past it
+    printed = construct_geometric(62, fmt)
+    longest = max(map(int, re.findall("[0-9]+", printed.stdout)))
     digits = len(str(longest))
     assert digits > 640  # the lowest limit Python accepts, plus one
-    argv = ["construct", "--family", "geometric:a=2,r=3", "--depth", "62",
-            "--format", fmt]
     with digit_limit(digits):
-        assert run_main(argv).returncode == 0
+        assert construct_geometric(62, fmt) == printed
     with digit_limit(digits - 1):
-        proc = run_main(argv)
-        with pytest.raises(ValueError) as refused:
-            str(longest)
-    assert proc == (2, "", f"error: {refused.value}\n")
+        assert construct_geometric(62, fmt) == (2, "", refusal(longest))
+
+
+def crafted(monkeypatch, name, change):
+    """Patch the function ``name`` of construct, which the command runs on
+    exact Decimal integers, so that ``change`` rewrites its result."""
+    module = importlib.import_module("unitfrac.construct")
+    real = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *args: change(real(*args)))
+
+
+def construct_geometric(depth, fmt):
+    return run_main(["construct", "--family", "geometric:a=2,r=3",
+                     "--depth", str(depth), "--format", fmt])
 
 
 @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
                     reason="no int-to-str digit limit in this Python")
-def test_a_margin_of_one_digit_past_the_limit_is_refused():
-    # 10**640 is the least value past a 640-digit limit; only a value
-    # crafted into the certificates can sit exactly there
-    res = construct(TargetSequence.from_family(GeometricFamily(2, 3)), 3)
-    first = res.certificates[0]._replace(lower_margin=Fraction(10**640))
-    res = res._replace(certificates=(first, *res.certificates[1:]))
+def test_a_margin_of_one_digit_past_the_limit_is_refused(monkeypatch):
+    # 10**640 is the least value past a 640-digit limit, and 10**640 - 1
+    # the greatest within it; only a value crafted into the decimal run can
+    # sit exactly there. It is the lower numerator of the last index, the
+    # first one the run yields, so the enclosure, made at index 1, keeps
+    # its value
+    value = 10**640 - 1
+    margin = f",{value}/"
+
+    def change(margins):
+        (index, (_, ld), upper), *rest = margins
+        return [(index, (decimal.Decimal(value), ld), upper), *rest]
+    crafted(monkeypatch, "_margins", change)
     with digit_limit(640):
-        with pytest.raises(ValueError, match="640"):
-            cli._margin_texts(res)
+        proc = construct_geometric(3, "csv")
+        assert proc.returncode == 0
+        assert margin in proc.stdout
+        value = 10**640
+        assert construct_geometric(3, "csv") == (2, "", refusal(value))
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="no int-to-str digit limit in this Python")
+@pytest.mark.parametrize("fmt", ["table", "json", "csv"])
+@pytest.mark.parametrize("value", [10**640 - 1, 10**640],
+                         ids=["640-digits", "641-digits"])
+def test_an_enclosure_end_past_the_limit_is_refused(monkeypatch, fmt, value):
+    # hi = (value - 1)/value, crafted, holds the only integers near the
+    # limit; csv prints no enclosure, so it prints whatever hi is
+    def change(ends):
+        return ends[0], (decimal.Decimal(value - 1), decimal.Decimal(value))
+    crafted(monkeypatch, "_enclosure", change)
+    hi = f"{value - 1}/{value}"
+    with digit_limit(640):
+        proc = construct_geometric(3, fmt)
+        expected = refusal(value) if value >= 10**640 else ""
+    if expected and fmt != "csv":
+        assert proc == (2, "", expected)
+    else:
+        assert proc.returncode == 0
+        assert (hi in proc.stdout) == (fmt != "csv")
+
+
+@pytest.mark.parametrize("fmt", ["table", "json", "csv"])
+def test_an_empty_enclosure_is_an_internal_error(monkeypatch, fmt):
+    # lo < hi holds for every construction; an enclosure crafted to lo = hi
+    # fails the command's exact check, as RationalInterval fails the
+    # library's
+    crafted(monkeypatch, "_enclosure", lambda ends: (ends[0], ends[0]))
+    proc = construct_geometric(3, fmt)
+    assert proc == (2, "", "error: empty theta enclosure\n")
 
 
 def poison_the_local_context(real):

@@ -40,10 +40,10 @@ TIMEOUT_S = 600  # per mutant; a mutant can loop for ever
 
 EQUIVALENT = {
     "construct": {
-        ("construct", "tn <= 0", "tn < 0"):
+        ("_scan", "tn <= 0", "tn < 0"):
             "b = (a*a' - 1) // gap gives tn = b*gap - lo_n >= 2a - 1 >= 3, "
             "so tn is never 0",
-        ("construct", "tn * bd < bn * td", "tn * bd <= bn * td"):
+        ("_scan", "tn * bd < bn * td", "tn * bd <= bn * td"):
             "at equal values both sides are the same reduced pair",
         ("_margins", "lower[0] <= 0", "lower[0] < 0"):
             "the lower margin telescopes over strict brackets "
