@@ -34,6 +34,7 @@ EXIT_PIPE_CLOSED = 141
 # arithmetic depth 290 and 2.6-2.8 MB in the first piece of a plateau
 # construct at depth 150-154, whose rows run to 12.8 kB
 _CSV_PIECE_ROWS = 256
+_VERDICT_KEYS = ("index", "a", "a-next", "unique", "k", "case")
 
 
 def _read_sequence_file(path: str) -> list[int]:
@@ -143,12 +144,14 @@ def _interval_doc(lo: str, hi: str) -> dict:
 
 
 def _verdict_doc(verdict) -> dict:
-    return dict(zip(("index", "a", "a-next", "unique", "k", "case"), verdict))
+    return dict(zip(_VERDICT_KEYS, verdict))
 
 
-def _counts_doc(counts) -> list[dict]:
-    """(t, count) pairs as {t, count} objects."""
-    return [{"t": format_rational(t), "count": c} for t, c in counts]
+def _counts_doc(counts):
+    """(t, count) pairs as a table of {t, count} objects."""
+    from . import _json
+    return _json.Rows(("t", "count"),
+                      [(format_rational(t), c) for t, c in counts])
 
 
 # ---------------------------------------------------------------- commands
@@ -279,6 +282,7 @@ def _margin_texts(prefix, limit: int) -> tuple[list, tuple, tuple]:
 
 
 def _construct_doc(prefix, enclosure, certificates) -> dict:
+    from . import _json
     return {
         "a": list(prefix.a_prefix),
         "b": list(prefix.b_prefix),
@@ -289,9 +293,8 @@ def _construct_doc(prefix, enclosure, certificates) -> dict:
         "theta-choices": [format_rational(t) for t in prefix.theta_choices],
         "filler-values": list(prefix.filler_values),
         "future-filler-bound": format_rational(prefix.future_filler_bound),
-        "certificates": [
-            {"index": index, "lower-margin": lower, "upper-margin": upper}
-            for index, lower, upper in certificates],
+        "certificates": _json.Rows(
+            ("index", "lower-margin", "upper-margin"), certificates),
         "verification-depth": len(prefix.a_prefix),
     }
 
@@ -407,18 +410,23 @@ def _cmd_unique(args) -> Report:
         values = _read_sequence_file(args.a_file)
         (suff, open_verdicts), (nec, closed_verdicts) = _pairwise(
             values, _open_criterion, _closed_criterion)
-        rows = ((v.index, v.a, v.a_next, v.unique, v.case, w.unique, w.case)
-                for v, w in zip(open_verdicts, closed_verdicts))
-        return Report(
-            lambda: {
+        # index, a, a', unique and case of the open verdict, then the closed
+        rows = map(operator.add,
+                   map(operator.itemgetter(0, 1, 2, 3, 5), open_verdicts),
+                   map(operator.itemgetter(3, 5), closed_verdicts))
+
+        def doc():
+            from . import _json
+            return {
                 "sufficient": suff,
                 "necessary": nec,
-                "open-verdicts": [_verdict_doc(v) for v in open_verdicts],
-                "closed-verdicts": [_verdict_doc(v) for v in closed_verdicts],
-            },
-            ("index", "a", "a-next", "open-unique", "open-case",
-             "closed-unique", "closed-case"), rows,
-            after=(f"sufficient: {suff}", f"necessary: {nec}"))
+                "open-verdicts": _json.Rows(_VERDICT_KEYS, open_verdicts),
+                "closed-verdicts": _json.Rows(_VERDICT_KEYS, closed_verdicts),
+            }
+
+        return Report(doc, ("index", "a", "a-next", "open-unique",
+                            "open-case", "closed-unique", "closed-case"),
+                      rows, after=(f"sufficient: {suff}", f"necessary: {nec}"))
     if args.range is not None:
         return _census_report(sweep(positive_int(args.range, "--range", 3)))
     return _census_report(

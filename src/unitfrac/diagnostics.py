@@ -142,7 +142,8 @@ def classify(a, b, t_grid=DEFAULT_T_GRID,
     a = positive_ints(a, "a")
     b = positive_ints(b, "b")
     if not a or len(a) != len(b):
-        raise ValueError("need equal-length nonempty sequences")
+        raise ValueError("need equal-length nonempty sequences, got "
+                         f"{len(a)} a and {len(b)} b terms")
     if family is not None:
         for n, (x, y) in enumerate(zip(a, family._targets(len(a))), 1):
             if x != y:

@@ -21,6 +21,8 @@ one of three rules:
 - open, r > 0: k = a + q, and the pair is unique exactly when
   r + 1 >= 2(q + a), since q (d + 2) = a^2 - r + 2q <= (a-1)^2 is that.
 """
+import itertools
+import operator
 import random
 from typing import Iterator, NamedTuple, Optional
 
@@ -95,17 +97,25 @@ def _pairwise(a_seq, *criteria):
     """(all unique, verdicts) per criterion; each pair is checked once."""
     seq = list(a_seq)
     if len(seq) < 2:
-        raise ValueError("need at least two terms")
-    columns = [[] for _ in criteria]
-    for index, (a, a_next) in enumerate(zip(seq, seq[1:]), 1):
-        try:
-            _validate_pair(a, a_next)
-        except ValueError as exc:
-            raise ValueError(
-                f"pair {index} (a={a}, a_next={a_next}): {exc}") from exc
-        for verdicts, criterion in zip(columns, criteria):
-            verdicts.append(_verdict(index, a, a_next, criterion))
-    return [(all(v.unique for v in c), tuple(c)) for c in columns]
+        raise ValueError(f"need at least two terms, got {len(seq)}")
+    pairs = seq, seq[1:]
+    # plain rising ints from 2 pass in one C pass; anything else (a bool,
+    # an int subclass, a refused pair) goes to the loop, which names it
+    if not (set(map(type, seq)) == {int} and seq[0] > 1
+            and all(map(operator.lt, *pairs))):
+        for index, (a, a_next) in enumerate(zip(*pairs), 1):
+            try:
+                _validate_pair(a, a_next)
+            except ValueError as exc:
+                raise ValueError(
+                    f"pair {index} (a={a}, a_next={a_next}): {exc}") from exc
+    # no Python frame runs per pair but the criterion's
+    columns = [list(map(criterion, *pairs)) for criterion in criteria]
+    return [(all(map(operator.itemgetter(0), column)),
+             tuple(map(tuple.__new__, itertools.repeat(UniquenessVerdict),
+                       map(operator.add, zip(range(1, len(seq)), *pairs),
+                           column))))
+            for column in columns]
 
 
 def sufficient_uniqueness(a_seq):

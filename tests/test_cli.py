@@ -499,6 +499,14 @@ def test_unique_file_names_the_pair_that_does_not_increase(tmp_path):
     assert "pair 2 (a=3, a_next=3)" in proc.stderr
 
 
+def test_unique_file_of_one_term_names_its_count(tmp_path):
+    a_file = write_lines(tmp_path / "a.txt", [2])
+    proc = run_main(["unique", "--a-file", a_file, "--format", "json"])
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == "error: need at least two terms, got 1\n"
+
+
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"),
                     reason="VmHWM is read from Linux /proc")
 def test_unique_range_summary_holds_no_rows():
@@ -569,6 +577,16 @@ def test_classify_names_where_the_data_leaves_the_declared_family(tmp_path):
     assert proc.stdout == ""
     assert proc.stderr == ("error: a differs from geometric:a=2,r=3 "
                            "at index 2\n")
+
+
+def test_classify_names_the_counts_of_unequal_files(tmp_path):
+    a_file = write_lines(tmp_path / "a.txt", [2, 3, 4])
+    b_file = write_lines(tmp_path / "b.txt", [7, 13])
+    proc = run_main(["classify", "--a-file", a_file, "--b-file", b_file])
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == ("error: need equal-length nonempty sequences, "
+                           "got 3 a and 2 b terms\n")
 
 
 def test_classify_names_a_file_that_is_not_utf8(tmp_path):

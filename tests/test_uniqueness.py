@@ -9,6 +9,8 @@ tests import them too.
 """
 from __future__ import annotations
 
+import enum
+import itertools
 import json
 import math
 from fractions import Fraction as F
@@ -19,6 +21,10 @@ from hypothesis import strategies as st
 
 from unitfrac.uniqueness import (
     CensusRow,
+    UniquenessVerdict,
+    _closed_criterion,
+    _open_criterion,
+    _pairwise,
     _row,
     necessary_uniqueness,
     pair_necessary_closed,
@@ -130,6 +136,69 @@ def test_necessary_uniqueness_sequences():
     ok, verdicts = necessary_uniqueness((2, 4, 20))
     assert not ok
     assert verdicts[0].index == 1 and not verdicts[0].unique
+
+
+def rising(start, gaps):
+    """A rising list: ``start``, then each gap added in turn."""
+    return st.builds(
+        lambda a, steps: list(itertools.accumulate(steps, initial=a)),
+        start, st.lists(gaps, min_size=1, max_size=24))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(
+    rising(st.integers(2, 60), st.integers(1, 400)),
+    # 1.4 kbit and more, as the a-file census at long operands
+    rising(st.integers(2**1400, 2**1500), st.integers(1, 2**1450))))
+def test_pairwise_is_the_pair_verdicts_with_their_index(seq):
+    # the one-pass check and the mapped criteria give what the per-pair
+    # entry points give, pair by pair, with each pair's place from 1
+    pairs = list(zip(seq, seq[1:]))
+    both = _pairwise(seq, _open_criterion, _closed_criterion)
+    for (ok, verdicts), pair_verdict in zip(
+            both, (pair_uniqueness, pair_necessary_closed)):
+        expected = tuple(pair_verdict(a, a_next)._replace(index=n)
+                         for n, (a, a_next) in enumerate(pairs, 1))
+        assert verdicts == expected
+        assert all(type(v) is UniquenessVerdict for v in verdicts)
+        assert ok == all(v.unique for v in expected)
+    assert sufficient_uniqueness(seq) == both[0]
+    assert necessary_uniqueness(seq) == both[1]
+
+
+class Target(enum.IntEnum):
+    A1 = 2
+    A2 = 7
+    A3 = 57
+
+
+def test_pairwise_takes_valid_int_subclasses():
+    # an int subclass is left to the per-pair loop, which accepts it
+    ok, verdicts = sufficient_uniqueness(list(Target))
+    assert ok and verdicts == sufficient_uniqueness((2, 7, 57))[1]
+    assert verdicts[0].a is Target.A1
+
+
+@pytest.mark.parametrize("seq, message", [
+    ([2, 5, True], "pair 2 (a=5, a_next=True): a_next must be an integer "
+                   ">= 6, got True"),
+    ([True, 3], "pair 1 (a=True, a_next=3): a must be an integer >= 2, "
+                "got True"),
+    ([2, 7.5, 9], "pair 1 (a=2, a_next=7.5): a_next must be an integer "
+                  ">= 3, got 7.5"),
+    ([2, 9, 9], "pair 2 (a=9, a_next=9): a_next must be an integer >= 10, "
+                "got 9"),
+    ([2, 9, 4, 5], "pair 2 (a=9, a_next=4): a_next must be an integer "
+                   ">= 10, got 4"),
+    ([1, 3], "pair 1 (a=1, a_next=3): a must be an integer >= 2, got 1"),
+    ([2], "need at least two terms, got 1"),
+    ([], "need at least two terms, got 0"),
+])
+def test_pairwise_names_the_first_refused_pair(seq, message):
+    for check in (sufficient_uniqueness, necessary_uniqueness):
+        with pytest.raises(ValueError) as refused:
+            check(seq)
+        assert str(refused.value) == message
 
 
 # ------------------------------------------------------------ consequences
