@@ -64,11 +64,22 @@ def _read_sequence_file(path: str) -> list[int]:
 
 
 def _table_lines(header, rows) -> list[str]:
-    cells = [list(header)] + [[str(c) for c in row] for row in rows]
-    widths = [max(len(row[i]) for row in cells)
-              for i in range(len(header))]
-    return ["  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip()
-            for row in cells]
+    """The header and rows as lines of cells, each column as wide as its
+    widest cell and two spaces apart, with no trailing space; a cell is
+    ``str`` of its field.
+
+    It runs column by column, so no Python frame is made per cell: the
+    columns are the rows transposed, and the lines the padded columns
+    transposed back. The last column is not padded, which ``rstrip``
+    would take off.
+    """
+    rows = [header, *rows]
+    columns = [list(map(str, map(operator.itemgetter(i), rows)))
+               for i in range(len(header))]
+    del rows  # the row tuples go before the lines are made
+    padded = [map(str.ljust, cells, itertools.repeat(max(map(len, cells))))
+              for cells in columns[:-1]]
+    return list(map(str.rstrip, map("  ".join, zip(*padded, columns[-1]))))
 
 
 class Report(NamedTuple):
@@ -96,13 +107,22 @@ def _csv_pieces(columns, rows) -> Iterator[str]:
     is the stdlib csv writer's text for every row the CLI prints: each
     field is an int, a bool, None, "P/Q" text or a hyphenated name, so
     none needs quoting, and every row has more than one field.
+
+    A piece is one ``%`` format of its fields, flattened, by one "%s"
+    per field, so no Python frame is made per row or field. A short row
+    next to a long one would shift the fields between them, so a row
+    whose width is not the header's raises ValueError.
     """
+    width = len(columns)
+    line = ",".join(["%s"] * width) + "\n"
+    blank = {None: ""}.get  # blank(c, c) is "" for None, else c
     rows = iter(rows)
     piece = [columns]
     while piece:
-        yield "".join(
-            ",".join(["" if c is None else str(c) for c in row]) + "\n"
-            for row in piece)
+        if not all(map(width.__eq__, map(len, piece))):
+            raise ValueError(f"a csv row's width is not its header's {width}")
+        fields = list(itertools.chain.from_iterable(piece))
+        yield line * len(piece) % tuple(map(blank, fields, fields))
         piece = list(itertools.islice(rows, _CSV_PIECE_ROWS))
 
 
@@ -123,8 +143,7 @@ def _emit(report: Report, fmt: str) -> int:
     else:
         table = (_table_lines(report.columns, report.rows)
                  if report.columns else [])
-        lines = [*report.before, *table, *report.after]
-        pieces = ["".join(line + "\n" for line in lines)]
+        pieces = ["\n".join([*report.before, *table, *report.after, ""])]
     # the finished text goes out in short writes: with PYTHONUNBUFFERED
     # stdout has no buffer, a short write to a closed pipe drops its rest
     # without an error, and only the next write raises BrokenPipeError
@@ -159,8 +178,7 @@ def _counts_doc(counts):
 def _walk_report(doc, a, b, residuals, **report) -> Report:
     """The walk table of expand and verify, with the report's other
     fields: per step n, a_n, b_n and the residual as "P/Q"."""
-    rows = ((n, a_n, b_n, format_rational(r)) for n, (a_n, b_n, r)
-            in enumerate(zip(a, b, residuals), start=1))
+    rows = zip(itertools.count(1), a, b, map(format_rational, residuals))
     return Report(doc, ("n", "a", "b", "residual"), rows,
                   csv_columns=("index", "a", "b", "residual"), **report)
 

@@ -4,14 +4,17 @@ Each family fixes a closed-form target sequence a_n. Its b_n is the
 largest integer whose reciprocal fits strictly between the telescoping
 differences 1/a_n - 1/a_{n+1} and 1/(a_n - 1) - 1/(a_{n+1} - 1), by the one
 companion rule ``greedy._companion``; the class docstrings give its closed
-forms. ``terms(n)`` reads a_1..a_{n+1} once (Fibonacci by its recurrence,
-the others by index) and derives b_1..b_n from them, and the series
-sum(1/b_n) is enclosed by its prefix sums plus the one tail bracket that
-the companion rule gives every family, with both ends on the 2**-96 grid.
+forms. ``terms(n)`` reads a_1..a_{n+1} once, by each family's own rule (a
+range, a running product, the Fibonacci recurrence), and maps the
+companion rule over them for b_1..b_n. The series sum(1/b_n) is enclosed
+by its prefix sums plus the one tail bracket that the companion rule
+gives every family, with both ends on the 2**-96 grid.
 """
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 import re
 from fractions import Fraction
 
@@ -76,16 +79,21 @@ class SequenceFamily:
         return _companion(self.a(n), self.a(n + 1))
 
     def _targets(self, count: int) -> list[int]:
-        """a_1..a_count, for ``terms``; by index unless a family has a
-        cheaper recurrence."""
-        return [self.a(k) for k in range(1, count + 1)]
+        """a_1..a_count, for ``terms``, by the family's own rule rather
+        than index by index."""
+        raise NotImplementedError
 
     def terms(self, n: int) -> tuple[list[int], list[int]]:
-        """a_1..a_{n+1}, each evaluated once, and b_1..b_n derived from
-        them; an index whose a_k < 2 has no bracket and reads ``b(k)``."""
+        """a_1..a_{n+1}, each evaluated once, and b_1..b_n, the companion
+        rule mapped over them. Every family's targets rise and reach 2 by
+        a_2, so only leading indices (a_1 = 1 of Fibonacci) have a_k < 2;
+        those have no bracket and read ``b(k)``."""
         a = self._targets(positive_int(n, "n") + 1)
-        return a, [_companion(x, y) if x >= 2 else self.b(k)
-                   for k, (x, y) in enumerate(zip(a, a[1:]), 1)]
+        lead = 0
+        while a[lead] < 2:
+            lead += 1
+        return a, [*map(self.b, range(1, lead + 1)),
+                   *map(_companion, a[lead:-1], a[lead + 1:])]
 
     def spec_string(self) -> str:
         raise NotImplementedError
@@ -141,6 +149,11 @@ class GeometricFamily(SequenceFamily):
     def a(self, n: int) -> int:
         return self.a0 * self.r ** (positive_int(n, "n") - 1)
 
+    def _targets(self, count: int) -> list[int]:
+        return list(itertools.accumulate(
+            itertools.repeat(self.r, count - 1), operator.mul,
+            initial=self.a0))
+
     def spec_string(self) -> str:
         return f"geometric:a={self.a0},r={self.r}"
 
@@ -164,6 +177,9 @@ class ArithmeticFamily(SequenceFamily):
 
     def a(self, n: int) -> int:
         return self.a0 + (positive_int(n, "n") - 1) * self.d
+
+    def _targets(self, count: int) -> list[int]:
+        return list(range(self.a0, self.a0 + count * self.d, self.d))
 
     def spec_string(self) -> str:
         return f"arithmetic:a={self.a0},d={self.d}"
@@ -224,8 +240,9 @@ def theta_partial(family: SequenceFamily, n_terms: int) -> RationalInterval:
 def _enclosure(family: SequenceFamily, b: list[int]) -> RationalInterval:
     """``theta_partial`` from the family's own b_1..b_n, n = len(b)."""
     tail_lo, tail_hi = family.tail_bracket(len(b))
-    lo = sum(_SCALE // den for den in b) + math.floor(tail_lo * _SCALE)
-    hi = sum(-(-_SCALE // den) for den in b) + math.ceil(tail_hi * _SCALE)
+    # each 1/b_n rounded down and up onto the grid: ceil(S/b) = -(-S // b)
+    lo = sum(map(_SCALE.__floordiv__, b)) + math.floor(tail_lo * _SCALE)
+    hi = -sum(map((-_SCALE).__floordiv__, b)) + math.ceil(tail_hi * _SCALE)
     return RationalInterval(Fraction(lo, _SCALE), Fraction(hi, _SCALE))
 
 

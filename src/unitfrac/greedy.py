@@ -17,13 +17,13 @@ which ``construct`` and ``families`` take.
 
 One walk, ``_walk``, serves both the chosen denominators of
 ``wgaa_expand`` and the given ones of ``recover_shadow``, because the
-shadow is fixed by the residual alone. It subtracts each 1/b_n through
-one step kernel, ``_unit_step``. When the residual's numerator p and the
-step d = b_n - (a_n - 1) are both below ``_WORD_BOUND`` (2**64), the
-kernel builds the next residual from integers, so its one long product
-is the square m*m, which ``rational._square`` forms by a
+shadow is fixed by the residual alone. It holds the residual as an int
+pair (p, q) in lowest terms and makes a Fraction of each residual once.
+When p and the step d = b_n - (a_n - 1) are both below ``_WORD_BOUND``
+(2**64), the walk builds the next pair from integers, so its one long
+product is the square m*m, which ``rational._square`` forms by a
 Schönhage–Strassen transform once m passes 124 kbit; every other step is
-the stdlib ``r - Fraction(1, b_n)``.
+``rational._pair_sum``, the two gcds of ``Fraction``'s own subtraction.
 
 The walk keeps its long squares. ``_walk_square`` holds every square
 m*m of an operand of at least ``_MEMO_BITS`` (8 kbit) bits that a walk
@@ -51,18 +51,20 @@ from fractions import Fraction
 from typing import Callable, NamedTuple, Optional, Sequence
 
 from . import rational
-from .rational import _unit_target, exact, positive_int, positive_ints
+from .rational import (_coprime, _pair_sum, _unit_target, exact,
+                       positive_int, positive_ints)
 
 _MAX_TERMS = 10**4
 
 _WORD_BOUND = 1 << 64
-"""Operand bound below which ``_unit_step`` builds the residual itself.
+"""Operand bound below which ``_walk`` builds the next residual pair
+around the square m*m.
 
 With p and d under one machine word, the new numerator p*d - s has at most
-128 bits, so the gcd that reduces the result is one linear remainder and
+128 bits, so the gcd that reduces the pair is one linear remainder and
 the one long product is the square m*m, which ``_walk_square`` forms or
 reads back. A long p or d would make that numerator long and that gcd
-quadratic, while the stdlib subtraction only needs gcd(q, b), which
+quadratic, while ``rational._pair_sum`` only needs gcd(q, b), which
 stays cheap, so those steps are left to it.
 """
 
@@ -197,33 +199,26 @@ def _known_square(x: int) -> int:
     return rational._square(x) if square is None else square
 
 
-def _unit_step(r: Fraction, m: int, b: int) -> Fraction:
-    """r - 1/b, for a residual r = p/q > 0 in lowest terms and m = q // p.
-
-    With s = q - p*m and d = b - m,
-    p/q - 1/b = (p*d - s) / (p*m*m + (p*d + s)*m + s*d), whose denominator
-    is q*b written around the square m*m, which ``_walk_square`` forms or
-    reads back (see the module docstring). That form is taken when p and d
-    lie in a machine word (see ``_WORD_BOUND``). Greedy steps (d = 1) never
-    raise the numerator and min-admissible steps (d = 2) at most double it,
-    so from a word-sized numerator they take it for dozens of steps.
-    """
-    p, q = r.numerator, r.denominator
-    d = b - m
-    if p < _WORD_BOUND and 0 < d < _WORD_BOUND:
-        s = q - p * m
-        return Fraction(p * d - s,
-                        p * _walk_square(m) + (p * d + s) * m + s * d)
-    return r - Fraction(1, b)
-
-
 def _walk(theta: Fraction, n_terms: int,
           choose: Callable[[int, int], int]) -> tuple[tuple, tuple, tuple]:
     """Shadows, choices and residuals of n_terms steps from theta.
 
-    ``choose(n, a_n)`` gives b_n. The walk raises ReplayOverrunError as
-    soon as the running residual is no longer positive, because no shadow
-    exists there; a weak choice (1/b_n <= 1/a_n < r) never gets there.
+    ``choose(n, a_n)`` gives b_n. The residual r = p/q is carried as an
+    int pair in lowest terms, q >= 1, and each one becomes a Fraction once,
+    through ``rational._coprime``. With m = q // p, s = q - p*m and
+    d = b_n - m, p/q - 1/b_n = (p*d - s) / (p*m*m + (p*d + s)*m + s*d),
+    whose denominator is q*b_n written around the square m*m, which
+    ``_walk_square`` forms or reads back (see the module docstring). That
+    form is taken when p and d lie in a machine word (see
+    ``_WORD_BOUND``); every other step is ``rational._pair_sum``, the two
+    gcds of ``Fraction``'s own subtraction. Greedy steps (d = 1) never
+    raise the numerator and min-admissible steps (d = 2) at most double
+    it, so from a word-sized numerator they take the word form for dozens
+    of steps.
+
+    The walk raises ReplayOverrunError as soon as the running residual is
+    no longer positive, because no shadow exists there; a weak choice
+    (1/b_n <= 1/a_n < r) never gets there.
     """
     global _target
     theta = _unit_target(theta)
@@ -233,16 +228,24 @@ def _walk(theta: Fraction, n_terms: int,
     shadows: list[int] = []
     chosen: list[int] = []
     residuals: list[Fraction] = []
-    r = theta
+    p, q = theta.numerator, theta.denominator
     for n in range(1, n_terms + 1):
-        if r.numerator <= 0:  # a Fraction has its numerator's sign
+        if p <= 0:
             raise ReplayOverrunError(n)
-        m = r.denominator // r.numerator
+        m = q // p
         b_n = choose(n, m + 1)
-        r = _unit_step(r, m, b_n)
+        d = b_n - m
+        if p < _WORD_BOUND and 0 < d < _WORD_BOUND:
+            s = q - p * m
+            p, q = p * d - s, p * _walk_square(m) + (p * d + s) * m + s * d
+            g = math.gcd(p, q)
+            if g != 1:
+                p, q = p // g, q // g
+        else:
+            p, q = _pair_sum(p, q, -1, b_n)
         shadows.append(m + 1)
         chosen.append(b_n)
-        residuals.append(r)
+        residuals.append(_coprime(p, q))
     return tuple(shadows), tuple(chosen), tuple(residuals)
 
 
@@ -302,11 +305,7 @@ def bracket_misses(a: Sequence[int], b: Sequence[int]) -> list[int]:
     """
     a = positive_ints(a, "a")
     b = positive_ints(b, "b")
-    misses = []
-    for n in range(1, min(len(a) - 1, len(b)) + 1):
-        a_cur, a_next = a[n - 1], a[n]
-        if 2 <= a_cur < a_next and not (
-                (a_cur - 1) * (a_next - 1) < b[n - 1] * (a_next - a_cur)
-                < a_cur * a_next):
-            misses.append(n)
-    return misses
+    return [n for n, (a_cur, a_next, b_n) in enumerate(zip(a, a[1:], b), 1)
+            if 2 <= a_cur < a_next and not (
+                (a_cur - 1) * (a_next - 1) < b_n * (a_next - a_cur)
+                < a_cur * a_next)]

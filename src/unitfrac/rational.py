@@ -24,10 +24,14 @@ in lowest terms with a positive denominator, ``_pair_sum`` adds two
 such pairs with ``Fraction``'s own two gcds, and ``_coprime`` turns a
 finished pair into a ``Fraction`` without reducing it again, by setting
 the two slots ``Fraction`` sets itself (``_numerator`` and
-``_denominator``, on CPython 3.10 to 3.13). ``construct`` is their
-caller. Its margins run through ``_pair_sum`` once per call: on int in
-the library's ``construct``, and on exact ``decimal.Decimal`` integers
-alone in the command line, which prints them and makes no Fraction.
+``_denominator``, on CPython 3.10 to 3.13). ``greedy._walk`` and
+``construct`` are their callers. The walk subtracts 1/b from its
+residual pair through ``_pair_sum`` wherever its word-size step does
+not apply, and makes each residual a Fraction through ``_coprime``.
+The margins of ``construct`` run through ``_pair_sum`` once per call:
+on int in the library's ``construct``, and on exact ``decimal.Decimal``
+integers alone in the command line, which prints them and makes no
+Fraction.
 
 It also holds the input contract of every entry point. ``positive_int``
 refuses a bool, a non-``int`` or a value below the least one allowed,

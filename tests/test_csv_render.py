@@ -1,10 +1,14 @@
-"""The CLI's csv text is exactly the stdlib csv writer's.
+"""The CLI's csv text is exactly the stdlib csv writer's, and its table
+text the cells padded one by one.
 
-``cli._csv_pieces`` joins each row's fields with commas instead of calling
-``csv.writer``; here its pieces are joined and compared with the writer's
-text (``lineterminator="\\n"``) for rows drawn from the field types the CLI
+``cli._csv_pieces`` formats each piece's fields with commas instead of
+calling ``csv.writer``, and refuses a row whose width is not the header's;
+here its pieces are joined and compared with the writer's text
+(``lineterminator="\\n"``) for rows drawn from the field types the CLI
 prints: ints of any size and sign, bools, None, "P/Q" text and the census
-case names, under the CLI's column names.
+case names, under the CLI's column names. ``cli._table_lines`` pads whole
+columns; here its lines are compared with each cell padded by
+``str.ljust`` on its own.
 """
 from __future__ import annotations
 
@@ -12,6 +16,7 @@ import csv
 import io
 from unittest import mock
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -58,3 +63,49 @@ def test_pieces_are_the_csv_writer_text(table, piece_rows):
     # the header, then whole rows, piece_rows at a time
     assert len(pieces) == 1 + -(-len(rows) // piece_rows)
     assert all(piece.endswith("\n") for piece in pieces)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(2, 7).flatmap(lambda width: st.tuples(
+           st.lists(NAMES, min_size=width, max_size=width),
+           st.lists(st.lists(FIELDS, min_size=width, max_size=width),
+                    min_size=2, max_size=12))),
+       st.data())
+def test_pieces_refuse_a_row_of_another_width(table, data):
+    # a short row with a long one holds the fields of two whole rows, so
+    # only a check of each row keeps a flat format from shifting them
+    columns, rows = table
+    i, j = data.draw(st.lists(st.integers(0, len(rows) - 1), min_size=2,
+                              max_size=2, unique=True))
+    short, long_, both = ([list(row) for row in rows] for _ in range(3))
+    short[i].pop()
+    long_[j].append(None)
+    both[i].pop()
+    both[j].append(None)
+    for bad in (short, long_, both):
+        with pytest.raises(ValueError, match="width"):
+            list(cli._csv_pieces(columns, bad))
+
+
+def ljust_table(header, rows) -> list[str]:
+    """The table's lines cell by cell: each cell ``str`` of its field,
+    padded to its column's widest cell, two spaces apart, trailing
+    space cut."""
+    cells = [list(header)] + [[str(c) for c in row] for row in rows]
+    widths = [max(len(row[i]) for row in cells)
+              for i in range(len(header))]
+    return ["  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip()
+            for row in cells]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 7).flatmap(lambda width: st.tuples(
+           st.lists(NAMES, min_size=width, max_size=width),
+           st.lists(st.lists(FIELDS, min_size=width, max_size=width),
+                    max_size=12))))
+def test_table_lines_are_the_padded_cells(table):
+    # header-only and one-column tables included; None prints as "None"
+    columns, rows = table
+    assert cli._table_lines(columns, rows) == ljust_table(columns, rows)
+    assert cli._table_lines(tuple(columns), iter(map(tuple, rows))) == \
+        ljust_table(columns, rows)

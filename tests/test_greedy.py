@@ -25,7 +25,7 @@ from unitfrac.greedy import (
     WeakGreedyRun,
     WgaaPolicy,
     _companion,
-    _unit_step,
+    _walk,
     bracket_misses,
     greedy_expand,
     recover_shadow,
@@ -304,11 +304,16 @@ W = _WORD_BOUND
 
 
 def step_case(p, q, d):
-    """(r, m, b) with r = p/q reduced, m = q // p and b = m + d, or None."""
+    """(r, b) with r = p/q reduced and b = m + d for m = q // p, or None."""
     r = Fraction(p, q)
-    m = r.denominator // r.numerator
-    b = m + d
-    return (r, m, b) if b >= 1 else None
+    b = r.denominator // r.numerator + d
+    return (r, b) if b >= 1 else None
+
+
+def one_step(r, b):
+    """The residual of one walk step from r with the chosen b."""
+    _, _, residuals = _walk(r, 1, lambda n, a_n: b)
+    return residuals[0]
 
 
 # numerators and steps on both sides of the word bound; d <= 0 is a b at
@@ -322,28 +327,32 @@ steps = st.one_of(st.integers(1, 3), st.integers(W - 2**8, W + 2**8),
 
 @settings(max_examples=400, deadline=None)
 @given(numerators, st.integers(0, 2**400), steps)
-def test_unit_step_matches_fraction_subtraction(p, extra, d):
+def test_walk_step_matches_fraction_subtraction(p, extra, d):
     case = step_case(p, p + extra, d)
     if case is not None:
-        r, m, b = case
-        got = _unit_step(r, m, b)
+        r, b = case
+        got = one_step(r, b)
         want = r - Fraction(1, b)
         assert (got.numerator, got.denominator) == \
             (want.numerator, want.denominator)
 
 
-def test_unit_step_at_the_guard():
+def test_walk_step_at_the_guard():
     q = 2**521 - 1  # prime, so every p below it gives a reduced p/q
     for p in (1, 2, W - 1, W, W + 1):
         for d in (-3, 0, 1, 2, W - 1, W, W + 1):
-            r, m, b = step_case(p, q, d)
+            r, b = step_case(p, q, d)
+            got = one_step(r, b)
             want = r - Fraction(1, b)
-            assert _unit_step(r, m, b) == want
+            assert (got.numerator, got.denominator) == \
+                (want.numerator, want.denominator)
             if d <= 0:
                 assert want <= 0  # b below the shadow overruns r here
-    # an exact unit fraction: s = 0 and the step lands on zero
-    r = Fraction(1, 7)
-    assert _unit_step(r, 7, 7) == 0
+    # an exact unit fraction: s = 0 and the step lands on zero, reduced
+    # to 0/1 (an unreduced pair would print as 0/7)
+    got = one_step(Fraction(1, 7), 7)
+    assert got == Fraction(0)
+    assert got.denominator == 1
 
 
 @pytest.mark.parametrize("theta, selection", [

@@ -59,12 +59,12 @@ EQUIVALENT = {
         ("_known_square", "x.bit_length() < _MEMO_BITS",
          "x.bit_length() <= _MEMO_BITS"):
             "memo or not, the square is the same",
-        ("_unit_step", "p < _WORD_BOUND", "p <= _WORD_BOUND"):
+        ("_walk", "p < _WORD_BOUND", "p <= _WORD_BOUND"):
             "the identity for p/q - 1/b holds on either path",
-        ("_unit_step", "0 < d", "0 <= d"):
+        ("_walk", "0 < d", "0 <= d"):
             "the identity holds on either path, including d = 0, where it "
             "gives -s/(q*m) = p/q - 1/m",
-        ("_unit_step", "d < _WORD_BOUND", "d <= _WORD_BOUND"):
+        ("_walk", "d < _WORD_BOUND", "d <= _WORD_BOUND"):
             "the identity for p/q - 1/b holds on either path",
     },
     "diagnostics": {
