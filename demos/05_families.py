@@ -1,7 +1,7 @@
 """Closed-form denominator families and the constants they sum to.
 
 Three families come with closed forms for both the shadow a_n and the
-denominator b_n: geometric shadows a0 * r^n, arithmetic shadows
+denominator b_n: geometric shadows a0 * r^(n-1), arithmetic shadows
 a0 + (n-1)d, and the Fibonacci shadow.  Partial sums plus the one tail
 bracket that the companion rule gives every family, rounded outward onto
 a 2^-96 grid, give certified rational enclosures for the full series.
@@ -49,7 +49,7 @@ fib = FibonacciFamily()
 print("\nthe fibonacci family has one subtle index:")
 print("  a:", [fib.a(n) for n in range(1, 9)])
 print("  b:", [fib.b(n) for n in range(1, 9)])
-print("  at n = 2 the bracket is (2, 6); its largest interior integer is")
+print("  at n = 1 the bracket is (2, 6); its largest interior integer is")
 print("  5, one less than the open endpoint 6 that naive flooring picks.")
 theta_fib = theta_partial(fib, 60)
 print(f"  series value {float(theta_fib.midpoint()):.10f} "

@@ -1,14 +1,16 @@
 """Sequence families of targets and their companion denominators.
 
-Each family fixes a closed-form target sequence a_n. Its b_n is the
-largest integer whose reciprocal fits strictly between the telescoping
-differences 1/a_n - 1/a_{n+1} and 1/(a_n - 1) - 1/(a_{n+1} - 1), by the one
-companion rule ``greedy._companion``; the class docstrings give its closed
-forms. ``terms(n)`` reads a_1..a_{n+1} once, by each family's own rule (a
-range, a running product, the Fibonacci recurrence), and maps the
-companion rule over them for b_1..b_n. The series sum(1/b_n) is enclosed
-by its prefix sums plus the one tail bracket that the companion rule
-gives every family, with both ends on the 2**-96 grid.
+Each family fixes a closed-form target sequence a_n, rising from
+a_1 >= 2. Its b_n is the largest integer whose reciprocal fits strictly
+between the telescoping differences 1/a_n - 1/a_{n+1} and
+1/(a_n - 1) - 1/(a_{n+1} - 1), by the one companion rule
+``greedy._companion``; the class docstrings give its closed forms. So
+every index has a bracket, and a_n is the greedy shadow of the family's
+own theta = sum(1/b_n). ``terms(n)`` reads a_1..a_{n+1} once, by each
+family's own rule (a range, a running product, the Fibonacci
+recurrence), and maps the companion rule over them for b_1..b_n. The
+series is enclosed by its prefix sums plus the one tail bracket that the
+companion rule gives every family, with both ends on the 2**-96 grid.
 """
 from __future__ import annotations
 
@@ -85,15 +87,9 @@ class SequenceFamily:
 
     def terms(self, n: int) -> tuple[list[int], list[int]]:
         """a_1..a_{n+1}, each evaluated once, and b_1..b_n, the companion
-        rule mapped over them. Every family's targets rise and reach 2 by
-        a_2, so only leading indices (a_1 = 1 of Fibonacci) have a_k < 2;
-        those have no bracket and read ``b(k)``."""
+        rule mapped over them."""
         a = self._targets(positive_int(n, "n") + 1)
-        lead = 0
-        while a[lead] < 2:
-            lead += 1
-        return a, [*map(self.b, range(1, lead + 1)),
-                   *map(_companion, a[lead:-1], a[lead + 1:])]
+        return a, list(map(_companion, a, a[1:]))
 
     def spec_string(self) -> str:
         raise NotImplementedError
@@ -110,17 +106,11 @@ class SequenceFamily:
         since a_k grows without bound.  P_k / g_k strictly increases in
         every family here (the tests check it), so kappa_k strictly
         decreases and the upper ends sum to less than kappa_{n+1} / a,
-        the upper bound.  An index whose a_k < 2 has no bracket; as in
-        ``terms``, it is peeled off as 1/b(k).
+        the upper bound.
         """
         k = positive_int(n_terms, "n_terms", 0) + 1
-        peeled = Fraction(0)
-        while (a := self.a(k)) < 2:
-            peeled += Fraction(1, self.b(k))
-            k += 1
-        a_next = self.a(k + 1)
-        return (peeled + Fraction(1, a),
-                peeled + Fraction(a_next, a * a_next - (a_next - a)))
+        a, a_next = self.a(k), self.a(k + 1)
+        return Fraction(1, a), Fraction(a_next, a * a_next - (a_next - a))
 
     def ratio_limit(self) -> Fraction | None:
         """Rational limit of a(n+1)/a(n) when one exists, else None."""
@@ -189,28 +179,25 @@ class ArithmeticFamily(SequenceFamily):
 
 
 class FibonacciFamily(SequenceFamily):
-    """a_n = F_{n+1}, so 1, 2, 3, 5, 8, 13, ...
+    """a_n = F_{n+2}, so 2, 3, 5, 8, 13, ...
 
-    The floor of a_n a_{n+1} / (a_{n+1} - a_n) = F_{n+1} F_{n+2} / F_n
-    equals F_{n+3} + (-1)^n / F_n up to the fractional part, which by the
-    Cassini identity collapses to F_{n+3} for even n and F_{n+3} - 1 for
-    odd n >= 3.  At n = 2 the raw floor (6) overshoots the bracket, and
-    the companion rule gives the parity form (5).  b_1 is pinned to 3 by
-    hand since a_1 = 1 has no bracket of its own.
+    Since F_{n+2} F_{n+3} - F_{n+1} F_{n+4} = (-1)^(n+1) (d'Ocagne),
+    a_n a_{n+1} / (a_{n+1} - a_n) = F_{n+2} F_{n+3} / F_{n+1} is
+    F_{n+4} + (-1)^(n+1) / F_{n+1}, so b_n, the largest integer below
+    it, is F_{n+4} for odd n and F_{n+4} - 1 for even n, from n = 1 on.
+    At n = 1 the quotient is the integer 6: the raw floor overshoots the
+    bracket (2, 6), and the companion rule gives the parity form (5).
     """
 
     __slots__ = ()
 
     def a(self, n: int) -> int:
-        return fibonacci_number(positive_int(n, "n") + 1)
-
-    def b(self, n: int) -> int:
-        return 3 if positive_int(n, "n") == 1 else super().b(n)
+        return fibonacci_number(positive_int(n, "n") + 2)
 
     def _targets(self, count: int) -> list[int]:
-        # F_2, F_3, ... by addition: one long addition per term, where
+        # F_3, F_4, ... by addition: one long addition per term, where
         # fast doubling costs O(log k) multiplications for each
-        out, f, g = [], 1, 2
+        out, f, g = [], 2, 3
         for _ in range(count):
             out.append(f)
             f, g = g, f + g

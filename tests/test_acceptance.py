@@ -119,21 +119,21 @@ def test_criterion_5_fibonacci_identities():
         assert cassini == (-1) ** n
 
     family = FibonacciFamily()
-    for n in range(2, 51):
+    for n in range(1, 50):
         assert family.b(n) == _companion(family.a(n), family.a(n + 1))
 
-    # at n = 2 the window is (2, 6); flooring the open upper endpoint
+    # at n = 1 the window is (2, 6); flooring the open upper endpoint
     # lands on 6, which the window excludes, while 5 is admissible
-    a_pair = [family.a(2), family.a(3)]
+    a_pair = [family.a(1), family.a(2)]
     a, a_next = a_pair
     gap = a_next - a
     assert ((a - 1) * (a_next - 1), gap, a * a_next) == (2, 1, 6)
     assert a * a_next // gap == 6
     assert bracket_misses(a_pair, [6]) == [1]
     assert bracket_misses(a_pair, [5]) == []
-    assert family.b(2) == 5
-    _report(5, "Cassini to 80, parity form = bracket maximum on [2, 50], "
-               "n = 2 floor overshoot shown")
+    assert family.b(1) == 5
+    _report(5, "Cassini to 80, parity form = bracket maximum on [1, 49], "
+               "n = 1 floor overshoot shown")
 
 
 def test_criterion_6_uniqueness_oracle_equivalence():

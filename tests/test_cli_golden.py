@@ -73,6 +73,8 @@ CASES = {
                            "--depth", "3"],
     "construct-family": ["construct", "--family", "geometric:a=2,r=3",
                          "--depth", "3"],
+    "construct-fibonacci": ["construct", "--family", "fibonacci",
+                            "--depth", "5"],
     "unique-pair": ["unique", "--pair", "2", "7"],
     "unique-a-file": ["unique", "--a-file", "@unique"],
     "unique-range": ["unique", "--range", "25"],

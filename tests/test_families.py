@@ -20,7 +20,7 @@ from unitfrac.families import (
     parse_family_spec,
     theta_partial,
 )
-from unitfrac.greedy import _companion, bracket_misses
+from unitfrac.greedy import _companion, bracket_misses, recover_shadow
 from unitfrac.rational import format_rational
 
 from test_cli_golden import run_main
@@ -95,22 +95,22 @@ def test_dichotomy_identities():
 # ------------------------------------------------------------- the bracket
 
 def test_fibonacci_bracket_starts_at_two():
-    # a_1 = 1 sits below the greedy range, so index 1 has no bracket and
-    # is skipped; from a_1 = 2 on, index 1 is checked
+    # Fibonacci's a_1 = 2, so index 1 is checked; an a_1 = 1 would sit
+    # below the greedy range, with no bracket, and be skipped
     assert bracket_misses(*FibonacciFamily().terms(1)) == []
     assert bracket_misses([1, 2], [99]) == []
     assert bracket_misses([2, 6], [99]) == [1]
 
 
 def test_fibonacci_floor_discrepancy_at_two():
-    # the raw floor of F_{n+1} F_{n+2} / F_n overshoots b_n at n = 2 alone
-    # (acceptance criterion 5 pins 6 against 5); from n = 3 on it agrees
-    # with the parity closed form
+    # the raw floor of F_{n+2} F_{n+3} / F_{n+1} overshoots b_n at
+    # a_n = 2, n = 1, alone (acceptance criterion 5 pins 6 against 5);
+    # from n = 2 on it agrees with the parity closed form
     f = FibonacciFamily()
-    for n in range(2, 51):
-        floor_val = (fibonacci_number(n + 1) * fibonacci_number(n + 2)) \
-            // fibonacci_number(n)
-        assert (f.b(n) == floor_val) is (n != 2), n
+    for n in range(1, 50):
+        floor_val = (fibonacci_number(n + 2) * fibonacci_number(n + 3)) \
+            // fibonacci_number(n + 1)
+        assert (f.b(n) == floor_val) is (n != 1), n
 
 
 GRID = [FibonacciFamily(),
@@ -121,14 +121,13 @@ GRID = [FibonacciFamily(),
 
 @pytest.mark.parametrize("family", GRID, ids=lambda f: f.spec_string())
 def test_b_is_largest_admissible(family):
-    # b_n is the construction's jump choice wherever a_n has a bracket;
-    # for Fibonacci that is the parity form from n = 2 on
+    # b_n is the construction's jump choice at every index; for Fibonacci
+    # that is the parity form
     for n in range(1, 51):
         a, a_next, b = family.a(n), family.a(n + 1), family.b(n)
-        if a >= 2:
-            assert b == _companion(a, a_next)
-            assert bracket_holds(a, a_next, b)
-            assert not bracket_holds(a, a_next, b + 1)
+        assert b == _companion(a, a_next)
+        assert bracket_holds(a, a_next, b)
+        assert not bracket_holds(a, a_next, b + 1)
 
 
 @pytest.mark.parametrize("family", GRID, ids=lambda f: f.spec_string())
@@ -156,11 +155,11 @@ def arithmetic_tail_oracle(a0, d, n):
 
 
 def fibonacci_ratio_oracle(n):
-    """The ratio bound: past index 2 the tail lies between its first term
-    and a geometric series of ratio 2/3; terms 1 and 2 are exact."""
+    """The ratio bound: past index 1 the tail lies between its first term
+    and a geometric series of ratio 2/3; term 1 is exact."""
     fam = FibonacciFamily()
-    exact = sum(Fraction(1, fam.b(k)) for k in range(n + 1, 3))
-    first = Fraction(1, fam.b(max(n, 2) + 1))
+    exact = sum(Fraction(1, fam.b(k)) for k in range(n + 1, 2))
+    first = Fraction(1, fam.b(max(n, 1) + 1))
     return exact + first, exact + 3 * first
 
 
@@ -188,11 +187,9 @@ def test_tail_bracket_lies_inside_the_fibonacci_ratio_bound():
 
 @pytest.mark.parametrize("family", GRID, ids=lambda f: f.spec_string())
 def test_companion_lemma_hypothesis(family):
-    # tail_bracket needs a_k a_{k+1} / (a_{k+1} - a_k) strictly increasing,
-    # from k = 2 for Fibonacci (a_1 = 1 is peeled) and k = 1 otherwise
+    # tail_bracket needs a_k a_{k+1} / (a_{k+1} - a_k) strictly increasing
     a, _ = family.terms(2000)
-    first = 2 if isinstance(family, FibonacciFamily) else 1
-    ratios = [(x * y, y - x) for x, y in zip(a[first - 1:], a[first:])]
+    ratios = [(x * y, y - x) for x, y in zip(a, a[1:])]
     for (p, g), (p_next, g_next) in zip(ratios, ratios[1:]):
         assert p * g_next < p_next * g
 
@@ -203,16 +200,13 @@ def test_companion_lemma_hypothesis(family):
 @example(FibonacciFamily(), 0, 2)
 def test_tail_brackets_nest(family, n, extra):
     # the exact terms n < k <= m plus the bracket at m lie strictly inside
-    # the bracket at n, unless every one of those terms is peeled exactly
+    # the bracket at n
     m = n + extra
-    a, b = family.terms(m)
+    _, b = family.terms(m)
     head = sum(Fraction(1, den) for den in b[n:])
     lo, hi = family.tail_bracket(n)
     inner = family.tail_bracket(m)
-    if all(x < 2 for x in a[n:m]):
-        assert (lo, hi) == (head + inner[0], head + inner[1])
-    else:
-        assert lo < head + inner[0] < head + inner[1] < hi
+    assert lo < head + inner[0] < head + inner[1] < hi
 
 
 @pytest.mark.parametrize("family,n_terms", [
@@ -279,6 +273,21 @@ def test_family_command_evaluates_each_fibonacci_term_once(monkeypatch):
                      "--theta-enclosure", "--format", "json"]).returncode
     assert code == 0
     assert len(calls) <= 2
+
+
+@pytest.mark.parametrize("spec", ["geometric:a=2,r=3", "arithmetic:a=2,d=1",
+                                  "fibonacci"])
+def test_targets_are_the_shadow_of_theta(spec):
+    # b_1..b_20 replayed against either end of the 60-term enclosure give
+    # back a_1..a_20 with no weak violation.  Twenty terms, since the
+    # 2**-96 grid resolves geometric shadows only to about index 28
+    family = parse_family_spec(spec)
+    a, b = family.terms(20)
+    iv = theta_partial(family, 60)
+    for end in (iv.lo, iv.hi):
+        replay = recover_shadow(b, end)
+        assert list(replay.a) == a[:-1]
+        assert replay.first_weak_violation is None
 
 
 def test_theta_enclosure_fibonacci():

@@ -7,7 +7,11 @@
 Each ``<``, ``<=``, ``>``, ``>=``, ``==`` and ``!=`` in the module, or in
 the functions named by ``--function``, is flipped to its boundary partner
 (``<`` and ``<=``, ``>`` and ``>=``, ``==`` and ``!=``), one at a time,
-through ``ast``. Each mutant is written into a copy of the source tree in a
+through ``ast``. So is each comparison passed by name, as in
+``map(operator.lt, ...)`` or ``map(width.__eq__, ...)``: the ``operator``
+functions ``lt`` to ``ne`` and the methods ``__lt__`` to ``__ne__``, with
+the same partners (``operator.lt`` and ``operator.le``, ``x.__eq__`` and
+``x.__ne__``, and so on). Each mutant is written into a copy of the source tree in a
 temporary directory (``TMPDIR`` chooses where), and the tests run against
 it with ``--hypothesis-seed=0``: the test files given after ``--``, or else
 the files ``tests/test_<module>*.py`` (the module's name without leading
@@ -18,8 +22,8 @@ unmutated copy first.
 
 A survivor listed in ``EQUIVALENT`` is reported with its reason there;
 any other survivor makes the exit status 1. A mutant is named by its
-function and by the comparison before and after the flip, as
-``ast.unparse`` writes them, so the list outlives changes of line numbers.
+function and by the comparison (or the name) before and after the flip,
+as ``ast.unparse`` writes them, so the list outlives changes of line numbers.
 Standard library only.
 """
 from __future__ import annotations
@@ -36,6 +40,13 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 FLIP = {ast.Lt: ast.LtE, ast.LtE: ast.Lt, ast.Gt: ast.GtE, ast.GtE: ast.Gt,
         ast.Eq: ast.NotEq, ast.NotEq: ast.Eq}
+# the same partners for comparisons passed by name: operator.lt and
+# operator.le, x.__lt__ and x.__le__, ...
+_NAMES = {ast.Lt: "lt", ast.LtE: "le", ast.Gt: "gt", ast.GtE: "ge",
+          ast.Eq: "eq", ast.NotEq: "ne"}
+OPERATOR_FLIP = {_NAMES[op]: _NAMES[partner] for op, partner in FLIP.items()}
+DUNDER_FLIP = {f"__{name}__": f"__{partner}__"
+               for name, partner in OPERATOR_FLIP.items()}
 TIMEOUT_S = 600  # per mutant; a mutant can loop for ever
 
 EQUIVALENT = {
@@ -90,9 +101,19 @@ EQUIVALENT = {
 }
 
 
+def _named_comparison(node: ast.AST) -> bool:
+    """Whether node is ``operator.lt`` or the like, or ``x.__lt__`` or
+    the like: a comparison passed by name."""
+    return isinstance(node, ast.Attribute) and (
+        node.attr in DUNDER_FLIP
+        or node.attr in OPERATOR_FLIP and isinstance(node.value, ast.Name)
+        and node.value.id == "operator")
+
+
 def _comparisons(tree: ast.Module, functions: set[str]):
     """(function, node, op index) of every flippable comparison, in
-    source order, inside one of ``functions`` when any are named."""
+    source order, inside one of ``functions`` when any are named. A
+    comparison passed by name has index 0."""
     found = []
 
     def visit(node, where):
@@ -100,29 +121,40 @@ def _comparisons(tree: ast.Module, functions: set[str]):
             inner = where
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 inner = child.name
-            if (isinstance(child, ast.Compare)
-                    and (not functions or inner in functions)):
-                found.extend((inner, child, i)
-                             for i, op in enumerate(child.ops)
-                             if type(op) in FLIP)
+            if not functions or inner in functions:
+                if isinstance(child, ast.Compare):
+                    found.extend((inner, child, i)
+                                 for i, op in enumerate(child.ops)
+                                 if type(op) in FLIP)
+                elif _named_comparison(child):
+                    found.append((inner, child, 0))
             visit(child, inner)
 
     visit(tree, "<module>")
     return found
 
 
-def _one_comparison(node: ast.Compare, i: int) -> ast.Compare:
-    """The i-th comparison of a chain, as a node of its own."""
-    return ast.Compare(node.comparators[i - 1] if i else node.left,
-                       [node.ops[i]], [node.comparators[i]])
+def _flip(node: ast.Compare | ast.Attribute, i: int) -> None:
+    """Flip the i-th comparison of node in place; a second flip undoes
+    the first."""
+    if isinstance(node, ast.Compare):
+        node.ops[i] = FLIP[type(node.ops[i])]()
+    else:
+        node.attr = (DUNDER_FLIP.get(node.attr)
+                     or OPERATOR_FLIP[node.attr])
 
 
-def _names(node: ast.Compare, i: int) -> tuple[str, str]:
-    """The i-th comparison of a chain before and after its flip, as
-    ``ast.unparse`` writes them: the mutant's name in ``EQUIVALENT``."""
-    one = _one_comparison(node, i)
+def _names(node: ast.Compare | ast.Attribute, i: int) -> tuple[str, str]:
+    """The i-th comparison of node before and after its flip, as
+    ``ast.unparse`` writes them: the mutant's name in ``EQUIVALENT``. Of
+    a chain that is the i-th comparison alone."""
+    if isinstance(node, ast.Compare):
+        one = ast.Compare(node.comparators[i - 1] if i else node.left,
+                          [node.ops[i]], [node.comparators[i]])
+    else:
+        one = ast.Attribute(node.value, node.attr, ast.Load())
     before = ast.unparse(one)
-    one.ops = [FLIP[type(one.ops[0])]()]
+    _flip(one, 0)
     return before, ast.unparse(one)
 
 
@@ -180,10 +212,9 @@ def main(argv=None) -> int:
         survivors = 0
         for function, node, i in sites:
             before, after = _names(node, i)
-            op = node.ops[i]
-            node.ops[i] = FLIP[type(op)]()
+            _flip(node, i)
             target.write_text(ast.unparse(tree))
-            node.ops[i] = op
+            _flip(node, i)
             failure = _first_failure(copy, tests)
             reason = known.get((function, before, after))
             if failure is not None:
