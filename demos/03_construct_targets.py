@@ -4,9 +4,11 @@ The inverse problem: given a non-decreasing target sequence (a_n),
 find denominators (b_n) and a target theta so that replaying b against
 theta reproduces exactly those greedy choices.  The construction picks
 one denominator per jump of the targets, fills plateaus with large
-equal terms sized against geometric budgets, and returns an exact
-rational enclosure; every theta inside it works.
+equal terms sized against geometric budgets, and returns a dyadic
+enclosure inside the exact set of thetas; every theta inside it works.
 """
+from fractions import Fraction
+
 from unitfrac import TargetSequence, construct, format_rational, recover_shadow
 
 targets = TargetSequence.from_explicit([2, 2, 3, 3, 4],
@@ -34,14 +36,19 @@ for cert in result.certificates[:6]:
           f"{float(cert.lower_margin):.3e}, upper margin "
           f"{float(cert.upper_margin):.3e}")
 
-print("\ndeepening the same targets nests the enclosures:")
-previous = None
+print("\ndeepening the same targets narrows the enclosure:")
+exact = None
 for depth in (2, 4, 6, 8):
     res = construct(targets, depth)
     iv = res.theta_enclosure
     print(f"  depth {depth}: width {float(iv.width()):.3e}")
-    if previous is not None:
-        assert previous.lo <= iv.lo and iv.hi <= previous.hi
-    previous = iv
-print("each deeper run refines the previous interval, so the enclosures")
-print("converge to a single theta realizing the full target sequence.")
+    if exact is not None:
+        assert exact[0] < iv.lo and iv.hi < exact[1]
+    # the exact set of thetas, which the printed enclosure rounds inward
+    total = sum(Fraction(1, b) for b in res.b_prefix)
+    a_tail = res.next_jump_value
+    exact = (total + Fraction(1, a_tail),
+             total + Fraction(1, a_tail - 1) + res.future_filler_bound)
+print("each enclosure lies inside the exact theta set of every shallower")
+print("run, so the enclosures converge to a single theta realizing the")
+print("full target sequence.")

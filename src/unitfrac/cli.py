@@ -9,7 +9,6 @@ has finished, so stdout stays empty when the exit code is 2.
 """
 import argparse
 import contextlib
-import decimal
 import functools
 import io
 import itertools
@@ -30,9 +29,8 @@ EXIT_USAGE = 2
 # 128 + SIGPIPE, what a shell reports for a tool killed by a closed pipe
 EXIT_PIPE_CLOSED = 141
 # rows per csv piece: 256 rows of census or expansion make a few
-# kilobytes; 256 rows of exact construct margins made 0.58 MB at
-# arithmetic depth 290 and 2.6-2.8 MB in the first piece of a plateau
-# construct at depth 150-154, whose rows run to 12.8 kB
+# kilobytes; construct's dyadic margins made 20 kB at arithmetic depth 290
+# and 0.23 MB at geometric depth 175, whose rows run to 1.4 kB
 _CSV_PIECE_ROWS = 256
 _VERDICT_KEYS = ("index", "a", "a-next", "unique", "k", "case")
 
@@ -132,7 +130,7 @@ def _emit(report: Report, fmt: str) -> int:
     Returns the report's exit code. csv without a header of its own prints
     the table lines, as table does. json and csv are held as lists of
     pieces, so their text is never copied whole: a csv piece is the text
-    of ``_CSV_PIECE_ROWS`` rows, up to about 3 MB of construct margins.
+    of ``_CSV_PIECE_ROWS`` rows.
     """
     csv_columns = report.csv_columns or report.columns
     if fmt == "json":
@@ -156,10 +154,10 @@ def _emit(report: Report, fmt: str) -> int:
 
 # ------------------------------------------------------ shared json shapes
 
-def _interval_doc(lo: str, hi: str) -> dict:
-    """An open enclosure (lo, hi), given as the text of its ends; both
-    ends are excluded."""
-    return {"lo": lo, "hi": hi, "lo_open": True, "hi_open": True}
+def _interval_doc(iv) -> dict:
+    """An open ``RationalInterval``: both ends are excluded."""
+    return {"lo": format_rational(iv.lo), "hi": format_rational(iv.hi),
+            "lo_open": True, "hi_open": True}
 
 
 def _verdict_doc(verdict) -> dict:
@@ -247,78 +245,35 @@ def _cmd_verify(args) -> Report:
         exit=EXIT_OK if ok else EXIT_VERIFY)
 
 
-def _construct_summary(prefix, enclosure) -> Iterator[str]:
-    yield (f"jumps {list(prefix.jump_indices)}, next jump at "
-           f"{prefix.next_jump_index} to {prefix.next_jump_value}")
-    yield "theta enclosure ({}, {})".format(*enclosure())
-    yield f"future filler bound {format_rational(prefix.future_filler_bound)}"
+def _construct_summary(result) -> Iterator[str]:
+    iv = result.theta_enclosure
+    yield (f"jumps {list(result.jump_indices)}, next jump at "
+           f"{result.next_jump_index} to {result.next_jump_value}")
+    yield (f"theta enclosure ({format_rational(iv.lo)}, "
+           f"{format_rational(iv.hi)})")
+    yield f"future filler bound {format_rational(result.future_filler_bound)}"
 
 
-def _pair_text(pair, limit: int) -> str:
-    """A pair of exact ``decimal.Decimal`` integers as "P/Q" text.
-
-    Decimal text does not heed ``sys.get_int_max_str_digits()``, so each
-    integer is held to that ``limit`` (0 for none) here: x.adjusted() >=
-    limit exactly when x >= 10**limit, and the first such x goes to
-    ``str``, which raises the interpreter's own error.
-    """
-    for x in pair:
-        if limit and x.adjusted() >= limit:
-            str(int(x))  # raises, in this interpreter's words
-    return "{}/{}".format(*pair)
-
-
-def _margin_texts(prefix, limit: int) -> tuple[list, tuple, tuple]:
-    """The margins of a ``construct._scan`` prefix as "P/Q" text, with its
-    theta enclosure, from one run of ``construct._margins``.
-
-    The run is on exact ``decimal.Decimal`` integers: decimal digits print
-    in linear time, where ``str`` of a binary int costs quadratic time
-    (6.3 against 157 us for a 10 382-bit plateau margin numerator, medians
-    on CPython 3.11.7, 2 vCPUs). It is eager, because a local context
-    entered in a generator would stay in force across its yields.
-
-    Returns the (index, lower, upper) texts from the last index back, so
-    that popping them gives index 1 first, and the enclosure's ends lo and
-    hi as pairs. Each margin is held to the digit ``limit`` as it comes
-    out of the run; the ends are held to it where they are printed.
-    lo < hi is checked by cross-multiplying, as ``RationalInterval``
-    checks the enclosure ``construct`` returns.
-    """
-    from .construct import ConstructionError, _enclosure, _margins
-    texts = []
-    with decimal.localcontext() as exact:
-        exact.prec, exact.Emax = decimal.MAX_PREC, decimal.MAX_EMAX
-        exact.traps[decimal.Inexact] = exact.traps[decimal.Rounded] = True
-        for index, lower, upper in _margins(prefix, decimal.Decimal):
-            texts.append((index, _pair_text(lower, limit),
-                          _pair_text(upper, limit)))
-        lo, hi = _enclosure(prefix.a_prefix[0], lower, upper)
-        if not lo[0] * hi[1] < hi[0] * lo[1]:
-            raise ConstructionError("empty theta enclosure")
-    return texts, lo, hi
-
-
-def _construct_doc(prefix, enclosure, certificates) -> dict:
+def _construct_doc(result, certificates) -> dict:
     from . import _json
     return {
-        "a": list(prefix.a_prefix),
-        "b": list(prefix.b_prefix),
-        "jump-indices": list(prefix.jump_indices),
-        "next-jump-index": prefix.next_jump_index,
-        "next-jump-value": prefix.next_jump_value,
-        "theta-enclosure": _interval_doc(*enclosure()),
-        "theta-choices": [format_rational(t) for t in prefix.theta_choices],
-        "filler-values": list(prefix.filler_values),
-        "future-filler-bound": format_rational(prefix.future_filler_bound),
+        "a": list(result.a_prefix),
+        "b": list(result.b_prefix),
+        "jump-indices": list(result.jump_indices),
+        "next-jump-index": result.next_jump_index,
+        "next-jump-value": result.next_jump_value,
+        "theta-enclosure": _interval_doc(result.theta_enclosure),
+        "theta-choices": [format_rational(t) for t in result.theta_choices],
+        "filler-values": list(result.filler_values),
+        "future-filler-bound": format_rational(result.future_filler_bound),
         "certificates": _json.Rows(
             ("index", "lower-margin", "upper-margin"), certificates),
-        "verification-depth": len(prefix.a_prefix),
+        "verification-depth": len(result.a_prefix),
     }
 
 
 def _cmd_construct(args) -> Report:
-    from .construct import ConstructionError, TargetSequence, _scan
+    from .construct import ConstructionError, TargetSequence, construct
     from .families import parse_family_spec
     if args.family is not None and args.repeat_last_delta:
         raise ValueError("--repeat-last-delta applies only to --a-file")
@@ -328,33 +283,26 @@ def _cmd_construct(args) -> Report:
         seq = TargetSequence.from_explicit(values, rule)
     else:
         seq = TargetSequence.from_family(parse_family_spec(args.family))
-    depth = positive_int(args.depth, "--depth")
-    limit = getattr(sys, "get_int_max_str_digits", int)()
     try:
-        prefix = _scan(seq, depth)
-        texts, lo, hi = _margin_texts(prefix, limit)
+        result = construct(seq, positive_int(args.depth, "--depth"))
     except ConstructionError as exc:
         # a failed internal check: exit 2, as main gives malformed input
         raise ValueError(exc) from exc
 
-    def enclosure():
-        return _pair_text(lo, limit), _pair_text(hi, limit)
-
-    def certificates():  # each text leaves the list as it is printed
-        while texts:
-            yield texts.pop()
+    def certificates():
+        for index, lower, upper in result.certificates:
+            yield index, format_rational(lower), format_rational(upper)
 
     def rows():
-        for index, lower, upper in certificates():
-            yield (index, prefix.a_prefix[index - 1],
-                   prefix.b_prefix[index - 1], lower, upper)
+        for (index, lower, upper), a, b in zip(
+                certificates(), result.a_prefix, result.b_prefix):
+            yield index, a, b, lower, upper
 
-    return Report(functools.partial(_construct_doc, prefix, enclosure,
-                                    certificates()),
+    return Report(functools.partial(_construct_doc, result, certificates()),
                   ("n", "a", "b", "lower-margin", "upper-margin"), rows(),
                   csv_columns=("index", "a", "b", "lower-margin",
                                "upper-margin"),
-                  before=_construct_summary(prefix, enclosure))
+                  before=_construct_summary(result))
 
 
 def _census_report(rows: Iterator[tuple]) -> Report:
@@ -468,8 +416,7 @@ def _cmd_family(args) -> Report:
             "bracket-ok": bracket_ok,
         }
         if enclosure is not None:
-            doc["theta-enclosure"] = _interval_doc(
-                format_rational(enclosure.lo), format_rational(enclosure.hi))
+            doc["theta-enclosure"] = _interval_doc(enclosure)
             doc["enclosure-width"] = format_rational(enclosure.width())
         return doc
 

@@ -18,23 +18,53 @@ may spend the running budget B_j = min(B_{j-1}, theta_j)/2, which equals
 min over k <= j of theta_k/2^(j+1-k).  Its interior positions get the
 constant filler floor(gap/B_j) + 1 (at least a), so all fillers from
 plateau j onward spend less than every banked slack theta_k, k <= j.
-Two exact margins per index, run back from the end of the prefix by
-``_margins``, turn the claim into certificates; each margin must be
-strictly positive.
 
-``construct`` is the forward scan ``_scan`` and one run of ``_margins``
-on int, whose pairs become the result's Fractions. The command line runs
-the same scan and one run of ``_margins`` on exact ``decimal.Decimal``
-integers instead, whose digits print in linear time; it makes no
-Fraction margin. ``_enclosure`` narrows the index-1 window by its margins
-on either number type.
+Write N for the number of built indices, a* for ``next_jump_value``, the
+target that anchors the tail, S for the sum of 1/b_n over n <= N and B
+for the last budget. The exact theta-set is (S + 1/a*, S + 1/(a* - 1) +
+B), and the claim holds on it when two margins are positive at every
+index n: the lower margin L_n, the suffix sum's lower end minus 1/a_n,
+and the upper margin U_n, 1/(a_n - 1) minus the suffix sum's upper end.
+Run back from L = 0 and U = -B past index N, with a_{N+1} = a*, they are
+L_n - L_{n+1} = 1/b_n + 1/a_{n+1} - 1/a_n and
+U_n - U_{n+1} = 1/(a_n - 1) - 1/(a_{n+1} - 1) - 1/b_n.
+
+Lemma. Let J be the first jump at or after n, from a to a'.
+- L_n >= 1/(b_J a a'). Each step of L is positive: 1/b inside a plateau,
+  and (a a' - b (a' - a))/(b a a') at a jump, whose numerator is a
+  positive integer because b (a' - a) < a a'.
+- U_n > theta_J. The steps from n to J add up to 2 theta_J less the
+  fillers of plateau J from n on, and those of each later plateau i to
+  2 theta_i less its fillers. Plateau i's fillers spend
+  gap_i/f_i < B_i <= theta_J/2^(i+1-J), and with the tail's B they spend
+  less than theta_J, so U_n > 2 theta_J - theta_J.
+
+The certificates hold both margins as dyadic lower bounds on one grid,
+2^-k with k = 4 bits(a*) + bits(N) + 8. Each step of each sum is rounded
+down onto the grid, and so is U's start -B, so every bound is at most its
+margin. Every a and a' is at most a*, and b < a a' <= a*^2, so:
+- the jump step of L_n is above a*^-4 > 2^-k, and its rounding is at
+  least one unit, so the bound on L_n is positive;
+- theta_J >= 1/(2 (a - 1) b (a' - 1)) > 2^-(4 bits(a*) + 1), while the
+  N + 1 roundings of U lose less than (N + 1) 2^-k < 2^-(4 bits(a*) + 8),
+  so the bound on U_n is positive;
+- the enclosure is the exact theta-set rounded inward onto the same
+  grid: 1/a* and each 1/b_n rounded up for lo, 1/(a* - 1), B and each
+  1/b_n rounded down for hi. Its width loses less than (2N + 3) 2^-k,
+  far below the exact width 1/(a* (a* - 1)) + B, so lo < hi.
+The two ``ConstructionError`` checks are therefore the proof's own
+assertions: they fail on no input the scan accepts.
+
+The printed enclosures need not nest: a rounded lo at depth d may fall
+below the one at depth d - 1. Every enclosure still lies inside the
+exact theta-set of every shallower depth, because the exact sets nest.
 """
 import math
 from fractions import Fraction
 from typing import Callable, NamedTuple, Optional
 
-from .rational import (RationalInterval, _coprime, _pair_sum, positive_int,
-                       positive_ints)
+from .rational import (RationalInterval, _coprime, _dyadic, _unit_sums,
+                       positive_int, positive_ints)
 from .greedy import _companion
 
 
@@ -91,13 +121,13 @@ class TargetSequence:
 
 
 class StepCertificate(NamedTuple):
-    """Margins by which the residual window holds at one index.
+    """Lower bounds on the two margins at one index (module docstring).
 
-    lower_margin is (suffix sum lower bound) - 1/a_n and upper_margin
-    1/(a_n - 1) - (suffix sum upper bound), the suffix sum being 1/b_k over
-    the built k >= n plus a tail in (1/a', 1/(a' - 1) + B); both are > 0.
-    So lower_n - lower_{n+1} = 1/b_n + 1/a_{n+1} - 1/a_n and
-    upper_n - upper_{n+1} = 1/(a_n - 1) - 1/(a_{n+1} - 1) - 1/b_n.
+    lower_margin bounds L_n, the suffix sum's lower end minus 1/a_n, and
+    upper_margin bounds U_n, 1/(a_n - 1) minus the suffix sum's upper end,
+    the suffix sum being 1/b_k over the built k >= n plus a tail in
+    (1/a*, 1/(a* - 1) + B). Each is a Fraction on the grid 2^-k and
+    0 < bound <= margin.
     """
 
     index: int
@@ -118,19 +148,6 @@ class ConstructionResult(NamedTuple):
     certificates: tuple[StepCertificate, ...]
 
 
-class _Prefix(NamedTuple):
-    """The built prefix of one ``_scan``, which ``_margins`` certifies."""
-
-    a_prefix: tuple[int, ...]
-    b_prefix: tuple[int, ...]
-    jump_indices: tuple[int, ...]
-    next_jump_index: int
-    next_jump_value: int
-    theta_choices: tuple[Fraction, ...]
-    filler_values: tuple[Optional[int], ...]
-    future_filler_bound: Fraction  # B_j of the last jump
-
-
 def construct(seq: TargetSequence, depth: int) -> ConstructionResult:
     """Run the construction through `depth` jumps.
 
@@ -139,35 +156,14 @@ def construct(seq: TargetSequence, depth: int) -> ConstructionResult:
     within the scan horizon of given + 64*(depth+1) + 1024 indices, where
     given counts the terms passed to ``from_explicit`` (0 otherwise).
 
-    The arithmetic runs on plain ints: theta_j, the budget B_j and both
-    margins are pairs (numerator, denominator) in lowest terms with a
-    positive denominator. B_j is halved by the parity of its numerator,
-    the min is a cross-product, the filler is gap * B_den // B_num + 1,
-    and sums are reduced by ``rational._pair_sum``. ``_scan`` builds the
-    prefix and ``_margins`` certifies it, here on int; the command line
-    calls the two itself and runs ``_margins`` on exact decimal integers
-    alone, whose text takes linear time. Each Fraction of the
-    result is made once, at the end of its value's computation, by
-    ``rational._coprime``, which takes the reduced pair as it is.
-    ``Fraction(n, d)`` would reduce it again, and a gcd of two coprime
-    10 kbit ints costs quadratic time. On the plateau targets 2, 3, 3, 5,
-    5, 5, 8, ... at depth 152, the pairs with ``Fraction(n, d)`` took
-    157 ms, ``Fraction`` arithmetic 22 ms and the pairs with ``_coprime``
-    14 ms (medians of 15 calls, CPython 3.11.7, 2 vCPUs).
+    The arithmetic runs on plain ints: theta_j and the budget B_j are
+    pairs (numerator, denominator) in lowest terms with a positive
+    denominator, B_j is halved by the parity of its numerator, the min is
+    a cross-product and the filler is gap * B_den // B_num + 1. Each pair
+    becomes a Fraction through ``rational._coprime``, which takes it as
+    it is, and each grid value through ``rational._dyadic``; neither
+    takes a gcd.
     """
-    prefix = _scan(seq, depth)
-    certs: list[StepCertificate] = []
-    for idx, lower, upper in _margins(prefix, int):
-        certs.append(StepCertificate(idx, _coprime(*lower), _coprime(*upper)))
-    certs.reverse()
-    lo, hi = _enclosure(prefix.a_prefix[0], lower, upper)
-    return ConstructionResult(
-        theta_enclosure=RationalInterval(_coprime(*lo), _coprime(*hi)),
-        certificates=tuple(certs), **prefix._asdict())
-
-
-def _scan(seq: TargetSequence, depth: int) -> _Prefix:
-    """The prefix ``construct`` certifies, built in one forward pass."""
     positive_int(depth, "depth")
     horizon = seq._given + 64 * (depth + 1) + 1024
 
@@ -224,55 +220,43 @@ def _scan(seq: TargetSequence, depth: int) -> _Prefix:
         raise DepthExhausted(
             f"only {len(jumps)} jumps within horizon {horizon}")
 
-    return _Prefix(
-        a_prefix=tuple(a_seen[:jumps[-1]]),
+    a_prefix, a_tail = tuple(a_seen[:jumps[-1]]), a_seen[-1]
+    k = 4 * a_tail.bit_length() + len(a_prefix).bit_length() + 8
+    certificates = tuple(_margins(a_prefix, b_prefix, a_tail, bn, bd, k))
+    # the exact theta-set rounded inward onto the grid
+    scale = 1 << k
+    below, above = _unit_sums(scale, b_prefix)
+    lo = above - (-scale // a_tail)
+    hi = below + scale // (a_tail - 1) + (bn << k) // bd
+    return ConstructionResult(
+        a_prefix=a_prefix,
         b_prefix=tuple(b_prefix),
         jump_indices=tuple(jumps),
         next_jump_index=n - 1,
-        next_jump_value=a_seen[-1],
+        next_jump_value=a_tail,
+        theta_enclosure=RationalInterval(_dyadic(lo, k), _dyadic(hi, k)),
         theta_choices=tuple(thetas),
         filler_values=tuple(fillers),
         future_filler_bound=_coprime(bn, bd),
+        certificates=certificates[::-1],
     )
 
 
-def _margins(prefix: _Prefix, number):
-    """(index, lower, upper) for each built index, from the last one back:
-    StepCertificate's margins as pairs in lowest terms, run from lower = 0,
-    upper = -B and a_{n+1} = next_jump_value, the target that anchors the
-    tail.
-
-    Only the running sums pass through ``number``: ``construct`` gives
-    int, and the command line gives ``decimal.Decimal`` in an exact
-    context, whose digits print in linear time. The constant added at
-    each index is reduced in ints of a's size, and ``_pair_sum`` reads
-    the same integers either way.
+def _margins(a_prefix, b_prefix, a_next, bn, bd, k):
+    """The ``StepCertificate`` of each built index, from the last one
+    back: the margins' running sums in units of 2^-k, each step rounded
+    down, from lower = 0 and upper = floor(-B 2^k), where B = bn/bd and
+    a_next starts at a*.
     """
-    budget = prefix.future_filler_bound
-    lower = number(0), number(1)
-    upper = number(-budget.numerator), number(budget.denominator)
-    a_next = prefix.next_jump_value
-    for idx in range(len(prefix.a_prefix), 0, -1):
-        a, b = prefix.a_prefix[idx - 1], prefix.b_prefix[idx - 1]
+    lower, upper = 0, (-bn << k) // bd
+    for idx in range(len(a_prefix), 0, -1):
+        a, b = a_prefix[idx - 1], b_prefix[idx - 1]
         # at a jump, the numerators are the gaps in the companion's bracket
         mid = b * (a_next - a)
-        ln, ld = a * a_next - mid, b * a * a_next
-        un, ud = mid - (a - 1) * (a_next - 1), b * (a - 1) * (a_next - 1)
-        g, h = math.gcd(ln, ld), math.gcd(un, ud)
-        lower = _pair_sum(*lower, ln // g, ld // g)
-        upper = _pair_sum(*upper, un // h, ud // h)
-        if lower[0] <= 0 or upper[0] <= 0:
+        lower += ((a * a_next - mid) << k) // (b * a * a_next)
+        upper += (((mid - (a - 1) * (a_next - 1)) << k)
+                  // (b * (a - 1) * (a_next - 1)))
+        if lower <= 0 or upper <= 0:
             raise ConstructionError(f"certificate failed at index {idx}")
-        yield idx, lower, upper
+        yield StepCertificate(idx, _dyadic(lower, k), _dyadic(upper, k))
         a_next = a
-
-
-def _enclosure(a_1, lower, upper):
-    """The theta enclosure (lo, hi) as pairs: the index-1 window
-    (1/a_1, 1/(a_1 - 1)) narrowed by that index's margins, lo = lower +
-    1/a_1 and hi = 1/(a_1 - 1) - upper, on the margins' number type.
-    Each margin is ``_pair_sum``'s first pair, so that only the short
-    a_1 passes through ``int``.
-    """
-    return (_pair_sum(*lower, 1, a_1),
-            _pair_sum(-upper[0], upper[1], 1, a_1 - 1))

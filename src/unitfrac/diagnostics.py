@@ -135,6 +135,10 @@ def classify(a, b, t_grid=DEFAULT_T_GRID,
              family=None) -> ClassificationReport:
     """Screen (a, b) data for fixed-weakness producibility evidence.
 
+    Only data a WGAA run can give is screened: a is a greedy shadow, so
+    it is non-decreasing from 2, and each b_n is a weak choice, at least
+    a_n. A ValueError names the first index where a_n < 2, a_n < a_{n-1}
+    or b_n < a_n; a b_n below a_n would count as a witness at every t.
     A declared ``family`` settles persistent witnesses by its ratio limit,
     so a must be its first len(a) targets; a ValueError names the first
     index where they differ.
@@ -144,6 +148,11 @@ def classify(a, b, t_grid=DEFAULT_T_GRID,
     if not a or len(a) != len(b):
         raise ValueError("need equal-length nonempty sequences, got "
                          f"{len(a)} a and {len(b)} b terms")
+    for n, (least, x, y) in enumerate(zip((2, *a), a, b), 1):
+        if x < least:
+            raise ValueError(f"a falls below {least} at index {n}")
+        if y < x:
+            raise ValueError(f"b falls below a at index {n}")
     if family is not None:
         for n, (x, y) in enumerate(zip(a, family._targets(len(a))), 1):
             if x != y:

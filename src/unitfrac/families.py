@@ -21,7 +21,7 @@ import re
 from fractions import Fraction
 
 from .greedy import _companion
-from .rational import RationalInterval, positive_int
+from .rational import RationalInterval, _unit_sums, positive_int
 
 # grid of every enclosure end: terms and tail are rounded outward to it
 _SCALE = 2**96
@@ -227,9 +227,9 @@ def theta_partial(family: SequenceFamily, n_terms: int) -> RationalInterval:
 def _enclosure(family: SequenceFamily, b: list[int]) -> RationalInterval:
     """``theta_partial`` from the family's own b_1..b_n, n = len(b)."""
     tail_lo, tail_hi = family.tail_bracket(len(b))
-    # each 1/b_n rounded down and up onto the grid: ceil(S/b) = -(-S // b)
-    lo = sum(map(_SCALE.__floordiv__, b)) + math.floor(tail_lo * _SCALE)
-    hi = -sum(map((-_SCALE).__floordiv__, b)) + math.ceil(tail_hi * _SCALE)
+    below, above = _unit_sums(_SCALE, b)
+    lo = below + math.floor(tail_lo * _SCALE)
+    hi = above + math.ceil(tail_hi * _SCALE)
     return RationalInterval(Fraction(lo, _SCALE), Fraction(hi, _SCALE))
 
 

@@ -24,26 +24,28 @@ that record with
 from __future__ import annotations
 
 import contextlib
-import decimal
 import importlib
 import json
 import os
 import re
 import subprocess
 import sys
+from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import unitfrac
 from unitfrac import cli
-from unitfrac.construct import ConstructionError, TargetSequence, construct
+from unitfrac.construct import StepCertificate, TargetSequence, construct
 from unitfrac.families import FibonacciFamily, theta_partial
+from unitfrac.greedy import _companion
 from unitfrac.rational import format_rational, parse_int
 
 from test_cli_golden import run_main
+from test_construct import plateau_runs, plateau_values
 
 REPO = Path(__file__).resolve().parent.parent
 DEMOS = sorted((REPO / "demos").glob("*.py"))
@@ -232,35 +234,25 @@ def test_construct_exhaustion_is_malformed(tmp_path):
     assert proc.returncode == 2
 
 
-def test_construct_internal_error_exits_2(monkeypatch):
-    # a failed certificate check is a bug, not a failed verification
-    def fail(seq, depth):
-        raise ConstructionError("certificate failed at index 1")
+def test_construct_internal_error_exits_2(monkeypatch, tmp_path):
+    # a failed certificate check is a bug, not a failed verification; a b
+    # two above the companion fails the lower margin (test_construct)
+    a_file = write_lines(tmp_path / "a.txt", [2, 2, 3, 3, 4, 4, 5, 5, 6])
     # the module, which ``import unitfrac.construct as m`` would not give:
     # that binds the function the package exports under the same name
-    monkeypatch.setattr(importlib.import_module("unitfrac.construct"),
-                        "_scan", fail)
-    proc = run_main(["construct", "--family", "fibonacci", "--depth", "3"])
-    assert proc == (2, "", "error: certificate failed at index 1\n")
-
-
-# plateaus of 1 to 4 indices, each followed by a rise of 1 to 3 or a gap
-# of thousands to billions
-rises = st.one_of(st.integers(1, 3), st.integers(10**3, 10**9))
+    module = importlib.import_module("unitfrac.construct")
+    monkeypatch.setattr(module, "_companion",
+                        lambda a, a2: _companion(a, a2) + 2)
+    proc = run_main(["construct", "--a-file", a_file, "--depth", "3"])
+    assert proc == (2, "", "error: certificate failed at index 6\n")
 
 
 @settings(max_examples=150, deadline=None)
-@given(st.integers(2, 9), st.lists(st.tuples(st.integers(1, 4), rises),
-                                   min_size=2, max_size=12))
-@example(2, [(2, 1), (2, 1)])  # each of _pair_sum's three returns
+@given(st.integers(2, 9), plateau_runs)
 def test_margin_texts_are_the_certificates(tmp_path_factory, start, runs):
-    # the command's decimal run prints the integers construct's int run
-    # certified: each margin, and the enclosure made from index 1's pair
-    values, a = [], start
-    for length, step in runs:
-        values += [a] * length
-        a += step
-    values.append(a)
+    # the command prints the certificates and the enclosure of the
+    # library's own construct
+    values = plateau_values(start, runs)
     res = construct(TargetSequence.from_explicit(values), len(runs) - 1)
     a_file = write_lines(tmp_path_factory.mktemp("targets") / "a.txt", values)
     proc = run_main(["construct", "--a-file", a_file,
@@ -299,25 +291,25 @@ def refusal(x) -> str:
                     reason="no int-to-str digit limit in this Python")
 @pytest.mark.parametrize("fmt", ["table", "json", "csv"])
 def test_margins_print_up_to_the_digit_limit(fmt):
-    # Decimal text does not heed the limit, so the command holds each
-    # integer it prints to it, enclosure ends included, and lets str()
-    # refuse the first one past it
-    printed = construct_geometric(62, fmt)
+    # every integer the command prints, enclosure ends included, goes
+    # through str(), which refuses the first one past the limit
+    printed = construct_geometric(340, fmt)
     longest = max(map(int, re.findall("[0-9]+", printed.stdout)))
     digits = len(str(longest))
     assert digits > 640  # the lowest limit Python accepts, plus one
     with digit_limit(digits):
-        assert construct_geometric(62, fmt) == printed
+        assert construct_geometric(340, fmt) == printed
     with digit_limit(digits - 1):
-        assert construct_geometric(62, fmt) == (2, "", refusal(longest))
+        assert construct_geometric(340, fmt) == (2, "", refusal(longest))
 
 
-def crafted(monkeypatch, name, change):
-    """Patch the function ``name`` of construct, which the command runs on
-    exact Decimal integers, so that ``change`` rewrites its result."""
+def crafted(monkeypatch, change):
+    """Patch construct, which the command runs, so that ``change``
+    rewrites its result."""
     module = importlib.import_module("unitfrac.construct")
-    real = getattr(module, name)
-    monkeypatch.setattr(module, name, lambda *args: change(real(*args)))
+    real = module.construct
+    monkeypatch.setattr(module, "construct",
+                        lambda *args: change(real(*args)))
 
 
 def construct_geometric(depth, fmt):
@@ -329,17 +321,16 @@ def construct_geometric(depth, fmt):
                     reason="no int-to-str digit limit in this Python")
 def test_a_margin_of_one_digit_past_the_limit_is_refused(monkeypatch):
     # 10**640 is the least value past a 640-digit limit, and 10**640 - 1
-    # the greatest within it; only a value crafted into the decimal run can
-    # sit exactly there. It is the lower numerator of the last index, the
-    # first one the run yields, so the enclosure, made at index 1, keeps
-    # its value
+    # the greatest within it; only a crafted margin can sit exactly there.
+    # It is the lower margin of the last index
     value = 10**640 - 1
     margin = f",{value}/"
 
-    def change(margins):
-        (index, (_, ld), upper), *rest = margins
-        return [(index, (decimal.Decimal(value), ld), upper), *rest]
-    crafted(monkeypatch, "_margins", change)
+    def change(res):
+        *rest, (index, _, upper) = res.certificates
+        last = StepCertificate(index, F(value), upper)
+        return res._replace(certificates=(*rest, last))
+    crafted(monkeypatch, change)
     with digit_limit(640):
         proc = construct_geometric(3, "csv")
         assert proc.returncode == 0
@@ -356,9 +347,10 @@ def test_a_margin_of_one_digit_past_the_limit_is_refused(monkeypatch):
 def test_an_enclosure_end_past_the_limit_is_refused(monkeypatch, fmt, value):
     # hi = (value - 1)/value, crafted, holds the only integers near the
     # limit; csv prints no enclosure, so it prints whatever hi is
-    def change(ends):
-        return ends[0], (decimal.Decimal(value - 1), decimal.Decimal(value))
-    crafted(monkeypatch, "_enclosure", change)
+    def change(res):
+        iv = res.theta_enclosure._replace(hi=F(value - 1, value))
+        return res._replace(theta_enclosure=iv)
+    crafted(monkeypatch, change)
     hi = f"{value - 1}/{value}"
     with digit_limit(640):
         proc = construct_geometric(3, fmt)
@@ -372,42 +364,13 @@ def test_an_enclosure_end_past_the_limit_is_refused(monkeypatch, fmt, value):
 
 @pytest.mark.parametrize("fmt", ["table", "json", "csv"])
 def test_an_empty_enclosure_is_an_internal_error(monkeypatch, fmt):
-    # lo < hi holds for every construction; an enclosure crafted to lo = hi
-    # fails the command's exact check, as RationalInterval fails the
-    # library's
-    crafted(monkeypatch, "_enclosure", lambda ends: (ends[0], ends[0]))
+    # lo < hi holds for every construction (construct's docstring); sums
+    # crafted to put lo above hi fail RationalInterval's check
+    module = importlib.import_module("unitfrac.construct")
+    monkeypatch.setattr(module, "_unit_sums", lambda scale, b: (0, scale))
     proc = construct_geometric(3, fmt)
-    assert proc == (2, "", "error: empty theta enclosure\n")
-
-
-def poison_the_local_context(real):
-    """A ``_margins`` whose decimal run changes its context and fails."""
-    def margins(*args):
-        if args[-1] is int:
-            return real(*args)
-        decimal.getcontext().prec = 7
-        raise ValueError("failed in the decimal run")
-    return margins
-
-
-@pytest.mark.parametrize("depth, patch, code", [
-    (20, False, 0),
-    (175, False, 2),  # past the 4300-digit limit
-    (20, True, 2),
-], ids=["printed", "digit-limit", "failed-run"])
-def test_construct_leaves_the_decimal_context_as_it_was(monkeypatch, depth,
-                                                       patch, code):
-    if patch:
-        module = importlib.import_module("unitfrac.construct")
-        monkeypatch.setattr(module, "_margins",
-                            poison_the_local_context(module._margins))
-    context = decimal.getcontext()
-    before = repr(context)
-    proc = run_main(["construct", "--family", "geometric:a=2,r=3",
-                     "--depth", str(depth), "--format", "csv"])
-    assert proc.returncode == code
-    assert decimal.getcontext() is context
-    assert repr(context) == before
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.startswith("error: empty interval: lo=")
 
 
 def assert_usage_error(proc, *flags):
@@ -577,6 +540,17 @@ def test_classify_names_where_the_data_leaves_the_declared_family(tmp_path):
     assert proc.stdout == ""
     assert proc.stderr == ("error: a differs from geometric:a=2,r=3 "
                            "at index 2\n")
+
+
+def test_classify_refuses_b_below_a(tmp_path):
+    # b_n = a_n - 1 is below every weak choice, and b_1 = 1 overruns every
+    # theta <= 1, yet each such b_n would count as a witness at every t
+    a = [2 * 3 ** (n - 1) for n in range(1, 13)]
+    a_file = write_lines(tmp_path / "a.txt", a)
+    b_file = write_lines(tmp_path / "b.txt", [x - 1 for x in a])
+    proc = run_main(["classify", "--a-file", a_file, "--b-file", b_file,
+                     "--family", "geometric:a=2,r=3"])
+    assert proc == (2, "", "error: b falls below a at index 1\n")
 
 
 def test_classify_names_the_counts_of_unequal_files(tmp_path):

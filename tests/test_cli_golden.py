@@ -215,14 +215,15 @@ def test_outputs_are_canonical(tmp_path, name, fmt):
 @pytest.mark.parametrize("fmt", FORMATS)
 def test_failure_leaves_stdout_empty(fmt):
     # the margins at this depth run past the lowest int-to-str digit limit
-    # Python accepts, so formatting fails only once the result exists
+    # Python accepts (from depth 332), so formatting fails only once the
+    # result exists
     if not hasattr(sys, "set_int_max_str_digits"):
         pytest.skip("no int-to-str digit limit in this Python")
     saved = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(640)
     try:
         code, stdout, stderr = run_main(
-            ["construct", "--family", "geometric:a=2,r=3", "--depth", "70",
+            ["construct", "--family", "geometric:a=2,r=3", "--depth", "340",
              "--format", fmt])
     finally:
         sys.set_int_max_str_digits(saved)

@@ -2,8 +2,9 @@
 
 The plateau example is worked by hand below; the strictly increasing and
 geometric reproductions are cross-checked against the closed-form family
-companions, and replay through recover_shadow acts as an independent
-oracle for the whole pipeline.
+companions. The exact margins, summed here in Fractions, are the oracle
+of the dyadic certificates and enclosure, and replay through
+recover_shadow acts as an independent oracle for the whole pipeline.
 """
 from __future__ import annotations
 
@@ -69,17 +70,31 @@ def test_plateau_construction_pinned():
     assert res.filler_values == (14, 53)
     assert res.b_prefix == (14, 5, 53, 11)
     assert res.future_filler_bound == F(5, 264)
-    # enclosure endpoints recomputed from scratch
+    # the exact theta-set, rounded inward onto the grid 2**-23: a* = 4
+    # and N = 4 give k = 4*3 + 3 + 8
     total = F(1, 14) + F(1, 5) + F(1, 53) + F(1, 11)
-    assert res.theta_enclosure.lo == total + F(1, 4)
-    assert res.theta_enclosure.hi == total + F(1, 3) + F(5, 264)
-    width = res.theta_enclosure.width()
-    assert width == F(1, 12) + res.future_filler_bound
+    assert res.theta_enclosure == (F(2647469, 2**22), F(6152859, 2**23))
+    assert total + F(1, 4) < res.theta_enclosure.lo
+    assert res.theta_enclosure.hi < total + F(1, 3) + F(5, 264)
+    assert_recomputed_by_fractions(res)
 
 
-# plateaus of 1 to 4 indices, each followed by a step of 1 to 3
-plateau_runs = st.lists(st.tuples(st.integers(1, 4), st.integers(1, 3)),
+# plateaus of 1 to 4 indices, each followed by a rise of 1 to 3 or a gap
+# of thousands to billions
+rises = st.one_of(st.integers(1, 3), st.integers(10**3, 10**9))
+plateau_runs = st.lists(st.tuples(st.integers(1, 4), rises),
                         min_size=2, max_size=13)
+
+
+def plateau_values(start, runs):
+    """The targets of ``plateau_runs`` from ``start``, with the value
+    after the last rise, which anchors the tail."""
+    values, a = [], start
+    for length, step in runs:
+        values += [a] * length
+        a += step
+    values.append(a)
+    return values
 
 
 def assert_lowest_terms(res):
@@ -94,9 +109,25 @@ def assert_lowest_terms(res):
         assert x.denominator > 0 and math.gcd(x.numerator, x.denominator) == 1
 
 
+def exact_theta_set(res):
+    """(lo, hi): the open set of thetas the result certifies, the sum of
+    its 1/b_n plus the tail (1/a*, 1/(a* - 1) + B)."""
+    total = sum(map(F, [1] * len(res.b_prefix), res.b_prefix), F(0))
+    a_tail = res.next_jump_value
+    return (total + F(1, a_tail),
+            total + F(1, a_tail - 1) + res.future_filler_bound)
+
+
 def assert_recomputed_by_fractions(res):
     """Slacks, fillers, budget, margins and enclosure of the result,
-    recomputed from its a, b and jumps with stdlib Fraction arithmetic."""
+    recomputed from its a, b and jumps with stdlib Fraction arithmetic.
+
+    The exact margins are the oracle of the certificates: each printed
+    margin lies on the grid 2**-k, is positive, is at most its exact
+    margin and misses it by less than one grid unit per rounding, and
+    the enclosure is the exact theta-set rounded inward in the same way.
+    Returns the exact margins, from index 1 on.
+    """
     jumps = res.jump_indices
     shadows = [res.a_prefix[n - 1] for n in jumps] + [res.next_jump_value]
     thetas, fillers = [], []
@@ -120,40 +151,58 @@ def assert_recomputed_by_fractions(res):
 
     # every margin from the suffix sum of 1/b_i, built from the end, with
     # the tail ends 1/a' below and 1/(a' - 1) + B above
-    a_tail = res.next_jump_value
+    a_tail, count = res.next_jump_value, len(res.b_prefix)
+    unit = F(1, 2 ** (4 * a_tail.bit_length() + count.bit_length() + 8))
     suffix, margins = F(0), []
-    for n in range(len(res.b_prefix), 0, -1):
+    for n in range(count, 0, -1):
         a = res.a_prefix[n - 1]
         suffix += F(1, res.b_prefix[n - 1])
         margins.append((n, suffix + F(1, a_tail) - F(1, a),
                         F(1, a - 1) - (suffix + F(1, a_tail - 1) + budget)))
-    assert [tuple(c) for c in res.certificates] == margins[::-1]
-    assert res.theta_enclosure.lo == suffix + F(1, a_tail)
-    assert res.theta_enclosure.hi == suffix + F(1, a_tail - 1) + budget
-    # the identity construct relies on: the index-1 window narrowed by its
-    # margins
-    first = res.certificates[0]
-    a = res.a_prefix[0]
-    assert res.theta_enclosure.lo == first.lower_margin + F(1, a)
-    assert res.theta_enclosure.hi == F(1, a - 1) - first.upper_margin
+    margins.reverse()
+    assert [c.index for c in res.certificates] == list(range(1, count + 1))
+    for (n, lower, upper), cert in zip(margins, res.certificates):
+        # L_n sums count - n + 1 rounded steps, and U_n one more, its start
+        assert 0 < cert.lower_margin <= lower
+        assert lower - cert.lower_margin < (count - n + 1) * unit
+        assert 0 < cert.upper_margin <= upper
+        assert upper - cert.upper_margin < (count - n + 2) * unit
+        assert (cert.lower_margin / unit).denominator == 1
+        assert (cert.upper_margin / unit).denominator == 1
+    lo, hi = exact_theta_set(res)
+    assert lo == suffix + F(1, a_tail)
+    iv = res.theta_enclosure
+    assert 0 <= iv.lo - lo < (count + 1) * unit
+    assert 0 <= hi - iv.hi < (count + 2) * unit
+    assert (iv.lo / unit).denominator == (iv.hi / unit).denominator == 1
     assert_lowest_terms(res)
+    return margins
 
 
 @settings(max_examples=150, deadline=None)
 @given(st.integers(min_value=2, max_value=9), plateau_runs)
 def test_slacks_and_fillers_recomputed_from_the_result(start, runs):
-    values, a = [], start
-    for length, step in runs:
-        values += [a] * length
-        a += step
-    values.append(a)
     depth = len(runs) - 1
-    res = construct(TargetSequence.from_explicit(values), depth)
+    seq = TargetSequence.from_explicit(plateau_values(start, runs))
+    res = construct(seq, depth)
     assert_recomputed_by_fractions(res)
+    if depth > 1:
+        lo, hi = exact_theta_set(construct(seq, depth - 1))
+        assert lo < res.theta_enclosure.lo < res.theta_enclosure.hi < hi
 
     replay = recover_shadow(list(res.b_prefix), res.theta_enclosure.midpoint())
     assert tuple(replay.a) == res.a_prefix
     assert replay.first_weak_violation is None
+
+
+def test_printed_enclosures_need_not_nest():
+    # the depth-2 enclosure's lo falls 1.9e-7 below depth 1's, which is
+    # rounded up on the coarser grid, and stays inside depth 1's exact set
+    seq = TargetSequence.from_explicit([3, 3, 3, 4, 221147491, 221147492])
+    shallow, deep = construct(seq, 1), construct(seq, 2)
+    assert deep.theta_enclosure.lo < shallow.theta_enclosure.lo
+    lo, _ = exact_theta_set(shallow)
+    assert lo < deep.theta_enclosure.lo
 
 
 def _plateau_targets(jumps):
@@ -173,10 +222,12 @@ def _plateau_targets(jumps):
                                           "repeat-last-delta"), 150, 9_000),
 ], ids=["geometric", "plateau"])
 def test_long_operands_recomputed_by_fractions(seq, depth, bits):
-    # margins of thousands of bits, far past what the drawn targets reach
+    # exact margins of thousands of bits, far past what the drawn targets
+    # reach, against certificates on a grid of at most about a thousand
     res = construct(seq(), depth)
-    assert res.certificates[0].lower_margin.denominator.bit_length() > bits
-    assert_recomputed_by_fractions(res)
+    margins = assert_recomputed_by_fractions(res)
+    assert margins[0][1].denominator.bit_length() > bits
+    assert res.certificates[0].lower_margin.denominator.bit_length() < 1200
 
 
 def test_certificates_positive():
@@ -207,8 +258,8 @@ def test_monotone_deepening():
     assert deep.b_prefix[:k] == shallow.b_prefix
     assert deep.theta_choices[:2] == shallow.theta_choices
     assert deep.jump_indices[:2] == shallow.jump_indices
-    assert shallow.theta_enclosure.lo < deep.theta_enclosure.lo
-    assert deep.theta_enclosure.hi < shallow.theta_enclosure.hi
+    lo, hi = exact_theta_set(shallow)
+    assert lo < deep.theta_enclosure.lo < deep.theta_enclosure.hi < hi
     assert shallow.theta_enclosure.contains(deep.theta_enclosure.midpoint())
 
 

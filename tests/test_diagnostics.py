@@ -6,6 +6,7 @@ real check rather than an echo.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction as F
 
@@ -341,6 +342,14 @@ def test_classify_validation():
         classify((), ())
     with pytest.raises(ValueError):
         classify((2, 0, 3), (2, 1, 3))
+    # data no WGAA run gives: a below 2, a falling, b below a
+    with pytest.raises(ValueError, match="^a falls below 2 at index 1$"):
+        classify((1, 2, 3), (2, 3, 4))
+    with pytest.raises(ValueError, match="^a falls below 5 at index 2$"):
+        classify((5, 3, 3), (5, 3, 4))
+    with pytest.raises(ValueError, match="^b falls below a at index 3$"):
+        classify((2, 3, 4, 5), (2, 3, 3, 5))
+    assert classify((2, 2, 3), (2, 2, 3)).n_terms == 3  # equality holds
     with pytest.raises(ValueError, match="at least 1"):
         classify((2, 3), (2, 3), t_grid=(F(1, 2),))
     for inexact in (1.5, True):
@@ -354,13 +363,16 @@ def test_classify_validation():
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.lists(st.tuples(st.integers(1, 40), st.integers(1, 400)),
+@given(st.lists(st.tuples(st.integers(0, 5), st.integers(0, 400)),
                 min_size=1, max_size=16),
        st.lists(st.fractions(min_value=1, max_value=10, max_denominator=12),
                 min_size=1, max_size=4))
-def test_classify_counts_match_fraction_ceiling(pairs, grid):
+def test_classify_counts_match_fraction_ceiling(steps, grid):
     """Small terms and levels put t*a_n on an integer often, where the
-    integer witness test and b_n <= ceil(t*a_n) must still agree."""
+    integer witness test and b_n <= ceil(t*a_n) must still agree. a rises
+    from 2 by steps of 0 to 5, and b_n exceeds a_n by 0 to 400."""
+    a = itertools.accumulate((rise for rise, _ in steps), initial=2)
+    pairs = [(x, x + over) for x, (_, over) in zip(a, steps)]
     a, b = zip(*pairs)
     report = classify(a, b, grid)
     assert [t for t, _ in report.witness_counts] == grid

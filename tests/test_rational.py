@@ -1,7 +1,6 @@
 """Exact scalar helpers, open intervals, and the long square."""
 from __future__ import annotations
 
-import decimal
 import enum
 import math
 import random
@@ -15,10 +14,12 @@ from unitfrac.rational import (
     _SSA_BITS,
     RationalInterval,
     _coprime,
+    _dyadic,
     _pair_sum,
     _square,
     _ssa_shape,
     _ssa_square,
+    _unit_sums,
     format_rational,
     greedy_denominator,
     parse_rational,
@@ -86,11 +87,6 @@ def test_greedy_denominator_sandwich(theta):
 
 # --------------------------------------------------------- exact arithmetic
 
-# integer arithmetic in decimal that raises rather than round
-EXACT = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX,
-                        traps=[decimal.InvalidOperation, decimal.Inexact,
-                               decimal.Rounded])
-
 # both denominators share the factor k, so all three reductions are drawn:
 # no common factor (k = 1), a common factor that leaves the sum reduced,
 # and one that divides the sum's numerator too
@@ -109,11 +105,6 @@ def test_pair_sum_matches_fraction(n1, d1, n2, d2, k, opposite):
     terms = (x.numerator, x.denominator, y.numerator, y.denominator)
     total = _pair_sum(*terms)
     assert total == ((x + y).numerator, (x + y).denominator)
-    # the same integers from exact decimal operands
-    with decimal.localcontext(EXACT):
-        in_decimal = _pair_sum(*map(decimal.Decimal, terms))
-    assert all(type(v) is decimal.Decimal for v in in_decimal)
-    assert tuple(map(int, in_decimal)) == total
 
 
 @settings(max_examples=300)
@@ -135,6 +126,26 @@ def test_coprime_is_the_reduced_fraction(n, d, other, shift):
     if other:
         assert x / other == ref / other
     assert format_rational(x) == format_rational(ref) == f"{n}/{d}"
+
+
+@given(st.integers(-2**200, 2**200).filter(bool), st.integers(0, 300))
+@example(1, 0)
+@example(-2**40, 40)  # all of k's zeros go
+@example(3 << 90, 40)  # only k's zeros go
+def test_dyadic_is_the_reduced_fraction(x, k):
+    y = _dyadic(x, k)
+    assert type(y) is Fraction
+    assert (y.numerator, y.denominator) == (
+        Fraction(x, 2**k).numerator, Fraction(x, 2**k).denominator)
+
+
+@given(st.integers(1, 2**200), st.lists(st.integers(1, 10**6)))
+@example(1, [1, 2, 3])  # only d = 1 divides the scale
+@example(64, [1, 2, 3, 4, 64, 128])
+def test_unit_sums_round_each_term_down_and_up(scale, ds):
+    below, above = _unit_sums(scale, ds)
+    assert below == sum(math.floor(Fraction(scale, d)) for d in ds)
+    assert above == sum(math.ceil(Fraction(scale, d)) for d in ds)
 
 
 # ----------------------------------------------------------- input checks

@@ -51,17 +51,18 @@ TIMEOUT_S = 600  # per mutant; a mutant can loop for ever
 
 EQUIVALENT = {
     "construct": {
-        ("_scan", "tn <= 0", "tn < 0"):
+        ("construct", "tn <= 0", "tn < 0"):
             "b = (a*a' - 1) // gap gives tn = b*gap - lo_n >= 2a - 1 >= 3, "
             "so tn is never 0",
-        ("_scan", "tn * bd < bn * td", "tn * bd <= bn * td"):
+        ("construct", "tn * bd < bn * td", "tn * bd <= bn * td"):
             "at equal values both sides are the same reduced pair",
-        ("_margins", "lower[0] <= 0", "lower[0] < 0"):
-            "the lower margin telescopes over strict brackets "
-            "1/a - 1/a' < 1/b, so it is never 0",
-        ("_margins", "upper[0] <= 0", "upper[0] < 0"):
-            "the fillers from plateau J on and the tail budget spend at "
-            "most theta_J, so the upper margin exceeds theta_J > 0",
+        ("_margins", "lower <= 0", "lower < 0"):
+            "the jump step of the lower margin is above 2**-k, so its "
+            "rounded sum is at least one unit and never 0",
+        ("_margins", "upper <= 0", "upper < 0"):
+            "the upper margin exceeds theta_J > 2**-(4 bits(a*) + 1), and "
+            "its roundings lose less than 2**-(4 bits(a*) + 8), so its "
+            "rounded sum is at least one unit and never 0",
     },
     "greedy": {
         ("_walk_square", "x.bit_length() < _MEMO_BITS",
