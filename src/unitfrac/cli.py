@@ -29,8 +29,8 @@ EXIT_USAGE = 2
 # 128 + SIGPIPE, what a shell reports for a tool killed by a closed pipe
 EXIT_PIPE_CLOSED = 141
 # rows per csv piece: 256 rows of census or expansion make a few
-# kilobytes; construct's dyadic margins made 20 kB at arithmetic depth 290
-# and 0.23 MB at geometric depth 175, whose rows run to 1.4 kB
+# kilobytes; construct's certificates make 11 kB at arithmetic depth 290
+# and 69 kB at geometric depth 175, whose rows run to 0.8 kB
 _CSV_PIECE_ROWS = 256
 _VERDICT_KEYS = ("index", "a", "a-next", "unique", "k", "case")
 

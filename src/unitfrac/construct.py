@@ -25,7 +25,8 @@ for the last budget. The exact theta-set is (S + 1/a*, S + 1/(a* - 1) +
 B), and the claim holds on it when two margins are positive at every
 index n: the lower margin L_n, the suffix sum's lower end minus 1/a_n,
 and the upper margin U_n, 1/(a_n - 1) minus the suffix sum's upper end.
-Run back from L = 0 and U = -B past index N, with a_{N+1} = a*, they are
+Past index N they are L = 0 and U = -B, with a_{N+1} = a*, and each
+index n steps them by
 L_n - L_{n+1} = 1/b_n + 1/a_{n+1} - 1/a_n and
 U_n - U_{n+1} = 1/(a_n - 1) - 1/(a_{n+1} - 1) - 1/b_n.
 
@@ -39,21 +40,18 @@ Lemma. Let J be the first jump at or after n, from a to a'.
   gap_i/f_i < B_i <= theta_J/2^(i+1-J), and with the tail's B they spend
   less than theta_J, so U_n > 2 theta_J - theta_J.
 
-The certificates hold both margins as dyadic lower bounds on one grid,
-2^-k with k = 4 bits(a*) + bits(N) + 8. Each step of each sum is rounded
-down onto the grid, and so is U's start -B, so every bound is at most its
-margin. Every a and a' is at most a*, and b < a a' <= a*^2, so:
-- the jump step of L_n is above a*^-4 > 2^-k, and its rounding is at
-  least one unit, so the bound on L_n is positive;
-- theta_J >= 1/(2 (a - 1) b (a' - 1)) > 2^-(4 bits(a*) + 1), while the
-  N + 1 roundings of U lose less than (N + 1) 2^-k < 2^-(4 bits(a*) + 8),
-  so the bound on U_n is positive;
-- the enclosure is the exact theta-set rounded inward onto the same
-  grid: 1/a* and each 1/b_n rounded up for lo, 1/(a* - 1), B and each
-  1/b_n rounded down for hi. Its width loses less than (2N + 3) 2^-k,
-  far below the exact width 1/(a* (a* - 1)) + B, so lo < hi.
-The two ``ConstructionError`` checks are therefore the proof's own
-assertions: they fail on no input the scan accepts.
+The certificates are these bounds: every index of plateau J gets
+(1/(b_J a a'), theta_J), built as the scan builds jump J. The lemma
+needs the jump's whole integer bracket (a - 1)(a' - 1) < b (a' - a) <
+a a': its left side makes theta_J positive, and its right side the jump
+step of L. The scan checks both sides. The companion meets them on
+every input, so the ``ConstructionError`` is the proof's own assertion.
+
+The enclosure is the exact theta-set rounded inward onto the grid 2^-k,
+k = 4 bits(a*) + bits(N) + 8: 1/a* and each 1/b_n rounded up for lo,
+1/(a* - 1), B and each 1/b_n rounded down for hi. Its width loses less
+than (2N + 3) 2^-k < 2^-(4 bits(a*) + 6), far below the exact width
+1/(a* (a* - 1)) + B, so lo < hi.
 
 The printed enclosures need not nest: a rounded lo at depth d may fall
 below the one at depth d - 1. Every enclosure still lies inside the
@@ -77,7 +75,8 @@ class DepthExhausted(ValueError):
 
 
 class ConstructionError(RuntimeError):
-    """Internal certificate check failed; indicates a bug, not bad input."""
+    """A jump's companion missed its bracket; indicates a bug, not bad
+    input."""
 
 
 class TargetSequence:
@@ -121,13 +120,14 @@ class TargetSequence:
 
 
 class StepCertificate(NamedTuple):
-    """Lower bounds on the two margins at one index (module docstring).
+    """The lemma's lower bounds on the two margins at one index (module
+    docstring).
 
     lower_margin bounds L_n, the suffix sum's lower end minus 1/a_n, and
     upper_margin bounds U_n, 1/(a_n - 1) minus the suffix sum's upper end,
     the suffix sum being 1/b_k over the built k >= n plus a tail in
-    (1/a*, 1/(a* - 1) + B). Each is a Fraction on the grid 2^-k and
-    0 < bound <= margin.
+    (1/a*, 1/(a* - 1) + B). With J the first jump at or after n, from a
+    to a', they are 0 < 1/(b_J a a') <= L_n and 0 < theta_J < U_n.
     """
 
     index: int
@@ -159,10 +159,10 @@ def construct(seq: TargetSequence, depth: int) -> ConstructionResult:
     The arithmetic runs on plain ints: theta_j and the budget B_j are
     pairs (numerator, denominator) in lowest terms with a positive
     denominator, B_j is halved by the parity of its numerator, the min is
-    a cross-product and the filler is gap * B_den // B_num + 1. Each pair
-    becomes a Fraction through ``rational._coprime``, which takes it as
-    it is, and each grid value through ``rational._dyadic``; neither
-    takes a gcd.
+    a cross-product and the filler is gap * B_den // B_num + 1. Each pair,
+    and each certificate's 1/(b a a'), becomes a Fraction through
+    ``rational._coprime``, which takes it as it is, and each end of the
+    enclosure through ``rational._dyadic``; neither takes a gcd.
     """
     positive_int(depth, "depth")
     horizon = seq._given + 64 * (depth + 1) + 1024
@@ -176,6 +176,7 @@ def construct(seq: TargetSequence, depth: int) -> ConstructionResult:
     b_prefix: list[int] = []
     thetas: list[Fraction] = []
     fillers: list[Optional[int]] = []
+    certificates: list[StepCertificate] = []
     bn, bd = 1, 0  # the budget B_j as a pair; B_0 = 1/0 is above every slack
     for n in range(1, horizon + 1):
         value = seq._fn(n)  # may raise DepthExhausted, a ValueError
@@ -188,15 +189,19 @@ def construct(seq: TargetSequence, depth: int) -> ConstructionResult:
                 break
             a, a_next = a_seen[-1], value
             b = _companion(a, a_next)
-            # half the room left under 1/(a-1) by 1/b and a tail below
-            # 1/(a'-1), theta_j = (b*(a'-a) - (a-1)*(a'-1))/(2*(a-1)*b*(a'-1))
-            tn = b * (a_next - a) - (a - 1) * (a_next - 1)
-            if tn <= 0:
-                raise ConstructionError(f"no bracket slack at jump {n - 1}")
+            # the bracket (a-1)(a'-1) < b*(a'-a) < a*a'; half the room left
+            # under 1/(a-1) by 1/b and a tail below 1/(a'-1) is
+            # theta_j = (b*(a'-a) - (a-1)*(a'-1))/(2*(a-1)*b*(a'-1))
+            mid = b * (a_next - a)
+            tn = mid - (a - 1) * (a_next - 1)
+            if tn <= 0 or a * a_next <= mid:
+                raise ConstructionError(
+                    f"companion outside the bracket at jump {n - 1}")
             td = 2 * (a - 1) * b * (a_next - 1)
             g = math.gcd(tn, td)
             tn, td = tn // g, td // g
-            thetas.append(_coprime(tn, td))
+            theta = _coprime(tn, td)
+            thetas.append(theta)
             # B_j = min(B_{j-1}, theta_j)/2 = min_{k<=j} theta_k/2^(j+1-k)
             if tn * bd < bn * td:
                 bn, bd = tn, td
@@ -204,7 +209,8 @@ def construct(seq: TargetSequence, depth: int) -> ConstructionResult:
                 bd *= 2
             else:
                 bn //= 2
-            gap = n - 2 - (jumps[-1] if jumps else 0)
+            start = jumps[-1] + 1 if jumps else 1
+            gap = n - 1 - start
             if gap > 0:
                 # the budget keeps certificates alive; the plateau value
                 # keeps each filler a legal weak choice (b_n >= a_n)
@@ -215,6 +221,10 @@ def construct(seq: TargetSequence, depth: int) -> ConstructionResult:
                 fillers.append(None)
             b_prefix.append(b)
             jumps.append(n - 1)
+            # the lemma's bounds hold at every index of the plateau
+            lower = _coprime(1, b * a * a_next)
+            certificates.extend(StepCertificate(i, lower, theta)
+                                for i in range(start, n))
         a_seen.append(value)
     else:
         raise DepthExhausted(
@@ -222,7 +232,6 @@ def construct(seq: TargetSequence, depth: int) -> ConstructionResult:
 
     a_prefix, a_tail = tuple(a_seen[:jumps[-1]]), a_seen[-1]
     k = 4 * a_tail.bit_length() + len(a_prefix).bit_length() + 8
-    certificates = tuple(_margins(a_prefix, b_prefix, a_tail, bn, bd, k))
     # the exact theta-set rounded inward onto the grid
     scale = 1 << k
     below, above = _unit_sums(scale, b_prefix)
@@ -238,25 +247,6 @@ def construct(seq: TargetSequence, depth: int) -> ConstructionResult:
         theta_choices=tuple(thetas),
         filler_values=tuple(fillers),
         future_filler_bound=_coprime(bn, bd),
-        certificates=certificates[::-1],
+        certificates=tuple(certificates),
     )
 
-
-def _margins(a_prefix, b_prefix, a_next, bn, bd, k):
-    """The ``StepCertificate`` of each built index, from the last one
-    back: the margins' running sums in units of 2^-k, each step rounded
-    down, from lower = 0 and upper = floor(-B 2^k), where B = bn/bd and
-    a_next starts at a*.
-    """
-    lower, upper = 0, (-bn << k) // bd
-    for idx in range(len(a_prefix), 0, -1):
-        a, b = a_prefix[idx - 1], b_prefix[idx - 1]
-        # at a jump, the numerators are the gaps in the companion's bracket
-        mid = b * (a_next - a)
-        lower += ((a * a_next - mid) << k) // (b * a * a_next)
-        upper += (((mid - (a - 1) * (a_next - 1)) << k)
-                  // (b * (a - 1) * (a_next - 1)))
-        if lower <= 0 or upper <= 0:
-            raise ConstructionError(f"certificate failed at index {idx}")
-        yield StepCertificate(idx, _dyadic(lower, k), _dyadic(upper, k))
-        a_next = a

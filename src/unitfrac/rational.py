@@ -29,8 +29,8 @@ the two slots ``Fraction`` sets itself (``_numerator`` and
 step does not apply, and makes each residual a Fraction through
 ``_coprime``. ``_dyadic`` makes x/2**k a Fraction by the trailing zero
 bits of x alone, and ``_unit_sums`` rounds a sum of unit fractions down
-and up onto a grid 1/scale: ``construct`` rounds its margins and its
-enclosure onto 2**-k, and ``families`` its enclosures onto 2**-96.
+and up onto a grid 1/scale: ``construct`` rounds its enclosure onto
+2**-k, and ``families`` its enclosures onto 2**-96.
 
 It also holds the input contract of every entry point. ``positive_int``
 refuses a bool, a non-``int`` or a value below the least one allowed,

@@ -235,8 +235,8 @@ def test_construct_exhaustion_is_malformed(tmp_path):
 
 
 def test_construct_internal_error_exits_2(monkeypatch, tmp_path):
-    # a failed certificate check is a bug, not a failed verification; a b
-    # two above the companion fails the lower margin (test_construct)
+    # a failed bracket check is a bug, not a failed verification; a b two
+    # above the companion misses its bracket (test_construct)
     a_file = write_lines(tmp_path / "a.txt", [2, 2, 3, 3, 4, 4, 5, 5, 6])
     # the module, which ``import unitfrac.construct as m`` would not give:
     # that binds the function the package exports under the same name
@@ -244,7 +244,7 @@ def test_construct_internal_error_exits_2(monkeypatch, tmp_path):
     monkeypatch.setattr(module, "_companion",
                         lambda a, a2: _companion(a, a2) + 2)
     proc = run_main(["construct", "--a-file", a_file, "--depth", "3"])
-    assert proc == (2, "", "error: certificate failed at index 6\n")
+    assert proc == (2, "", "error: companion outside the bracket at jump 2\n")
 
 
 @settings(max_examples=150, deadline=None)
@@ -289,18 +289,21 @@ def refusal(x) -> str:
 
 @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
                     reason="no int-to-str digit limit in this Python")
-@pytest.mark.parametrize("fmt", ["table", "json", "csv"])
-def test_margins_print_up_to_the_digit_limit(fmt):
+@pytest.mark.parametrize("fmt, depth", [("table", 340), ("json", 340),
+                                        ("csv", 450)],
+                         ids=["table", "json", "csv"])
+def test_margins_print_up_to_the_digit_limit(fmt, depth):
     # every integer the command prints, enclosure ends included, goes
-    # through str(), which refuses the first one past the limit
-    printed = construct_geometric(340, fmt)
+    # through str(), which refuses the first one past the limit; csv
+    # prints no enclosure, so only its deeper certificates get that long
+    printed = construct_geometric(depth, fmt)
     longest = max(map(int, re.findall("[0-9]+", printed.stdout)))
     digits = len(str(longest))
     assert digits > 640  # the lowest limit Python accepts, plus one
     with digit_limit(digits):
-        assert construct_geometric(340, fmt) == printed
+        assert construct_geometric(depth, fmt) == printed
     with digit_limit(digits - 1):
-        assert construct_geometric(340, fmt) == (2, "", refusal(longest))
+        assert construct_geometric(depth, fmt) == (2, "", refusal(longest))
 
 
 def crafted(monkeypatch, change):

@@ -3,7 +3,7 @@
 The plateau example is worked by hand below; the strictly increasing and
 geometric reproductions are cross-checked against the closed-form family
 companions. The exact margins, summed here in Fractions, are the oracle
-of the dyadic certificates and enclosure, and replay through
+of the lemma's certificates and the dyadic enclosure, and replay through
 recover_shadow acts as an independent oracle for the whole pipeline.
 """
 from __future__ import annotations
@@ -122,15 +122,15 @@ def assert_recomputed_by_fractions(res):
     """Slacks, fillers, budget, margins and enclosure of the result,
     recomputed from its a, b and jumps with stdlib Fraction arithmetic.
 
-    The exact margins are the oracle of the certificates: each printed
-    margin lies on the grid 2**-k, is positive, is at most its exact
-    margin and misses it by less than one grid unit per rounding, and
-    the enclosure is the exact theta-set rounded inward in the same way.
+    The exact margins are the oracle of the certificates: each index n
+    holds the lemma's pair (1/(b_J a_J a_{J+1}), theta_J) of the first
+    jump J >= n, with 0 < lower <= L_n and 0 < upper < U_n, and the
+    enclosure is the exact theta-set rounded inward onto the grid 2**-k.
     Returns the exact margins, from index 1 on.
     """
     jumps = res.jump_indices
     shadows = [res.a_prefix[n - 1] for n in jumps] + [res.next_jump_value]
-    thetas, fillers = [], []
+    thetas, fillers, bounds = [], [], []
     for j, n in enumerate(jumps):
         a, a_next, b = shadows[j], shadows[j + 1], res.b_prefix[n - 1]
         # b is the largest integer strictly inside the telescoping bracket
@@ -145,6 +145,7 @@ def assert_recomputed_by_fractions(res):
         filler = max(math.floor(gap / budget) + 1, a) if gap else None
         fillers.append(filler)
         assert res.b_prefix[start_of_plateau:n - 1] == (filler,) * gap
+        bounds += [(F(1, b * a * a_next), theta)] * (gap + 1)
     assert res.theta_choices == tuple(thetas)
     assert res.filler_values == tuple(fillers)
     assert res.future_filler_bound == budget
@@ -161,14 +162,11 @@ def assert_recomputed_by_fractions(res):
                         F(1, a - 1) - (suffix + F(1, a_tail - 1) + budget)))
     margins.reverse()
     assert [c.index for c in res.certificates] == list(range(1, count + 1))
-    for (n, lower, upper), cert in zip(margins, res.certificates):
-        # L_n sums count - n + 1 rounded steps, and U_n one more, its start
+    for (_, lower, upper), cert, bound in zip(
+            margins, res.certificates, bounds):
+        assert (cert.lower_margin, cert.upper_margin) == bound
         assert 0 < cert.lower_margin <= lower
-        assert lower - cert.lower_margin < (count - n + 1) * unit
-        assert 0 < cert.upper_margin <= upper
-        assert upper - cert.upper_margin < (count - n + 2) * unit
-        assert (cert.lower_margin / unit).denominator == 1
-        assert (cert.upper_margin / unit).denominator == 1
+        assert 0 < cert.upper_margin < upper
     lo, hi = exact_theta_set(res)
     assert lo == suffix + F(1, a_tail)
     iv = res.theta_enclosure
@@ -223,11 +221,15 @@ def _plateau_targets(jumps):
 ], ids=["geometric", "plateau"])
 def test_long_operands_recomputed_by_fractions(seq, depth, bits):
     # exact margins of thousands of bits, far past what the drawn targets
-    # reach, against certificates on a grid of at most about a thousand
+    # reach, against certificates of the lemma's size: b < a a' <= a*^2,
+    # so b a a' and 2 (a - 1) b (a' - 1) are below 2 a*^4
     res = construct(seq(), depth)
     margins = assert_recomputed_by_fractions(res)
     assert margins[0][1].denominator.bit_length() > bits
-    assert res.certificates[0].lower_margin.denominator.bit_length() < 1200
+    size = 4 * res.next_jump_value.bit_length() + 1
+    for cert in res.certificates:
+        assert cert.lower_margin.denominator.bit_length() <= size
+        assert cert.upper_margin.denominator.bit_length() <= size
 
 
 def test_certificates_positive():
@@ -294,20 +296,21 @@ def test_construct_reads_targets_only_through_the_last_jump():
 
 
 def test_internal_checks_catch_a_wrong_companion(monkeypatch):
-    # the two ConstructionError checks, each failing by 1 and not by 0:
+    # both sides of the bracket check, each failing by 1 and not by 0:
     # one below the bracket's lower integer end leaves slack -1, and two
-    # above the companion leaves a lower margin below 0 late in the prefix
+    # above the companion, one past its upper end, leaves b (a' - a)
+    # above a a'
     seq = TargetSequence(lambda n: 2 + (n - 1) // 2)
     module = importlib.import_module("unitfrac.construct")
     monkeypatch.setattr(module, "_companion",
                         lambda a, a2: (a - 1) * (a2 - 1) // (a2 - a) - 1)
     with pytest.raises(ConstructionError,
-                       match=r"^no bracket slack at jump 2$"):
+                       match=r"^companion outside the bracket at jump 2$"):
         construct(seq, depth=3)
     monkeypatch.setattr(module, "_companion",
                         lambda a, a2: _companion(a, a2) + 2)
     with pytest.raises(ConstructionError,
-                       match=r"^certificate failed at index 6$"):
+                       match=r"^companion outside the bracket at jump 2$"):
         construct(seq, depth=3)
 
 

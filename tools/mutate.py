@@ -56,13 +56,9 @@ EQUIVALENT = {
             "so tn is never 0",
         ("construct", "tn * bd < bn * td", "tn * bd <= bn * td"):
             "at equal values both sides are the same reduced pair",
-        ("_margins", "lower <= 0", "lower < 0"):
-            "the jump step of the lower margin is above 2**-k, so its "
-            "rounded sum is at least one unit and never 0",
-        ("_margins", "upper <= 0", "upper < 0"):
-            "the upper margin exceeds theta_J > 2**-(4 bits(a*) + 1), and "
-            "its roundings lose less than 2**-(4 bits(a*) + 8), so its "
-            "rounded sum is at least one unit and never 0",
+        ("construct", "a * a_next <= mid", "a * a_next < mid"):
+            "b = (a*a' - 1) // gap gives a*a' - b*gap >= 1, so the two "
+            "are never equal",
     },
     "greedy": {
         ("_walk_square", "x.bit_length() < _MEMO_BITS",
