@@ -61,8 +61,8 @@ import math
 from fractions import Fraction
 from typing import Callable, NamedTuple, Optional
 
-from .rational import (RationalInterval, _coprime, _dyadic, _unit_sums,
-                       positive_int, positive_ints)
+from .rational import (RationalInterval, _coprime, _unit_sums, positive_int,
+                       positive_ints)
 from .greedy import _companion
 
 
@@ -161,8 +161,7 @@ def construct(seq: TargetSequence, depth: int) -> ConstructionResult:
     denominator, B_j is halved by the parity of its numerator, the min is
     a cross-product and the filler is gap * B_den // B_num + 1. Each pair,
     and each certificate's 1/(b a a'), becomes a Fraction through
-    ``rational._coprime``, which takes it as it is, and each end of the
-    enclosure through ``rational._dyadic``; neither takes a gcd.
+    ``rational._coprime``, which takes it as it is, without a gcd.
     """
     positive_int(depth, "depth")
     horizon = seq._given + 64 * (depth + 1) + 1024
@@ -235,15 +234,15 @@ def construct(seq: TargetSequence, depth: int) -> ConstructionResult:
     # the exact theta-set rounded inward onto the grid
     scale = 1 << k
     below, above = _unit_sums(scale, b_prefix)
-    lo = above - (-scale // a_tail)
-    hi = below + scale // (a_tail - 1) + (bn << k) // bd
+    lo = Fraction(above - (-scale // a_tail), scale)
+    hi = Fraction(below + scale // (a_tail - 1) + (bn << k) // bd, scale)
     return ConstructionResult(
         a_prefix=a_prefix,
         b_prefix=tuple(b_prefix),
         jump_indices=tuple(jumps),
         next_jump_index=n - 1,
         next_jump_value=a_tail,
-        theta_enclosure=RationalInterval(_dyadic(lo, k), _dyadic(hi, k)),
+        theta_enclosure=RationalInterval(lo, hi),
         theta_choices=tuple(thetas),
         filler_values=tuple(fillers),
         future_filler_bound=_coprime(bn, bd),

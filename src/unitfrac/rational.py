@@ -27,10 +27,14 @@ the two slots ``Fraction`` sets itself (``_numerator`` and
 ``_denominator``, on CPython 3.10 to 3.13). ``greedy._walk`` subtracts
 1/b from its residual pair through ``_pair_sum`` wherever its word-size
 step does not apply, and makes each residual a Fraction through
-``_coprime``. ``_dyadic`` makes x/2**k a Fraction by the trailing zero
-bits of x alone, and ``_unit_sums`` rounds a sum of unit fractions down
-and up onto a grid 1/scale: ``construct`` rounds its enclosure onto
-2**-k, and ``families`` its enclosures onto 2**-96.
+``_coprime``, as ``construct`` makes its slacks, budget and certificates.
+``_unit_sums`` rounds a sum of unit fractions down and up onto a grid
+1/scale: ``construct`` rounds its enclosure onto 2**-k, and ``families``
+its enclosures onto 2**-96.
+
+The package bypasses the constructor of ``Fraction`` or of a result
+record only inside a loop that measured a gain: ``_coprime`` here, and
+the ``tuple.__new__`` rows and verdicts of ``uniqueness``.
 
 It also holds the input contract of every entry point. ``positive_int``
 refuses a bool, a non-``int`` or a value below the least one allowed,
@@ -118,9 +122,10 @@ def exact(x) -> Fraction:
 
 
 def format_rational(x: Fraction) -> str:
-    """Serialize as "P/Q", reduced, with Q >= 1. Integers render as "P/1"."""
+    """Serialize as "P/Q", reduced, with Q >= 1. Integers render as "P/1";
+    floats and bools are refused, as by ``exact``."""
     if type(x) is not Fraction:
-        x = Fraction(x)
+        x = exact(x)
     return f"{x.numerator}/{x.denominator}"
 
 
@@ -155,14 +160,6 @@ def _pair_sum(na, da, nb, db):
     if g2 == 1:
         return t, s * db
     return t // g2, s * (db // g2)
-
-
-def _dyadic(x: int, k: int) -> Fraction:
-    """The Fraction x/2**k, for an int x != 0 and k >= 0, reduced by the
-    trailing zero bits of x alone, with no gcd: Fraction(x, 2**k) takes
-    one, 1.3 ms at k = 32 000 (CPython 3.11.7)."""
-    shift = min((x & -x).bit_length() - 1, k)
-    return _coprime(x >> shift, 1 << k - shift)
 
 
 def _unit_sums(scale: int, denominators) -> tuple[int, int]:

@@ -75,22 +75,16 @@ def _closed_criterion(a: int, a_next: int) -> tuple[bool, int, str]:
     return r >= 2 * a, a + q, "closed-nondivisible"
 
 
-def _verdict(index: int, a: int, a_next: int, criterion) -> UniquenessVerdict:
-    # tuple.__new__ skips the field-by-field __new__ NamedTuple generates
-    return tuple.__new__(UniquenessVerdict,
-                         (index, a, a_next, *criterion(a, a_next)))
-
-
 def pair_uniqueness(a: int, a_next: int) -> UniquenessVerdict:
     """Open-window criterion: is the weak choice forced for this pair?"""
     _validate_pair(a, a_next)
-    return _verdict(0, a, a_next, _open_criterion)
+    return UniquenessVerdict(0, a, a_next, *_open_criterion(a, a_next))
 
 
 def pair_necessary_closed(a: int, a_next: int) -> UniquenessVerdict:
     """Closed-window criterion each pair must pass for a unique expansion."""
     _validate_pair(a, a_next)
-    return _verdict(0, a, a_next, _closed_criterion)
+    return UniquenessVerdict(0, a, a_next, *_closed_criterion(a, a_next))
 
 
 def _pairwise(a_seq, *criteria):

@@ -14,7 +14,6 @@ from unitfrac.rational import (
     _SSA_BITS,
     RationalInterval,
     _coprime,
-    _dyadic,
     _pair_sum,
     _square,
     _ssa_shape,
@@ -45,6 +44,15 @@ def test_parse_and_format_round_trip():
 def test_parse_rejects_malformed(bad):
     with pytest.raises(ValueError):
         parse_rational(bad)
+
+
+def test_format_takes_an_int_and_refuses_floats_and_bools():
+    assert format_rational(3) == "3/1"
+    assert format_rational(-2) == "-2/1"
+    # Fraction(0.1) is the float's binary value and Fraction(True) is 1
+    for bad in (0.1, 2.0, True, False):
+        with pytest.raises(ValueError, match="need an exact rational"):
+            format_rational(bad)
 
 
 @given(st.fractions())
@@ -126,17 +134,6 @@ def test_coprime_is_the_reduced_fraction(n, d, other, shift):
     if other:
         assert x / other == ref / other
     assert format_rational(x) == format_rational(ref) == f"{n}/{d}"
-
-
-@given(st.integers(-2**200, 2**200).filter(bool), st.integers(0, 300))
-@example(1, 0)
-@example(-2**40, 40)  # all of k's zeros go
-@example(3 << 90, 40)  # only k's zeros go
-def test_dyadic_is_the_reduced_fraction(x, k):
-    y = _dyadic(x, k)
-    assert type(y) is Fraction
-    assert (y.numerator, y.denominator) == (
-        Fraction(x, 2**k).numerator, Fraction(x, 2**k).denominator)
 
 
 @given(st.integers(1, 2**200), st.lists(st.integers(1, 10**6)))

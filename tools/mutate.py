@@ -21,9 +21,10 @@ killed when the tests fail or time out. The tests must pass on the
 unmutated copy first.
 
 A survivor listed in ``EQUIVALENT`` is reported with its reason there;
-any other survivor makes the exit status 1. A mutant is named by its
-function and by the comparison (or the name) before and after the flip,
-as ``ast.unparse`` writes them, so the list outlives changes of line numbers.
+any other survivor makes the exit status 1. The summary line ends with
+the run's wall time. A mutant is named by its function and by the
+comparison (or the name) before and after the flip, as ``ast.unparse``
+writes them, so the list outlives changes of line numbers.
 Standard library only.
 """
 from __future__ import annotations
@@ -35,6 +36,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -184,6 +186,7 @@ def main(argv=None) -> int:
                         help="mutate only this function (repeatable)")
     parser.add_argument("tests", nargs="*", help="test files, after --")
     args = parser.parse_intermixed_args(argv)
+    start = time.perf_counter()
 
     path = Path(args.module).resolve()
     rel = path.relative_to(ROOT)
@@ -225,7 +228,8 @@ def main(argv=None) -> int:
             print(f"{rel}:{node.lineno} {function}: {before} -> {after}: "
                   f"{verdict}", flush=True)
         target.write_text(source)
-    print(f"{len(sites)} mutants, {survivors} unexplained survivors")
+    print(f"{len(sites)} mutants, {survivors} unexplained survivors "
+          f"in {time.perf_counter() - start:.0f} s")
     return 1 if survivors else 0
 
 
