@@ -104,23 +104,23 @@ def _csv_pieces(columns, rows) -> Iterator[str]:
     Each row is its fields joined by commas, None as an empty field. This
     is the stdlib csv writer's text for every row the CLI prints: each
     field is an int, a bool, None, "P/Q" text or a hyphenated name, so
-    none needs quoting, and every row has more than one field.
+    none needs quoting, every row has more than one field, and no text
+    but None's, nor any header name, holds "None".
 
     A piece is one ``%`` format of its fields, flattened, by one "%s"
-    per field, so no Python frame is made per row or field. A short row
-    next to a long one would shift the fields between them, so a row
-    whose width is not the header's raises ValueError.
+    per field, then one ``str.replace`` blanks None's text: no Python
+    frame is made per row or field. A row whose width is not the header's
+    raises ValueError, since a short row by a long one shifts the fields.
     """
     width = len(columns)
     line = ",".join(["%s"] * width) + "\n"
-    blank = {None: ""}.get  # blank(c, c) is "" for None, else c
     rows = iter(rows)
     piece = [columns]
     while piece:
         if not all(map(width.__eq__, map(len, piece))):
             raise ValueError(f"a csv row's width is not its header's {width}")
-        fields = list(itertools.chain.from_iterable(piece))
-        yield line * len(piece) % tuple(map(blank, fields, fields))
+        fields = tuple(itertools.chain.from_iterable(piece))
+        yield (line * len(piece) % fields).replace("None", "")
         piece = list(itertools.islice(rows, _CSV_PIECE_ROWS))
 
 

@@ -6,9 +6,9 @@ calling ``csv.writer``, and refuses a row whose width is not the header's;
 here its pieces are joined and compared with the writer's text
 (``lineterminator="\\n"``) for rows drawn from the field types the CLI
 prints: ints of any size and sign, bools, None, "P/Q" text and the census
-case names, under the CLI's column names. ``cli._table_lines`` pads whole
-columns; here its lines are compared with each cell padded by
-``str.ljust`` on its own.
+case names, under the CLI's column names, and for census rows of several
+pieces. ``cli._table_lines`` pads whole columns; here its lines are
+compared with each cell padded by ``str.ljust`` on its own.
 """
 from __future__ import annotations
 
@@ -21,7 +21,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from unitfrac import cli
-from unitfrac.uniqueness import CensusRow
+from unitfrac.uniqueness import CensusRow, sweep
+
+from test_cli_golden import run_main
 
 CASES = ("unbounded", "open-divisible", "open-nondivisible",
          "closed-divisible", "closed-nondivisible", "open", "closed")
@@ -63,6 +65,25 @@ def test_pieces_are_the_csv_writer_text(table, piece_rows):
     # the header, then whole rows, piece_rows at a time
     assert len(pieces) == 1 + -(-len(rows) // piece_rows)
     assert all(piece.endswith("\n") for piece in pieces)
+
+
+def test_census_pieces_are_the_csv_writer_text():
+    # 1711 rows in 7 pieces of 256, with None in every a' = a + 1 row
+    rows = list(sweep(60))
+    pieces = list(cli._csv_pieces(CensusRow._fields, rows))
+    assert len(rows) == 1711 and len(pieces) == 1 + 7
+    assert sum(row.open_count is None for row in rows) == 58
+    assert "".join(pieces) == writer_text(CensusRow._fields, rows)
+
+
+def test_text_fields_are_the_drawn_cases():
+    # _csv_pieces blanks None by replacing its text, so no other text may
+    # hold "None"; a name outside CASES escapes the property that shows it
+    names = {case for row in sweep(60)
+             for case in (row.open_case, row.closed_case)}
+    code, out, _ = run_main(["unique", "--pair", "2", "7", "--format", "csv"])
+    names |= {line.split(",")[0] for line in out.splitlines()[1:]}
+    assert code == 0 and names <= set(CASES)
 
 
 @settings(max_examples=100, deadline=None)
