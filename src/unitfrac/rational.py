@@ -313,12 +313,9 @@ def _ssa_square(x: int) -> int:
     del view
     # forward, decimation in frequency: at half-length h, the pair u, v at
     # i, i + h of each block of 2h becomes u + v, (u - v) * 2**(j*n/h),
-    # where j is i's place in its block. The first level meets the zero
-    # half, so it only shifts.
-    for j in range(K):
-        t = a[j] << j * (n // K)
-        a.append((t & mask) - (t >> n))
-    h = K // 2
+    # where j is i's place in its block.
+    a += [0] * K
+    h = K
     while h:
         step = n // h
         for s in range(0, 2 * K, 2 * h):

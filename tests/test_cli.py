@@ -28,6 +28,7 @@ import importlib
 import json
 import os
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -607,6 +608,28 @@ def test_readme_python_blocks_run():
     assert blocks
     for number, source in enumerate(blocks, start=1):
         exec(compile(source, f"README.md python block {number}", "exec"), {})
+
+
+def test_readme_shell_blocks_print_what_they_show(tmp_path, monkeypatch):
+    # each `$ unitfrac ...` line shown with output lines must exit 0 and
+    # print exactly those lines; `$ printf '...' > FILE` writes a file the
+    # later commands read, and a command shown without output is skipped
+    monkeypatch.chdir(tmp_path)
+    readme = (REPO / "README.md").read_text()
+    replayed = []
+    for block in re.findall(r"^```sh\n(.*?)^```", readme, re.M | re.S):
+        for line, shown in re.findall(r"^\$ (.*)\n((?:(?!\$ ).+\n)*)",
+                                      block, re.M):
+            command, *args = shlex.split(line)
+            if command == "printf":
+                text, redirect, name = args
+                assert redirect == ">", line
+                Path(name).write_text(text.replace(r"\n", "\n"))
+            elif shown:
+                assert command == "unitfrac", line
+                assert run_main(args)[:2] == (0, shown), line
+                replayed.append(line)
+    assert replayed
 
 
 if __name__ == "__main__":

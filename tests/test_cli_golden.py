@@ -35,6 +35,9 @@ FILES = {
     "quadratic": [n * (n + 2) for n in range(1, 13)],
     "weak": [2],
     "overrun": [2, 3, 10],
+    # 1/2 + 1/3 + 1/6 lands exactly on 1: b_3 = 6 sits below its shadow
+    # 7, and the last residual prints reduced, as 0/1
+    "exact": [2, 3, 6],
     # the shadows of 646/947 are 2, 6, 18, 54 and each b sits in its
     # bracket; raising b_2 to 9 moves the later shadows and b_3 leaves
     # its bracket
@@ -62,6 +65,7 @@ CASES = {
     "verify-ok": ["verify", "--b-file", "@quadratic", "--theta", "3/4"],
     "verify-weak-violation": ["verify", "--b-file", "@weak", "--theta", "1/2"],
     "verify-overrun": ["verify", "--b-file", "@overrun", "--theta", "51/100"],
+    "verify-exact": ["verify", "--b-file", "@exact", "--theta", "1"],
     "verify-bracket-clean": ["verify", "--b-file", "@geometric-b",
                              "--theta", "646/947", "--bracket"],
     "verify-bracket-miss": ["verify", "--b-file", "@geometric-b-miss",
