@@ -520,7 +520,8 @@ def build_parser() -> argparse.ArgumentParser:
                       help="check all pairs up to this bound")
     mode.add_argument("--sample", type=parse_int, help="check random pairs")
     p.add_argument("--seed", type=parse_int,
-                   help="seed of --sample's pairs (default 0)")
+                   help="seed of --sample's pairs (default 0); a seed and "
+                        "its negation draw the same pairs")
     _add_format(p)
     p.set_defaults(func=_cmd_unique)
 

@@ -32,9 +32,12 @@ step does not apply, and makes each residual a Fraction through
 1/scale: ``construct`` rounds its enclosure onto 2**-k, and ``families``
 its enclosures onto 2**-96.
 
-The package bypasses the constructor of ``Fraction`` or of a result
-record only inside a loop that measured a gain: ``_coprime`` here, and
-the ``tuple.__new__`` rows and verdicts of ``uniqueness``.
+The package bypasses a stdlib path, such as the constructor of
+``Fraction`` or of a result record, only inside a loop that measured a
+gain: ``_coprime`` here, the ``tuple.__new__`` rows and verdicts of
+``uniqueness``, and ``uniqueness.sample_pairs``, which draws randint's
+pairs by its rejection from ``getrandbits``: 0.33-0.37 against
+1.37-1.47 ms for the draws of 2040 pairs on CPython 3.11.
 
 It also holds the input contract of every entry point. ``positive_int``
 refuses a bool, a non-``int`` or a value below the least one allowed,

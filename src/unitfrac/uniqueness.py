@@ -198,9 +198,31 @@ def sweep(limit: int) -> Iterator[CensusRow]:
 
 
 def sample_pairs(count: int, seed: int) -> Iterator[CensusRow]:
-    """Rows for `count` random pairs, made one at a time, fixed by the seed."""
+    """Rows for `count` random pairs, made one at a time, fixed by the seed.
+
+    Pair by pair, the start a and then the gap are the draws of
+    ``random.Random(seed).randint(2, 50)`` and ``randint(1, 400)``, made
+    here by the same rejection from ``getrandbits`` that ``randint``
+    makes on CPython 3.10 to 3.13, without its three Python frames per
+    draw. ``random.seed`` takes |seed|, so a seed and its negation draw
+    the same pairs.
+    """
     positive_int(count, "count")
-    rng = random.Random(checked_int(seed, "seed"))
-    # pair by pair, the start is drawn before the gap
-    starts = (rng.randint(2, _SAMPLE_MAX_START) for _ in range(count))
-    return (_row(a, a + rng.randint(1, _SAMPLE_MAX_GAP)) for a in starts)
+    return _sample_rows(count,
+                        random.Random(checked_int(seed, "seed")).getrandbits)
+
+
+def _sample_rows(count: int, getrandbits) -> Iterator[CensusRow]:
+    # randint(lo, hi) draws k = (hi - lo + 1).bit_length() bits until the
+    # value is below hi - lo + 1, then adds lo
+    starts = _SAMPLE_MAX_START - 1
+    start_bits = starts.bit_length()
+    gap_bits = _SAMPLE_MAX_GAP.bit_length()
+    for _ in range(count):
+        a = getrandbits(start_bits)
+        while a >= starts:
+            a = getrandbits(start_bits)
+        gap = getrandbits(gap_bits)
+        while gap >= _SAMPLE_MAX_GAP:
+            gap = getrandbits(gap_bits)
+        yield _row(a + 2, a + gap + 3)

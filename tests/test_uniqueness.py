@@ -13,6 +13,7 @@ import enum
 import itertools
 import json
 import math
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -269,6 +270,22 @@ def test_census_arguments_checked_at_the_call():
 def test_sample_pairs_takes_negative_seeds():
     rows = list(sample_pairs(5, -5))
     assert rows == list(sample_pairs(5, -5)) and len(rows) == 5
+    # random.seed takes |seed|
+    assert rows == list(sample_pairs(5, 5))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(st.integers(), st.integers(min_value=2**64)),
+       st.integers(min_value=1, max_value=500))
+def test_sample_pairs_draws_as_randint(seed, count):
+    # fails on an interpreter whose randint draws otherwise than the
+    # rejection from getrandbits that sample_pairs copies
+    rng = random.Random(seed)
+    expected = []
+    for _ in range(count):
+        a = rng.randint(2, 50)
+        expected.append((a, a + rng.randint(1, 400)))
+    assert [(r.a, r.a_next) for r in sample_pairs(count, seed)] == expected
 
 
 @settings(max_examples=150, deadline=None)
