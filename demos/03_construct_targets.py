@@ -9,7 +9,8 @@ enclosure inside the exact set of thetas; every theta inside it works.
 """
 from fractions import Fraction
 
-from unitfrac import TargetSequence, construct, format_rational, recover_shadow
+from unitfrac import format_rational, recover_shadow
+from unitfrac.construct import TargetSequence, construct
 
 targets = TargetSequence.from_explicit([2, 2, 3, 3, 4],
                                        continue_rule="repeat-last-delta")

@@ -1,14 +1,12 @@
 """Exact arithmetic for greedy and weak greedy unit-fraction approximation.
 
 The package namespace holds the names the README and the demos use; every
-other public name is imported from its own module. Each name is resolved
-on first use (PEP 562), so importing the package, as every command does,
-loads none of its modules.
+other public name, the function ``construct`` too, is imported from its
+own module. Each name is resolved on first use (PEP 562), so importing the
+package, as every command does, loads none of its modules.
 """
 
-import sys
 from importlib import import_module
-from types import ModuleType
 
 # the public names, by the module that defines each, in the order of
 # __all__
@@ -18,7 +16,7 @@ _HOMES = {
                "greedy_expand", "recover_shadow", "wgaa_expand"),
     "families": ("ArithmeticFamily", "FibonacciFamily", "GeometricFamily",
                  "theta_partial"),
-    "construct": ("TargetSequence", "construct"),
+    "construct": ("TargetSequence",),
     "uniqueness": ("necessary_uniqueness", "pair_necessary_closed",
                    "pair_uniqueness", "sufficient_uniqueness", "sweep"),
     "diagnostics": ("DEFAULT_T_GRID", "classify", "scaled_run_ratio_checks",
@@ -34,21 +32,6 @@ def __getattr__(name):
             return value
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
-
-class _Package(ModuleType):
-    """The package module's class. Python binds a submodule as an
-    attribute of its package when the submodule is first imported, by
-    whatever importer, so ``unitfrac.construct`` would become the module
-    where the function ``construct`` belongs; this class keeps the
-    function there."""
-
-    def __setattr__(self, name, value):
-        if name == "construct" and isinstance(value, ModuleType):
-            value = value.construct
-        super().__setattr__(name, value)
-
-
-sys.modules[__name__].__class__ = _Package
 
 __all__ = [name for names in _HOMES.values() for name in names]
 

@@ -113,12 +113,14 @@ def _pairwise(a_seq, *criteria):
 
 
 def sufficient_uniqueness(a_seq):
-    """True when every pair forces its choice, so the expansion is unique."""
+    """(all_unique, verdicts) by the open window: all_unique when every
+    pair forces its choice, so the expansion is unique."""
     return _pairwise(a_seq, _open_criterion)[0]
 
 
 def necessary_uniqueness(a_seq):
-    """False rules uniqueness out; True leaves it possible."""
+    """(all_unique, verdicts) by the closed window: all_unique False rules
+    uniqueness out, True leaves it possible."""
     return _pairwise(a_seq, _closed_criterion)[0]
 
 

@@ -18,7 +18,6 @@ from unitfrac import (
     TargetSequence,
     WgaaPolicy,
     bracket_misses,
-    construct,
     greedy_expand,
     pair_necessary_closed,
     pair_uniqueness,
@@ -28,6 +27,7 @@ from unitfrac import (
     theta_partial,
     wgaa_expand,
 )
+from unitfrac.construct import construct
 from unitfrac.diagnostics import greedy_ratio_checks
 from unitfrac.families import fibonacci_number
 from unitfrac.greedy import _companion

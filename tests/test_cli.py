@@ -24,7 +24,6 @@ that record with
 from __future__ import annotations
 
 import contextlib
-import importlib
 import json
 import os
 import re
@@ -38,6 +37,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import unitfrac
+import unitfrac.construct as construct_module
 from unitfrac import cli
 from unitfrac.construct import TargetSequence, construct
 from unitfrac.families import (FibonacciFamily, parse_family_spec,
@@ -239,10 +239,7 @@ def test_construct_internal_error_exits_2(monkeypatch, tmp_path):
     # a failed bracket check is a bug, not a failed verification; a b two
     # above the companion misses its bracket (test_construct)
     a_file = write_lines(tmp_path / "a.txt", [2, 2, 3, 3, 4, 4, 5, 5, 6])
-    # the module, which ``import unitfrac.construct as m`` would not give:
-    # that binds the function the package exports under the same name
-    module = importlib.import_module("unitfrac.construct")
-    monkeypatch.setattr(module, "_companion",
+    monkeypatch.setattr(construct_module, "_companion",
                         lambda a, a2: _companion(a, a2) + 2)
     proc = run_main(["construct", "--a-file", a_file, "--depth", "3"])
     assert proc == (2, "", "error: companion outside the bracket at jump 2\n")
@@ -324,8 +321,8 @@ def construct_geometric(depth, fmt):
 def test_an_empty_enclosure_is_an_internal_error(monkeypatch, fmt):
     # lo < hi holds for every construction (construct's docstring); sums
     # crafted to put lo above hi fail RationalInterval's check
-    module = importlib.import_module("unitfrac.construct")
-    monkeypatch.setattr(module, "_unit_sums", lambda scale, b: (0, scale))
+    monkeypatch.setattr(construct_module, "_unit_sums",
+                        lambda scale, b: (0, scale))
     proc = construct_geometric(3, fmt)
     assert proc.returncode == 2 and proc.stdout == ""
     assert proc.stderr.startswith("error: empty interval: lo=")
@@ -410,24 +407,6 @@ def test_unique_file_reports(tmp_path):
     assert doc["sufficient"] is False
 
 
-def test_unique_file_names_the_pair_that_does_not_increase(tmp_path):
-    # a plateau is a natural shadow, but no pair criterion takes it
-    a_file = write_lines(tmp_path / "a.txt", [2, 3, 3, 5])
-    proc = run_main(["unique", "--a-file", a_file])
-    assert proc.returncode == 2
-    assert proc.stdout == ""
-    assert "a_next must be an integer >= 4, got 3" in proc.stderr
-    assert "pair 2 (a=3, a_next=3)" in proc.stderr
-
-
-def test_unique_file_of_one_term_names_its_count(tmp_path):
-    a_file = write_lines(tmp_path / "a.txt", [2])
-    proc = run_main(["unique", "--a-file", a_file, "--format", "json"])
-    assert proc.returncode == 2
-    assert proc.stdout == ""
-    assert proc.stderr == "error: need at least two terms, got 1\n"
-
-
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"),
                     reason="VmHWM is read from Linux /proc")
 def test_unique_range_summary_holds_no_rows():
@@ -460,76 +439,79 @@ def test_unique_range_summary_holds_no_rows():
         assert peak_mb < 40, f"{fmt}: peak RSS {peak_mb:.1f} MB"
 
 
-# ------------------------------------------------------------------ family
+# ---------------------------------------------------------------- refusals
 
-def test_family_rejects_unknown_spec():
-    proc = run_main(["family", "--spec", "explicit", "--terms", "4"])
-    assert proc.returncode == 2
+A3, B3 = [2, 3, 4], [7, 13, 21]
+GEOMETRIC_A = [2 * 3 ** (n - 1) for n in range(1, 13)]
 
-
-# ---------------------------------------------------------------- classify
-
-def test_classify_rejects_empty_t_grid(tmp_path):
-    a_file = write_lines(tmp_path / "a.txt", [2, 3, 4])
-    b_file = write_lines(tmp_path / "b.txt", [7, 13, 21])
-    proc = run_main(["classify", "--a-file", a_file, "--b-file", b_file,
-                     "--t-grid", ""])
-    assert proc.returncode == 2
-    assert proc.stdout == ""
-    assert proc.stderr == "error: not a rational literal: ''\n"
-
-
-def test_classify_rejects_empty_family(tmp_path):
-    a_file = write_lines(tmp_path / "a.txt", [2, 3, 4])
-    b_file = write_lines(tmp_path / "b.txt", [7, 13, 21])
-    proc = run_main(["classify", "--a-file", a_file, "--b-file", b_file,
-                     "--family", ""])
-    assert proc.returncode == 2
-    assert proc.stdout == ""
-    assert proc.stderr == "error: unrecognized family spec: ''\n"
-
-
-def test_classify_names_where_the_data_leaves_the_declared_family(tmp_path):
-    a_file = write_lines(tmp_path / "a.txt", range(2, 42))
-    b_file = write_lines(tmp_path / "b.txt", range(3, 43))
-    proc = run_main(["classify", "--a-file", a_file, "--b-file", b_file,
-                     "--family", "geometric:a=2,r=3"])
-    assert proc.returncode == 2
-    assert proc.stdout == ""
-    assert proc.stderr == ("error: a differs from geometric:a=2,r=3 "
-                           "at index 2\n")
-
-
-def test_classify_refuses_b_below_a(tmp_path):
+# Each refusal as (files, argv, how stderr matches, expected stderr). A
+# file is its lines, or its raw bytes; "@a" and "@b", in argv and in the
+# expected text, stand for the paths of the files named a and b.
+REFUSALS = {
+    # a plateau is a natural shadow, but no pair criterion takes it
+    "unique_file_names_the_pair_that_does_not_increase": (
+        {"a": [2, 3, 3, 5]}, ["unique", "--a-file", "@a"], "substring",
+        "pair 2 (a=3, a_next=3): a_next must be an integer >= 4, got 3"),
+    "unique_file_of_one_term_names_its_count": (
+        {"a": [2]}, ["unique", "--a-file", "@a", "--format", "json"],
+        "exact", "error: need at least two terms, got 1\n"),
+    "family_rejects_unknown_spec": (
+        {}, ["family", "--spec", "explicit", "--terms", "4"], "exact",
+        "error: unrecognized family spec: 'explicit'\n"),
+    "classify_rejects_empty_t_grid": (
+        {"a": A3, "b": B3},
+        ["classify", "--a-file", "@a", "--b-file", "@b", "--t-grid", ""],
+        "exact", "error: not a rational literal: ''\n"),
+    "classify_rejects_empty_family": (
+        {"a": A3, "b": B3},
+        ["classify", "--a-file", "@a", "--b-file", "@b", "--family", ""],
+        "exact", "error: unrecognized family spec: ''\n"),
+    "classify_names_where_the_data_leaves_the_declared_family": (
+        {"a": range(2, 42), "b": range(3, 43)},
+        ["classify", "--a-file", "@a", "--b-file", "@b",
+         "--family", "geometric:a=2,r=3"],
+        "exact", "error: a differs from geometric:a=2,r=3 at index 2\n"),
     # b_n = a_n - 1 is below every weak choice, and b_1 = 1 overruns every
     # theta <= 1, yet each such b_n would count as a witness at every t
-    a = [2 * 3 ** (n - 1) for n in range(1, 13)]
-    a_file = write_lines(tmp_path / "a.txt", a)
-    b_file = write_lines(tmp_path / "b.txt", [x - 1 for x in a])
-    proc = run_main(["classify", "--a-file", a_file, "--b-file", b_file,
-                     "--family", "geometric:a=2,r=3"])
-    assert proc == (2, "", "error: b falls below a at index 1\n")
+    "classify_refuses_b_below_a": (
+        {"a": GEOMETRIC_A, "b": [x - 1 for x in GEOMETRIC_A]},
+        ["classify", "--a-file", "@a", "--b-file", "@b",
+         "--family", "geometric:a=2,r=3"],
+        "exact", "error: b falls below a at index 1\n"),
+    "classify_names_the_counts_of_unequal_files": (
+        {"a": A3, "b": [7, 13]},
+        ["classify", "--a-file", "@a", "--b-file", "@b"], "exact",
+        "error: need equal-length nonempty sequences, got 3 a and 2 b "
+        "terms\n"),
+    "classify_names_a_file_that_is_not_utf8": (
+        {"a": A3, "b": b"\xff7\n13\n21\n"},
+        ["classify", "--a-file", "@a", "--b-file", "@b"], "prefix",
+        "error: cannot read @b: 'utf-8'"),
+}
+MATCHES = {"exact": str.__eq__, "prefix": str.startswith,
+           "substring": str.__contains__}
 
 
-def test_classify_names_the_counts_of_unequal_files(tmp_path):
-    a_file = write_lines(tmp_path / "a.txt", [2, 3, 4])
-    b_file = write_lines(tmp_path / "b.txt", [7, 13])
-    proc = run_main(["classify", "--a-file", a_file, "--b-file", b_file])
-    assert proc.returncode == 2
-    assert proc.stdout == ""
-    assert proc.stderr == ("error: need equal-length nonempty sequences, "
-                           "got 3 a and 2 b terms\n")
+@pytest.mark.parametrize("case", REFUSALS)
+def test_refusal_exits_2(case, tmp_path):
+    """Exit 2, nothing on stdout, and the message on stderr."""
+    files, argv, match, expected = REFUSALS[case]
+    paths = {}
+    for name, content in files.items():
+        path = tmp_path / f"{name}.txt"
+        if isinstance(content, bytes):
+            path.write_bytes(content)
+        else:
+            write_lines(path, content)
+        paths[f"@{name}"] = str(path)
+    for placeholder, path in paths.items():
+        expected = expected.replace(placeholder, path)
+    proc = run_main([paths.get(arg, arg) for arg in argv])
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert MATCHES[match](proc.stderr, expected), proc.stderr
 
 
-def test_classify_names_a_file_that_is_not_utf8(tmp_path):
-    a_file = write_lines(tmp_path / "a.txt", [2, 3, 4])
-    b_file = tmp_path / "b.txt"
-    b_file.write_bytes(b"\xff7\n13\n21\n")
-    proc = run_main(["classify", "--a-file", a_file, "--b-file", str(b_file)])
-    assert proc.returncode == 2
-    assert proc.stdout == ""
-    assert proc.stderr.startswith(f"error: cannot read {b_file}: 'utf-8'")
-
+# ----------------------------------------------------------------- command
 
 def test_help_and_unknown_command():
     proc = run_main(["--help"])

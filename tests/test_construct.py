@@ -8,7 +8,6 @@ recover_shadow acts as an independent oracle for the whole pipeline.
 """
 from __future__ import annotations
 
-import importlib
 import math
 from fractions import Fraction as F
 
@@ -16,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import unitfrac.construct as construct_module
 from unitfrac.construct import (
     ConstructionError,
     DepthExhausted,
@@ -279,6 +279,18 @@ def test_repeat_last_delta_extension():
         TargetSequence.from_explicit((2,), "repeat-last-delta")
 
 
+def test_from_explicit_refuses_no_terms():
+    # the command refuses an empty file before it gets here
+    with pytest.raises(InvalidSequence, match="^no terms given$"):
+        TargetSequence.from_explicit([])
+
+
+def test_from_explicit_refuses_an_unknown_continuation_rule():
+    with pytest.raises(ValueError,
+                       match="^unknown continuation rule 'bogus'$"):
+        TargetSequence.from_explicit([2, 3], "bogus")
+
+
 def test_construct_reads_targets_only_through_the_last_jump():
     # depth 3 needs jumps 1..4, so only targets 1..5 may be evaluated,
     # each of them once and in order
@@ -301,13 +313,12 @@ def test_internal_checks_catch_a_wrong_companion(monkeypatch):
     # above the companion, one past its upper end, leaves b (a' - a)
     # above a a'
     seq = TargetSequence(lambda n: 2 + (n - 1) // 2)
-    module = importlib.import_module("unitfrac.construct")
-    monkeypatch.setattr(module, "_companion",
+    monkeypatch.setattr(construct_module, "_companion",
                         lambda a, a2: (a - 1) * (a2 - 1) // (a2 - a) - 1)
     with pytest.raises(ConstructionError,
                        match=r"^companion outside the bracket at jump 2$"):
         construct(seq, depth=3)
-    monkeypatch.setattr(module, "_companion",
+    monkeypatch.setattr(construct_module, "_companion",
                         lambda a, a2: _companion(a, a2) + 2)
     with pytest.raises(ConstructionError,
                        match=r"^companion outside the bracket at jump 2$"):

@@ -424,6 +424,12 @@ def test_shadow_bound_requires_gap():
             shadow_bound_from_gap([2], theta, tail)
 
 
+def test_shadow_bound_refuses_a_negative_tail_bound():
+    # a tail bound of -1/8 would widen the gap 1/4 to 3/8
+    with pytest.raises(ValueError, match="^tail bound must be nonnegative$"):
+        shadow_bound_from_gap([2], F(3, 4), F(-1, 8))
+
+
 @pytest.mark.parametrize("b_prefix, theta, tail", [
     pytest.param([1], F(2), F(1, 2), id="two"),
     pytest.param([2], F(5, 4), F(1, 2), id="five-quarters"),

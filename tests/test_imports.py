@@ -9,7 +9,8 @@ command line: no library type serialises itself, and only ``cli.py``
 imports ``format_rational``; and no test file of a library module
 imports ``unitfrac.cli``, since a document's bytes are pinned by its
 golden record. A fifth keeps module state with the walk that owns it:
-only ``greedy.py`` has a ``global`` statement.
+only ``greedy.py`` has a ``global`` statement. A sixth keeps every module a
+plain module: none assigns a ``__class__`` or writes into ``sys.modules``.
 
 The rest keep every process start light. No module of the package
 imports ``dataclasses``, and no record's field types are strings, which
@@ -18,8 +19,7 @@ importing the package and its command line loads none of its algorithm
 modules, nor ``json``, ``dataclasses``, ``inspect`` and ``csv``: the
 namespace resolves its names on first use, and each command imports the
 modules it runs, ``greedy`` for the parser, and no others. The package's
-``construct`` stays the function however its submodule was imported
-first.
+``construct`` is its submodule, however it was imported first.
 """
 from __future__ import annotations
 
@@ -154,6 +154,22 @@ def test_global_statements_only_in_greedy():
                         for hit in hits), hits
 
 
+def test_modules_stay_plain():
+    """No module assigns an object's ``__class__`` or into ``sys.modules``,
+    so Python binds each submodule as it binds any other:
+    ``import unitfrac.construct as m`` gives a module."""
+    hits = []
+    for path in sorted((REPO / "src/unitfrac").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not isinstance(getattr(node, "ctx", None), ast.Store):
+                continue
+            if (isinstance(node, ast.Attribute) and node.attr == "__class__"
+                    or isinstance(node, ast.Subscript)
+                    and ast.unparse(node.value) == "sys.modules"):
+                hits.append(f"{path.relative_to(REPO)}:{node.lineno}")
+    assert hits == []
+
+
 def test_no_dataclasses_import():
     hits = []
     for path in sorted((REPO / "src/unitfrac").rglob("*.py")):
@@ -271,13 +287,19 @@ def test_namespace_resolves_every_public_name():
             assert getattr(unitfrac, name) is getattr(home, name), name
 
 
-def test_package_construct_is_the_function():
-    """Importing the submodule ``unitfrac.construct`` binds the module as
-    the package's ``construct``, over the function of that name; the
-    package keeps the function, whichever is imported first."""
+@pytest.mark.parametrize("script", [
+    "import unitfrac.construct as m\n"
+    "from unitfrac import TargetSequence, construct\n",
+    "from unitfrac import TargetSequence, construct\n"
+    "import unitfrac.construct as m\n",
+], ids=["submodule-first", "package-first"])
+def test_construct_is_a_plain_submodule(script):
+    """``unitfrac.construct`` is the module, as every submodule is, and the
+    function and ``TargetSequence`` are its attributes; the package still
+    resolves ``TargetSequence``, whichever is imported first."""
     names = fresh_modules(
-        "from unitfrac.construct import TargetSequence\n"
-        "from unitfrac import construct\n"
-        "import unitfrac\n"
-        "print(type(construct).__name__, type(unitfrac.construct).__name__)\n")
-    assert names == ["function", "function"]
+        script + "import unitfrac\n"
+        "print(type(m).__name__, m is construct is unitfrac.construct,\n"
+        "      m.construct.__name__, m.TargetSequence is TargetSequence,\n"
+        "      type(TargetSequence).__name__)\n")
+    assert names == ["module", "True", "construct", "True", "type"]
