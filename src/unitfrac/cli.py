@@ -353,9 +353,10 @@ def _census_report(rows: Iterator[tuple]) -> Report:
 
 
 def _cmd_unique(args) -> Report:
-    from .uniqueness import (_closed_criterion, _open_criterion, _pairwise,
-                             pair_necessary_closed, pair_uniqueness,
-                             sample_pairs, sweep, uniqueness_consequences)
+    from .uniqueness import (necessary_uniqueness, pair_necessary_closed,
+                             pair_uniqueness, sample_pairs,
+                             sufficient_uniqueness, sweep,
+                             uniqueness_consequences)
     if args.seed is not None and args.sample is None:
         raise ValueError("--seed applies only to --sample")
     if args.pair is not None:
@@ -374,8 +375,8 @@ def _cmd_unique(args) -> Report:
             after=lines + [f"consequences: {consequences}"])
     if args.a_file is not None:
         values = _read_sequence_file(args.a_file)
-        (suff, open_verdicts), (nec, closed_verdicts) = _pairwise(
-            values, _open_criterion, _closed_criterion)
+        suff, open_verdicts = sufficient_uniqueness(values)
+        nec, closed_verdicts = necessary_uniqueness(values)
         # index, a, a', unique and case of the open verdict, then the closed
         rows = map(operator.add,
                    map(operator.itemgetter(0, 1, 2, 3, 5), open_verdicts),

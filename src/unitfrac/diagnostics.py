@@ -12,7 +12,7 @@ forces b_n/a_n to blow up, so any finite window of witnesses is transient.
 from fractions import Fraction
 from typing import NamedTuple, Optional
 
-from .greedy import _WORD_BOUND, WeakGreedyRun, _known_square
+from .greedy import _WORD_BOUND, WeakGreedyRun, _walk_square
 from .rational import _unit_target, exact, greedy_denominator, positive_ints
 
 DEFAULT_T_GRID = (Fraction(1), Fraction(3, 2), Fraction(2), Fraction(3),
@@ -104,11 +104,11 @@ def greedy_ratio_checks(run: WeakGreedyRun) -> list[GreedyGrowthCheck]:
 
     The walk that made the run squared m = a_n - 1 at step n. With
     d = b_n - m the bound is b*b - b + 1 = m*m + (2d - 1)*m + d*d - d + 1,
-    an identity for every m, written around m*m, which ``_known_square``
-    reads from the walk's memo (see ``greedy``'s module docstring); the
-    rest is linear. Greedy has d = 1 and min-admissible d = 2.
-    Where d lies outside [0, 2**64), or a_n is missing, m = b_n - 1 and
-    d = 1, whose square a memo miss forms.
+    an identity for every m, written around m*m, which ``_walk_square``
+    reads from the walk's memo, or forms and keeps there (see
+    ``greedy``'s module docstring); the rest is linear. Greedy has d = 1
+    and min-admissible d = 2. Where d lies outside [0, 2**64), or a_n is
+    missing, m = b_n - 1 and d = 1.
     """
     checks = []
     for i, (b, b_next) in enumerate(zip(run.b, run.b[1:])):
@@ -116,7 +116,7 @@ def greedy_ratio_checks(run: WeakGreedyRun) -> list[GreedyGrowthCheck]:
         if not 0 <= d < _WORD_BOUND:
             d = 1
         m = b - d
-        bound = _known_square(m) + (2 * d - 1) * m + d * d - d + 1
+        bound = _walk_square(m) + (2 * d - 1) * m + d * d - d + 1
         checks.append(GreedyGrowthCheck(i + 1, b_next >= bound))
     return checks
 

@@ -27,15 +27,17 @@ Schönhage–Strassen transform once m passes 124 kbit; every other step is
 
 The walk keeps its long squares. ``_walk_square`` holds every square
 m*m of an operand of at least ``_MEMO_BITS`` (8 kbit) bits that a walk
-forms, in the memo ``_squares``, keyed by the operand. ``_walk`` empties
-the memo when its target is not the last walk's, so the memo holds the
-squares of the walks from the last target only. The shadow depends on
-the residual alone, so a replay of a run from that target, or a longer
-walk from it, meets the same m at every step it shares with them and
-reads the square back instead of forming it again; a walk from another
-target, even one that forms no long square, releases them.
-``_known_square`` reads the memo without adding to it: the growth
-checks of ``diagnostics`` read squares but never keep them.
+or a growth check of ``diagnostics`` forms, in the memo ``_squares``,
+keyed by the operand. ``_walk`` empties the memo when its target is not
+the last walk's, so the memo holds every long square formed since the
+target last changed. The shadow depends on the residual alone, so a
+replay of a run from that target, a longer walk from it, or a growth
+check of such a run, meets the same m at every step it shares with them
+and reads the square back instead of forming it again; a walk from
+another target, even one that forms no long square, releases them.
+The deep benchmark checks each run right after replaying it, so its
+checks only read; a check on a run the memo does not hold keeps its
+squares until a walk from another target starts.
 
 The squares stay held until a walk from another target starts, after
 the caller has dropped its run: keys of about 2n bits and squares of
@@ -179,24 +181,16 @@ _target = None  # the target of the last walk
 
 
 def _walk_square(x: int) -> int:
-    """x*x for a walk step. A square of at least ``_MEMO_BITS`` bits of
-    operand is read from the memo, or formed by ``rational._square`` and
-    added. The kernel is looked up at each call, so a wrapper put on it
-    sees every long square the memo forms."""
+    """x*x for a walk step or a growth check. A square of at least
+    ``_MEMO_BITS`` bits of operand is read from the memo, or formed by
+    ``rational._square`` and added. The kernel is looked up at each call,
+    so a wrapper put on it sees every long square the memo forms."""
     if x.bit_length() < _MEMO_BITS:
         return x * x
     square = _squares.get(x)
     if square is None:
         square = _squares[x] = rational._square(x)
     return square
-
-
-def _known_square(x: int) -> int:
-    """x*x, read from the memo if a walk formed it; adds nothing."""
-    if x.bit_length() < _MEMO_BITS:
-        return x * x
-    square = _squares.get(x)
-    return rational._square(x) if square is None else square
 
 
 def _walk(theta: Fraction, n_terms: int,

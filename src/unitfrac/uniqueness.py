@@ -87,8 +87,8 @@ def pair_necessary_closed(a: int, a_next: int) -> UniquenessVerdict:
     return UniquenessVerdict(0, a, a_next, *_closed_criterion(a, a_next))
 
 
-def _pairwise(a_seq, *criteria):
-    """(all unique, verdicts) per criterion; each pair is checked once."""
+def _pairwise(a_seq, criterion):
+    """(all unique, verdicts) of the criterion over a_seq's pairs."""
     seq = list(a_seq)
     if len(seq) < 2:
         raise ValueError(f"need at least two terms, got {len(seq)}")
@@ -104,24 +104,25 @@ def _pairwise(a_seq, *criteria):
                 raise ValueError(
                     f"pair {index} (a={a}, a_next={a_next}): {exc}") from exc
     # no Python frame runs per pair but the criterion's
-    columns = [list(map(criterion, *pairs)) for criterion in criteria]
-    return [(all(map(operator.itemgetter(0), column)),
-             tuple(map(tuple.__new__, itertools.repeat(UniquenessVerdict),
-                       map(operator.add, zip(range(1, len(seq)), *pairs),
-                           column))))
-            for column in columns]
+    column = list(map(criterion, *pairs))
+    return (all(map(operator.itemgetter(0), column)),
+            tuple(map(tuple.__new__, itertools.repeat(UniquenessVerdict),
+                      map(operator.add, zip(range(1, len(seq)), *pairs),
+                          column))))
 
 
 def sufficient_uniqueness(a_seq):
-    """(all_unique, verdicts) by the open window: all_unique when every
-    pair forces its choice, so the expansion is unique."""
-    return _pairwise(a_seq, _open_criterion)[0]
+    """(all_unique, verdicts), each verdict indexed from 1, by the open
+    window: all_unique when every pair forces its choice, so the
+    expansion is unique."""
+    return _pairwise(a_seq, _open_criterion)
 
 
 def necessary_uniqueness(a_seq):
-    """(all_unique, verdicts) by the closed window: all_unique False rules
-    uniqueness out, True leaves it possible."""
-    return _pairwise(a_seq, _closed_criterion)[0]
+    """(all_unique, verdicts), each verdict indexed from 1, by the closed
+    window: all_unique False rules uniqueness out, True leaves it
+    possible."""
+    return _pairwise(a_seq, _closed_criterion)
 
 
 def _consequences(a: int, a_next: int) -> tuple[bool, bool, bool, bool]:

@@ -23,7 +23,9 @@ that record with
 """
 from __future__ import annotations
 
+import ast
 import contextlib
+import itertools
 import json
 import os
 import re
@@ -612,6 +614,31 @@ def test_readme_shell_blocks_print_what_they_show(tmp_path, monkeypatch):
                 assert run_main(args)[:2] == (0, shown), line
                 replayed.append(line)
     assert replayed
+
+
+def test_readme_claims_name_tests_that_exist():
+    # each row of README's claims table gives a command the parser takes,
+    # and names tests of the suite or open items of the roadmap
+    readme = (REPO / "README.md").read_text()
+    roadmap = (REPO / "ROADMAP.md").read_text()
+    section = readme.split("## Claims of the paper\n", 1)[1]
+    lines = re.findall(r"^\| (.*) \|$", section.split("\n## ", 1)[0], re.M)
+    header, rule, *rows = [[cell.strip() for cell in line.split(" | ")]
+                           for line in lines]
+    assert header == ["Claim", "Command", "Pinned by"]
+    assert 0 < len(rows) <= 10
+    for claim, command, pinned in rows:
+        argv = shlex.split(re.fullmatch(r"`unitfrac (.*)`", command)[1])
+        cli.build_parser().parse_args(argv)
+        tests = [name.split("::") for name in re.findall(r"`(.*?)`", pinned)]
+        items = re.findall(r"open, items? (\d+)(?: and (\d+))?", pinned)
+        assert tests or items, claim
+        for path, name in tests:
+            tree = ast.parse((REPO / path).read_text())
+            assert name in {node.name for node in tree.body
+                            if isinstance(node, ast.FunctionDef)}, name
+        for number in filter(None, itertools.chain(*items)):
+            assert re.search(rf"^{number}\. \*\*", roadmap, re.M), number
 
 
 if __name__ == "__main__":

@@ -465,20 +465,28 @@ def test_a_walk_from_another_target_starts_afresh(fresh_memo):
     assert not set(fresh_memo) & long_operands(first.a)
 
 
-def test_growth_checks_add_nothing(fresh_memo, kernel_calls):
+def test_growth_checks_read_held_squares_and_keep_new_ones(fresh_memo,
+                                                           kernel_calls):
     run = greedy_expand(Fraction(4, 17), 17)
     held = dict(fresh_memo)
     assert held
     kernel_calls.clear()
     greedy_ratio_checks(run)
     assert kernel_calls == []
-    # a run the memo knows nothing of: its squares are formed, not kept
+    assert fresh_memo == held
+    # a run the memo knows nothing of: its squares, of m = b - d, are
+    # formed once and kept beside the walk's, d = 2**64 falling back to
+    # d = 1, until a walk from another target starts
     b = 3 ** (_MEMO_BITS * 631 // 1000)
     for d in (1, 2, 2**64):
         greedy_ratio_checks(WeakGreedyRun(Fraction(1, 2), WgaaPolicy.greedy(),
                                           (b + 1 - d,), (b, b * b), ()))
-    assert kernel_calls
-    assert fresh_memo == held
+    assert len(kernel_calls) == 2
+    assert fresh_memo == {**held, b - 1: (b - 1) ** 2, b - 2: (b - 2) ** 2}
+    greedy_expand(Fraction(4, 17), 1)
+    assert len(fresh_memo) == len(held) + 2
+    greedy_expand(Fraction(1, 2), 1)
+    assert fresh_memo == {}
 
 
 def test_the_memo_holds_one_walks_squares_at_most(fresh_memo):

@@ -59,3 +59,15 @@ def test_comparisons_passed_by_name_are_flipped():
     assert ast.unparse(tree) == source
     assert mutate.OPERATOR_FLIP == {"lt": "le", "le": "lt", "gt": "ge",
                                     "ge": "gt", "eq": "ne", "ne": "eq"}
+
+
+def test_a_module_with_no_comparison_copies_no_tree(monkeypatch, capsys):
+    # nothing to flip: the summary comes at once, before any copy of the
+    # tree or unmutated run of the tests
+    def refuse(*args, **kwargs):
+        raise AssertionError("the tree was copied")
+
+    monkeypatch.setattr(mutate.shutil, "copytree", refuse)
+    assert mutate.main([str(REPO / "src/unitfrac/__main__.py")]) == 0
+    assert capsys.readouterr().out.startswith(
+        "0 mutants, 0 unexplained survivors in ")

@@ -155,16 +155,16 @@ def test_pairwise_is_the_pair_verdicts_with_their_index(seq):
     # the one-pass check and the mapped criteria give what the per-pair
     # entry points give, pair by pair, with each pair's place from 1
     pairs = list(zip(seq, seq[1:]))
-    both = _pairwise(seq, _open_criterion, _closed_criterion)
-    for (ok, verdicts), pair_verdict in zip(
-            both, (pair_uniqueness, pair_necessary_closed)):
+    for criterion, pair_verdict, whole in (
+            (_open_criterion, pair_uniqueness, sufficient_uniqueness),
+            (_closed_criterion, pair_necessary_closed, necessary_uniqueness)):
+        ok, verdicts = _pairwise(seq, criterion)
         expected = tuple(pair_verdict(a, a_next)._replace(index=n)
                          for n, (a, a_next) in enumerate(pairs, 1))
         assert verdicts == expected
         assert all(type(v) is UniquenessVerdict for v in verdicts)
         assert ok == all(v.unique for v in expected)
-    assert sufficient_uniqueness(seq) == both[0]
-    assert necessary_uniqueness(seq) == both[1]
+        assert whole(seq) == (ok, verdicts)
 
 
 class Target(enum.IntEnum):
