@@ -397,7 +397,8 @@ def _cmd_unique(args) -> Report:
     if args.range is not None:
         return _census_report(sweep(positive_int(args.range, "--range", 3)))
     return _census_report(
-        sample_pairs(positive_int(args.sample, "--sample"), args.seed or 0))
+        sample_pairs(positive_int(args.sample, "--sample"),
+                     positive_int(args.seed or 0, "--seed", 0)))
 
 
 def _cmd_family(args) -> Report:
@@ -474,10 +475,14 @@ def _add_format(sub) -> None:
 def build_parser() -> argparse.ArgumentParser:
     """The parser, built once per process and shared by every ``main``."""
     from .greedy import _SELECTIONS
+    # an option is read by its full name only, never by a prefix of it
     parser = argparse.ArgumentParser(
-        prog="unitfrac",
+        prog="unitfrac", allow_abbrev=False,
         description="Exact greedy and weak-greedy unit fraction expansions")
-    commands = parser.add_subparsers(dest="command", required=True)
+    commands = parser.add_subparsers(
+        dest="command", required=True,
+        parser_class=functools.partial(argparse.ArgumentParser,
+                                       allow_abbrev=False))
 
     p = commands.add_parser("expand", help="run a weak greedy expansion")
     p.add_argument("--theta", required=True, help="target in (0, 1], as P/Q")
@@ -521,8 +526,8 @@ def build_parser() -> argparse.ArgumentParser:
                       help="check all pairs up to this bound")
     mode.add_argument("--sample", type=parse_int, help="check random pairs")
     p.add_argument("--seed", type=parse_int,
-                   help="seed of --sample's pairs (default 0); a seed and "
-                        "its negation draw the same pairs")
+                   help="seed of --sample's pairs, an integer >= 0 "
+                        "(default 0)")
     _add_format(p)
     p.set_defaults(func=_cmd_unique)
 

@@ -47,8 +47,11 @@ def fibonacci_number(k: int) -> int:
 class SequenceFamily:
     """Base for indexed families; indices are 1-based throughout.
 
-    A family is immutable. It equals, hashes and prints as its spec
-    string, and is copied and pickled as one.
+    A subclass gives ``a(n)``, the target a_n; ``_targets(count)``,
+    a_1..a_count for ``terms``, by the family's own rule rather than
+    index by index; and ``spec_string()``. A family is immutable. It
+    equals, hashes and prints as its spec string, and is copied and
+    pickled as one.
     """
 
     __slots__ = ()
@@ -73,26 +76,15 @@ class SequenceFamily:
     def __reduce__(self):
         return parse_family_spec, (self.spec_string(),)
 
-    def a(self, n: int) -> int:
-        raise NotImplementedError
-
     def b(self, n: int) -> int:
         """The companion of a_n < a_{n+1} (see ``greedy._companion``)."""
         return _companion(self.a(n), self.a(n + 1))
-
-    def _targets(self, count: int) -> list[int]:
-        """a_1..a_count, for ``terms``, by the family's own rule rather
-        than index by index."""
-        raise NotImplementedError
 
     def terms(self, n: int) -> tuple[list[int], list[int]]:
         """a_1..a_{n+1}, each evaluated once, and b_1..b_n, the companion
         rule mapped over them."""
         a = self._targets(positive_int(n, "n") + 1)
         return a, list(map(_companion, a, a[1:]))
-
-    def spec_string(self) -> str:
-        raise NotImplementedError
 
     def tail_bracket(self, n_terms: int) -> tuple[Fraction, Fraction]:
         """Strict rational bounds on sum(1/b(k) for k > n_terms).

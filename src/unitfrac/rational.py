@@ -42,10 +42,11 @@ pairs by its rejection from ``getrandbits``: 0.33-0.37 against
 It also holds the input contract of every entry point. ``positive_int``
 refuses a bool, a non-``int`` or a value below the least one allowed,
 and ``positive_ints`` the same in a list with 1 as the least, with a
-ValueError naming the argument and the 1-based list index;
-``checked_int`` refuses only the first two. ``parse_int``
-reads ASCII digits after an optional minus, whitespace around stripped,
-and ``parse_rational`` reads its numerator and denominator the same way.
+ValueError naming the argument and the 1-based list index. ``exact``
+refuses a float, a bool or text where a rational goes. Text becomes a
+number only here: ``parse_int`` reads ASCII digits after an optional
+minus, whitespace around stripped, and ``parse_rational`` reads its
+numerator and denominator the same way.
 
 No floating point is used anywhere here; every comparison is exact.
 """
@@ -65,13 +66,6 @@ def positive_int(x, what: str, least: int = 1) -> int:
     A bool is refused too: True would run as 1."""
     if isinstance(x, bool) or not isinstance(x, int) or x < least:
         raise ValueError(f"{what} must be an integer >= {least}, got {x!r}")
-    return x
-
-
-def checked_int(x, what: str) -> int:
-    """x if it is an int of any sign, and not a bool, else a ValueError."""
-    if isinstance(x, bool) or not isinstance(x, int):
-        raise ValueError(f"{what} must be an integer, got {x!r}")
     return x
 
 
@@ -115,18 +109,20 @@ def parse_rational(text: str) -> Fraction:
 
 
 def exact(x) -> Fraction:
-    """x as a Fraction. Floats and bools are refused: Fraction(0.1) is the
-    binary value of the float, not 1/10, and Fraction(True) is 1."""
+    """x as a Fraction. Floats, bools and text are refused: Fraction(0.1)
+    is the binary value of the float, not 1/10, Fraction(True) is 1, and
+    Fraction's own reading of text differs from ``parse_rational``'s and
+    between interpreters ("1_9/48" only from CPython 3.11)."""
     if type(x) is Fraction:
         return x
-    if isinstance(x, (float, bool)):
+    if isinstance(x, (float, bool, str)):
         raise ValueError(f"need an exact rational, got {x!r}")
     return Fraction(x)
 
 
 def format_rational(x: Fraction) -> str:
     """Serialize as "P/Q", reduced, with Q >= 1. Integers render as "P/1";
-    floats and bools are refused, as by ``exact``."""
+    floats, bools and text are refused, as by ``exact``."""
     if type(x) is not Fraction:
         x = exact(x)
     return f"{x.numerator}/{x.denominator}"
@@ -222,9 +218,6 @@ class RationalInterval(NamedTuple("RationalInterval", [("lo", Fraction),
     @classmethod
     def _make(cls, iterable) -> "RationalInterval":
         return cls(*iterable)
-
-    def contains(self, x: Fraction) -> bool:
-        return self.lo < x < self.hi
 
     def width(self) -> Fraction:
         return self.hi - self.lo

@@ -26,7 +26,7 @@ import operator
 import random
 from typing import Iterator, NamedTuple, Optional
 
-from .rational import checked_int, positive_int
+from .rational import positive_int
 
 # range of the random pairs behind `unique --sample`
 _SAMPLE_MAX_START = 50
@@ -207,12 +207,12 @@ def sample_pairs(count: int, seed: int) -> Iterator[CensusRow]:
     ``random.Random(seed).randint(2, 50)`` and ``randint(1, 400)``, made
     here by the same rejection from ``getrandbits`` that ``randint``
     makes on CPython 3.10 to 3.13, without its three Python frames per
-    draw. ``random.seed`` takes |seed|, so a seed and its negation draw
-    the same pairs.
+    draw. The seed is an int >= 0: ``random.seed`` takes |seed|, so a
+    negative seed would name the pairs of another.
     """
     positive_int(count, "count")
-    return _sample_rows(count,
-                        random.Random(checked_int(seed, "seed")).getrandbits)
+    positive_int(seed, "seed", 0)
+    return _sample_rows(count, random.Random(seed).getrandbits)
 
 
 def _sample_rows(count: int, getrandbits) -> Iterator[CensusRow]:

@@ -489,6 +489,31 @@ REFUSALS = {
         {"a": A3, "b": b"\xff7\n13\n21\n"},
         ["classify", "--a-file", "@a", "--b-file", "@b"], "prefix",
         "error: cannot read @b: 'utf-8'"),
+    # random.seed takes |seed|, so -5 would draw the pairs of 5
+    "unique_refuses_a_negative_seed": (
+        {}, ["unique", "--sample", "5", "--seed", "-5"], "exact",
+        "error: --seed must be an integer >= 0, got -5\n"),
+    # an option is read by its full name only: argparse would read each
+    # prefix below as the option it starts, and classify's --t as --t-grid
+    "expand_refuses_an_option_prefix": (
+        {}, ["expand", "--the", "19/48", "--terms", "2"], "substring",
+        "the following arguments are required: --theta"),
+    "verify_refuses_an_option_prefix": (
+        {"b": [3, 17]}, ["verify", "--b-f", "@b", "--theta", "19/48"],
+        "substring", "the following arguments are required: --b-file"),
+    "construct_refuses_an_option_prefix": (
+        {}, ["construct", "--family", "fibonacci", "--dep", "3"],
+        "substring", "the following arguments are required: --depth"),
+    "unique_refuses_an_option_prefix": (
+        {}, ["unique", "--ran", "10"], "substring",
+        "one of the arguments --pair --a-file --range --sample is required"),
+    "family_refuses_an_option_prefix": (
+        {}, ["family", "--spec", "fibonacci", "--terms", "2", "--theta"],
+        "substring", "unrecognized arguments: --theta\n"),
+    "classify_refuses_an_option_prefix": (
+        {"a": A3, "b": B3},
+        ["classify", "--a-file", "@a", "--b-file", "@b", "--t", "2"],
+        "substring", "unrecognized arguments: --t 2\n"),
 }
 MATCHES = {"exact": str.__eq__, "prefix": str.startswith,
            "substring": str.__contains__}
@@ -523,6 +548,12 @@ def test_help_and_unknown_command():
         assert sub in proc.stdout
     proc = run_main(["frobnicate"])
     assert proc.returncode == 2
+
+
+def test_an_option_value_may_follow_an_equals_sign():
+    joined = run_main(["expand", "--theta=19/48", "--terms=2"])
+    assert joined.returncode == 0
+    assert joined == run_main(["expand", "--theta", "19/48", "--terms", "2"])
 
 
 def test_parser_is_built_once_per_process():

@@ -262,7 +262,8 @@ def test_monotone_deepening():
     assert deep.jump_indices[:2] == shallow.jump_indices
     lo, hi = exact_theta_set(shallow)
     assert lo < deep.theta_enclosure.lo < deep.theta_enclosure.hi < hi
-    assert shallow.theta_enclosure.contains(deep.theta_enclosure.midpoint())
+    mid = deep.theta_enclosure.midpoint()
+    assert shallow.theta_enclosure.lo < mid < shallow.theta_enclosure.hi
 
 
 def test_repeat_last_delta_extension():

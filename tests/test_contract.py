@@ -3,10 +3,15 @@
 A count, a sequence term or a pair member that is a float, a bool, or an
 integer below its least value is refused with ValueError by every public
 entry point, never run as a truncated value, a float or 1, and never
-left to fail later as TypeError or AttributeError. The command line
-exits 0, 1 or 2 on any argv its grammar allows, with nothing on stdout
-on exit 2, including integer text that ``int()`` would take but the
-documented form does not ("1_0", "+5", Arabic-Indic digits).
+left to fail later as TypeError or AttributeError. So is a rational (a
+target, a weakness level, a bound or an interval end) that is a float, a
+bool or text: text becomes a number only through ``parse_int`` and
+``parse_rational``, never through ``Fraction``'s own grammar.
+
+The command line exits 0, 1 or 2 on any argv its grammar allows, with
+nothing on stdout on exit 2, including integer text that ``int()`` would
+take but the documented form does not ("1_0", "+5", Arabic-Indic
+digits), and an option given by a prefix of its name.
 
 Sizes stay small, so that each example runs in milliseconds: at most 12
 terms, depth 20 and range 40. Sizes that run away (a large --terms,
@@ -35,6 +40,11 @@ from unitfrac.greedy import (
     greedy_expand,
     recover_shadow,
     wgaa_expand,
+)
+from unitfrac.rational import (
+    RationalInterval,
+    format_rational,
+    greedy_denominator,
 )
 from unitfrac.uniqueness import (
     necessary_uniqueness,
@@ -86,11 +96,35 @@ ENTRY_POINTS = {
         [2, x], Fraction(3, 4), Fraction(1, 8)),
 }
 
-# a Fibonacci index and the terms a tail follows may be 0
+# a Fibonacci index, the terms a tail follows and a seed may be 0
 FROM_ZERO = {
     "fibonacci_number": fibonacci_number,
     **{f"{type(f).__name__}.tail_bracket": f.tail_bracket for f in FAMILIES},
+    "sample_pairs seed": lambda x: sample_pairs(1, x),
 }
+
+# each puts x where a rational goes, beside a value it takes there
+RATIONAL_INPUTS = {
+    "wgaa_expand theta": (
+        lambda x: wgaa_expand(x, WgaaPolicy.greedy(), 2), HALF),
+    "greedy_expand theta": (lambda x: greedy_expand(x, 2), HALF),
+    "recover_shadow theta": (lambda x: recover_shadow([3, 7], x), HALF),
+    "WgaaPolicy t": (lambda x: WgaaPolicy(t=x), Fraction(3, 2)),
+    "WgaaPolicy.scaled t": (WgaaPolicy.scaled, Fraction(3, 2)),
+    "classify t_grid": (
+        lambda x: classify((2, 3), (2, 3), (1, x)), Fraction(3, 2)),
+    "shadow_bound_from_gap theta": (
+        lambda x: shadow_bound_from_gap([3], x, Fraction(1, 8)), HALF),
+    "shadow_bound_from_gap tail_upper": (
+        lambda x: shadow_bound_from_gap([2, 9], Fraction(3, 4), x),
+        Fraction(1, 8)),
+    "RationalInterval lo": (lambda x: RationalInterval(x, 1), HALF),
+    "RationalInterval hi": (lambda x: RationalInterval(0, x), HALF),
+    "format_rational": (format_rational, HALF),
+    "greedy_denominator": (greedy_denominator, HALF),
+}
+# Fraction reads each of these, "1_0/3" from CPython 3.11 on
+RATIONAL_TEXT = ("1/2", "١/٢", "1_0/3", "0.5")
 
 FLOATS_AND_BOOLS = st.one_of(st.floats(), st.booleans())
 
@@ -116,6 +150,26 @@ def test_bad_count_list_or_pair_raises_value_error(name, x):
 def test_bad_value_from_zero_raises_value_error(name, x):
     with pytest.raises(ValueError):
         FROM_ZERO[name](x)
+
+
+@pytest.mark.parametrize("name", sorted(RATIONAL_INPUTS))
+def test_rational_input_takes_an_exact_value(name):
+    call, good = RATIONAL_INPUTS[name]
+    call(good)
+
+
+@pytest.mark.parametrize("name", sorted(RATIONAL_INPUTS))
+@settings(max_examples=20, deadline=None)
+@given(x=st.one_of(FLOATS_AND_BOOLS, st.sampled_from(RATIONAL_TEXT)))
+@example(x=0.5)
+@example(x=True)
+@example(x="1/2")
+@example(x="١/٢")
+@example(x="1_0/3")
+@example(x="0.5")
+def test_rational_as_text_float_or_bool_raises_value_error(name, x):
+    with pytest.raises(ValueError):
+        RATIONAL_INPUTS[name][0](x)
 
 
 # ----------------------------------------------------------- command line

@@ -71,3 +71,16 @@ def test_a_module_with_no_comparison_copies_no_tree(monkeypatch, capsys):
     assert mutate.main([str(REPO / "src/unitfrac/__main__.py")]) == 0
     assert capsys.readouterr().out.startswith(
         "0 mutants, 0 unexplained survivors in ")
+
+
+def test_options_by_their_full_names_only(monkeypatch, capsys):
+    # argparse would read "--func" as "--function"; it is refused before
+    # any run
+    def refuse(*args, **kwargs):
+        raise AssertionError("the tree was copied")
+
+    monkeypatch.setattr(mutate.shutil, "copytree", refuse)
+    with pytest.raises(SystemExit) as exc:
+        mutate.main([str(REPO / "src/unitfrac/_json.py"), "--func", "_rows"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --func" in capsys.readouterr().err

@@ -200,15 +200,6 @@ def test_interval_validation():
     assert (iv.lo, iv.hi) == (Fraction(1), Fraction(3))
 
 
-def test_interval_contains_only_its_interior():
-    iv = RationalInterval(Fraction(7, 6), Fraction(3))
-    assert iv.contains(Fraction(2))
-    assert not iv.contains(Fraction(3))
-    assert not iv.contains(Fraction(7, 6))
-    assert not iv.contains(Fraction(1))
-    assert not iv.contains(Fraction(10**12))
-
-
 def test_interval_midpoint_and_width():
     iv = RationalInterval(Fraction(1, 3), Fraction(1, 2))
     assert iv.width() == Fraction(1, 6)

@@ -261,21 +261,16 @@ def test_census_arguments_checked_at_the_call():
         sweep(2)
     with pytest.raises(ValueError, match="count must be an integer >= 1"):
         sample_pairs(0, seed=7)
-    # True ran as seed 1, and a float seeded from its hash
-    for seed in (True, 2.5):
-        with pytest.raises(ValueError, match="seed must be an integer, got"):
+    # random.seed would run True as seed 1, seed from a float's hash, and
+    # take |seed|, so that -5 would draw the pairs of 5
+    for seed in (True, 2.5, -1, -5):
+        with pytest.raises(ValueError,
+                           match="seed must be an integer >= 0, got"):
             sample_pairs(2, seed)
 
 
-def test_sample_pairs_takes_negative_seeds():
-    rows = list(sample_pairs(5, -5))
-    assert rows == list(sample_pairs(5, -5)) and len(rows) == 5
-    # random.seed takes |seed|
-    assert rows == list(sample_pairs(5, 5))
-
-
 @settings(max_examples=60, deadline=None)
-@given(st.one_of(st.integers(), st.integers(min_value=2**64)),
+@given(st.one_of(st.integers(min_value=0), st.integers(min_value=2**64)),
        st.integers(min_value=1, max_value=500))
 def test_sample_pairs_draws_as_randint(seed, count):
     # fails on an interpreter whose randint draws otherwise than the

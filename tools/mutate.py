@@ -184,7 +184,8 @@ def _summary(mutants: int, survivors: int, start: float) -> int:
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0],
+                                     allow_abbrev=False)
     parser.add_argument("module",
                         help="source file, e.g. src/unitfrac/greedy.py")
     parser.add_argument("--function", action="append", default=[],
