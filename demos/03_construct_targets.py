@@ -17,7 +17,7 @@ targets = TargetSequence.from_explicit([2, 2, 3, 3, 4],
 result = construct(targets, depth=3)
 
 print("targets 2, 2, 3, 3, 4, then +1 every step")
-print("  jump indices:", list(result.jump_indices))
+print("  jump indices:", [cert.index for cert in result.certificates])
 print("  b prefix:    ", list(result.b_prefix))
 print("  a prefix:    ", list(result.a_prefix))
 iv = result.theta_enclosure
@@ -31,11 +31,14 @@ assert tuple(replay.a) == result.a_prefix
 assert replay.first_weak_violation is None
 print("  midpoint replay recovers the targets exactly")
 
-print("\nper-index certificates (residual stays inside its greedy slot):")
-for cert in result.certificates[:6]:
-    print(f"    n = {cert.index}: lower margin "
-          f"{float(cert.lower_margin):.3e}, upper margin "
-          f"{float(cert.upper_margin):.3e}")
+print("\none certificate per jump, for every index n of its plateau")
+print("(the residual stays inside its greedy slot):")
+start = 1
+for cert in result.certificates:
+    print(f"    jump {cert.index}, n = {start}..{cert.index}, filler "
+          f"{cert.filler}: lower margin {float(cert.lower_margin):.3e}, "
+          f"upper margin {float(cert.upper_margin):.3e}")
+    start = cert.index + 1
 
 print("\ndeepening the same targets narrows the enclosure:")
 exact = None

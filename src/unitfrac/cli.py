@@ -247,7 +247,7 @@ def _cmd_verify(args) -> Report:
 
 def _construct_summary(result) -> Iterator[str]:
     iv = result.theta_enclosure
-    yield (f"jumps {list(result.jump_indices)}, next jump at "
+    yield (f"jumps {[c.index for c in result.certificates]}, next jump at "
            f"{result.next_jump_index} to {result.next_jump_value}")
     yield (f"theta enclosure ({format_rational(iv.lo)}, "
            f"{format_rational(iv.hi)})")
@@ -259,12 +259,13 @@ def _construct_doc(result, certificates) -> dict:
     return {
         "a": list(result.a_prefix),
         "b": list(result.b_prefix),
-        "jump-indices": list(result.jump_indices),
+        "jump-indices": [c.index for c in result.certificates],
         "next-jump-index": result.next_jump_index,
         "next-jump-value": result.next_jump_value,
         "theta-enclosure": _interval_doc(result.theta_enclosure),
-        "theta-choices": [format_rational(t) for t in result.theta_choices],
-        "filler-values": list(result.filler_values),
+        "theta-choices": [format_rational(c.upper_margin)
+                          for c in result.certificates],
+        "filler-values": [c.filler for c in result.certificates],
         "future-filler-bound": format_rational(result.future_filler_bound),
         "certificates": _json.Rows(
             ("index", "lower-margin", "upper-margin"), certificates),
@@ -290,8 +291,14 @@ def _cmd_construct(args) -> Report:
         raise ValueError(exc) from exc
 
     def certificates():
-        for index, lower, upper in result.certificates:
-            yield index, format_rational(lower), format_rational(upper)
+        # a row per index: each jump's pair, formatted once, over its plateau
+        start = 1
+        for jump in result.certificates:
+            lower = format_rational(jump.lower_margin)
+            upper = format_rational(jump.upper_margin)
+            for index in range(start, jump.index + 1):
+                yield index, lower, upper
+            start = jump.index + 1
 
     def rows():
         for (index, lower, upper), a, b in zip(

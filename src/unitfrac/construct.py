@@ -40,12 +40,13 @@ Lemma. Let J be the first jump at or after n, from a to a'.
   gap_i/f_i < B_i <= theta_J/2^(i+1-J), and with the tail's B they spend
   less than theta_J, so U_n > 2 theta_J - theta_J.
 
-The certificates are these bounds: every index of plateau J gets
-(1/(b_J a a'), theta_J), built as the scan builds jump J. The lemma
-needs the jump's whole integer bracket (a - 1)(a' - 1) < b (a' - a) <
-a a': its left side makes theta_J positive, and its right side the jump
-step of L. The scan checks both sides. The companion meets them on
-every input, so the ``ConstructionError`` is the proof's own assertion.
+The certificates are these bounds, one per jump: jump J's pair
+(1/(b_J a a'), theta_J) holds at every index of its plateau and is built
+as the scan builds jump J. The lemma needs the jump's whole integer
+bracket (a - 1)(a' - 1) < b (a' - a) < a a': its left side makes theta_J
+positive, and its right side the jump step of L. The scan checks both
+sides. The companion meets them on every input, so the
+``ConstructionError`` is the proof's own assertion.
 
 The enclosure is the exact theta-set rounded inward onto the grid 2^-k,
 k = 4 bits(a*) + bits(N) + 8: 1/a* and each 1/b_n rounded up for lo,
@@ -119,18 +120,22 @@ class TargetSequence:
         return cls(family.a)
 
 
-class StepCertificate(NamedTuple):
-    """The lemma's lower bounds on the two margins at one index (module
+class JumpCertificate(NamedTuple):
+    """One built jump and the lemma's bounds over its plateau (module
     docstring).
 
-    lower_margin bounds L_n, the suffix sum's lower end minus 1/a_n, and
-    upper_margin bounds U_n, 1/(a_n - 1) minus the suffix sum's upper end,
-    the suffix sum being 1/b_k over the built k >= n plus a tail in
-    (1/a*, 1/(a* - 1) + B). With J the first jump at or after n, from a
-    to a', they are 0 < 1/(b_J a a') <= L_n and 0 < theta_J < U_n.
+    index is the jump J; its plateau runs from the previous jump's index
+    + 1, or from 1 for the first jump, through J. filler is the b_n of
+    the plateau's indices before J, None when the plateau is J alone.
+    With J from a to a', at every index n of the plateau,
+    0 < lower_margin = 1/(b_J a a') <= L_n, the suffix sum's lower end
+    minus 1/a_n, and 0 < upper_margin = theta_J < U_n, 1/(a_n - 1) minus
+    the suffix sum's upper end, the suffix sum being 1/b_k over the built
+    k >= n plus a tail in (1/a*, 1/(a* - 1) + B).
     """
 
     index: int
+    filler: Optional[int]
     lower_margin: Fraction
     upper_margin: Fraction
 
@@ -138,14 +143,11 @@ class StepCertificate(NamedTuple):
 class ConstructionResult(NamedTuple):
     a_prefix: tuple[int, ...]
     b_prefix: tuple[int, ...]
-    jump_indices: tuple[int, ...]
     next_jump_index: int
     next_jump_value: int
     theta_enclosure: RationalInterval
-    theta_choices: tuple[Fraction, ...]
-    filler_values: tuple[Optional[int], ...]
     future_filler_bound: Fraction
-    certificates: tuple[StepCertificate, ...]
+    certificates: tuple[JumpCertificate, ...]
 
 
 def construct(seq: TargetSequence, depth: int) -> ConstructionResult:
@@ -171,11 +173,8 @@ def construct(seq: TargetSequence, depth: int) -> ConstructionResult:
     # a = a_{n-1} and a' = a_n. The pass stops at the (depth+1)-th rise,
     # which anchors the tail, so no later target is evaluated
     a_seen: list[int] = []
-    jumps: list[int] = []
     b_prefix: list[int] = []
-    thetas: list[Fraction] = []
-    fillers: list[Optional[int]] = []
-    certificates: list[StepCertificate] = []
+    certificates: list[JumpCertificate] = []
     bn, bd = 1, 0  # the budget B_j as a pair; B_0 = 1/0 is above every slack
     for n in range(1, horizon + 1):
         value = seq._fn(n)  # may raise DepthExhausted, a ValueError
@@ -184,7 +183,7 @@ def construct(seq: TargetSequence, depth: int) -> ConstructionResult:
         except ValueError as exc:
             raise InvalidSequence(f"{exc} at {n}") from None
         if a_seen and a_seen[-1] < value:
-            if len(jumps) == depth:
+            if len(certificates) == depth:
                 break
             a, a_next = a_seen[-1], value
             b = _companion(a, a_next)
@@ -200,7 +199,6 @@ def construct(seq: TargetSequence, depth: int) -> ConstructionResult:
             g = math.gcd(tn, td)
             tn, td = tn // g, td // g
             theta = _coprime(tn, td)
-            thetas.append(theta)
             # B_j = min(B_{j-1}, theta_j)/2 = min_{k<=j} theta_k/2^(j+1-k)
             if tn * bd < bn * td:
                 bn, bd = tn, td
@@ -208,28 +206,21 @@ def construct(seq: TargetSequence, depth: int) -> ConstructionResult:
                 bd *= 2
             else:
                 bn //= 2
-            start = jumps[-1] + 1 if jumps else 1
-            gap = n - 1 - start
-            if gap > 0:
-                # the budget keeps certificates alive; the plateau value
-                # keeps each filler a legal weak choice (b_n >= a_n)
-                filler = max(gap * bd // bn + 1, a)
-                fillers.append(filler)
-                b_prefix.extend([filler] * gap)
-            else:
-                fillers.append(None)
+            # the plateau's indices before jump n-1 follow the built ones;
+            # the budget keeps certificates alive, and the plateau value
+            # keeps each filler a legal weak choice (b_n >= a_n)
+            gap = n - 2 - len(b_prefix)
+            filler = max(gap * bd // bn + 1, a) if gap else None
+            b_prefix += [filler] * gap
             b_prefix.append(b)
-            jumps.append(n - 1)
-            # the lemma's bounds hold at every index of the plateau
-            lower = _coprime(1, b * a * a_next)
-            certificates.extend(StepCertificate(i, lower, theta)
-                                for i in range(start, n))
+            certificates.append(JumpCertificate(
+                n - 1, filler, _coprime(1, b * a * a_next), theta))
         a_seen.append(value)
     else:
         raise DepthExhausted(
-            f"only {len(jumps)} jumps within horizon {horizon}")
+            f"only {len(certificates)} jumps within horizon {horizon}")
 
-    a_prefix, a_tail = tuple(a_seen[:jumps[-1]]), a_seen[-1]
+    a_prefix, a_tail = tuple(a_seen[:len(b_prefix)]), a_seen[-1]
     k = 4 * a_tail.bit_length() + len(a_prefix).bit_length() + 8
     # the exact theta-set rounded inward onto the grid
     scale = 1 << k
@@ -239,12 +230,9 @@ def construct(seq: TargetSequence, depth: int) -> ConstructionResult:
     return ConstructionResult(
         a_prefix=a_prefix,
         b_prefix=tuple(b_prefix),
-        jump_indices=tuple(jumps),
         next_jump_index=n - 1,
         next_jump_value=a_tail,
         theta_enclosure=RationalInterval(lo, hi),
-        theta_choices=tuple(thetas),
-        filler_values=tuple(fillers),
         future_filler_bound=_coprime(bn, bd),
         certificates=tuple(certificates),
     )

@@ -97,8 +97,12 @@ class WgaaPolicy(NamedTuple("WgaaPolicy", [("t", Fraction),
     The cap b_n <= ceil(t * a_n) holds at every index (the paper's index
     set is all of N). As t >= 1 and a_n >= 1, ceil(t * a_n) >= a_n + 1
     exactly when t > 1, so no rule goes past it then, and min-admissible
-    at t == 1 is greedy. An immutable named tuple; ``_make`` and
-    ``_replace`` go through the constructor's checks.
+    at t == 1 is greedy. The cap is the paper's c) as proved here: with
+    a_n >= 2, b_n/a_n < t + 1/a_n <= t + 1/2 at every index, and
+    b_n/a_n <= t' for every t' > t from some index on; b_n/a_n <= t
+    holds under ceil-t-a only where t * a_n is an integer. An immutable
+    named tuple; ``_make`` and ``_replace`` go through the constructor's
+    checks.
     """
 
     __slots__ = ()

@@ -211,7 +211,13 @@ def test_criterion_8_construction_random_targets():
         seq = TargetSequence.from_explicit(values, "repeat-last-delta")
         result = construct(seq, 25)
 
-        assert len(result.certificates) == len(result.a_prefix)
+        # one record per jump, at exactly the built n with a_n < a_{n+1},
+        # the last at the last built index
+        a = (*result.a_prefix, result.next_jump_value)
+        assert [c.index for c in result.certificates] == [
+            n for n in range(1, len(a)) if a[n - 1] < a[n]]
+        assert len(result.certificates) == 25
+        assert result.certificates[-1].index == len(result.a_prefix)
         assert all(c.lower_margin > 0 and c.upper_margin > 0
                    for c in result.certificates)
         assert result.theta_enclosure.hi < F(1, result.a_prefix[0] - 1)

@@ -250,8 +250,9 @@ def test_construct_internal_error_exits_2(monkeypatch, tmp_path):
 @settings(max_examples=150, deadline=None)
 @given(st.integers(2, 9), plateau_runs)
 def test_construct_prints_the_library_result(tmp_path_factory, start, runs):
-    # the command prints the certificates and the enclosure of the
-    # library's own construct
+    # the command prints the jump records and the enclosure of the
+    # library's own construct, each record's pair on every index of its
+    # plateau
     values = plateau_values(start, runs)
     res = construct(TargetSequence.from_explicit(values), len(runs) - 1)
     a_file = write_lines(tmp_path_factory.mktemp("targets") / "a.txt", values)
@@ -259,10 +260,18 @@ def test_construct_prints_the_library_result(tmp_path_factory, start, runs):
                      "--depth", str(len(runs) - 1), "--format", "json"])
     assert proc.returncode == 0
     doc = json.loads(proc.stdout)
-    assert doc["certificates"] == [
-        {"index": c.index, "lower-margin": format_rational(c.lower_margin),
-         "upper-margin": format_rational(c.upper_margin)}
-        for c in res.certificates]
+    rows, start = [], 1
+    for c in res.certificates:
+        pair = {"lower-margin": format_rational(c.lower_margin),
+                "upper-margin": format_rational(c.upper_margin)}
+        rows += [{"index": n, **pair} for n in range(start, c.index + 1)]
+        start = c.index + 1
+    assert doc["certificates"] == rows
+    assert len(rows) == len(res.a_prefix)
+    assert doc["jump-indices"] == [c.index for c in res.certificates]
+    assert doc["theta-choices"] == [format_rational(c.upper_margin)
+                                    for c in res.certificates]
+    assert doc["filler-values"] == [c.filler for c in res.certificates]
     iv = res.theta_enclosure
     assert (doc["theta-enclosure"]["lo"], doc["theta-enclosure"]["hi"]) == (
         format_rational(iv.lo), format_rational(iv.hi))

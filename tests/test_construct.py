@@ -20,6 +20,7 @@ from unitfrac.construct import (
     ConstructionError,
     DepthExhausted,
     InvalidSequence,
+    JumpCertificate,
     TargetSequence,
     construct,
 )
@@ -40,16 +41,21 @@ def test_companion_pinned():
 
 # ------------------------------------------------------- full construction
 
+def jumps_of(res):
+    """The indices of the result's jump records, in order."""
+    return [c.index for c in res.certificates]
+
+
 def test_strictly_increasing_reproduces_arithmetic_companion():
     seq = TargetSequence(lambda n: n + 1)
     res = construct(seq, depth=25)
     family = ArithmeticFamily(2, 1)
     assert res.a_prefix == tuple(n + 1 for n in range(1, 26))
     assert res.b_prefix == tuple(family.b(n) for n in range(1, 26))
-    assert res.jump_indices == tuple(range(1, 26))
+    assert jumps_of(res) == list(range(1, 26))
     assert res.next_jump_index == 26
     assert res.next_jump_value == 27
-    assert all(v is None for v in res.filler_values)
+    assert all(c.filler is None for c in res.certificates)
 
 
 def test_geometric_targets_reproduce_family():
@@ -63,11 +69,12 @@ def test_plateau_construction_pinned():
     seq = TargetSequence(lambda n: 2 + (n - 1) // 2)
     res = construct(seq, depth=2)
     assert res.a_prefix == (2, 2, 3, 3)
-    assert res.jump_indices == (2, 4)
     assert res.next_jump_index == 6
     assert res.next_jump_value == 4
-    assert res.theta_choices == (F(3, 20), F(5, 132))
-    assert res.filler_values == (14, 53)
+    # jump 2 from 2 to 3 with b = 5, jump 4 from 3 to 4 with b = 11
+    assert res.certificates == (
+        JumpCertificate(2, 14, F(1, 5 * 2 * 3), F(3, 20)),
+        JumpCertificate(4, 53, F(1, 11 * 3 * 4), F(5, 132)))
     assert res.b_prefix == (14, 5, 53, 11)
     assert res.future_filler_bound == F(5, 264)
     # the exact theta-set, rounded inward onto the grid 2**-23: a* = 4
@@ -101,7 +108,7 @@ def assert_lowest_terms(res):
     """Every Fraction of the result is reduced with a positive denominator:
     one that is not compares unequal to its own value."""
     iv = res.theta_enclosure
-    values = [*res.theta_choices, res.future_filler_bound, iv.lo, iv.hi]
+    values = [res.future_filler_bound, iv.lo, iv.hi]
     for c in res.certificates:
         values += [c.lower_margin, c.upper_margin]
     for x in values:
@@ -119,20 +126,26 @@ def exact_theta_set(res):
 
 
 def assert_recomputed_by_fractions(res):
-    """Slacks, fillers, budget, margins and enclosure of the result,
-    recomputed from its a, b and jumps with stdlib Fraction arithmetic.
+    """Slacks, fillers, budget, certificates and enclosure of the result,
+    recomputed from its a and b with stdlib Fraction arithmetic.
 
-    The exact margins are the oracle of the certificates: each index n
-    holds the lemma's pair (1/(b_J a_J a_{J+1}), theta_J) of the first
-    jump J >= n, with 0 < lower <= L_n and 0 < upper < U_n, and the
-    enclosure is the exact theta-set rounded inward onto the grid 2**-k.
-    Returns the exact margins, from index 1 on.
+    There is one record per jump, at exactly the built n with
+    a_n < a_{n+1} (a_{N+1} being the tail's a*), and the last built index
+    is a jump. The exact margins are the oracle of the certificates: each
+    index n lies on the plateau of the first jump J >= n, whose record
+    holds the lemma's pair (1/(b_J a_J a_{J+1}), theta_J) with
+    0 < lower <= L_n and 0 < upper < U_n, and the enclosure is the exact
+    theta-set rounded inward onto the grid 2**-k. Returns the exact
+    margins, from index 1 on.
     """
-    jumps = res.jump_indices
-    shadows = [res.a_prefix[n - 1] for n in jumps] + [res.next_jump_value]
-    thetas, fillers, bounds = [], [], []
+    a_tail, count = res.next_jump_value, len(res.b_prefix)
+    targets = (*res.a_prefix, a_tail)
+    assert len(res.a_prefix) == count
+    jumps = [n for n in range(1, count + 1) if targets[n - 1] < targets[n]]
+    assert jumps_of(res) == jumps and jumps[-1] == count
+    thetas, records, plateau_of = [], [], []
     for j, n in enumerate(jumps):
-        a, a_next, b = shadows[j], shadows[j + 1], res.b_prefix[n - 1]
+        a, a_next, b = targets[n - 1], targets[n], res.b_prefix[n - 1]
         # b is the largest integer strictly inside the telescoping bracket
         assert (a - 1) * (a_next - 1) < b * (a_next - a) < a * a_next
         assert (b + 1) * (a_next - a) >= a * a_next
@@ -143,16 +156,15 @@ def assert_recomputed_by_fractions(res):
         start_of_plateau = jumps[j - 1] if j else 0
         gap = n - start_of_plateau - 1
         filler = max(math.floor(gap / budget) + 1, a) if gap else None
-        fillers.append(filler)
         assert res.b_prefix[start_of_plateau:n - 1] == (filler,) * gap
-        bounds += [(F(1, b * a * a_next), theta)] * (gap + 1)
-    assert res.theta_choices == tuple(thetas)
-    assert res.filler_values == tuple(fillers)
+        records.append(JumpCertificate(n, filler, F(1, b * a * a_next), theta))
+        plateau_of += [records[-1]] * (gap + 1)
+    assert res.certificates == tuple(records)
+    assert all(type(c) is JumpCertificate for c in res.certificates)
     assert res.future_filler_bound == budget
 
     # every margin from the suffix sum of 1/b_i, built from the end, with
     # the tail ends 1/a' below and 1/(a' - 1) + B above
-    a_tail, count = res.next_jump_value, len(res.b_prefix)
     unit = F(1, 2 ** (4 * a_tail.bit_length() + count.bit_length() + 8))
     suffix, margins = F(0), []
     for n in range(count, 0, -1):
@@ -161,10 +173,8 @@ def assert_recomputed_by_fractions(res):
         margins.append((n, suffix + F(1, a_tail) - F(1, a),
                         F(1, a - 1) - (suffix + F(1, a_tail - 1) + budget)))
     margins.reverse()
-    assert [c.index for c in res.certificates] == list(range(1, count + 1))
-    for (_, lower, upper), cert, bound in zip(
-            margins, res.certificates, bounds):
-        assert (cert.lower_margin, cert.upper_margin) == bound
+    assert len(plateau_of) == len(margins) == count
+    for (_, lower, upper), cert in zip(margins, plateau_of):
         assert 0 < cert.lower_margin <= lower
         assert 0 < cert.upper_margin < upper
     lo, hi = exact_theta_set(res)
@@ -233,12 +243,14 @@ def test_long_operands_recomputed_by_fractions(seq, depth, bits):
 
 
 def test_certificates_positive():
+    # two plateaus of two indices each: one record per jump covers all four
     seq = TargetSequence(lambda n: 2 + (n - 1) // 2)
     res = construct(seq, depth=2)
-    assert len(res.certificates) == 4
+    assert jumps_of(res) == [2, 4] == [2, len(res.a_prefix)]
     for cert in res.certificates:
         assert cert.lower_margin > 0
         assert cert.upper_margin > 0
+        assert cert.filler >= res.a_prefix[cert.index - 1]
 
 
 def test_enclosure_replay_recovers_targets():
@@ -258,8 +270,7 @@ def test_monotone_deepening():
     deep = construct(seq, depth=5)
     k = len(shallow.b_prefix)
     assert deep.b_prefix[:k] == shallow.b_prefix
-    assert deep.theta_choices[:2] == shallow.theta_choices
-    assert deep.jump_indices[:2] == shallow.jump_indices
+    assert deep.certificates[:2] == shallow.certificates
     lo, hi = exact_theta_set(shallow)
     assert lo < deep.theta_enclosure.lo < deep.theta_enclosure.hi < hi
     mid = deep.theta_enclosure.midpoint()
@@ -275,7 +286,7 @@ def test_repeat_last_delta_extension():
     seq = TargetSequence.from_explicit((2, 4), "repeat-last-delta")
     res = construct(seq, depth=3)
     assert (res.a_prefix, res.next_jump_value) == ((2, 4, 6), 8)
-    assert res.jump_indices == (1, 2, 3)
+    assert jumps_of(res) == [1, 2, 3]
     with pytest.raises(InvalidSequence, match="need two terms"):
         TargetSequence.from_explicit((2,), "repeat-last-delta")
 
@@ -303,7 +314,7 @@ def test_construct_reads_targets_only_through_the_last_jump():
         calls.append(n)
         return n + 1
     res = construct(TargetSequence(targets), depth=3)
-    assert res.jump_indices == (1, 2, 3)
+    assert jumps_of(res) == [1, 2, 3]
     assert res.next_jump_index == 4
     assert calls == [1, 2, 3, 4, 5]
 
@@ -355,4 +366,4 @@ def test_long_given_plateau_is_scanned_whole():
     # 1200 given 2s outrun the 64*(depth+1) + 1024 indices an endless
     # plateau may take; a plateau inside given terms is scanned to its end
     seq = TargetSequence.from_explicit([2] * 1200 + [3, 4])
-    assert construct(seq, 1).jump_indices == (1200,)
+    assert jumps_of(construct(seq, 1)) == [1200]

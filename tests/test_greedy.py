@@ -292,6 +292,20 @@ def test_wgaa_run_invariants(theta, t, n, selection):
     assert list(recover_shadow(run.b, theta).a) == list(run.a)
 
 
+@settings(max_examples=120, deadline=None)
+@given(thetas,
+       st.fractions(min_value=Fraction(1), max_value=Fraction(4), max_denominator=12),
+       st.integers(min_value=1, max_value=10),
+       st.sampled_from(["greedy", "ceil-t-a", "min-admissible"]))
+def test_wgaa_ratio_stays_below_t_plus_half(theta, t, n, selection):
+    # the paper's c) as the cap proves it: ceil(t a_n) < t a_n + 1 and
+    # a_n >= 2, so b_n/a_n < t + 1/a_n <= t + 1/2 at every index
+    run = wgaa_expand(theta, WgaaPolicy(t=t, selection=selection), n)
+    ratios = [Fraction(b, a) for a, b in zip(run.a, run.b)]
+    assert max(ratios) <= t + Fraction(1, 2)
+    assert all(r < t + Fraction(1, a) for r, a in zip(ratios, run.a))
+
+
 def test_desk_scale_residual_decay():
     for theta in (Fraction(7, 9), Fraction(355, 452), Fraction(19, 48)):
         run = greedy_expand(theta, 5)

@@ -46,11 +46,10 @@ FIELDS = {
         "n_terms", "witness_counts", "second_half_witness_counts",
         "ratio_samples", "closed_form_limit", "limit_exceeds_one",
         "verdict"),
-    "StepCertificate": ("index", "lower_margin", "upper_margin"),
+    "JumpCertificate": ("index", "filler", "lower_margin", "upper_margin"),
     "ConstructionResult": (
-        "a_prefix", "b_prefix", "jump_indices", "next_jump_index",
-        "next_jump_value", "theta_enclosure", "theta_choices",
-        "filler_values", "future_filler_bound", "certificates"),
+        "a_prefix", "b_prefix", "next_jump_index", "next_jump_value",
+        "theta_enclosure", "future_filler_bound", "certificates"),
     "UniquenessVerdict": ("index", "a", "a_next", "unique", "k", "case"),
     "CensusRow": (
         "a", "a_next", "open_unique", "open_case", "open_k", "open_count",
