@@ -8,11 +8,11 @@ residual r inside (1/a_n, 1/(a_n - 1)) at every built index.  The shadow
 of the b sequence is then exactly the target prefix, for every admissible
 theta at once.
 
-The pass that reads the targets builds each jump (the last index of a
-plateau) as it reaches it.  At jump j, from target a to the next jump's
-target a', b is the largest integer whose reciprocal fits the
-telescoping bracket, and half the leftover slack,
-theta_j = (1/(a-1) - 1/b - 1/(a'-1))/2, is banked.
+Every target sequence ends or rises, and one pass reads it, building
+each jump (the last index of a plateau) as it reaches it.  At jump j,
+from target a to the next jump's target a', b is the largest integer
+whose reciprocal fits the telescoping bracket, and half the leftover
+slack, theta_j = (1/(a-1) - 1/b - 1/(a'-1))/2, is banked.
 Each slack is split dyadically over plateaus j, j+1, ..., so plateau j
 may spend the running budget B_j = min(B_{j-1}, theta_j)/2, which equals
 min over k <= j of theta_k/2^(j+1-k).  Its interior positions get the
@@ -60,8 +60,10 @@ exact theta-set of every shallower depth, because the exact sets nest.
 """
 import math
 from fractions import Fraction
-from typing import Callable, NamedTuple, Optional
+from itertools import chain
+from typing import NamedTuple, Optional
 
+from .families import ArithmeticFamily, SequenceFamily
 from .rational import (RationalInterval, _coprime, _unit_sums, positive_int,
                        positive_ints)
 from .greedy import _companion
@@ -80,44 +82,44 @@ class ConstructionError(RuntimeError):
     input."""
 
 
-class TargetSequence:
-    """Lazily evaluated non-decreasing integer targets, 1-indexed.
+class TargetSequence(NamedTuple("TargetSequence", [
+        ("given", tuple[int, ...]), ("tail", Optional[SequenceFamily])])):
+    """Targets, 1-indexed: the terms ``given``, then the family ``tail``'s
+    unless it is None. ``construct`` checks each as it reads it: the first
+    is at least 2, no term falls below the one before and a tail target
+    exceeds it, so every sequence ends or rises. The constructor checks
+    both fields, as ``_make`` and ``_replace`` do."""
 
-    ``construct`` reads the targets once, in order, and checks each one
-    as it reads it: the first must be at least 2 and later ones may never
-    decrease.
-    """
+    __slots__ = ()
 
-    def __init__(self, fn: Callable[[int], int], _given: int = 0):
-        self._fn = fn
-        self._given = _given  # terms given as data, by from_explicit
+    def __new__(cls, given, tail: Optional[SequenceFamily] = None):
+        given = positive_ints(given, "target")
+        if tail is not None and not isinstance(tail, SequenceFamily):
+            raise ValueError(f"tail must be a family or None, got {tail!r}")
+        return tuple.__new__(cls, (given, tail))
+
+    @classmethod
+    def _make(cls, iterable) -> "TargetSequence":
+        return cls(*iterable)
 
     @classmethod
     def from_explicit(cls, values, continue_rule: Optional[str] = None):
-        """Wrap literal terms; continue_rule 'repeat-last-delta' extends
-        them arithmetically with the final difference."""
-        vals = positive_ints(values, "target")
-        if not vals:
+        """Wrap literal terms; 'repeat-last-delta' continues them by their
+        last difference when it is positive, and ends them otherwise."""
+        given = positive_ints(values, "target")
+        if not given:
             raise InvalidSequence("no terms given")
-        delta = None
-        if continue_rule == "repeat-last-delta":
-            if len(vals) < 2:
-                raise InvalidSequence("need two terms to repeat a difference")
-            delta = vals[-1] - vals[-2]
-        elif continue_rule is not None:
+        if continue_rule not in (None, "repeat-last-delta"):
             raise ValueError(f"unknown continuation rule {continue_rule!r}")
-
-        def fn(n):
-            if n <= len(vals):
-                return vals[n - 1]
-            if delta is None:
-                raise DepthExhausted(f"only {len(vals)} terms available")
-            return vals[-1] + delta * (n - len(vals))
-        return cls(fn, len(vals))
+        if continue_rule and len(given) < 2:
+            raise InvalidSequence("need two terms to repeat a difference")
+        delta = given[-1] - given[-2] if continue_rule else 0
+        return cls(given, ArithmeticFamily(given[-1] + delta, delta)
+                   if delta > 0 else None)
 
     @classmethod
     def from_family(cls, family):
-        return cls(family.a)
+        return cls((), family)
 
 
 class JumpCertificate(NamedTuple):
@@ -153,10 +155,8 @@ class ConstructionResult(NamedTuple):
 def construct(seq: TargetSequence, depth: int) -> ConstructionResult:
     """Run the construction through `depth` jumps.
 
-    The built prefix ends at the depth-th jump; one further jump is
-    located to anchor the tail, so depth+1 strict increases must occur
-    within the scan horizon of given + 64*(depth+1) + 1024 indices, where
-    given counts the terms passed to ``from_explicit`` (0 otherwise).
+    The built prefix ends at the depth-th jump and one further rise
+    anchors the tail; every sequence ends or rises, so the scan stops.
 
     The arithmetic runs on plain ints: theta_j and the budget B_j are
     pairs (numerator, denominator) in lowest terms with a positive
@@ -166,20 +166,21 @@ def construct(seq: TargetSequence, depth: int) -> ConstructionResult:
     ``rational._coprime``, which takes it as it is, without a gcd.
     """
     positive_int(depth, "depth")
-    horizon = seq._given + 64 * (depth + 1) + 1024
+    given = len(seq.given)
+    tail = () if seq.tail is None else seq.tail._targets()
 
     # one forward pass reads each target once, in order, and checks it;
     # a rise a_{n-1} < a_n marks jump n-1, which is built at once from
     # a = a_{n-1} and a' = a_n. The pass stops at the (depth+1)-th rise,
-    # which anchors the tail, so no later target is evaluated
+    # which anchors the tail, so no later target is read
     a_seen: list[int] = []
     b_prefix: list[int] = []
     certificates: list[JumpCertificate] = []
     bn, bd = 1, 0  # the budget B_j as a pair; B_0 = 1/0 is above every slack
-    for n in range(1, horizon + 1):
-        value = seq._fn(n)  # may raise DepthExhausted, a ValueError
+    for n, value in enumerate(chain(seq.given, tail), 1):
         try:
-            positive_int(value, "target", a_seen[-1] if a_seen else 2)
+            positive_int(value, "target",
+                         a_seen[-1] + (n > given) if a_seen else 2)
         except ValueError as exc:
             raise InvalidSequence(f"{exc} at {n}") from None
         if a_seen and a_seen[-1] < value:
@@ -217,8 +218,8 @@ def construct(seq: TargetSequence, depth: int) -> ConstructionResult:
                 n - 1, filler, _coprime(1, b * a * a_next), theta))
         a_seen.append(value)
     else:
-        raise DepthExhausted(
-            f"only {len(certificates)} jumps within horizon {horizon}")
+        raise DepthExhausted(f"only {len(certificates)} of {depth + 1} "
+                             f"jumps in {given} given terms")
 
     a_prefix, a_tail = tuple(a_seen[:len(b_prefix)]), a_seen[-1]
     k = 4 * a_tail.bit_length() + len(a_prefix).bit_length() + 8

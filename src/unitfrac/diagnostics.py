@@ -154,7 +154,7 @@ def classify(a, b, t_grid=DEFAULT_T_GRID,
         if y < x:
             raise ValueError(f"b falls below a at index {n}")
     if family is not None:
-        for n, (x, y) in enumerate(zip(a, family._targets(len(a))), 1):
+        for n, (x, y) in enumerate(zip(a, family._targets()), 1):
             if x != y:
                 raise ValueError(
                     f"a differs from {family.spec_string()} at index {n}")

@@ -6,11 +6,11 @@ between the telescoping differences 1/a_n - 1/a_{n+1} and
 1/(a_n - 1) - 1/(a_{n+1} - 1), by the one companion rule
 ``greedy._companion``; the class docstrings give its closed forms. So
 every index has a bracket, and a_n is the greedy shadow of the family's
-own theta = sum(1/b_n). ``terms(n)`` reads a_1..a_{n+1} once, by each
-family's own rule (a range, a running product, the Fibonacci
-recurrence), and maps the companion rule over them for b_1..b_n. The
-series is enclosed by its prefix sums plus the one tail bracket that the
-companion rule gives every family, with both ends on the 2**-96 grid.
+own theta = sum(1/b_n). ``_targets()`` yields a_1 < a_2 < ... without
+end, by the family's own rule, to ``construct`` and to ``terms(n)``,
+which maps the companion rule over a_1..a_{n+1}. The series is enclosed
+by its prefix sums plus the one tail bracket that the companion rule
+gives every family, with both ends on the 2**-96 grid.
 """
 from __future__ import annotations
 
@@ -47,11 +47,11 @@ def fibonacci_number(k: int) -> int:
 class SequenceFamily:
     """Base for indexed families; indices are 1-based throughout.
 
-    A subclass gives ``a(n)``, the target a_n; ``_targets(count)``,
-    a_1..a_count for ``terms``, by the family's own rule rather than
-    index by index; and ``spec_string()``. A family is immutable. It
-    equals, hashes and prints as its spec string, and is copied and
-    pickled as one.
+    A subclass gives ``a(n)``, the target a_n; ``_targets()``, an
+    endless iterator over a_1 < a_2 < ..., by the family's own rule
+    rather than index by index; and ``spec_string()``. A family is
+    immutable. It equals, hashes and prints as its spec string, and is
+    copied and pickled as one.
     """
 
     __slots__ = ()
@@ -83,7 +83,7 @@ class SequenceFamily:
     def terms(self, n: int) -> tuple[list[int], list[int]]:
         """a_1..a_{n+1}, each evaluated once, and b_1..b_n, the companion
         rule mapped over them."""
-        a = self._targets(positive_int(n, "n") + 1)
+        a = [*itertools.islice(self._targets(), positive_int(n, "n") + 1)]
         return a, list(map(_companion, a, a[1:]))
 
     def tail_bracket(self, n_terms: int) -> tuple[Fraction, Fraction]:
@@ -131,10 +131,9 @@ class GeometricFamily(SequenceFamily):
     def a(self, n: int) -> int:
         return self.a0 * self.r ** (positive_int(n, "n") - 1)
 
-    def _targets(self, count: int) -> list[int]:
-        return list(itertools.accumulate(
-            itertools.repeat(self.r, count - 1), operator.mul,
-            initial=self.a0))
+    def _targets(self):
+        return itertools.accumulate(itertools.repeat(self.r), operator.mul,
+                                    initial=self.a0)
 
     def spec_string(self) -> str:
         return f"geometric:a={self.a0},r={self.r}"
@@ -160,8 +159,8 @@ class ArithmeticFamily(SequenceFamily):
     def a(self, n: int) -> int:
         return self.a0 + (positive_int(n, "n") - 1) * self.d
 
-    def _targets(self, count: int) -> list[int]:
-        return list(range(self.a0, self.a0 + count * self.d, self.d))
+    def _targets(self):
+        return itertools.count(self.a0, self.d)
 
     def spec_string(self) -> str:
         return f"arithmetic:a={self.a0},d={self.d}"
@@ -186,14 +185,13 @@ class FibonacciFamily(SequenceFamily):
     def a(self, n: int) -> int:
         return fibonacci_number(positive_int(n, "n") + 2)
 
-    def _targets(self, count: int) -> list[int]:
+    def _targets(self):
         # F_3, F_4, ... by addition: one long addition per term, where
         # fast doubling costs O(log k) multiplications for each
-        out, f, g = [], 2, 3
-        for _ in range(count):
-            out.append(f)
+        f, g = 2, 3
+        while True:
+            yield f
             f, g = g, f + g
-        return out
 
     def spec_string(self) -> str:
         return "fibonacci"

@@ -2,11 +2,14 @@
 
 An A/A run loads this tree a second time under another package name and
 runs census's ``unique --pair`` requests, the cheapest of the workloads,
-under both: the outputs agree, and one pass gives one time ratio.
+under both: the outputs agree, and one pass gives one time ratio, for
+all requests and for the slowest group, which is ``unique --pair``.
 """
 from __future__ import annotations
 
+import collections
 import importlib.util
+import re
 import sys
 from pathlib import Path
 
@@ -44,10 +47,31 @@ def test_one_pass_a_a_on_census_pairs(trees, tmp_path):
     reqs = pair_requests(tmp_path)
     assert len(reqs) == 6
     assert ab.first_difference(trees, reqs) is None
-    [ratio] = ab.ratios(trees, reqs, 1)
-    assert ratio > 0
-    assert ab.summary([ratio]).endswith(
-        f"in {int(ratio < 1)} of 1 passes")
+    whole, slowest = ab.report(trees, reqs, 1)
+    assert re.fullmatch(r"change/parent time ratio: median (\d\.\d{3}), "
+                        r"quartiles \1-\1, change faster in [01] of 1 "
+                        "passes", whole)
+    assert slowest == "slowest request group, unique --pair: " + whole
+
+
+def test_groups_are_subcommand_and_first_option_or_policy(tmp_path):
+    groups = {workload: collections.Counter(
+        map(ab.group, ab.workloads.generate(workload, 1, tmp_path)))
+        for workload in ("census", "certify")}
+    assert groups["census"] == {"unique --range": 4, "unique --sample": 8,
+                                "unique --a-file": 4, "unique --pair": 6}
+    assert groups["certify"]["construct --family"] == 11
+    assert groups["certify"]["construct --a-file"] == 2
+    deep = [ab.workloads.Request("deep", (2, 3, kind, 0, 5))
+            for kind in ("greedy", "ceil-t-a")]
+    assert list(map(ab.group, deep)) == ["greedy", "ceil-t-a"]
+
+
+def test_ratios_sum_the_chosen_requests():
+    spent = [[[1.0, 2.0], [3.0, 1.0]], [[2.0, 2.0], [6.0, 2.0]]]
+    assert ab.ratios(spent, [True, True]) == [4 / 3, 2.0]
+    assert ab.ratios(spent, [True, False]) == [0.5, 1.0]
+    assert ab.ratios(spent, [False, True]) == [3.0, 3.0]
 
 
 def test_a_changed_output_is_named(trees, tmp_path):

@@ -237,6 +237,18 @@ def test_construct_exhaustion_is_malformed(tmp_path):
     assert proc.returncode == 2
 
 
+def test_construct_refuses_an_ending_sequence_at_once(tmp_path):
+    # a last difference of 0 continues (2, 3, 3) by nothing: the three
+    # terms hold one jump, and the scan ends with them, whatever the depth
+    a_file = write_lines(tmp_path / "a.txt", [2, 3, 3])
+    proc = subprocess.run(
+        [sys.executable, "-m", "unitfrac", "construct", "--a-file", a_file,
+         "--repeat-last-delta", "--depth", "1000000000"],
+        capture_output=True, env=child_env(), timeout=10)
+    assert (proc.returncode, proc.stdout) == (2, b"")
+    assert b"only 1 of 1000000001 jumps in 3 given terms" in proc.stderr
+
+
 def test_construct_internal_error_exits_2(monkeypatch, tmp_path):
     # a failed bracket check is a bug, not a failed verification; a b two
     # above the companion misses its bracket (test_construct)

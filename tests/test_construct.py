@@ -8,6 +8,7 @@ recover_shadow acts as an independent oracle for the whole pipeline.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction as F
 
@@ -24,7 +25,8 @@ from unitfrac.construct import (
     TargetSequence,
     construct,
 )
-from unitfrac.families import ArithmeticFamily, GeometricFamily
+from unitfrac.families import (ArithmeticFamily, FibonacciFamily,
+                               GeometricFamily)
 from unitfrac.greedy import _companion, recover_shadow
 
 
@@ -46,10 +48,13 @@ def jumps_of(res):
     return [c.index for c in res.certificates]
 
 
+# 2, 2, 3, 3, 4, 4, ...: a_n = 2 + (n - 1) // 2, plateaus of two indices
+TWO_STEPS = tuple(2 + (n - 1) // 2 for n in range(1, 41))
+
+
 def test_strictly_increasing_reproduces_arithmetic_companion():
-    seq = TargetSequence(lambda n: n + 1)
-    res = construct(seq, depth=25)
     family = ArithmeticFamily(2, 1)
+    res = construct(TargetSequence.from_family(family), depth=25)
     assert res.a_prefix == tuple(n + 1 for n in range(1, 26))
     assert res.b_prefix == tuple(family.b(n) for n in range(1, 26))
     assert jumps_of(res) == list(range(1, 26))
@@ -66,7 +71,7 @@ def test_geometric_targets_reproduce_family():
 
 
 def test_plateau_construction_pinned():
-    seq = TargetSequence(lambda n: 2 + (n - 1) // 2)
+    seq = TargetSequence.from_explicit(TWO_STEPS)
     res = construct(seq, depth=2)
     assert res.a_prefix == (2, 2, 3, 3)
     assert res.next_jump_index == 6
@@ -244,7 +249,7 @@ def test_long_operands_recomputed_by_fractions(seq, depth, bits):
 
 def test_certificates_positive():
     # two plateaus of two indices each: one record per jump covers all four
-    seq = TargetSequence(lambda n: 2 + (n - 1) // 2)
+    seq = TargetSequence.from_explicit(TWO_STEPS)
     res = construct(seq, depth=2)
     assert jumps_of(res) == [2, 4] == [2, len(res.a_prefix)]
     for cert in res.certificates:
@@ -254,7 +259,7 @@ def test_certificates_positive():
 
 
 def test_enclosure_replay_recovers_targets():
-    seq = TargetSequence(lambda n: 2 + (n - 1) // 2)
+    seq = TargetSequence.from_explicit(TWO_STEPS)
     res = construct(seq, depth=4)
     iv = res.theta_enclosure
     width = iv.width()
@@ -265,7 +270,7 @@ def test_enclosure_replay_recovers_targets():
 
 
 def test_monotone_deepening():
-    seq = TargetSequence(lambda n: 2 + (n - 1) // 2)
+    seq = TargetSequence.from_explicit(TWO_STEPS)
     shallow = construct(seq, depth=2)
     deep = construct(seq, depth=5)
     k = len(shallow.b_prefix)
@@ -289,6 +294,46 @@ def test_repeat_last_delta_extension():
     assert jumps_of(res) == [1, 2, 3]
     with pytest.raises(InvalidSequence, match="need two terms"):
         TargetSequence.from_explicit((2,), "repeat-last-delta")
+    # the continuation is the arithmetic family on from the last term, or
+    # nothing when the last difference is 0
+    assert TargetSequence.from_explicit((2, 3, 5), "repeat-last-delta") == (
+        (2, 3, 5), ArithmeticFamily(7, 2))
+    assert TargetSequence.from_explicit((2, 3, 3), "repeat-last-delta") == (
+        (2, 3, 3), None)
+    assert TargetSequence.from_explicit([2, 3]) == ((2, 3), None)
+    assert TargetSequence.from_family(FibonacciFamily()) == (
+        (), FibonacciFamily())
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.one_of(st.integers(0, 3), st.integers(10**3, 10**9)),
+                min_size=1, max_size=12),
+       st.booleans(), st.integers(1, 10))
+def test_targets_follow_the_per_index_rule(steps, rule, depth):
+    # non-decreasing data from 2, and the rule it replaced: a_n is v[n-1]
+    # on the data and v[-1] + delta (n - len(v)) past it, with delta the
+    # last difference under repeat-last-delta; without it the data end
+    values = list(itertools.accumulate(steps, initial=2))
+    delta = values[-1] - values[-2]
+
+    def target(n):
+        if n <= len(values):
+            return values[n - 1]
+        return values[-1] + delta * (n - len(values))
+    known = len(values) + (depth + 2 if rule else 0)
+    rises = [n for n in range(1, known) if target(n) < target(n + 1)]
+    seq = TargetSequence.from_explicit(
+        values, "repeat-last-delta" if rule else None)
+    if len(rises) <= depth:
+        with pytest.raises(DepthExhausted, match=(
+                f"^only {len(rises)} of {depth + 1} jumps in {len(values)} "
+                "given terms$")):
+            construct(seq, depth)
+        return
+    res = construct(seq, depth)
+    assert res.a_prefix == tuple(map(target, range(1, rises[depth - 1] + 1)))
+    assert res.next_jump_index == rises[depth]
+    assert res.next_jump_value == target(rises[depth])
 
 
 def test_from_explicit_refuses_no_terms():
@@ -304,19 +349,24 @@ def test_from_explicit_refuses_an_unknown_continuation_rule():
 
 
 def test_construct_reads_targets_only_through_the_last_jump():
-    # depth 3 needs jumps 1..4, so only targets 1..5 may be evaluated,
-    # each of them once and in order
+    # depth 3 needs jumps 1..4, so only targets 1..5 may be read, each of
+    # them once and in order: three given and two from the tail
     calls = []
 
-    def targets(n):
-        if n > 5:
-            raise RuntimeError(f"target {n} evaluated")
-        calls.append(n)
-        return n + 1
-    res = construct(TargetSequence(targets), depth=3)
+    class Counted(ArithmeticFamily):
+        __slots__ = ()
+
+        def _targets(self):
+            for n, value in enumerate(super()._targets(), 4):
+                if n > 5:
+                    raise RuntimeError(f"target {n} read")
+                calls.append(n)
+                yield value
+    res = construct(TargetSequence((2, 3, 4), Counted(5, 1)), depth=3)
     assert jumps_of(res) == [1, 2, 3]
     assert res.next_jump_index == 4
-    assert calls == [1, 2, 3, 4, 5]
+    assert res.a_prefix == (2, 3, 4) and res.next_jump_value == 5
+    assert calls == [4, 5]
 
 
 def test_internal_checks_catch_a_wrong_companion(monkeypatch):
@@ -324,7 +374,7 @@ def test_internal_checks_catch_a_wrong_companion(monkeypatch):
     # one below the bracket's lower integer end leaves slack -1, and two
     # above the companion, one past its upper end, leaves b (a' - a)
     # above a a'
-    seq = TargetSequence(lambda n: 2 + (n - 1) // 2)
+    seq = TargetSequence.from_explicit(TWO_STEPS)
     monkeypatch.setattr(construct_module, "_companion",
                         lambda a, a2: (a - 1) * (a2 - 1) // (a2 - a) - 1)
     with pytest.raises(ConstructionError,
@@ -337,33 +387,76 @@ def test_internal_checks_catch_a_wrong_companion(monkeypatch):
         construct(seq, depth=3)
 
 
+class Halved(ArithmeticFamily):
+    """a0/2, (a0 + d)/2, ...: a stream of floats."""
+
+    __slots__ = ()
+
+    def _targets(self):
+        return (value / 2 for value in super()._targets())
+
+
+class Stalling(ArithmeticFamily):
+    """a0, a0 + d, ..., held at 5 from there on: it stops rising."""
+
+    __slots__ = ()
+
+    def _targets(self):
+        return (min(value, 5) for value in super()._targets())
+
+
 def test_sequence_validation():
-    with pytest.raises(InvalidSequence):
+    with pytest.raises(InvalidSequence,
+                       match="^target must be an integer >= 2, got 1 at 1$"):
         construct(TargetSequence.from_explicit((1, 2, 3)), depth=1)
-    with pytest.raises(InvalidSequence):
+    with pytest.raises(InvalidSequence,
+                       match="^target must be an integer >= 3, got 2 at 2$"):
         construct(TargetSequence.from_explicit((3, 2, 4)), depth=1)
-    with pytest.raises(InvalidSequence):
-        construct(TargetSequence(lambda n: n / 2), depth=1)
+    # a non-integer target, read from a tail
+    with pytest.raises(InvalidSequence,
+                       match=r"^target must be an integer >= 4, got 4\.0 at 3$"):
+        construct(TargetSequence((2, 3), Halved(8, 1)), depth=3)
+
+
+def test_a_tail_that_stops_rising_is_refused():
+    # a tail target must exceed the one before it, from the first on: the
+    # given terms may end on a plateau, the tail may not hold one
+    with pytest.raises(InvalidSequence,
+                       match="^target must be an integer >= 6, got 5 at 5$"):
+        construct(TargetSequence.from_family(Stalling(2, 1)), depth=10)
+    with pytest.raises(InvalidSequence,
+                       match="^target must be an integer >= 6, got 5 at 4$"):
+        construct(TargetSequence((2, 4, 5), Stalling(5, 1)), depth=10)
+    res = construct(TargetSequence((2, 4, 4), Stalling(5, 1)), depth=1)
+    assert res.a_prefix == (2,)
+    assert (res.next_jump_index, res.next_jump_value) == (3, 4)
 
 
 def test_depth_exhaustion():
-    # an eventually constant sequence never yields enough jumps
-    with pytest.raises(DepthExhausted):
-        construct(TargetSequence(lambda n: 2), depth=1)
+    # a constant sequence never yields enough jumps
+    with pytest.raises(DepthExhausted,
+                       match="^only 0 of 2 jumps in 5 given terms$"):
+        construct(TargetSequence.from_explicit([2] * 5), depth=1)
     # finite explicit list without a continuation rule runs out
-    with pytest.raises(DepthExhausted):
+    with pytest.raises(DepthExhausted,
+                       match="^only 1 of 3 jumps in 2 given terms$"):
         construct(TargetSequence.from_explicit((2, 3)), depth=2)
-    # delta zero extension plateaus forever
+    # a last difference of zero continues by nothing: the data end on a
+    # plateau, whatever the depth
     seq = TargetSequence.from_explicit((2, 3, 3), "repeat-last-delta")
-    with pytest.raises(DepthExhausted):
+    with pytest.raises(DepthExhausted,
+                       match="^only 1 of 3 jumps in 3 given terms$"):
         construct(seq, depth=2)
+    with pytest.raises(DepthExhausted, match="^only 1 of 1000000001 jumps"):
+        construct(seq, depth=10**9)
     # exactly depth jumps, then a plateau: the tail's jump is missing
-    with pytest.raises(DepthExhausted, match="only 2 jumps"):
-        construct(TargetSequence(lambda n: min(n + 1, 4)), depth=2)
+    with pytest.raises(DepthExhausted,
+                       match="^only 2 of 3 jumps in 5 given terms$"):
+        construct(TargetSequence.from_explicit((2, 3, 4, 4, 4)), depth=2)
 
 
 def test_long_given_plateau_is_scanned_whole():
-    # 1200 given 2s outrun the 64*(depth+1) + 1024 indices an endless
-    # plateau may take; a plateau inside given terms is scanned to its end
+    # only a tail must rise at every index: a plateau of 1200 given terms
+    # is scanned to its end, however far that is
     seq = TargetSequence.from_explicit([2] * 1200 + [3, 4])
     assert jumps_of(construct(seq, 1)) == [1200]

@@ -1,8 +1,8 @@
 """The result records, value types and families keep their contract.
 
 Results are immutable named tuples with the field names and order they
-always had. The two validated value types check their fields however a
-value is built, through ``_make`` and ``_replace`` too. Families are
+always had. The three validated value types check their fields however
+a value is built, through ``_make`` and ``_replace`` too. Families are
 immutable and compare, hash, print, copy and pickle by their spec.
 """
 from __future__ import annotations
@@ -46,6 +46,7 @@ FIELDS = {
         "n_terms", "witness_counts", "second_half_witness_counts",
         "ratio_samples", "closed_form_limit", "limit_exceeds_one",
         "verdict"),
+    "TargetSequence": ("given", "tail"),
     "JumpCertificate": ("index", "filler", "lower_margin", "upper_margin"),
     "ConstructionResult": (
         "a_prefix", "b_prefix", "next_jump_index", "next_jump_value",
@@ -64,14 +65,14 @@ FAMILIES = (GeometricFamily(2, 3), GeometricFamily(3, 2),
 def _instances() -> dict:
     """One value of each public record and family type, by type name."""
     run = wgaa_expand(Fraction(2, 3), WgaaPolicy.scaled(Fraction(2)), 3)
-    result = construct(
-        TargetSequence.from_explicit([2, 3], "repeat-last-delta"), 2)
+    targets = TargetSequence.from_explicit([2, 3], "repeat-last-delta")
+    result = construct(targets, 2)
     values = [
         RationalInterval(1, 2), run.policy, run,
         recover_shadow([2, 7], Fraction(2, 3)),
         scaled_run_ratio_checks(run)[0],
         greedy_ratio_checks(greedy_expand(Fraction(2, 3), 3))[0],
-        classify([2, 3], [3, 4]), result.certificates[0], result,
+        classify([2, 3], [3, 4]), targets, result.certificates[0], result,
         pair_uniqueness(2, 7), next(sweep(3)), *FAMILIES]
     return {type(v).__name__: v for v in values}
 
@@ -103,6 +104,11 @@ BAD_VALUES = [
      {"t": Fraction(1, 2)}),
     (lambda: WgaaPolicy(selection="nope"), WgaaPolicy.scaled(Fraction(2)),
      {"selection": "nope"}),
+    (lambda: TargetSequence((2, 0)), TargetSequence((2,)),
+     {"given": (2, 0)}),
+    (lambda: TargetSequence((2,), "arithmetic:a=3,d=1"),
+     TargetSequence((2,), ArithmeticFamily(3, 1)),
+     {"tail": "arithmetic:a=3,d=1"}),
 ]
 
 

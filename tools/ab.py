@@ -16,7 +16,10 @@ differs and exits 1. Then every pass runs each request under both trees,
 alternating which goes first from one request to the next and from one
 pass to the next, and sums each tree's time. The tool prints the median
 of the passes' change/parent time ratios, their quartiles, and in how
-many passes the change was faster.
+many passes the change was faster. It prints the same again for the
+request group with the largest parent time. A request's group is its
+subcommand and first option, as ``unique --a-file`` or ``construct
+--family``, or a deep request's policy kind.
 
 Which tool answers which question: ``bench/run.py`` runs one tree per
 process and gates ``BENCHMARK.json``'s bounds; it alone sees ``setup_s``
@@ -27,6 +30,7 @@ a shared machine falls on both. An A/A run, DIR holding this same tree,
 shows the spread of the ratio when nothing changed.
 """
 import argparse
+import collections
 import gc
 import importlib
 import importlib.util
@@ -72,17 +76,47 @@ def first_difference(trees, reqs):
     return None
 
 
-def ratios(trees, reqs, passes: int) -> list[float]:
-    """The time of trees[0] over that of trees[1], pass by pass."""
+def group(req) -> str:
+    """The subcommand and first option of a cli request, or the policy
+    kind of a deep one."""
+    return req.args[2] if req.kind == "deep" else " ".join(req.args[:2])
+
+
+def timings(trees, reqs, passes: int) -> list[list[list[float]]]:
+    """Pass by pass, each request's time under trees[0] and trees[1]."""
     out = []
     for p in range(passes):
         gc.collect()
-        spent = [0.0, 0.0]
+        spent = [[0.0, 0.0] for _ in reqs]
         for i, req in enumerate(reqs):
             for k in ((0, 1), (1, 0))[(i + p) % 2]:
-                spent[k] += timed(trees[k], req)[0]
-        out.append(spent[0] / spent[1])
+                spent[i][k] = timed(trees[k], req)[0]
+        out.append(spent)
     return out
+
+
+def ratios(spent, chosen) -> list[float]:
+    """The time of trees[0] over that of trees[1], pass by pass, summed
+    over the requests at the true places of ``chosen``."""
+    out = []
+    for times in spent:
+        picked = [t for t, keep in zip(times, chosen) if keep]
+        out.append(sum(t[0] for t in picked) / sum(t[1] for t in picked))
+    return out
+
+
+def report(trees, reqs, passes: int) -> list[str]:
+    """The ratio summary of all requests, then of the slowest group."""
+    spent = timings(trees, reqs, passes)
+    parent = collections.Counter()
+    for times in spent:
+        for req, (_, t) in zip(reqs, times):
+            parent[group(req)] += t
+    [(slowest, _)] = parent.most_common(1)
+    in_group = [group(req) == slowest for req in reqs]
+    return [summary(ratios(spent, [True] * len(reqs))),
+            f"slowest request group, {slowest}: "
+            + summary(ratios(spent, in_group))]
 
 
 def summary(values: list[float]) -> str:
@@ -117,7 +151,7 @@ def main(argv=None) -> int:
             return 1
         print(f"{args.workload}, seed {args.seed}: {len(reqs)} requests, "
               "same outputs under both trees")
-        print(summary(ratios(trees, reqs, args.passes)))
+        print(*report(trees, reqs, args.passes), sep="\n")
     return 0
 
 
