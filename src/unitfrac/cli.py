@@ -8,7 +8,6 @@ invocation produces identical bytes.  It is written whole once the command
 has finished, so stdout stays empty when the exit code is 2.
 """
 import argparse
-import contextlib
 import functools
 import io
 import itertools
@@ -20,8 +19,8 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
 # a command imports the modules it runs, so only rational, which reads
 # and prints the numbers of every command, is imported here
-from .rational import (_INT_RE, format_rational, parse_int, parse_rational,
-                       positive_int)
+from .rational import (format_rational, parse_int, parse_ints,
+                       parse_rational, positive_int)
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -47,17 +46,12 @@ def _read_sequence_file(path: str) -> list[int]:
     lines = text.split("\n")
     if not lines[-1]:
         del lines[-1]  # the newline that ends the last line
-    stripped = list(map(str.strip, lines))
-    # every line is checked in one pass at C speed; the loop runs only to
-    # name the first line refused, by parse_int's message (digit limit too)
-    with contextlib.suppress(ValueError):
-        if stripped and all(map(_INT_RE.fullmatch, stripped)):
-            return list(map(int, stripped))
-    for lineno, line in enumerate(lines, 1):
-        try:
-            parse_int(line)
-        except ValueError as exc:
-            raise ValueError(f"{path}:{lineno}: {exc}") from None
+    try:
+        values = parse_ints(lines)
+    except ValueError as exc:
+        raise ValueError(f"{path}:{exc}") from None
+    if values:
+        return values
     raise ValueError(f"{path}: empty sequence file")
 
 

@@ -187,12 +187,10 @@ def classify(a, b, t_grid=DEFAULT_T_GRID,
     witnessed = any(count == second_len for _, count in second)
     if n < _SHORT_RUN:
         verdict = "inconclusive"
-    elif not witnessed:
+    elif not witnessed or grows is False:
         verdict = "not-producible-evidence"
     elif grows is True:
         verdict = "producible-evidence"
-    elif grows is False:
-        verdict = "not-producible-evidence"
     else:
         verdict = "inconclusive"
 

@@ -21,7 +21,8 @@ import re
 from fractions import Fraction
 
 from .greedy import _companion
-from .rational import RationalInterval, _unit_sums, positive_int
+from .rational import (_INT, RationalInterval, _unit_sums, parse_int,
+                       positive_int)
 
 # grid of every enclosure end: terms and tail are rounded outward to it
 _SCALE = 2**96
@@ -223,8 +224,8 @@ def _enclosure(family: SequenceFamily, b: list[int]) -> RationalInterval:
     return RationalInterval(Fraction(lo, _SCALE), Fraction(hi, _SCALE))
 
 
-_GEOMETRIC_RE = re.compile("geometric:a=([0-9]+),r=([0-9]+)")
-_ARITHMETIC_RE = re.compile("arithmetic:a=([0-9]+),d=([0-9]+)")
+_GEOMETRIC_RE = re.compile(f"geometric:a=({_INT}),r=({_INT})")
+_ARITHMETIC_RE = re.compile(f"arithmetic:a=({_INT}),d=({_INT})")
 
 
 def parse_family_spec(text: str) -> SequenceFamily:
@@ -233,8 +234,8 @@ def parse_family_spec(text: str) -> SequenceFamily:
         return FibonacciFamily()
     m = _GEOMETRIC_RE.fullmatch(text)
     if m:
-        return GeometricFamily(int(m.group(1)), int(m.group(2)))
+        return GeometricFamily(*map(parse_int, m.groups()))
     m = _ARITHMETIC_RE.fullmatch(text)
     if m:
-        return ArithmeticFamily(int(m.group(1)), int(m.group(2)))
+        return ArithmeticFamily(*map(parse_int, m.groups()))
     raise ValueError(f"unrecognized family spec: {text!r}")

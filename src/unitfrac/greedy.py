@@ -151,7 +151,7 @@ def _select_b(policy: WgaaPolicy, a_n: int) -> int:
     if policy.selection == "greedy":
         return a_n
     if policy.selection == "ceil-t-a":
-        return math.ceil(policy.t * a_n)
+        return -(-policy.t.numerator * a_n // policy.t.denominator)
     # min-admissible: the cap binds only at t == 1 (see WgaaPolicy)
     return a_n if policy.t == 1 else a_n + 1
 

@@ -45,11 +45,13 @@ and ``positive_ints`` the same in a list with 1 as the least, with a
 ValueError naming the argument and the 1-based list index. ``exact``
 refuses a float, a bool or text where a rational goes. Text becomes a
 number only here: ``parse_int`` reads ASCII digits after an optional
-minus, whitespace around stripped, and ``parse_rational`` reads its
-numerator and denominator the same way.
+minus, whitespace around stripped, ``parse_ints`` reads each of a list
+of lines that way, and ``parse_rational`` reads its numerator and
+denominator the same way.
 
 No floating point is used anywhere here; every comparison is exact.
 """
+import contextlib
 import itertools
 import math
 import re
@@ -91,6 +93,22 @@ def parse_int(text: str) -> int:
     if not _INT_RE.fullmatch(digits):
         raise ValueError(f"not an integer: {text!r}")
     return int(digits)
+
+
+def parse_ints(lines: list[str]) -> list[int]:
+    """``parse_int`` of each line. The first line it refuses raises its
+    ValueError, the message led by the 1-based line number: "2: ..."."""
+    # every line is checked in one pass at C speed; the loop runs only to
+    # name the first line refused, by parse_int's message (digit limit too)
+    stripped = list(map(str.strip, lines))
+    with contextlib.suppress(ValueError):
+        if all(map(_INT_RE.fullmatch, stripped)):
+            return list(map(int, stripped))
+    for n, line in enumerate(lines, 1):
+        try:
+            parse_int(line)
+        except ValueError as exc:
+            raise ValueError(f"{n}: {exc}") from None
 
 
 def parse_rational(text: str) -> Fraction:

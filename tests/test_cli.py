@@ -481,6 +481,10 @@ REFUSALS = {
     "family_rejects_unknown_spec": (
         {}, ["family", "--spec", "explicit", "--terms", "4"], "exact",
         "error: unrecognized family spec: 'explicit'\n"),
+    # a spec field is read as every integer is, and refused by its bound
+    "family_refuses_a_negative_spec_field": (
+        {}, ["family", "--spec", "geometric:a=-2,r=3", "--terms", "4"],
+        "exact", "error: a0 must be an integer >= 2, got -2\n"),
     "classify_rejects_empty_t_grid": (
         {"a": A3, "b": B3},
         ["classify", "--a-file", "@a", "--b-file", "@b", "--t-grid", ""],

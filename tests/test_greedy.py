@@ -279,6 +279,8 @@ def test_wgaa_run_invariants(theta, t, n, selection):
         # the cap holds at every index, whatever the rule: this is why a
         # policy carries no index set (the paper's set is all of N)
         assert b <= math.ceil(t * a)
+        if selection == "ceil-t-a":
+            assert b == math.ceil(t * a)
         assert Fraction(1, a) < r_prev <= Fraction(1, a - 1)
         r_prev = run.residuals[k]
         assert r_prev > 0

@@ -4,7 +4,8 @@ A deletion elsewhere can leave an import behind that nothing uses; this
 scan finds it.  A second scan checks that the package reads no
 environment variable: its settings come from arguments only.  A third
 keeps the integer input check in one place: only ``rational.py`` tests
-whether a value is a bool.  A fourth keeps every output document in the
+whether a value is a bool, and only it calls ``int``, so text becomes an
+integer by one grammar.  A fourth keeps every output document in the
 command line: no library type serialises itself, and only ``cli.py``
 imports ``format_rational``; and no test file of a library module
 imports ``unitfrac.cli``, since a document's bytes are pinned by its
@@ -103,6 +104,25 @@ def test_bool_checks_only_in_rational():
                 if any(isinstance(name, ast.Name) and name.id == "bool"
                        for name in names):
                     hits.append(f"{path.relative_to(REPO)}:{node.lineno}")
+    assert hits and all(hit.startswith("src/unitfrac/rational.py:")
+                        for hit in hits), hits
+
+
+def test_int_calls_only_in_rational():
+    """``int(...)`` or ``map(int, ...)`` outside rational.py: text becomes
+    an integer by one grammar, ``rational.parse_int``'s."""
+    hits = []
+    for path in sorted((REPO / "src/unitfrac").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not (isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Name)):
+                continue
+            if node.func.id == "map" and node.args:
+                called = node.args[0]
+            else:
+                called = node.func
+            if isinstance(called, ast.Name) and called.id == "int":
+                hits.append(f"{path.relative_to(REPO)}:{node.lineno}")
     assert hits and all(hit.startswith("src/unitfrac/rational.py:")
                         for hit in hits), hits
 

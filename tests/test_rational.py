@@ -21,6 +21,8 @@ from unitfrac.rational import (
     _unit_sums,
     format_rational,
     greedy_denominator,
+    parse_int,
+    parse_ints,
     parse_rational,
     positive_int,
     positive_ints,
@@ -58,6 +60,34 @@ def test_format_takes_an_int_and_refuses_floats_and_bools():
 @given(st.fractions())
 def test_format_parse_round_trip(x):
     assert parse_rational(format_rational(x)) == x
+
+
+# what str.strip cuts around a line, and lines parse_int refuses: int()
+# takes the first three, and the last passes the digit check but not
+# int() past the interpreter's default digit limit
+_BLANKS = st.text(" \t\r\x0b\x0c", max_size=2)
+_REFUSED = ["+5", "1_0", "\u0663", "3.0", "", "9" * 4301]
+_ACCEPTED = st.builds("".join, st.tuples(
+    _BLANKS, st.sampled_from(["", "-"]), st.text("0123456789", min_size=1),
+    _BLANKS))
+
+
+@settings(max_examples=300)
+@given(st.lists(st.one_of(_ACCEPTED, st.sampled_from(_REFUSED))))
+@example(_REFUSED)
+@example([])
+def test_parse_ints_is_parse_int_per_line(lines):
+    """The one-pass check gives parse_int's value for every line, or the
+    message of the first line it refuses, led by that line's number."""
+    for n, line in enumerate(lines, 1):
+        try:
+            parse_int(line)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as info:
+                parse_ints(lines)
+            assert str(info.value) == f"{n}: {exc}"
+            return
+    assert parse_ints(lines) == [parse_int(line) for line in lines]
 
 
 # ------------------------------------------------------ greedy denominator
